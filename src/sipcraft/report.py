@@ -16,8 +16,6 @@ import io
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._version import VERSION
 from .engine import WindowOutcome
 from .errors import InsufficientDataError
@@ -314,6 +312,8 @@ def boxplot_summary(values) -> BoxplotSummary:
     extreme data points within 1.5 IQR of the box."""
     if len(values) == 0:
         raise InsufficientDataError("boxplot summary needs a non-empty sample")
+    import numpy as np  # deferred: validate/simulate/--version never load numpy
+
     arr = np.asarray(sorted(float(v) for v in values), dtype=np.float64)
     q1, median, q3 = (float(q) for q in np.quantile(arr, [0.25, 0.5, 0.75]))
     iqr = q3 - q1
@@ -343,7 +343,8 @@ def file_sha256(path: str) -> str:
 
 def tool_provenance() -> dict:
     return {"tool": "sipcraft", "version": VERSION,
-            "quantile_convention": "linear interpolation (type 7)"}
+            "quantile_convention": "linear interpolation (type 7)",
+            "bootstrap_stream": "numpy default_rng(seed).integers(0, n, size=(B, n)), row-major"}
 
 
 def render_bundle(bundle: dict, format: str = "markdown") -> str:

@@ -46,6 +46,9 @@ class BatteryConfig:
     hedges_variant: str = "standard"
 
     def __post_init__(self) -> None:
+        for key, value in (("B", self.resamples), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.resamples < 1000:
             raise ValueError(f"B must be >= 1000, got {self.resamples}")
         if not 0.0 < self.alpha < 1.0:

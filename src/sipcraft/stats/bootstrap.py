@@ -1,16 +1,14 @@
 """Bias-corrected and accelerated (BCa) bootstrap for the mean difference.
 
-Resample r always draws from ``numpy.random.default_rng((seed, r))``, so the
-stream belonging to a resample is a pure function of (seed, r). Serial and
-parallel execution therefore produce bitwise-identical intervals.
+One generator, ``numpy.random.default_rng(seed)``, draws the whole (B, n)
+index matrix in a single ``integers(0, n, size=(B, n))`` call; row r holds
+the indices of resample r. The interval is therefore a pure function of the
+sample, B, alpha and the seed. Efron (1987) describes the BCa method.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import InsufficientDataError
 from .paired import PairedSample
@@ -34,21 +32,12 @@ class BootstrapCI:
     degenerate: bool = False
 
 
-def _fill_means(boot: np.ndarray, diffs: np.ndarray, seed: int, lo: int, hi: int) -> None:
-    n = diffs.shape[0]
-    for r in range(lo, hi):
-        rng = np.random.default_rng((seed, r))
-        idx = rng.integers(0, n, size=n)
-        boot[r] = diffs[idx].mean()
-
-
 def bootstrap_bca(
     s: PairedSample,
     resamples: int = 10000,
     alpha: float = 0.05,
     seed: int = 42,
     *,
-    workers: int = 1,
     z0_override: float | None = None,
     accel_override: float | None = None,
 ) -> BootstrapCI:
@@ -60,6 +49,8 @@ def bootstrap_bca(
     substitute fixed values for z0 / a, which is useful for diagnostics:
     forcing both to zero reduces BCa to the plain percentile interval.
     """
+    import numpy as np  # deferred: validate/simulate/--version never load numpy
+
     if s.n < 3:
         raise InsufficientDataError(f"BCa bootstrap needs n >= 3, got n={s.n}")
     if resamples < MIN_RESAMPLES:
@@ -68,8 +59,6 @@ def bootstrap_bca(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
     diffs = np.asarray(s.diffs, dtype=np.float64)
     theta = float(diffs.mean())
@@ -78,18 +67,9 @@ def bootstrap_bca(
                            resamples=resamples, seed=seed, alpha=alpha,
                            z0=0.0, acceleration=0.0, degenerate=True)
 
-    boot = np.empty(resamples, dtype=np.float64)
-    if workers == 1:
-        _fill_means(boot, diffs, seed, 0, resamples)
-    else:
-        bounds = np.linspace(0, resamples, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_fill_means, boot, diffs, seed, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            for f in futures:
-                f.result()
+    n = diffs.shape[0]
+    idx = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
+    boot = diffs[idx].mean(axis=1)
 
     if z0_override is not None:
         z0 = float(z0_override)
@@ -101,7 +81,6 @@ def bootstrap_bca(
     if accel_override is not None:
         accel = float(accel_override)
     else:
-        n = diffs.shape[0]
         jack = (diffs.sum() - diffs) / (n - 1)  # leave-one-out means
         resid = jack.mean() - jack
         denom = float((resid ** 2).sum()) ** 1.5

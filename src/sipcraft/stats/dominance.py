@@ -89,12 +89,16 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     return KsResult(statistic=d, p_value=p)
 
 
-def _pooled_gaps(s: PairedSample) -> tuple[list[float], list[float]]:
-    """Pooled support and per-point gaps F_ftd(x) - F_exp(x)."""
-    fe = ecdf(s.exp_values)
-    ff = ecdf(s.ftd_values)
-    grid = sorted(set(fe.support) | set(ff.support))
-    gaps = [ff(x) - fe(x) for x in grid]
+def _pooled_gaps(s: PairedSample) -> tuple[list[float], list[int]]:
+    """Pooled support and per-point gaps n * (F_ftd(x) - F_exp(x)).
+
+    The gaps are exact integers, so a nonzero gap times a positive interval
+    width never underflows to zero, however narrow the interval.
+    """
+    exp = sorted(s.exp_values)
+    ftd = sorted(s.ftd_values)
+    grid = sorted(set(exp) | set(ftd))
+    gaps = [bisect_right(ftd, x) - bisect_right(exp, x) for x in grid]
     return grid, gaps
 
 
@@ -108,9 +112,9 @@ def check_fsd(s: PairedSample) -> DominanceSide:
     _require_pairs(s, "check_fsd")
     _, gaps = _pooled_gaps(s)
     # gap > 0 means F_exp < F_ftd at that point, i.e. EXP mass sits higher
-    if all(g >= 0.0 for g in gaps) and any(g > 0.0 for g in gaps):
+    if all(g >= 0 for g in gaps) and any(g > 0 for g in gaps):
         return DominanceSide.EXP
-    if all(g <= 0.0 for g in gaps) and any(g < 0.0 for g in gaps):
+    if all(g <= 0 for g in gaps) and any(g < 0 for g in gaps):
         return DominanceSide.FTD
     return DominanceSide.NONE
 
@@ -128,7 +132,7 @@ def check_ssd(s: PairedSample) -> DominanceSide:
     _require_pairs(s, "check_ssd")
     grid, gaps = _pooled_gaps(s)
     running = 0.0
-    integrals = []  # integral of (F_ftd - F_exp) up to each support point
+    integrals = []  # n * integral of (F_ftd - F_exp) up to each support point
     for i in range(1, len(grid)):
         running += gaps[i - 1] * (grid[i] - grid[i - 1])
         integrals.append(running)

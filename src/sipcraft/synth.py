@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from datetime import date as Date, timedelta
 
-import numpy as np
-
 from .timeseries import IndexSeries, TradingDay
 
 __all__ = ["KINDS", "generate_series"]
@@ -49,6 +47,8 @@ def generate_series(
 
     first = Date(start_year - 1, 12, 1) if include_prior_december else Date(start_year, 1, 1)
     last = Date(start_year + years - 1, 12, 31)
+
+    import numpy as np  # deferred: validate/simulate/--version never load numpy
 
     rng = np.random.default_rng(seed)
     days: list[TradingDay] = []

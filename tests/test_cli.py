@@ -182,6 +182,23 @@ def test_compare_rejects_bad_config_json(series_csv, tmp_path, capsys):
     assert rc == EXIT_ERROR
 
 
+@pytest.mark.parametrize("stats", [
+    {"seed": 1.5},
+    {"B": "x"},
+    {"B": 1e4},
+    {"seed": True},
+])
+def test_compare_rejects_non_integer_battery_config(series_csv, tmp_path, capsys, stats):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"stats": stats}))
+    rc = main(["compare", "--data", str(series_csv), "--durations", "1",
+               "--config", str(cfg)])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("sipcraft: error: ")
+    assert err.count("\n") == 1 and "must be an integer" in err
+
+
 def test_compare_markdown_to_stdout(series_csv, capsys):
     rc = main(["compare", "--data", str(series_csv), "--durations", "5",
                "--resamples", "1000"])
@@ -199,6 +216,17 @@ def test_module_entry_point(flat_csv):
         capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert json.loads(proc.stdout)["cagr_percent"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # validate, simulate and --version never touch numpy, so importing the
+    # CLI must not pay for it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sipcraft.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_version_flag(capsys):
