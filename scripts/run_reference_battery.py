@@ -37,7 +37,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--table", type=Path, default=DEFAULT_TABLE,
                         help="window CAGR csv (default: data/reference_windows.csv)")
     parser.add_argument("--config", help="battery config JSON file")
-    parser.add_argument("--hedges-variant", choices=("standard", "paper_compat"))
     parser.add_argument("--format", choices=("markdown", "csv", "json"),
                         default="markdown")
     args = parser.parse_args(argv)
@@ -46,10 +45,6 @@ def main(argv: list[str] | None = None) -> int:
         config = BatteryConfig.from_json(Path(args.config).read_text())
     else:
         config = BatteryConfig()
-    if args.hedges_variant:
-        config = BatteryConfig(
-            resamples=config.resamples, alpha=config.alpha, seed=config.seed,
-            wilcoxon_mode=config.wilcoxon_mode, hedges_variant=args.hedges_variant)
 
     samples = load_samples(args.table)
     reports = [run_battery(sample, config, label=f"{years}y")

@@ -98,7 +98,9 @@ def _load_config_file(path: str | None) -> dict:
 
 def _effective_battery(args, cfg: dict) -> BatteryConfig:
     """Battery settings: flags > config file 'stats' object > env seed > defaults."""
-    stats = dict(cfg.get("stats", {}))
+    stats = cfg.get("stats", {})
+    if not isinstance(stats, dict):
+        raise ValueError(f"config 'stats' must be a JSON object, got {stats!r}")
     base = BatteryConfig.from_dict(stats) if stats else BatteryConfig()
 
     seed = base.seed
@@ -119,6 +121,13 @@ def _pick(args, cfg: dict, flag: str, key: str, default=None):
     if value is not None:
         return value
     return cfg.get(key, default)
+
+
+def _amount(args, cfg: dict) -> float:
+    amount = _pick(args, cfg, "amount", "amount", DEFAULT_MONTHLY_AMOUNT)
+    if isinstance(amount, bool) or not isinstance(amount, (int, float)):
+        raise ValueError(f"amount must be a number, got {amount!r}")
+    return float(amount)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -170,10 +179,10 @@ def cmd_simulate(args) -> int:
     years = _pick(args, cfg, "years", "years")
     if strategy_name is None or start_year is None or years is None:
         raise SipcraftError("simulate needs --strategy, --start-year and --years")
-    amount = _pick(args, cfg, "amount", "amount", DEFAULT_MONTHLY_AMOUNT)
+    amount = _amount(args, cfg)
     fmt = _pick(args, cfg, "format", "format", "markdown")
 
-    plan = SipPlan(Strategy(strategy_name), int(start_year), int(years), float(amount))
+    plan = SipPlan(Strategy(strategy_name), int(start_year), int(years), amount)
     table, _ = build_schedule(series, overrides,
                               MonthKey(plan.start_year - 1, 12), MonthKey(plan.final_year, 12))
     result = simulate(plan, series, table)
@@ -226,7 +235,9 @@ def _parse_durations(raw) -> list[int]:
     if raw is None:
         return list(DEFAULT_DURATIONS)
     if isinstance(raw, (list, tuple)):
-        values = [int(v) for v in raw]
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in raw):
+            raise ValueError(f"durations must be integers, got {raw!r}")
+        values = list(raw)
     else:
         values = [int(part) for part in str(raw).split(",") if part.strip()]
     if not values:
@@ -241,7 +252,7 @@ def cmd_compare(args) -> int:
     cfg = _load_config_file(args.config)
     data_path, series, schedule_path, overrides = _load_inputs(args, cfg)
     durations = _parse_durations(_pick(args, cfg, "durations", "durations"))
-    amount = float(_pick(args, cfg, "amount", "amount", DEFAULT_MONTHLY_AMOUNT))
+    amount = _amount(args, cfg)
     fmt = _pick(args, cfg, "format", "format", "markdown")
     battery_config = _effective_battery(args, cfg)
 

@@ -53,8 +53,8 @@ class SipPlan:
     def __post_init__(self) -> None:
         if self.years < 1:
             raise ValueError(f"years must be >= 1, got {self.years}")
-        if not self.monthly_amount > 0:
-            raise ValueError(f"monthly_amount must be positive, got {self.monthly_amount}")
+        if not (math.isfinite(self.monthly_amount) and self.monthly_amount > 0):
+            raise ValueError(f"monthly_amount must be positive and finite, got {self.monthly_amount}")
 
     @property
     def final_year(self) -> int:
@@ -127,29 +127,37 @@ def cagr(final_value: float, invested: float, years: int) -> float:
     return ((final_value / invested) ** (1.0 / years) - 1.0) * 100.0
 
 
-def simulate(plan: SipPlan, series: IndexSeries, table: ScheduleTable) -> SipResult:
-    """Run the plan: 12N installments, then terminal valuation.
+def _installments(
+    plan: SipPlan, series: IndexSeries, table: ScheduleTable,
+) -> tuple[list[tuple[MonthKey, Date, float]], Date, float]:
+    """The plan's (month, date, price) installments and its terminal (date, close).
 
     Any missing execution date or price aborts with the offending month in
     the message.
     """
-    executions: list[Execution] = []
-    units = 0.0
+    installments = []
     for key in plan.months():
         try:
             date = execution_date(plan.strategy, key, table)
-            price = series.close_on(date)
+            installments.append((key, date, series.close_on(date)))
         except (ScheduleError, NotTradingDayError) as exc:
             raise SimulationError(f"installment {key} ({plan.strategy.value}): {exc}") from exc
-        bought = plan.monthly_amount / price
-        units += bought
-        executions.append(Execution(month=key, date=date, price=price, units=bought))
-
     try:
         terminal_date = series.last_trading_day_of_year(plan.final_year)
     except CoverageError as exc:
         raise SimulationError(f"terminal valuation {plan.final_year}-12: {exc}") from exc
-    terminal_close = series.close_on(terminal_date)
+    return installments, terminal_date, series.close_on(terminal_date)
+
+
+def simulate(plan: SipPlan, series: IndexSeries, table: ScheduleTable) -> SipResult:
+    """Run the plan: 12N installments, then terminal valuation."""
+    installments, terminal_date, terminal_close = _installments(plan, series, table)
+    executions: list[Execution] = []
+    units = 0.0
+    for key, date, price in installments:
+        bought = plan.monthly_amount / price
+        units += bought
+        executions.append(Execution(month=key, date=date, price=price, units=bought))
     final_value = terminal_close * units
     invested = 12.0 * plan.monthly_amount * plan.years
     return SipResult(
@@ -170,19 +178,10 @@ def cagr_via_lemma(plan: SipPlan, series: IndexSeries, table: ScheduleTable) -> 
     The monthly amount cancels out of the CAGR, so this needs no monetary
     input at all; it must agree with simulate() to float precision.
     """
+    installments, _, terminal_close = _installments(plan, series, table)
     inv_sum = 0.0
-    for key in plan.months():
-        try:
-            date = execution_date(plan.strategy, key, table)
-            price = series.close_on(date)
-        except (ScheduleError, NotTradingDayError) as exc:
-            raise SimulationError(f"installment {key} ({plan.strategy.value}): {exc}") from exc
+    for _, _, price in installments:
         inv_sum += 1.0 / price
-    try:
-        terminal_date = series.last_trading_day_of_year(plan.final_year)
-    except CoverageError as exc:
-        raise SimulationError(f"terminal valuation {plan.final_year}-12: {exc}") from exc
-    terminal_close = series.close_on(terminal_date)
     ratio = terminal_close * inv_sum / (12.0 * plan.years)
     return (ratio ** (1.0 / plan.years) - 1.0) * 100.0
 

@@ -4,16 +4,12 @@ from .battery import BatteryConfig, ComparisonReport, run_battery
 from .bootstrap import BootstrapCI, bootstrap_bca
 from .dominance import (
     DominanceSide,
-    DominanceVerdict,
-    Ecdf,
     KsResult,
     check_fsd,
     check_ssd,
-    ecdf,
     ks_two_sample,
 )
 from .paired import (
-    EffectSize,
     PairedSample,
     TestResult,
     classify_effect,
@@ -30,14 +26,10 @@ __all__ = [
     "BootstrapCI",
     "bootstrap_bca",
     "DominanceSide",
-    "DominanceVerdict",
-    "Ecdf",
     "KsResult",
     "check_fsd",
     "check_ssd",
-    "ecdf",
     "ks_two_sample",
-    "EffectSize",
     "PairedSample",
     "TestResult",
     "classify_effect",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from ..errors import DegenerateSampleError, InsufficientDataError
 from .bootstrap import BootstrapCI, bootstrap_bca
-from .dominance import DominanceSide, DominanceVerdict, check_fsd, check_ssd, ks_two_sample
+from .dominance import DominanceSide, check_fsd, check_ssd, ks_two_sample
 from .paired import (
     WILCOXON_EXACT_LIMIT,
     PairedSample,
@@ -49,6 +49,8 @@ class BatteryConfig:
         for key, value in (("B", self.resamples), ("seed", self.seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
+            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
         if self.resamples < 1000:
             raise ValueError(f"B must be >= 1000, got {self.resamples}")
         if not 0.0 < self.alpha < 1.0:
@@ -236,10 +238,6 @@ def run_battery(s: PairedSample, config: BatteryConfig | None = None, label: str
     try:
         report.fsd = check_fsd(s)
         report.ssd = check_ssd(s)
-        # construction enforces the FSD => SSD consistency invariant
-        DominanceVerdict(fsd=report.fsd, ssd=report.ssd,
-                         ks_statistic=report.ks_statistic or 0.0,
-                         ks_p=report.ks_p if report.ks_p is not None else 1.0)
     except InsufficientDataError as exc:
         report.not_applicable["fsd"] = str(exc)
         report.not_applicable["ssd"] = str(exc)

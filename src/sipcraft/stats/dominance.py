@@ -1,4 +1,4 @@
-"""ECDFs, the two-sample KS statistic, and empirical dominance verdicts.
+"""The two-sample KS statistic and empirical dominance verdicts.
 
 Dominance here is the empirical, descriptive notion: pointwise ordering of
 the two ECDFs (first order) or of their running integrals (second order)
@@ -18,12 +18,9 @@ from ..errors import InsufficientDataError
 from .paired import PairedSample
 
 __all__ = [
-    "Ecdf",
-    "ecdf",
     "KsResult",
     "ks_two_sample",
     "DominanceSide",
-    "DominanceVerdict",
     "check_fsd",
     "check_ssd",
 ]
@@ -33,33 +30,6 @@ class DominanceSide(Enum):
     EXP = "exp_dominates"
     FTD = "ftd_dominates"
     NONE = "none"
-
-
-@dataclass(frozen=True)
-class Ecdf:
-    """Right-continuous step function: F(x) = (#values <= x) / n."""
-
-    support: tuple[float, ...]
-    probs: tuple[float, ...]
-
-    def __call__(self, x: float) -> float:
-        idx = bisect_right(self.support, x)
-        return 0.0 if idx == 0 else self.probs[idx - 1]
-
-
-def ecdf(values: Sequence[float]) -> Ecdf:
-    if len(values) == 0:
-        raise InsufficientDataError("ecdf needs a non-empty sample")
-    n = len(values)
-    ordered = sorted(float(v) for v in values)
-    support: list[float] = []
-    probs: list[float] = []
-    for i, v in enumerate(ordered):
-        if i + 1 < n and ordered[i + 1] == v:
-            continue  # collapse tied values into one step
-        support.append(v)
-        probs.append((i + 1) / n)
-    return Ecdf(tuple(support), tuple(probs))
 
 
 @dataclass(frozen=True)
@@ -74,15 +44,14 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     D is the two-sided supremum of |F_a - F_b| over the pooled support. The
     p-value is the single-term asymptotic tail exp(-2 * lam^2) evaluated at
     lam = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * D with effective size
-    ne = n_a*n_b/(n_a+n_b); the finite-size factor is Stephens'. The full
-    alternating Kolmogorov series is available as special.kolmogorov_sf.
+    ne = n_a*n_b/(n_a+n_b); the finite-size factor is Stephens'.
     """
     if len(a) == 0 or len(b) == 0:
         raise InsufficientDataError("ks_two_sample needs two non-empty samples")
-    fa = ecdf(a)
-    fb = ecdf(b)
-    grid = sorted(set(fa.support) | set(fb.support))
-    d = max(abs(fa(x) - fb(x)) for x in grid)
+    sa = sorted(float(v) for v in a)
+    sb = sorted(float(v) for v in b)
+    d = max(abs(bisect_right(sa, x) / len(sa) - bisect_right(sb, x) / len(sb))
+            for x in set(sa) | set(sb))
     ne = len(a) * len(b) / (len(a) + len(b))
     lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
     p = min(1.0, math.exp(-2.0 * lam * lam))
@@ -143,16 +112,3 @@ def check_ssd(s: PairedSample) -> DominanceSide:
     if all(v <= 0.0 for v in integrals) and any(v < 0.0 for v in integrals):
         return DominanceSide.FTD
     return DominanceSide.NONE
-
-
-@dataclass(frozen=True)
-class DominanceVerdict:
-    fsd: DominanceSide
-    ssd: DominanceSide
-    ks_statistic: float
-    ks_p: float
-
-    def __post_init__(self) -> None:
-        # first-order dominance implies second-order dominance
-        if self.fsd is not DominanceSide.NONE and self.ssd is not self.fsd:
-            raise ValueError(f"inconsistent verdict: fsd={self.fsd.value} but ssd={self.ssd.value}")

@@ -17,7 +17,6 @@ from .special import normal_sf, student_t_sf
 __all__ = [
     "PairedSample",
     "TestResult",
-    "EffectSize",
     "paired_t_one_tailed",
     "wilcoxon_signed_rank",
     "cohens_d",
@@ -84,13 +83,6 @@ class TestResult:
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_value <= 1.0 or math.isnan(self.p_value)):
             raise ValueError(f"p_value must lie in [0, 1], got {self.p_value}")
-
-
-@dataclass(frozen=True)
-class EffectSize:
-    cohens_d: float
-    hedges_g: float
-    label: str
 
 
 def _mean_sd(diffs: Sequence[float]) -> tuple[float, float]:

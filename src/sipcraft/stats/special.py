@@ -14,10 +14,8 @@ __all__ = [
     "normal_cdf",
     "normal_sf",
     "normal_ppf",
-    "student_t_cdf",
     "student_t_sf",
     "betainc_regularized",
-    "kolmogorov_sf",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -148,41 +146,3 @@ def student_t_sf(t: float, df: float) -> float:
     x = df / (df + t * t)
     p = 0.5 * betainc_regularized(0.5 * df, 0.5, x)
     return p if t >= 0.0 else 1.0 - p
-
-
-def student_t_cdf(t: float, df: float) -> float:
-    return 1.0 - student_t_sf(t, df)
-
-
-def kolmogorov_sf(lam: float) -> float:
-    """Survival function Q(lam) of the Kolmogorov distribution.
-
-    Small arguments use the theta-function form (the alternating series
-    cancels catastrophically there), large arguments the alternating series.
-    """
-    if lam <= 0.0:
-        return 1.0
-    if lam < 1.18:
-        # Jacobi theta transform: P(K <= lam) = sqrt(2*pi)/lam * sum odd j of exp(-(j*pi)^2/(8 lam^2))
-        factor = _SQRT_2PI / lam
-        w = math.pi * math.pi / (8.0 * lam * lam)
-        cdf = 0.0
-        j = 1
-        while True:
-            term = math.exp(-w * j * j)
-            cdf += term
-            if term < 1e-18 * max(cdf, 1e-300):
-                break
-            j += 2
-        return min(1.0, max(0.0, 1.0 - factor * cdf))
-    total = 0.0
-    sign = 1.0
-    j = 1
-    while True:
-        term = math.exp(-2.0 * j * j * lam * lam)
-        total += sign * term
-        if term < 1e-18:
-            break
-        sign = -sign
-        j += 1
-    return min(1.0, max(0.0, 2.0 * total))

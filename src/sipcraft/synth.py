@@ -28,7 +28,6 @@ def generate_series(
     seed: int = 0,
     base: float = 1000.0,
     holiday_rate: float = 0.0,
-    include_prior_december: bool = True,
 ) -> IndexSeries:
     """Generate a synthetic index series.
 
@@ -45,7 +44,7 @@ def generate_series(
     if not 0.0 <= holiday_rate <= MAX_HOLIDAY_RATE:
         raise ValueError(f"holiday_rate must be in [0, {MAX_HOLIDAY_RATE}], got {holiday_rate}")
 
-    first = Date(start_year - 1, 12, 1) if include_prior_december else Date(start_year, 1, 1)
+    first = Date(start_year - 1, 12, 1)
     last = Date(start_year + years - 1, 12, 31)
 
     import numpy as np  # deferred: validate/simulate/--version never load numpy

@@ -182,21 +182,38 @@ def test_compare_rejects_bad_config_json(series_csv, tmp_path, capsys):
     assert rc == EXIT_ERROR
 
 
-@pytest.mark.parametrize("stats", [
-    {"seed": 1.5},
-    {"B": "x"},
-    {"B": 1e4},
-    {"seed": True},
+# ids name the config key that is broken
+@pytest.mark.parametrize("config, fragment", [
+    pytest.param({"stats": {"seed": 1.5}}, "must be an integer", id="stats0"),
+    pytest.param({"stats": {"B": "x"}}, "must be an integer", id="stats1"),
+    pytest.param({"stats": {"B": 1e4}}, "must be an integer", id="stats2"),
+    pytest.param({"stats": {"seed": True}}, "must be an integer", id="stats3"),
+    pytest.param({"stats": {"alpha": "x"}}, "alpha must be a real number", id="stats4"),
+    pytest.param({"stats": None}, "must be a JSON object", id="stats5"),
+    pytest.param({"stats": [1]}, "must be a JSON object", id="stats6"),
+    pytest.param({"amount": None}, "amount must be a number", id="amount0"),
+    pytest.param({"amount": 1e400}, "must be positive and finite", id="amount1"),
+    pytest.param({"durations": [1.5]}, "durations must be integers", id="durations0"),
+    pytest.param({"durations": [True]}, "durations must be integers", id="durations1"),
 ])
-def test_compare_rejects_non_integer_battery_config(series_csv, tmp_path, capsys, stats):
+def test_compare_rejects_non_integer_battery_config(series_csv, tmp_path, capsys, config, fragment):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"stats": stats}))
-    rc = main(["compare", "--data", str(series_csv), "--durations", "1",
-               "--config", str(cfg)])
+    cfg.write_text(json.dumps({"durations": [1], **config}))
+    rc = main(["compare", "--data", str(series_csv), "--config", str(cfg)])
     assert rc == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("sipcraft: error: ")
-    assert err.count("\n") == 1 and "must be an integer" in err
+    assert err.count("\n") == 1 and fragment in err
+
+
+def test_simulate_rejects_infinite_amount(flat_csv, capsys):
+    rc = main(["simulate", "--data", str(flat_csv), "--strategy", "ftd",
+               "--start-year", "2020", "--years", "1", "--amount", "inf",
+               "--format", "json"])
+    assert rc == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be positive and finite" in captured.err
 
 
 def test_compare_markdown_to_stdout(series_csv, capsys):

@@ -1,11 +1,13 @@
 """SIP simulation, CAGR arithmetic, window grids, and invariance properties."""
 
 import datetime
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sipcraft.engine import (
+    DEFAULT_MONTHLY_AMOUNT,
     SUPPORTED_DURATIONS,
     SipPlan,
     Window,
@@ -75,8 +77,9 @@ def test_cagr_validation():
 def test_plan_validation():
     with pytest.raises(ValueError):
         SipPlan(Strategy.FTD, 2020, 0)
-    with pytest.raises(ValueError):
-        SipPlan(Strategy.FTD, 2020, 1, monthly_amount=0.0)
+    for bad_amount in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            SipPlan(Strategy.FTD, 2020, 1, monthly_amount=bad_amount)
     plan = SipPlan(Strategy.FTD, 2020, 2)
     assert plan.final_year == 2021
     months = plan.months()
@@ -153,6 +156,33 @@ def test_paired_run_rows_align_with_windows(long_series, long_table):
         assert o.cagr_exp == e
         assert o.cagr_ftd == f
         assert o.difference == e - f
+
+
+
+def test_paired_run_arithmetic_order_is_exact():
+    # holidays move anchors off their nominal days; every CAGR must be
+    # bit-identical to a plain left-to-right loop over the same anchors
+    series = generate_series("walk", 2003, 22, seed=11, holiday_rate=0.05)
+    table = build_table(series, 2003, 22)
+    amount = DEFAULT_MONTHLY_AMOUNT
+    for duration in SUPPORTED_DURATIONS:
+        _, outcomes = paired_run(duration, series, table)
+        for o in outcomes:
+            years = o.window.years
+            terminal = [d for d in series.days if d.date.year == o.window.to_year][-1]
+            for strategy, got in ((Strategy.FTD, o.cagr_ftd), (Strategy.EXP, o.cagr_exp)):
+                units = 0.0
+                for year in range(o.window.from_year, o.window.to_year + 1):
+                    for month in range(1, 13):
+                        key = MonthKey(year, month)
+                        if strategy is Strategy.FTD:
+                            anchor = table.get(key).first_trading_day
+                        else:
+                            anchor = table.get(key.prev()).expiry_day
+                        units += amount / series.close_on(anchor)
+                final = terminal.close * units
+                want = ((final / (12.0 * amount * years)) ** (1.0 / years) - 1.0) * 100.0
+                assert got == want, (duration, o.window, strategy)
 
 
 plan_cases = st.tuples(
