@@ -19,6 +19,7 @@ from .engine import DEFAULT_MONTHLY_AMOUNT, SipPlan, enumerate_windows, paired_r
 from .errors import SipcraftError
 from .report import (
     WindowRow,
+    _check_format,
     boxplot_summary,
     file_sha256,
     render_bundle,
@@ -138,13 +139,22 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _path(args, cfg: dict, key: str) -> str | None:
+    # open() takes an int as a file descriptor, so a config number must not
+    # reach it
+    path = _pick(args, cfg, key, key)
+    if path is not None and not isinstance(path, str):
+        raise ValueError(f"{key} must be a path string, got {path!r}")
+    return path
+
+
 def _load_inputs(args, cfg: dict):
-    data_path = _pick(args, cfg, "data", "data")
+    data_path = _path(args, cfg, "data")
     if not data_path:
         raise SipcraftError("no data file given (use --data or the config file)")
     with open(data_path, "r", encoding="utf-8-sig", newline="") as fh:
         series = parse_series(fh)
-    schedule_path = _pick(args, cfg, "schedule", "schedule")
+    schedule_path = _path(args, cfg, "schedule")
     overrides = None
     if schedule_path:
         with open(schedule_path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -179,10 +189,14 @@ def cmd_simulate(args) -> int:
     years = _pick(args, cfg, "years", "years")
     if strategy_name is None or start_year is None or years is None:
         raise SipcraftError("simulate needs --strategy, --start-year and --years")
+    for key, value in (("start_year", start_year), ("years", years)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
     amount = _amount(args, cfg)
     fmt = _pick(args, cfg, "format", "format", "markdown")
+    _check_format(fmt)
 
-    plan = SipPlan(Strategy(strategy_name), int(start_year), int(years), amount)
+    plan = SipPlan(Strategy(strategy_name), start_year, years, amount)
     table, _ = build_schedule(series, overrides,
                               MonthKey(plan.start_year - 1, 12), MonthKey(plan.final_year, 12))
     result = simulate(plan, series, table)
@@ -321,6 +335,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # numpy starts one OpenBLAS worker per core when it loads, and those
+    # workers burn CPU although no command calls BLAS. numpy is imported
+    # lazily, so OpenBLAS reads this value; a value the caller set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -20,6 +20,7 @@ from ._version import VERSION
 from .engine import WindowOutcome
 from .errors import InsufficientDataError
 from .stats.battery import ComparisonReport
+from .stats.special import quantile_sorted
 
 __all__ = [
     "WindowRow",
@@ -312,24 +313,21 @@ def boxplot_summary(values) -> BoxplotSummary:
     extreme data points within 1.5 IQR of the box."""
     if len(values) == 0:
         raise InsufficientDataError("boxplot summary needs a non-empty sample")
-    import numpy as np  # deferred: validate/simulate/--version never load numpy
-
-    arr = np.asarray(sorted(float(v) for v in values), dtype=np.float64)
-    q1, median, q3 = (float(q) for q in np.quantile(arr, [0.25, 0.5, 0.75]))
+    xs = sorted(float(v) for v in values)
+    q1, median, q3 = (quantile_sorted(xs, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr
-    inside = arr[(arr >= lo_fence) & (arr <= hi_fence)]
-    outliers = arr[(arr < lo_fence) | (arr > hi_fence)]
+    inside = [v for v in xs if lo_fence <= v <= hi_fence]
     return BoxplotSummary(
-        minimum=float(arr[0]),
+        minimum=xs[0],
         q1=q1,
         median=median,
         q3=q3,
-        maximum=float(arr[-1]),
-        whisker_low=float(inside[0]),
-        whisker_high=float(inside[-1]),
-        outliers=tuple(float(v) for v in outliers),
+        maximum=xs[-1],
+        whisker_low=inside[0],
+        whisker_high=inside[-1],
+        outliers=tuple(v for v in xs if v < lo_fence or v > hi_fence),
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ..errors import InsufficientDataError
 from .paired import PairedSample
-from .special import normal_cdf, normal_ppf
+from .special import normal_cdf, normal_ppf, quantile_sorted
 
 __all__ = ["BootstrapCI", "bootstrap_bca"]
 
@@ -96,8 +96,9 @@ def bootstrap_bca(
         q_lo = normal_cdf(z0 + (z0 + z_lo) / (1.0 - accel * (z0 + z_lo)))
         q_hi = normal_cdf(z0 + (z0 + z_hi) / (1.0 - accel * (z0 + z_hi)))
 
-    lower = float(np.quantile(boot, q_lo))  # linear interpolation (type 7)
-    upper = float(np.quantile(boot, q_hi))
+    boot.sort()
+    lower = quantile_sorted(boot, q_lo)
+    upper = quantile_sorted(boot, q_hi)
     return BootstrapCI(point_estimate=theta, lower=lower, upper=upper,
                        resamples=resamples, seed=seed, alpha=alpha,
                        z0=z0, acceleration=accel, degenerate=False)

@@ -1,4 +1,4 @@
-"""Scalar distribution functions backing the test statistics.
+"""Scalar distribution functions and the sample quantile behind the statistics.
 
 Hand-built on the standard library so the statistical core carries no
 external dependency. Accuracy target is 1e-10 absolute against the
@@ -16,6 +16,7 @@ __all__ = [
     "normal_ppf",
     "student_t_sf",
     "betainc_regularized",
+    "quantile_sorted",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -146,3 +147,26 @@ def student_t_sf(t: float, df: float) -> float:
     x = df / (df + t * t)
     p = 0.5 * betainc_regularized(0.5 * df, 0.5, x)
     return p if t >= 0.0 else 1.0 - p
+
+
+def quantile_sorted(xs, q: float) -> float:
+    """Type-7 quantile (Hyndman & Fan 1996) of the ascending sequence ``xs``.
+
+    Performs numpy's ``linear`` method operation for operation, so the result
+    equals ``np.quantile(xs, q)`` bit for bit. Only the sign of a zero can
+    differ, where numpy's partition reorders a run of tied -0.0 and 0.0.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q!r}")
+    n = len(xs)
+    v = (n - 1) * q
+    if v >= n - 1:
+        # numpy takes both neighbours from the last element with weight
+        # v + 1, which turns a trailing -0.0 into +0.0 when n > 1
+        lo, hi, g = -1, -1, v + 1
+    else:
+        lo = math.floor(v)
+        hi, g = lo + 1, v - lo
+    a, b = float(xs[lo]), float(xs[hi])
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g

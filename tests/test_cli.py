@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, config precedence, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -206,6 +207,31 @@ def test_compare_rejects_non_integer_battery_config(series_csv, tmp_path, capsys
     assert err.count("\n") == 1 and fragment in err
 
 
+# ids name the config key that is broken; fd 9999 is not open, so at worst
+# open() fails on it instead of reading some other file
+@pytest.mark.parametrize("command, config, fragment", [
+    pytest.param("simulate", {"years": [1]}, "years must be an integer", id="years0"),
+    pytest.param("simulate", {"years": 1.9}, "years must be an integer", id="years1"),
+    pytest.param("simulate", {"years": True}, "years must be an integer", id="years2"),
+    pytest.param("simulate", {"start_year": "2020"}, "start_year must be an integer",
+                 id="start_year0"),
+    pytest.param("simulate", {"format": "xml"}, "format must be one of", id="format0"),
+    pytest.param("validate", {"schedule": 0}, "schedule must be a path string", id="schedule0"),
+    pytest.param("validate", {"schedule": 9999}, "schedule must be a path string", id="schedule1"),
+    pytest.param("simulate", {"data": 9999}, "data must be a path string", id="data0"),
+])
+def test_config_rejects_wrong_types(flat_csv, tmp_path, capsys, command, config, fragment):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(flat_csv), "strategy": "ftd",
+                               "start_year": 2020, "years": 1, **config}))
+    rc = main([command, "--config", str(cfg)])
+    assert rc == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sipcraft: error: ")
+    assert captured.err.count("\n") == 1 and fragment in captured.err
+
+
 def test_simulate_rejects_infinite_amount(flat_csv, capsys):
     rc = main(["simulate", "--data", str(flat_csv), "--strategy", "ftd",
                "--start-year", "2020", "--years", "1", "--amount", "inf",
@@ -244,6 +270,38 @@ def test_cli_import_leaves_numpy_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_compare_pays_only_for_the_numpy_it_uses(series_csv, tmp_path, preset, expected):
+    # a fresh interpreter, because main() sets the variable for the whole
+    # process; numpy.ma is what np.quantile used to pull in
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    argv = ["compare", "--data", str(series_csv), "--resamples", "1000",
+            "--out", str(tmp_path / "bundle.md")]
+    probe = (
+        "import json, os, sys\n"
+        "from sipcraft.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "task = '/proc/self/task'\n"
+        "print(json.dumps({'rc': rc, 'numpy': 'numpy' in sys.modules,\n"
+        "                  'numpy_ma': 'numpy.ma' in sys.modules,\n"
+        "                  'blas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "                  'threads': len(os.listdir(task)) if os.path.isdir(task) else None}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["rc"] == EXIT_OK and got["numpy"]
+    assert not got["numpy_ma"]
+    assert got["blas"] == expected
+    if preset is None:
+        if got["threads"] is None:
+            pytest.skip("/proc/self/task is absent, so threads cannot be counted")
+        assert got["threads"] == 1
 
 
 def test_version_flag(capsys):

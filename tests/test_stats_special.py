@@ -7,10 +7,17 @@ scripts/make_cdf_reference.py); the functions must agree to 1e-10.
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from sipcraft.stats.special import normal_cdf, normal_ppf, normal_sf, student_t_sf
+from sipcraft.stats.special import (
+    normal_cdf,
+    normal_ppf,
+    normal_sf,
+    quantile_sorted,
+    student_t_sf,
+)
 
 from conftest import FIXTURES
 
@@ -100,3 +107,37 @@ def test_student_t_df_validation():
         student_t_sf(1.0, 0)
     with pytest.raises(ValueError):
         student_t_sf(1.0, -3)
+
+
+# a few distinct values per sample, repeated, so most neighbours tie; both
+# zeros and subnormals sit next to magnitudes from 1e-10 to 1e10
+_ATOMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-10, -1e-10, 1e10, -1e10]),
+    st.floats(min_value=-1e10, max_value=1e10, allow_nan=False),
+)
+
+
+@st.composite
+def _tie_heavy_sorted(draw):
+    atoms = draw(st.lists(_ATOMS, min_size=1, max_size=6))
+    return sorted(draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=40)))
+
+
+@settings(max_examples=500)
+@given(_tie_heavy_sorted(),
+       st.one_of(st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.75, 0.025, 0.975]),
+                 st.floats(min_value=0.0, max_value=1.0)))
+def test_quantile_sorted_matches_numpy(xs, q):
+    got = quantile_sorted(xs, q)
+    expected = float(np.quantile(np.asarray(xs), q))
+    assert got == expected
+    # hex() tells -0.0 from 0.0. numpy's partition may reorder a run of tied
+    # -0.0 and 0.0, so the sign is pinned where the sample has one kind of zero
+    if len({math.copysign(1.0, x) for x in xs if x == 0.0}) <= 1:
+        assert got.hex() == expected.hex()
+
+
+def test_quantile_sorted_domain():
+    for bad in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError):
+            quantile_sorted([1.0, 2.0], bad)
