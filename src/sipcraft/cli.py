@@ -108,7 +108,13 @@ def _effective_battery(args, cfg: dict) -> BatteryConfig:
     if "seed" not in stats:
         env_seed = os.environ.get(ENV_SEED)
         if env_seed is not None:
-            seed = int(env_seed)
+            try:
+                seed = int(env_seed)
+                if seed < 0:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{ENV_SEED} must be a non-negative integer, "
+                                 f"got {env_seed!r}") from None
     if getattr(args, "seed", None) is not None:
         seed = args.seed
     resamples = args.resamples if getattr(args, "resamples", None) is not None else base.resamples
@@ -335,10 +341,6 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    # numpy starts one OpenBLAS worker per core when it loads, and those
-    # workers burn CPU although no command calls BLAS. numpy is imported
-    # lazily, so OpenBLAS reads this value; a value the caller set wins.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -342,7 +342,8 @@ def file_sha256(path: str) -> str:
 def tool_provenance() -> dict:
     return {"tool": "sipcraft", "version": VERSION,
             "quantile_convention": "linear interpolation (type 7)",
-            "bootstrap_stream": "numpy default_rng(seed).integers(0, n, size=(B, n)), row-major"}
+            "bootstrap_stream": ("random.Random(seed) 32-bit words, diffs[w % n] for "
+                                 "w < 2**32 - 2**32 % n, row-major; fsum means")}
 
 
 def render_bundle(bundle: dict, format: str = "markdown") -> str:

@@ -1,14 +1,22 @@
 """Bias-corrected and accelerated (BCa) bootstrap for the mean difference.
 
-One generator, ``numpy.random.default_rng(seed)``, draws the whole (B, n)
-index matrix in a single ``integers(0, n, size=(B, n))`` call; row r holds
-the indices of resample r. The interval is therefore a pure function of the
-sample, B, alpha and the seed. Efron (1987) describes the BCa method.
+One stdlib generator, ``random.Random(seed)``, draws the resamples. Its
+MT19937 outputs are read as unsigned 32-bit words in order; a word w below
+``2**32 - 2**32 % n`` picks ``diffs[w % n]`` and any other word is skipped,
+so every index is exactly uniform. Resample r is picks [r*n, (r+1)*n) and
+its mean is ``fsum(picks) / n``. The interval is therefore a pure function
+of the sample, B, alpha and the seed. Efron (1987) describes the BCa method.
 """
 
 from __future__ import annotations
 
+import math
+import random
+import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..errors import InsufficientDataError
 from .paired import PairedSample
@@ -17,6 +25,9 @@ from .special import normal_cdf, normal_ppf, quantile_sorted
 __all__ = ["BootstrapCI", "bootstrap_bca"]
 
 MIN_RESAMPLES = 1000
+
+_WORDS = 1 << 32
+_WORD_TYPECODE = next(c for c in "IL" if array(c).itemsize == 4)
 
 
 @dataclass(frozen=True)
@@ -30,6 +41,29 @@ class BootstrapCI:
     z0: float
     acceleration: float
     degenerate: bool = False
+
+
+def _accept_limit(n: int) -> int:
+    """Largest multiple of n that fits in a word: w < limit keeps w % n uniform."""
+    return _WORDS - _WORDS % n
+
+
+def _draw(diffs: Sequence[float], count: int, rng: random.Random) -> list[float]:
+    """``count`` values drawn uniformly with replacement from ``diffs``.
+
+    Each refill takes one ``getrandbits`` call for every pick still missing;
+    word i of it is the i-th 32-bit output of the generator.
+    """
+    n = len(diffs)
+    limit = _accept_limit(n)
+    picks: list[float] = []
+    while len(picks) < count:
+        need = count - len(picks)
+        words = array(_WORD_TYPECODE, rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        picks += [diffs[w % n] for w in words if w < limit]
+    return picks
 
 
 def bootstrap_bca(
@@ -49,8 +83,6 @@ def bootstrap_bca(
     substitute fixed values for z0 / a, which is useful for diagnostics:
     forcing both to zero reduces BCa to the plain percentile interval.
     """
-    import numpy as np  # deferred: validate/simulate/--version never load numpy
-
     if s.n < 3:
         raise InsufficientDataError(f"BCa bootstrap needs n >= 3, got n={s.n}")
     if resamples < MIN_RESAMPLES:
@@ -60,31 +92,35 @@ def bootstrap_bca(
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
-    diffs = np.asarray(s.diffs, dtype=np.float64)
-    theta = float(diffs.mean())
-    if np.all(diffs == diffs[0]):
+    diffs = s.diffs
+    n = len(diffs)
+    # fsum is correctly rounded, so a resample that permutes the sample
+    # has exactly this mean and the z0 count below cannot depend on order
+    total = math.fsum(diffs)
+    theta = total / n
+    if all(d == diffs[0] for d in diffs):
         return BootstrapCI(point_estimate=theta, lower=theta, upper=theta,
                            resamples=resamples, seed=seed, alpha=alpha,
                            z0=0.0, acceleration=0.0, degenerate=True)
 
-    n = diffs.shape[0]
-    idx = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
-    boot = diffs[idx].mean(axis=1)
+    picks = _draw(diffs, resamples * n, random.Random(seed))
+    boot = sorted(math.fsum(row) / n for row in zip(*[iter(picks)] * n))
 
     if z0_override is not None:
         z0 = float(z0_override)
     else:
-        frac = int((boot < theta).sum()) / resamples
+        frac = bisect_left(boot, theta) / resamples  # share of means below theta
         frac = min(max(frac, 0.5 / resamples), 1.0 - 0.5 / resamples)
         z0 = normal_ppf(frac)
 
     if accel_override is not None:
         accel = float(accel_override)
     else:
-        jack = (diffs.sum() - diffs) / (n - 1)  # leave-one-out means
-        resid = jack.mean() - jack
-        denom = float((resid ** 2).sum()) ** 1.5
-        accel = float((resid ** 3).sum()) / (6.0 * denom) if denom > 0.0 else 0.0
+        jack = [(total - d) / (n - 1) for d in diffs]  # leave-one-out means
+        jack_mean = math.fsum(jack) / n
+        resid = [jack_mean - j for j in jack]
+        denom = math.fsum(r * r for r in resid) ** 1.5
+        accel = math.fsum(r ** 3 for r in resid) / (6.0 * denom) if denom > 0.0 else 0.0
 
     if z0 == 0.0 and accel == 0.0:
         # Phi(Phi^-1(q)) = q, so skip the round trip; this keeps the
@@ -96,7 +132,6 @@ def bootstrap_bca(
         q_lo = normal_cdf(z0 + (z0 + z_lo) / (1.0 - accel * (z0 + z_lo)))
         q_hi = normal_cdf(z0 + (z0 + z_hi) / (1.0 - accel * (z0 + z_hi)))
 
-    boot.sort()
     lower = quantile_sorted(boot, q_lo)
     upper = quantile_sorted(boot, q_hi)
     return BootstrapCI(point_estimate=theta, lower=lower, upper=upper,

@@ -12,6 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Sequence
 
 from ..errors import InsufficientDataError
@@ -91,24 +92,25 @@ def check_fsd(s: PairedSample) -> DominanceSide:
 def check_ssd(s: PairedSample) -> DominanceSide:
     """Second-order verdict via exact step-function integration.
 
-    Integrates the ECDF gap over the pooled support (the integrand is
-    constant between support points, so the accumulation is exact up to
-    float rounding and uses no grid discretization). Accumulating the gap
-    directly, rather than two separate integrals, keeps every term of a
+    Integrates the ECDF gap over the pooled support. The integrand is
+    constant between support points and every float is a rational, so the
+    running integral is accumulated in exact rationals: no rounding and no
+    grid discretization can flip a sign. Accumulating the gap directly,
+    rather than two separate integrals, keeps every term of a
     first-order-dominant sample non-negative, which makes the FSD => SSD
     implication structural.
     """
     _require_pairs(s, "check_ssd")
     grid, gaps = _pooled_gaps(s)
-    running = 0.0
+    running = Fraction(0)
     integrals = []  # n * integral of (F_ftd - F_exp) up to each support point
     for i in range(1, len(grid)):
-        running += gaps[i - 1] * (grid[i] - grid[i - 1])
+        running += gaps[i - 1] * (Fraction(grid[i]) - Fraction(grid[i - 1]))
         integrals.append(running)
     if not integrals:  # single pooled point: identical constant samples
         return DominanceSide.NONE
-    if all(v >= 0.0 for v in integrals) and any(v > 0.0 for v in integrals):
+    if all(v >= 0 for v in integrals) and any(v > 0 for v in integrals):
         return DominanceSide.EXP
-    if all(v <= 0.0 for v in integrals) and any(v < 0.0 for v in integrals):
+    if all(v <= 0 for v in integrals) and any(v < 0 for v in integrals):
         return DominanceSide.FTD
     return DominanceSide.NONE

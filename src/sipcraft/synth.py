@@ -10,6 +10,7 @@ installment.
 from __future__ import annotations
 
 import math
+import random
 from datetime import date as Date, timedelta
 
 from .timeseries import IndexSeries, TradingDay
@@ -39,6 +40,8 @@ def generate_series(
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if years < 1:
         raise ValueError(f"years must be >= 1, got {years}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if not base > 0:
         raise ValueError(f"base must be positive, got {base}")
     if not 0.0 <= holiday_rate <= MAX_HOLIDAY_RATE:
@@ -47,9 +50,7 @@ def generate_series(
     first = Date(start_year - 1, 12, 1)
     last = Date(start_year + years - 1, 12, 31)
 
-    import numpy as np  # deferred: validate/simulate/--version never load numpy
-
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     days: list[TradingDay] = []
     level = base
     i = 0
@@ -64,7 +65,7 @@ def generate_series(
                 elif kind == "growth":
                     close = base * math.exp(3e-4 * i) * (1.0 + 0.01 * math.sin(2.0 * math.pi * i / 63.0))
                 else:
-                    level *= math.exp(rng.normal(3e-4, 0.01))
+                    level *= math.exp(rng.normalvariate(3e-4, 0.01))
                     close = level
                 days.append(TradingDay(current, close))
                 i += 1

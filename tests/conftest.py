@@ -2,6 +2,8 @@
 
 import csv
 import datetime
+import math
+import random
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,23 @@ def load_reference_sample(duration: int) -> PairedSample:
     if not ftd:
         raise ValueError(f"no reference rows for duration {duration}")
     return PairedSample(exp, ftd)
+
+
+def stdlib_bootstrap_means(diffs, resamples: int, seed: int) -> list[float]:
+    """The bootstrap's resample means, rebuilt one 32-bit word at a time.
+
+    getrandbits(32) returns the generator's next output, so this walks the
+    same stream as the package's bulk refills without sharing its code.
+    """
+    n = len(diffs)
+    limit = 2 ** 32 - 2 ** 32 % n
+    rng = random.Random(seed)
+    picks = []
+    while len(picks) < resamples * n:
+        w = rng.getrandbits(32)
+        if w < limit:
+            picks.append(diffs[w % n])
+    return [math.fsum(picks[r * n:(r + 1) * n]) / n for r in range(resamples)]
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,7 @@ from sipcraft.stats.special import normal_cdf, student_t_sf
 from sipcraft.synth import generate_series
 from sipcraft.timeseries import parse_series
 
-from conftest import DATA, FIXTURES, load_reference_sample
+from conftest import DATA, FIXTURES, load_reference_sample, stdlib_bootstrap_means
 
 
 def report(name: str, failures: list[str]) -> None:
@@ -211,8 +211,7 @@ def test_criterion_6_bootstrap_sanity():
     diffs = [-4.0, -2.0, -1.0, 1.0, 2.0, 4.0]  # symmetric around zero
     s = PairedSample(diffs, [0.0] * len(diffs))
     forced = bootstrap_bca(s, resamples=2000, seed=5, z0_override=0.0, accel_override=0.0)
-    idx = np.random.default_rng(5).integers(0, len(diffs), size=(2000, len(diffs)))
-    boot = np.asarray(diffs)[idx].mean(axis=1)
+    boot = stdlib_bootstrap_means(diffs, 2000, 5)
     lo, hi = np.quantile(boot, [0.025, 0.975])
     check(forced.lower == lo, f"forced-percentile lower {forced.lower!r} != {lo!r}")
     check(forced.upper == hi, f"forced-percentile upper {forced.upper!r} != {hi!r}")

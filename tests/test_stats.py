@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,10 @@ from sipcraft.stats import (
     run_battery,
     wilcoxon_signed_rank,
 )
+from sipcraft.stats.bootstrap import _accept_limit, _draw
+from sipcraft.stats.special import normal_ppf
+
+from conftest import stdlib_bootstrap_means
 
 diff_lists = st.lists(
     st.floats(min_value=-100.0, max_value=100.0,
@@ -162,6 +167,58 @@ def test_wilcoxon_exact_matches_brute_force():
         assert got == brute_force_wilcoxon_p(diffs), diffs
 
 
+# CAGR-like differences (percent, two decimals) with frequent ties among |d|
+# and zeros; below ~1e-150 squares go subnormal and both sides lose digits
+tied_values = (st.sampled_from((-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0))
+               | st.integers(-5000, 5000).map(lambda k: k / 100))
+tied_diffs = st.lists(tied_values, min_size=2, max_size=30)
+needs_scipy = pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
+                                 reason="scipy is the oracle")
+
+
+@needs_scipy
+@settings(max_examples=200, deadline=None)
+@given(tied_diffs)
+def test_t_matches_scipy_ttest_rel(diffs):
+    from scipy.stats import ttest_rel
+
+    ftd = [0.25 * i for i in range(len(diffs))]
+    s = PairedSample([f + d for f, d in zip(ftd, diffs)], ftd)
+    try:
+        got = paired_t_one_tailed(s)
+    except DegenerateSampleError:
+        return
+    want = ttest_rel(s.exp_values, s.ftd_values, alternative="greater")
+    assert got.statistic == pytest.approx(want.statistic, rel=1e-9)
+    assert got.p_value == pytest.approx(want.pvalue, rel=1e-9, abs=1e-15)
+
+
+@needs_scipy
+@settings(max_examples=100, deadline=None)
+@given(st.lists(tied_values, min_size=2, max_size=10))  # scipy enumerates 2^n sign flips
+def test_wilcoxon_matches_scipy(diffs):
+    from scipy.stats import PermutationMethod, wilcoxon
+
+    nonzero = [abs(d) for d in diffs if d != 0.0]
+    if not nonzero:
+        return
+    s = sample_from_diffs(diffs)
+    common = dict(zero_method="wilcox", correction=True, alternative="greater")
+    exact = wilcoxon_signed_rank(s, mode="exact")
+    approx = wilcoxon_signed_rank(s, mode="normal_approx")
+    # scipy's "exact" uses the tie-free null; a full sign-flip enumeration
+    # is its exact test for tied ranks
+    enumerated = wilcoxon(diffs, method=PermutationMethod(n_resamples=math.inf), **common)
+    assert exact.p_value == pytest.approx(enumerated.pvalue, rel=1e-12)
+    if len(set(nonzero)) == len(nonzero):
+        want = wilcoxon(diffs, method="exact", **common)
+        assert exact.statistic == want.statistic
+        assert exact.p_value == pytest.approx(want.pvalue, rel=1e-12)
+    want = wilcoxon(diffs, method="approx", **common)
+    assert approx.statistic == want.statistic
+    assert approx.p_value == pytest.approx(want.pvalue, rel=1e-9, abs=1e-15)
+
+
 # --------------------------------------------------------------- effect sizes
 
 def test_cohens_d_examples(one_year_sample, three_year_sample):
@@ -238,11 +295,22 @@ def test_bootstrap_forced_percentile_equality():
     diffs = [-3.0, -1.0, -0.5, 0.5, 1.0, 3.0]
     s = sample_from_diffs(diffs)
     ci = bootstrap_bca(s, resamples=2000, seed=5, z0_override=0.0, accel_override=0.0)
-    idx = np.random.default_rng(5).integers(0, s.n, size=(2000, s.n))
-    boot = np.asarray(diffs)[idx].mean(axis=1)
+    boot = stdlib_bootstrap_means(diffs, 2000, 5)
     lo, hi = np.quantile(boot, [0.025, 0.975])
     assert ci.lower == lo
     assert ci.upper == hi
+
+
+def test_bootstrap_z0_counts_permuted_resamples_as_ties():
+    # a plain left-to-right sum puts the mean one ulp above the correctly
+    # rounded one, which would count the 6/27 permutation rows as below it
+    diffs = [0.1, 0.2, 0.3]
+    theta = math.fsum(diffs) / 3
+    assert sum(diffs) / 3 > theta
+    ci = bootstrap_bca(sample_from_diffs(diffs), resamples=1000, seed=3)
+    below = sum(b < theta for b in stdlib_bootstrap_means(diffs, 1000, 3))
+    assert ci.point_estimate == theta
+    assert ci.z0 == normal_ppf(below / 1000)
 
 
 def test_bootstrap_validation(three_year_sample):
@@ -284,6 +352,41 @@ def test_bootstrap_matches_scipy_bca(one_year_sample, three_year_sample):
         tol = 0.03 * (max(diffs) - min(diffs))
         assert abs(ci.lower - ref.low) <= tol, (len(diffs), ci.lower, ref.low)
         assert abs(ci.upper - ref.high) <= tol, (len(diffs), ci.upper, ref.high)
+
+
+def test_bootstrap_stream_known_answer():
+    # the first picks at the default seed; a change to CPython's
+    # getrandbits or to the word order breaks every stored interval
+    picks = _draw(list(range(22)), 8, random.Random(42))
+    assert picks == [13, 15, 1, 3, 13, 2, 0, 3]
+
+
+def test_bootstrap_accept_limit_is_unbiased():
+    for n in range(3, 65):
+        limit = _accept_limit(n)
+        assert 2 ** 32 - n < limit <= 2 ** 32
+        for residue in range(n):
+            assert len(range(residue, limit, n)) == limit // n
+
+
+class WordStub:
+    """Serves fixed 32-bit words through getrandbits, least significant first."""
+
+    def __init__(self, words):
+        self.words = list(words)
+        self.calls = []
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        chunk, self.words = self.words[:k // 32], self.words[k // 32:]
+        return sum(w << (32 * i) for i, w in enumerate(chunk))
+
+
+def test_bootstrap_rejected_word_is_skipped_and_refilled():
+    assert _accept_limit(3) == 2 ** 32 - 1
+    rng = WordStub([2 ** 32 - 1, 5, 7, 4])
+    assert _draw([10.0, 20.0, 30.0], 3, rng) == [30.0, 20.0, 20.0]
+    assert rng.calls == [96, 32]
 
 
 # ------------------------------------------------------------------------- ks
@@ -369,6 +472,36 @@ def test_fsd_implies_ssd(exp_values, ftd_values):
     fsd, ssd = check_fsd(s), check_ssd(s)
     if fsd is not DominanceSide.NONE:
         assert ssd is fsd
+
+
+def fraction_ssd(exp_values, ftd_values):
+    """Independent oracle: integrate F_ftd - F_exp in exact rationals."""
+    n = len(exp_values)
+    grid = sorted(set(exp_values) | set(ftd_values))
+    area, areas = Fraction(0), []
+    for lo, hi in zip(grid, grid[1:]):
+        below_ftd = sum(v <= lo for v in ftd_values)
+        below_exp = sum(v <= lo for v in exp_values)
+        area += Fraction(below_ftd - below_exp, n) * (Fraction(hi) - Fraction(lo))
+        areas.append(area)
+    if areas and min(areas) >= 0 < max(areas):
+        return DominanceSide.EXP
+    if areas and max(areas) <= 0 > min(areas):
+        return DominanceSide.FTD
+    return DominanceSide.NONE
+
+
+extreme_atoms = st.sampled_from((-1e16, -2.0, -1e-300, 0.0, 1e-300, 0.5, 1.0, 2.0, 1e16))
+
+
+@settings(max_examples=500)
+@given(st.lists(st.tuples(extreme_atoms | st.floats(-1e3, 1e3), extreme_atoms),
+                min_size=2, max_size=8))
+@example([(0.5, 1.0), (2.0, 1e-300), (0.5, 2.0)])  # a float running sum absorbs -1e-300
+def test_ssd_matches_fraction_reference(pairs):
+    exp_values = [e for e, _ in pairs]
+    ftd_values = [f for _, f in pairs]
+    assert check_ssd(PairedSample(exp_values, ftd_values)) is fraction_ssd(exp_values, ftd_values)
 
 
 # -------------------------------------------------------------------- battery
