@@ -12,7 +12,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
 from ..errors import InsufficientDataError
@@ -93,19 +92,23 @@ def check_ssd(s: PairedSample) -> DominanceSide:
     """Second-order verdict via exact step-function integration.
 
     Integrates the ECDF gap over the pooled support. The integrand is
-    constant between support points and every float is a rational, so the
-    running integral is accumulated in exact rationals: no rounding and no
-    grid discretization can flip a sign. Accumulating the gap directly,
-    rather than two separate integrals, keeps every term of a
-    first-order-dominant sample non-negative, which makes the FSD => SSD
-    implication structural.
+    constant between support points, and every float is an integer over a
+    power of two, so scaling the support by the largest such denominator
+    makes it exact integers and the running integral exact integer
+    arithmetic: no rounding and no grid discretization can flip a sign.
+    Accumulating the gap directly, rather than two separate integrals,
+    keeps every term of a first-order-dominant sample non-negative, which
+    makes the FSD => SSD implication structural.
     """
     _require_pairs(s, "check_ssd")
     grid, gaps = _pooled_gaps(s)
-    running = Fraction(0)
-    integrals = []  # n * integral of (F_ftd - F_exp) up to each support point
+    ratios = [x.as_integer_ratio() for x in grid]
+    scale = max(den for _, den in ratios)
+    ticks = [num * (scale // den) for num, den in ratios]  # grid[i] * scale, exactly
+    running = 0
+    integrals = []  # n * scale * integral of (F_ftd - F_exp) up to each support point
     for i in range(1, len(grid)):
-        running += gaps[i - 1] * (Fraction(grid[i]) - Fraction(grid[i - 1]))
+        running += gaps[i - 1] * (ticks[i] - ticks[i - 1])
         integrals.append(running)
     if not integrals:  # single pooled point: identical constant samples
         return DominanceSide.NONE

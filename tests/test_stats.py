@@ -484,9 +484,9 @@ def fraction_ssd(exp_values, ftd_values):
         below_exp = sum(v <= lo for v in exp_values)
         area += Fraction(below_ftd - below_exp, n) * (Fraction(hi) - Fraction(lo))
         areas.append(area)
-    if areas and min(areas) >= 0 < max(areas):
+    if areas and min(areas) >= 0 and max(areas) > 0:
         return DominanceSide.EXP
-    if areas and max(areas) <= 0 > min(areas):
+    if areas and max(areas) <= 0 and min(areas) < 0:
         return DominanceSide.FTD
     return DominanceSide.NONE
 
