@@ -88,6 +88,8 @@ class TestResult:
 def _mean_sd(diffs: Sequence[float]) -> tuple[float, float]:
     n = len(diffs)
     mean = math.fsum(diffs) / n
+    if all(d == diffs[0] for d in diffs):
+        mean = diffs[0]  # fsum / n can miss the common value by an ulp, faking a spread
     ss = math.fsum((d - mean) ** 2 for d in diffs)
     sd = math.sqrt(ss / (n - 1))  # sample standard deviation, n-1 denominator
     return mean, sd

@@ -74,6 +74,8 @@ def test_t_errors():
         paired_t_one_tailed(sample_from_diffs([1.0]))
     with pytest.raises(DegenerateSampleError):
         paired_t_one_tailed(sample_from_diffs([2.0, 2.0, 2.0]))
+    with pytest.raises(DegenerateSampleError):  # fsum([23.21] * 3) / 3 != 23.21
+        paired_t_one_tailed(sample_from_diffs([23.21, 23.21, 23.21]))
 
 
 @given(diff_lists)
@@ -182,8 +184,7 @@ needs_scipy = pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
 def test_t_matches_scipy_ttest_rel(diffs):
     from scipy.stats import ttest_rel
 
-    ftd = [0.25 * i for i in range(len(diffs))]
-    s = PairedSample([f + d for f, d in zip(ftd, diffs)], ftd)
+    s = sample_from_diffs(diffs)  # exact diffs: distinct values differ by >= 0.01
     try:
         got = paired_t_one_tailed(s)
     except DegenerateSampleError:
@@ -232,6 +233,8 @@ def test_cohens_d_errors():
         cohens_d(sample_from_diffs([1.0]))
     with pytest.raises(DegenerateSampleError):
         cohens_d(sample_from_diffs([1.0, 1.0]))
+    with pytest.raises(DegenerateSampleError):
+        cohens_d(sample_from_diffs([0.7, 0.7, 0.7]))
 
 
 def test_hedges_g_variants():
