@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, config precedence, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -303,6 +304,38 @@ def test_compare_and_fixtures_never_load_numpy(series_csv, tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"{[EXIT_OK, EXIT_OK]} False"
+
+
+@pytest.mark.parametrize("preset, runs", [(None, 1), ("2", 2)])
+def test_compare_pays_only_for_the_numpy_it_uses(series_csv, tmp_path, preset, runs):
+    # compare uses no numpy, so it starts no OpenBLAS pool and leaves the
+    # caller's OPENBLAS_NUM_THREADS as it was, set or unset, however often
+    # it runs in one interpreter
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    argv = ["compare", "--data", str(series_csv), "--resamples", "1000",
+            "--out", str(tmp_path / "bundle.md")]
+    probe = (
+        "import json, os, sys\n"
+        "from sipcraft.cli import main\n"
+        f"rcs = [main({argv!r}) for _ in range({runs})]\n"
+        "task = '/proc/self/task'\n"
+        "print(json.dumps({'rcs': rcs, 'numpy': 'numpy' in sys.modules,\n"
+        "                  'numpy_ma': 'numpy.ma' in sys.modules,\n"
+        "                  'blas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "                  'threads': len(os.listdir(task)) if os.path.isdir(task) else None}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["rcs"] == [EXIT_OK] * runs
+    assert not got["numpy"] and not got["numpy_ma"]
+    assert got["blas"] == preset
+    if got["threads"] is None:
+        pytest.skip("/proc/self/task is absent, so threads cannot be counted")
+    assert got["threads"] == 1
 
 
 def test_version_flag(capsys):
