@@ -6,7 +6,12 @@ MT19937 outputs are read as unsigned 32-bit words in order; a word w below
 so every index is exactly uniform. Resample r is picks [r*n, (r+1)*n) and
 its mean is ``fsum(picks) / n``. The interval is therefore a pure function
 of the sample, B, alpha and the seed. Efron (1987) describes the BCa method.
-"""
+
+For n <= 64 the residues come from byte operations instead of a loop over
+words: byte k of a word contributes ``(b << 8k) % n``, looked up with
+``bytes.translate``; the four lane sums, at most 4(n - 1) <= 252, add as
+big integers without a carry crossing into the next word, and one more
+table folds each sum below n. Larger samples take the word loop."""
 
 from __future__ import annotations
 
@@ -28,6 +33,7 @@ MIN_RESAMPLES = 1000
 
 _WORDS = 1 << 32
 _WORD_TYPECODE = next(c for c in "IL" if array(c).itemsize == 4)
+_LANE_MAX_N = 64  # largest n whose four byte-lane residues sum below 256
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,25 @@ def _accept_limit(n: int) -> int:
     return _WORDS - _WORDS % n
 
 
+def _rejected(raw: bytes, limit: int) -> list[int]:
+    """Positions of the little-endian words in ``raw`` at or above ``limit``.
+
+    Needs ``limit > 2**32 - 256``: a rejected word then has bytes 1-3 all
+    0xff, so only a run of three 0xff starting at offset 1 mod 4 can mark
+    one, and its low byte decides.
+    """
+    if limit == _WORDS:
+        return []
+    low = limit & 0xFF
+    found = []
+    pos = raw.find(b"\xff\xff\xff")
+    while pos >= 0:
+        if pos % 4 == 1 and raw[pos - 1] >= low:
+            found.append(pos // 4)
+        pos = raw.find(b"\xff\xff\xff", pos + 1)
+    return found
+
+
 def _draw(diffs: Sequence[float], count: int, rng: random.Random) -> list[float]:
     """``count`` values drawn uniformly with replacement from ``diffs``.
 
@@ -56,14 +81,28 @@ def _draw(diffs: Sequence[float], count: int, rng: random.Random) -> list[float]
     """
     n = len(diffs)
     limit = _accept_limit(n)
-    picks: list[float] = []
-    while len(picks) < count:
-        need = count - len(picks)
-        words = array(_WORD_TYPECODE, rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        picks += [diffs[w % n] for w in words if w < limit]
-    return picks
+    if n > _LANE_MAX_N:
+        picks: list[float] = []
+        while len(picks) < count:
+            need = count - len(picks)
+            words = array(_WORD_TYPECODE, rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            picks += [diffs[w % n] for w in words if w < limit]
+        return picks
+
+    lanes = [bytes((b << 8 * k) % n for b in range(256)) for k in range(4)]
+    fold = bytes(v % n for v in range(256))
+    idx = bytearray()
+    while len(idx) < count:
+        need = count - len(idx)
+        raw = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        lane_sum = sum(int.from_bytes(raw[k::4].translate(lanes[k]), "little") for k in range(4))
+        got = bytearray(lane_sum.to_bytes(need, "little").translate(fold))
+        for i in reversed(_rejected(raw, limit)):
+            del got[i]
+        idx += got
+    return [diffs[i] for i in idx]
 
 
 def bootstrap_bca(
@@ -104,7 +143,7 @@ def bootstrap_bca(
                            z0=0.0, acceleration=0.0, degenerate=True)
 
     picks = _draw(diffs, resamples * n, random.Random(seed))
-    boot = sorted(math.fsum(row) / n for row in zip(*[iter(picks)] * n))
+    boot = sorted([row_sum / n for row_sum in map(math.fsum, zip(*[iter(picks)] * n))])
 
     if z0_override is not None:
         z0 = float(z0_override)

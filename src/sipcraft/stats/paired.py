@@ -86,7 +86,16 @@ class TestResult:
 
 
 def _mean_sd(diffs: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample sd of ``diffs``, both multiplied by one power of two.
+
+    Callers use only their ratio. The scale puts the largest |d| in
+    [0.5, 1), so the squared deviations neither go subnormal nor overflow;
+    a power of two is exact in the normal range, so the ratio is the
+    unscaled one wherever that one lost nothing.
+    """
     n = len(diffs)
+    shift = -math.frexp(max(map(abs, diffs)))[1]
+    diffs = [math.ldexp(d, shift) for d in diffs]
     mean = math.fsum(diffs) / n
     if all(d == diffs[0] for d in diffs):
         mean = diffs[0]  # fsum / n can miss the common value by an ulp, faking a spread

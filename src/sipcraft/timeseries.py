@@ -46,10 +46,12 @@ class IndexSeries:
     """Immutable, strictly ascending sequence of trading days.
 
     Construction validates ordering and uniqueness; use :func:`parse_series`
-    to build one from CSV text in arbitrary row order.
+    to build one from CSV text in arbitrary row order. The series keeps its
+    dates and a date -> close map; :class:`TradingDay` values are built
+    only when ``days`` or iteration asks for them.
     """
 
-    __slots__ = ("_days", "_dates", "_lookup")
+    __slots__ = ("_dates", "_lookup")
 
     def __init__(self, days: Iterable[TradingDay]):
         days = tuple(days)
@@ -60,13 +62,20 @@ class IndexSeries:
                 raise ValueError(
                     f"dates must be strictly increasing: {prev.date} followed by {cur.date}"
                 )
-        self._days = days
         self._dates = tuple(d.date for d in days)
         self._lookup = {d.date: d.close for d in days}
 
+    @classmethod
+    def _from_closes(cls, closes: dict[Date, float]) -> IndexSeries:
+        """Series over a non-empty, ascending map of validated closes; no checks."""
+        series = object.__new__(cls)
+        series._dates = tuple(closes)
+        series._lookup = closes
+        return series
+
     @property
     def days(self) -> tuple[TradingDay, ...]:
-        return self._days
+        return tuple(self)
 
     @property
     def dates(self) -> tuple[Date, ...]:
@@ -81,10 +90,10 @@ class IndexSeries:
         return self._dates[-1]
 
     def __len__(self) -> int:
-        return len(self._days)
+        return len(self._dates)
 
     def __iter__(self) -> Iterator[TradingDay]:
-        return iter(self._days)
+        return map(TradingDay, self._dates, self._lookup.values())
 
     def __contains__(self, date: Date) -> bool:
         return date in self._lookup
@@ -92,14 +101,14 @@ class IndexSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndexSeries):
             return NotImplemented
-        return self._days == other._days
+        return self._lookup == other._lookup
 
     def __hash__(self) -> int:
-        return hash(self._days)
+        return hash(tuple(self._lookup.items()))
 
     def __repr__(self) -> str:
         return (
-            f"IndexSeries({len(self._days)} days, "
+            f"IndexSeries({len(self._dates)} days, "
             f"{self.first_date.isoformat()}..{self.last_date.isoformat()})"
         )
 
@@ -166,11 +175,11 @@ def parse_series(source: str | io.TextIOBase) -> IndexSeries:
         ) from None
 
     needed = max(date_idx, close_idx) + 1
-    seen: dict[Date, int] = {}
-    days: list[TradingDay] = []
+    closes: dict[Date, float] = {}
+    lines: list[int] = []  # source line of each entry of closes, in insertion order
     for row in reader:
         line = reader.line_num
-        if not any(cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue  # blank line
         if len(row) < needed:
             raise SeriesFormatError(
@@ -186,27 +195,26 @@ def parse_series(source: str | io.TextIOBase) -> IndexSeries:
             close = float(raw_close)
         except ValueError:
             raise SeriesFormatError(f"non-numeric close {raw_close!r}", line) from None
-        if not math.isfinite(close):
-            raise SeriesFormatError(f"non-finite close {raw_close!r}", line)
-        if close <= 0.0:
-            raise SeriesFormatError(f"non-positive close {raw_close!r}", line)
-        if date in seen:
+        if not 0.0 < close < math.inf:  # one comparison chain; NaN fails it too
+            problem = "non-positive" if math.isfinite(close) else "non-finite"
+            raise SeriesFormatError(f"{problem} close {raw_close!r}", line)
+        if date in closes:
+            first = lines[list(closes).index(date)]
             raise SeriesFormatError(
-                f"duplicate date {date.isoformat()} (first seen at line {seen[date]})", line
+                f"duplicate date {date.isoformat()} (first seen at line {first})", line
             )
-        seen[date] = line
-        days.append(TradingDay(date, close))
+        closes[date] = close
+        lines.append(line)
 
-    if not days:
+    if not closes:
         raise SeriesFormatError("no data rows after the header")
-    days.sort(key=lambda d: d.date)
-    return IndexSeries(days)
+    return IndexSeries._from_closes({d: closes[d] for d in sorted(closes)})
 
 
 def serialize_series(series: IndexSeries) -> str:
     """Serialize to ``date,close`` CSV; parse(serialize(s)) == s."""
     lines = ["date,close"]
-    for day in series:
+    for date, close in series._lookup.items():
         # repr() keeps the shortest decimal that round-trips the float
-        lines.append(f"{day.date.isoformat()},{day.close!r}")
+        lines.append(f"{date.isoformat()},{close!r}")
     return "\n".join(lines) + "\n"

@@ -31,8 +31,8 @@ def load_reference_sample(duration: int) -> PairedSample:
     return PairedSample(exp, ftd)
 
 
-def stdlib_bootstrap_means(diffs, resamples: int, seed: int) -> list[float]:
-    """The bootstrap's resample means, rebuilt one 32-bit word at a time.
+def stdlib_bootstrap_picks(diffs, count: int, seed: int) -> list:
+    """The bootstrap's picks, rebuilt one 32-bit word at a time.
 
     getrandbits(32) returns the generator's next output, so this walks the
     same stream as the package's bulk refills without sharing its code.
@@ -41,10 +41,17 @@ def stdlib_bootstrap_means(diffs, resamples: int, seed: int) -> list[float]:
     limit = 2 ** 32 - 2 ** 32 % n
     rng = random.Random(seed)
     picks = []
-    while len(picks) < resamples * n:
+    while len(picks) < count:
         w = rng.getrandbits(32)
         if w < limit:
             picks.append(diffs[w % n])
+    return picks
+
+
+def stdlib_bootstrap_means(diffs, resamples: int, seed: int) -> list[float]:
+    """The bootstrap's resample means, from the word-at-a-time picks."""
+    n = len(diffs)
+    picks = stdlib_bootstrap_picks(diffs, resamples * n, seed)
     return [math.fsum(picks[r * n:(r + 1) * n]) / n for r in range(resamples)]
 
 

@@ -208,7 +208,9 @@ def test_criterion_6_bootstrap_sanity():
     failures = []
     check = checker(failures)
 
-    diffs = [-4.0, -2.0, -1.0, 1.0, 2.0, 4.0]  # symmetric around zero
+    # asymmetric and irregular: the resample means fall on no common lattice,
+    # so both percentiles move with any change to the stream
+    diffs = [-4.1, -1.3, -0.2, 0.7, 2.6, 9.4]
     s = PairedSample(diffs, [0.0] * len(diffs))
     forced = bootstrap_bca(s, resamples=2000, seed=5, z0_override=0.0, accel_override=0.0)
     boot = stdlib_bootstrap_means(diffs, 2000, 5)

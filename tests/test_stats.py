@@ -29,7 +29,7 @@ from sipcraft.stats import (
 from sipcraft.stats.bootstrap import _accept_limit, _draw
 from sipcraft.stats.special import normal_ppf
 
-from conftest import stdlib_bootstrap_means
+from conftest import stdlib_bootstrap_means, stdlib_bootstrap_picks
 
 diff_lists = st.lists(
     st.floats(min_value=-100.0, max_value=100.0,
@@ -170,7 +170,7 @@ def test_wilcoxon_exact_matches_brute_force():
 
 
 # CAGR-like differences (percent, two decimals) with frequent ties among |d|
-# and zeros; below ~1e-150 squares go subnormal and both sides lose digits
+# and zeros; below ~1e-150 scipy's squares go subnormal and lose digits
 tied_values = (st.sampled_from((-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0))
                | st.integers(-5000, 5000).map(lambda k: k / 100))
 tied_diffs = st.lists(tied_values, min_size=2, max_size=30)
@@ -218,6 +218,17 @@ def test_wilcoxon_matches_scipy(diffs):
     want = wilcoxon(diffs, method="approx", **common)
     assert approx.statistic == want.statistic
     assert approx.p_value == pytest.approx(want.pvalue, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("diffs, t, d", [
+    ([1.03e-159, 0.0, 0.0], 1.0, 1 / math.sqrt(3)),  # squared deviations go subnormal
+    ([5e-324, 0.0, 0.0], 1.0, 1 / math.sqrt(3)),
+    ([1e300, -1e300, 5e299], 1 / math.sqrt(13), 1 / math.sqrt(39)),  # squares overflow
+], ids=["tiny", "subnormal", "huge"])
+def test_t_and_d_do_not_depend_on_scale(diffs, t, d):
+    s = sample_from_diffs(diffs)
+    assert paired_t_one_tailed(s).statistic == pytest.approx(t, rel=1e-12)
+    assert cohens_d(s) == pytest.approx(d, rel=1e-12)
 
 
 # --------------------------------------------------------------- effect sizes
@@ -364,6 +375,16 @@ def test_bootstrap_stream_known_answer():
     assert picks == [13, 15, 1, 3, 13, 2, 0, 3]
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 22, 63, 64, 65, 100])
+def test_draw_matches_word_at_a_time_rebuild(n):
+    # n <= 64 takes the byte-lane residues, larger n the word loop
+    diffs = [math.sin(i) for i in range(n)]
+    for seed in (0, 5, 42):
+        for count in (1, n + 1, 250 * n + n // 2 + 1):  # never a multiple of n
+            assert _draw(diffs, count, random.Random(seed)) == \
+                stdlib_bootstrap_picks(diffs, count, seed), (seed, count)
+
+
 def test_bootstrap_accept_limit_is_unbiased():
     for n in range(3, 65):
         limit = _accept_limit(n)
@@ -390,6 +411,26 @@ def test_bootstrap_rejected_word_is_skipped_and_refilled():
     rng = WordStub([2 ** 32 - 1, 5, 7, 4])
     assert _draw([10.0, 20.0, 30.0], 3, rng) == [30.0, 20.0, 20.0]
     assert rng.calls == [96, 32]
+
+
+@pytest.mark.parametrize("n", [3, 7, 22, 63])
+def test_bootstrap_rejects_exactly_the_words_at_or_above_limit(n):
+    limit = _accept_limit(n)
+    batch = [
+        limit - 1, limit, 2 ** 32 - 1, 2 ** 32 - 1, 0xFFFFFF00,
+        # runs of three 0xff bytes that straddle two words, after a 0xfe byte
+        0xFFFFFE00, 0x000000FF,  # 00 fe ff ff | ff 00 00 00
+        0xFFFE0000, 0x0000FFFF,  # 00 00 fe ff | ff ff 00 00
+        0xFE000000, 0x00FFFFFF,  # 00 00 00 fe | ff ff ff 00
+    ]
+    extra = [11, 12, 13, 14]
+    rejected = sum(w >= limit for w in batch)
+    assert rejected == 3
+    rng = WordStub(batch + extra)
+    diffs = [float(i) for i in range(n)]
+    want = [diffs[w % n] for w in batch + extra if w < limit][:len(batch)]
+    assert _draw(diffs, len(batch), rng) == want
+    assert rng.calls == [32 * len(batch), 32 * rejected]
 
 
 # ------------------------------------------------------------------------- ks

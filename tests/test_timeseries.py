@@ -67,6 +67,9 @@ def test_parse_non_numeric_close_cites_line():
 def test_parse_duplicate_date_rejected():
     with pytest.raises(SeriesFormatError, match=r"duplicate"):
         parse_series("date,close\n2003-01-01,5\n2003-01-01,6\n")
+    with pytest.raises(SeriesFormatError) as exc:
+        parse_series("date,close\n2003-01-02,5\n\n2003-01-01,6\n , \n2003-01-02,7\n")
+    assert str(exc.value) == "line 6: duplicate date 2003-01-02 (first seen at line 2)"
 
 
 def test_parse_missing_columns_rejected():
@@ -74,6 +77,25 @@ def test_parse_missing_columns_rejected():
         parse_series("date,price\n2003-01-01,5\n")
     with pytest.raises(SeriesFormatError):
         parse_series("")
+
+
+def test_parsed_series_matches_series_built_from_days():
+    text = "date,close\n2003-02-03,7\n2003-01-02,1100.9\n2003-01-01,1100.15\n"
+    parsed = parse_series(text)
+    rebuilt = IndexSeries(parsed.days)
+    assert parsed == rebuilt
+    assert hash(parsed) == hash(rebuilt)
+    assert parsed != parse_series(text.replace(",7\n", ",7.5\n"))
+    jan1, jan2, feb3 = (datetime.date(2003, 1, 1), datetime.date(2003, 1, 2),
+                        datetime.date(2003, 2, 3))
+    assert list(parsed) == [TradingDay(jan1, 1100.15), TradingDay(jan2, 1100.9),
+                            TradingDay(feb3, 7.0)]
+    assert parsed.days == tuple(parsed)
+    assert parsed.dates == (jan1, jan2, feb3)
+    assert len(parsed) == 3
+    assert repr(parsed) == "IndexSeries(3 days, 2003-01-01..2003-02-03)"
+    assert parsed.close_on(jan2) == 1100.9
+    assert parsed.dates_in_month(2003, 1) == (jan1, jan2)
 
 
 def test_close_on_absent_date_hints_preceding_day():
