@@ -10,26 +10,38 @@ Exit codes: 0 success, 1 validation anomalies, 2 I/O or config errors.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 
 from ._version import VERSION
-from .engine import DEFAULT_MONTHLY_AMOUNT, SipPlan, enumerate_windows, paired_run, simulate
 from .errors import SipcraftError
-from .report import (
-    WindowRow,
-    _check_format,
-    boxplot_summary,
-    file_sha256,
-    render_bundle,
-    render_window_table,
-    tool_provenance,
-)
-from .schedule import MonthKey, ScheduleTable, Strategy, build_schedule, load_schedule_overrides
-from .stats.battery import BatteryConfig, run_battery
+from .schedule import MonthKey, Strategy, build_schedule, load_schedule_overrides
 from .synth import KINDS, generate_series
 from .timeseries import parse_series
+
+
+def _deferred(module: str, name: str):
+    """Stand-in for ``module.name`` that imports ``module`` on its first call.
+
+    The engine, battery and report layers are imported only by the handlers
+    that run them, so ``--version``, ``validate`` and ``fixtures`` never load
+    them. The functions ``cmd_compare`` calls stay attributes of this module
+    all the same: ``perfbench/trace_child.py`` times each layer by wrapping
+    them here, so ``cmd_compare`` must look them up in this module's globals.
+    """
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+
+    return call
+
+
+paired_run = _deferred(".engine", "paired_run")
+run_battery = _deferred(".stats.battery", "run_battery")
+boxplot_summary = _deferred(".report", "boxplot_summary")
+render_bundle = _deferred(".report", "render_bundle")
+file_sha256 = _deferred(".report", "file_sha256")
 
 EXIT_OK = 0
 EXIT_ANOMALIES = 1
@@ -97,8 +109,10 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _effective_battery(args, cfg: dict) -> BatteryConfig:
+def _effective_battery(args, cfg: dict):
     """Battery settings: flags > config file 'stats' object > env seed > defaults."""
+    from .stats.battery import BatteryConfig
+
     stats = cfg.get("stats", {})
     if not isinstance(stats, dict):
         raise ValueError(f"config 'stats' must be a JSON object, got {stats!r}")
@@ -131,6 +145,8 @@ def _pick(args, cfg: dict, flag: str, key: str, default=None):
 
 
 def _amount(args, cfg: dict) -> float:
+    from .engine import DEFAULT_MONTHLY_AMOUNT
+
     amount = _pick(args, cfg, "amount", "amount", DEFAULT_MONTHLY_AMOUNT)
     if isinstance(amount, bool) or not isinstance(amount, (int, float)):
         raise ValueError(f"amount must be a number, got {amount!r}")
@@ -188,6 +204,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .engine import SipPlan, simulate
+    from .report import _check_format
+
     cfg = _load_config_file(args.config)
     data_path, series, schedule_path, overrides = _load_inputs(args, cfg)
     strategy_name = _pick(args, cfg, "strategy", "strategy")
@@ -269,6 +288,9 @@ def _parse_durations(raw) -> list[int]:
 
 
 def cmd_compare(args) -> int:
+    from .engine import enumerate_windows
+    from .report import WindowRow, tool_provenance
+
     cfg = _load_config_file(args.config)
     data_path, series, schedule_path, overrides = _load_inputs(args, cfg)
     durations = _parse_durations(_pick(args, cfg, "durations", "durations"))

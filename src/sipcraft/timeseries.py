@@ -179,16 +179,22 @@ def parse_series(source: str | io.TextIOBase) -> IndexSeries:
     lines: list[int] = []  # source line of each entry of closes, in insertion order
     for row in reader:
         line = reader.line_num
-        if not "".join(row).strip():
-            continue  # blank line
-        if len(row) < needed:
-            raise SeriesFormatError(
-                f"row has {len(row)} columns, expected at least {needed}", line
-            )
-        raw_date = row[date_idx].strip()
+        raw_date = row[date_idx].strip() if len(row) >= needed else ""
         try:
+            # only YYYY-MM-DD: from Python 3.11 on fromisoformat also takes
+            # 20030102 and the week date 2003-W01-4
+            if len(raw_date) != 10 or raw_date[4::3] != "--":
+                raise ValueError
             date = Date.fromisoformat(raw_date)
         except ValueError:
+            # blank and short rows have no date either; only a row that
+            # failed here is checked for them, which keeps the loop lean
+            if not "".join(row).strip():
+                continue  # blank line
+            if len(row) < needed:
+                raise SeriesFormatError(
+                    f"row has {len(row)} columns, expected at least {needed}", line
+                ) from None
             raise SeriesFormatError(f"malformed date {raw_date!r}", line) from None
         raw_close = row[close_idx].strip()
         try:

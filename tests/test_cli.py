@@ -10,7 +10,7 @@ import pytest
 
 from sipcraft.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
 
-from conftest import ROOT
+from conftest import DATA, ROOT
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +288,47 @@ def test_cli_import_leaves_numpy_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# the engine, battery and report layers; a command that runs none of them
+# must not import them
+LAYERS = ("sipcraft.engine", "sipcraft.stats", "sipcraft.report")
+
+
+@pytest.mark.parametrize("argv, rc, lean", [
+    (["--version"], EXIT_OK, True),
+    # override dates the walk series does not trade on are anomalies
+    (["validate", "--data", "{data}", "--schedule", "{schedule}"], EXIT_ANOMALIES, True),
+    (["validate", "--data", "{data}"], EXIT_OK, True),
+    (["fixtures", "--kind", "walk", "--out", "{out}"], EXIT_OK, True),
+    (["simulate", "--data", "{data}", "--strategy", "exp", "--start-year", "2010",
+      "--years", "3", "--out", "{out}"], EXIT_OK, False),
+    (["compare", "--data", "{data}", "--resamples", "1000", "--out", "{out}"], EXIT_OK, False),
+], ids=["version", "validate-overrides", "validate", "fixtures", "simulate", "compare"])
+def test_each_command_imports_only_its_layers(series_csv, tmp_path, argv, rc, lean):
+    paths = {"data": str(series_csv), "schedule": str(DATA / "schedule_overrides.csv"),
+             "out": str(tmp_path / "out")}
+    argv = [a.format(**paths) for a in argv]
+    # a fresh interpreter per command; only sipcraft's own modules are compared,
+    # since the stdlib's import graph differs between Python versions
+    probe = (
+        "import json, sys\n"
+        "from sipcraft.cli import main\n"
+        "try:\n"
+        f"    rc = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('sipcraft.'))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got_rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert got_rc == rc, proc.stderr
+    loaded = [m for m in modules if m in LAYERS or m.startswith("sipcraft.stats.")]
+    if lean:
+        assert loaded == []
+    else:
+        assert "sipcraft.engine" in loaded
 
 
 def test_compare_and_fixtures_never_load_numpy(series_csv, tmp_path):

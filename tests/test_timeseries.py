@@ -55,6 +55,10 @@ def test_parse_non_positive_close_cites_line():
 def test_parse_malformed_date_cites_line():
     with pytest.raises(SeriesFormatError, match=r"line 2"):
         parse_series("date,close\n01/02/2003,5\n")
+    # Python 3.11+ fromisoformat reads each of these as 2003-01-02; 3.10 rejects them
+    for raw in ("20030102", "2003-W01-4", "2003W014"):
+        with pytest.raises(SeriesFormatError, match=rf"line 3: malformed date '{raw}'"):
+            parse_series(f"date,close\n2003-01-01,5\n{raw},6\n")
 
 
 def test_parse_non_numeric_close_cites_line():
@@ -70,6 +74,13 @@ def test_parse_duplicate_date_rejected():
     with pytest.raises(SeriesFormatError) as exc:
         parse_series("date,close\n2003-01-02,5\n\n2003-01-01,6\n , \n2003-01-02,7\n")
     assert str(exc.value) == "line 6: duplicate date 2003-01-02 (first seen at line 2)"
+
+
+def test_parse_short_row_cites_line_and_blank_rows_are_skipped():
+    text = "date,close\n2003-01-01,5\n  \n , \n2003-01-02\n"
+    with pytest.raises(SeriesFormatError) as exc:
+        parse_series(text)
+    assert str(exc.value) == "line 5: row has 1 columns, expected at least 2"
 
 
 def test_parse_missing_columns_rejected():
