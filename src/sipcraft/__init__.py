@@ -11,6 +11,31 @@ import importlib
 
 from ._version import VERSION as __version__
 
+
+def _lazy_exports(namespace: dict, exports: dict[str, tuple[str, ...]]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package's re-exports.
+
+    ``namespace`` is the package's ``globals()`` and ``exports`` maps each
+    submodule to the names re-exported from it. A name imports its
+    submodule on first access. Returns the two hooks and the names.
+    """
+    module_of = {name: module for module, names in exports.items() for name in names}
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        module = module_of.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f".{module}", package), name)
+        namespace[name] = value  # later lookups skip this hook
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *namespace["__all__"]})
+
+    return __getattr__, __dir__, list(module_of)
+
+
 # submodule -> the names this package re-exports from it
 _EXPORTS = {
     "engine": (
@@ -38,19 +63,5 @@ _EXPORTS = {
     "stats": ("BatteryConfig", "ComparisonReport", "PairedSample", "run_battery"),
     "timeseries": ("IndexSeries", "TradingDay", "parse_series", "serialize_series"),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = ["__version__", *_MODULE_OF]
-
-
-def __getattr__(name: str):
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+__getattr__, __dir__, _names = _lazy_exports(globals(), _EXPORTS)
+__all__ = ["__version__", *_names]

@@ -103,7 +103,10 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("config file nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     return data

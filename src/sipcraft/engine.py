@@ -10,8 +10,8 @@ plan's years, deliberately not an IRR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import date as Date
+from typing import NamedTuple
 
 from .errors import (
     CoverageError,
@@ -43,18 +43,23 @@ DEFAULT_MONTHLY_AMOUNT = 10_000.0
 SUPPORTED_DURATIONS = (1, 3, 5, 10, 20)
 
 
-@dataclass(frozen=True)
-class SipPlan:
+class _SipPlan(NamedTuple):
     strategy: Strategy
     start_year: int
     years: int
     monthly_amount: float = DEFAULT_MONTHLY_AMOUNT
 
-    def __post_init__(self) -> None:
+
+class SipPlan(_SipPlan):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SipPlan:
+        self = super().__new__(cls, *args, **kwargs)
         if self.years < 1:
             raise ValueError(f"years must be >= 1, got {self.years}")
         if not (math.isfinite(self.monthly_amount) and self.monthly_amount > 0):
             raise ValueError(f"monthly_amount must be positive and finite, got {self.monthly_amount}")
+        return self
 
     @property
     def final_year(self) -> int:
@@ -67,8 +72,7 @@ class SipPlan:
                 for m in range(1, 13)]
 
 
-@dataclass(frozen=True)
-class Execution:
+class Execution(NamedTuple):
     """One installment: where the money went and what it bought."""
 
     month: MonthKey
@@ -77,8 +81,7 @@ class Execution:
     units: float
 
 
-@dataclass(frozen=True)
-class SipResult:
+class SipResult(NamedTuple):
     plan: SipPlan
     units: float
     invested: float
@@ -89,22 +92,25 @@ class SipResult:
     executions: tuple[Execution, ...]
 
 
-@dataclass(frozen=True)
-class Window:
+class _Window(NamedTuple):
     from_year: int
     to_year: int
 
-    def __post_init__(self) -> None:
-        if self.to_year < self.from_year:
-            raise ValueError(f"window ends before it starts: {self.from_year}..{self.to_year}")
+
+class Window(_Window):
+    __slots__ = ()
+
+    def __new__(cls, from_year: int, to_year: int) -> Window:
+        if to_year < from_year:
+            raise ValueError(f"window ends before it starts: {from_year}..{to_year}")
+        return tuple.__new__(cls, (from_year, to_year))
 
     @property
     def years(self) -> int:
         return self.to_year - self.from_year + 1
 
 
-@dataclass(frozen=True)
-class WindowOutcome:
+class WindowOutcome(NamedTuple):
     """Per-window CAGRs of the two strategies, at full precision."""
 
     window: Window

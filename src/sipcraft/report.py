@@ -14,12 +14,11 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._version import VERSION
 from .engine import WindowOutcome
 from .errors import InsufficientDataError
-from .stats.battery import ComparisonReport
 from .stats.special import quantile_sorted
 
 __all__ = [
@@ -40,8 +39,7 @@ WINDOW_FIELDS = ("from_year", "to_year", "years", "cagr_ftd", "cagr_exp",
                  "difference", "difference_of_rounded")
 
 
-@dataclass(frozen=True)
-class WindowRow:
+class WindowRow(NamedTuple):
     """One window of the results table, at reporting (2-decimal) precision."""
 
     from_year: int
@@ -239,6 +237,9 @@ def _metric_rows(report_dicts: list[dict]) -> list[tuple[str, list[str]]]:
 
 
 def _as_dicts(reports: list) -> list[dict]:
+    # imported here: simulate imports this module and runs no battery
+    from .stats.battery import ComparisonReport
+
     return [r.to_json_dict() if isinstance(r, ComparisonReport) else dict(r) for r in reports]
 
 
@@ -282,8 +283,7 @@ def parse_metrics_table(text: str) -> list[dict]:
     return data["horizons"]
 
 
-@dataclass(frozen=True)
-class BoxplotSummary:
+class BoxplotSummary(NamedTuple):
     """Plot-ready five-number summary with 1.5 IQR whiskers."""
 
     minimum: float

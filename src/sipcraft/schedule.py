@@ -12,10 +12,9 @@ from __future__ import annotations
 import calendar as _calendar
 import csv
 import io
-from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ScheduleError, SeriesFormatError
 from .timeseries import IndexSeries
@@ -49,14 +48,20 @@ class Strategy(Enum):
     EXP = "exp"
 
 
-@dataclass(frozen=True, order=True)
-class MonthKey:
+class _MonthKey(NamedTuple):
     year: int
     month: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.month <= 12:
-            raise ScheduleError(f"month must be in 1..12, got {self.month}")
+
+class MonthKey(_MonthKey):
+    """A calendar month; keys sort by (year, month)."""
+
+    __slots__ = ()
+
+    def __new__(cls, year: int, month: int) -> MonthKey:
+        if not 1 <= month <= 12:
+            raise ScheduleError(f"month must be in 1..12, got {month}")
+        return tuple.__new__(cls, (year, month))
 
     @classmethod
     def of(cls, date: Date) -> "MonthKey":
@@ -87,21 +92,25 @@ def _check_in_month(key: MonthKey, date: Date, field: str) -> None:
         raise ScheduleError(f"{field} {date.isoformat()} falls outside month {key}")
 
 
-@dataclass(frozen=True)
-class MonthSchedule:
-    """Anchors for one month; either field may be absent.
-
-    Sources are tracked per field because a month can mix an overridden
-    anchor with a computed one (an override row may populate only one cell).
-    """
-
+class _MonthSchedule(NamedTuple):
     key: MonthKey
     first_trading_day: Date | None = None
     expiry_day: Date | None = None
     ftd_source: str | None = None
     expiry_source: str | None = None
 
-    def __post_init__(self) -> None:
+
+class MonthSchedule(_MonthSchedule):
+    """Anchors for one month; either field may be absent.
+
+    Sources are tracked per field because a month can mix an overridden
+    anchor with a computed one (an override row may populate only one cell).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> MonthSchedule:
+        self = super().__new__(cls, *args, **kwargs)
         if self.first_trading_day is not None:
             _check_in_month(self.key, self.first_trading_day, "first trading day")
         if self.expiry_day is not None:
@@ -110,10 +119,10 @@ class MonthSchedule:
             raise ScheduleError(f"{self.key}: first_trading_day and ftd_source must be set together")
         if (self.expiry_day is None) != (self.expiry_source is None):
             raise ScheduleError(f"{self.key}: expiry_day and expiry_source must be set together")
+        return self
 
 
-@dataclass(frozen=True)
-class ScheduleAnomaly:
+class ScheduleAnomaly(NamedTuple):
     """One validation finding from build_schedule; reported, never auto-fixed."""
 
     month: MonthKey
@@ -207,12 +216,15 @@ def load_schedule_overrides(source: str | io.TextIOBase) -> ScheduleTable:
     populated cells get source "override".
     """
     if isinstance(source, str):
-        source = io.StringIO(source)
+        # split lines as a file opened with newline="" does, so CR-only text parses
+        source = io.StringIO(source, newline="")
     reader = csv.reader(source)
     try:
         header = next(reader)
     except StopIteration:
         raise SeriesFormatError("override file is empty, expected a header row", 1) from None
+    except csv.Error as exc:
+        raise SeriesFormatError(str(exc), reader.line_num) from None
     names = [c.lstrip("﻿").strip().lower() for c in header]
     try:
         idx = {name: names.index(name) for name in ("year", "month", "ftd_dom", "expiry_dom")}
@@ -223,51 +235,54 @@ def load_schedule_overrides(source: str | io.TextIOBase) -> ScheduleTable:
 
     entries: dict[MonthKey, MonthSchedule] = {}
     first_lines: dict[MonthKey, int] = {}
-    for row in reader:
-        line = reader.line_num
-        if not any(cell.strip() for cell in row):
-            continue
-        try:
-            year = int(row[idx["year"]])
-            month = int(row[idx["month"]])
-        except (ValueError, IndexError):
-            raise SeriesFormatError(f"malformed year/month in row {row!r}", line) from None
-        try:
-            key = MonthKey(year, month)
-        except ScheduleError as exc:
-            raise SeriesFormatError(str(exc), line) from None
-        if key in entries:
-            raise SeriesFormatError(
-                f"duplicate override for {key} (first seen at line {first_lines[key]})", line
-            )
-
-        def _dom(cell_name: str) -> Date | None:
-            raw = row[idx[cell_name]].strip() if idx[cell_name] < len(row) else ""
-            if not raw:
-                return None
+    try:
+        for row in reader:
+            line = reader.line_num
+            if not any(cell.strip() for cell in row):
+                continue
             try:
-                dom = int(raw)
-            except ValueError:
-                raise SeriesFormatError(f"non-integer {cell_name} {raw!r}", line) from None
+                year = int(row[idx["year"]])
+                month = int(row[idx["month"]])
+            except (ValueError, IndexError):
+                raise SeriesFormatError(f"malformed year/month in row {row!r}", line) from None
             try:
-                return Date(year, month, dom)
-            except ValueError:
+                key = MonthKey(year, month)
+            except ScheduleError as exc:
+                raise SeriesFormatError(str(exc), line) from None
+            if key in entries:
                 raise SeriesFormatError(
-                    f"{cell_name} {dom} is not a valid day of {key}", line
-                ) from None
+                    f"duplicate override for {key} (first seen at line {first_lines[key]})", line
+                )
 
-        ftd = _dom("ftd_dom")
-        expiry = _dom("expiry_dom")
-        if ftd is None and expiry is None:
-            raise SeriesFormatError(f"override row for {key} has neither anchor", line)
-        entries[key] = MonthSchedule(
-            key=key,
-            first_trading_day=ftd,
-            expiry_day=expiry,
-            ftd_source=SOURCE_OVERRIDE if ftd is not None else None,
-            expiry_source=SOURCE_OVERRIDE if expiry is not None else None,
-        )
-        first_lines[key] = line
+            def _dom(cell_name: str) -> Date | None:
+                raw = row[idx[cell_name]].strip() if idx[cell_name] < len(row) else ""
+                if not raw:
+                    return None
+                try:
+                    dom = int(raw)
+                except ValueError:
+                    raise SeriesFormatError(f"non-integer {cell_name} {raw!r}", line) from None
+                try:
+                    return Date(year, month, dom)
+                except ValueError:
+                    raise SeriesFormatError(
+                        f"{cell_name} {dom} is not a valid day of {key}", line
+                    ) from None
+
+            ftd = _dom("ftd_dom")
+            expiry = _dom("expiry_dom")
+            if ftd is None and expiry is None:
+                raise SeriesFormatError(f"override row for {key} has neither anchor", line)
+            entries[key] = MonthSchedule(
+                key=key,
+                first_trading_day=ftd,
+                expiry_day=expiry,
+                ftd_source=SOURCE_OVERRIDE if ftd is not None else None,
+                expiry_source=SOURCE_OVERRIDE if expiry is not None else None,
+            )
+            first_lines[key] = line
+    except csv.Error as exc:  # an oversized field, say
+        raise SeriesFormatError(str(exc), reader.line_num) from None
     return ScheduleTable(entries.values())
 
 

@@ -1,40 +1,25 @@
-"""Statistical battery: paired tests, effect sizes, bootstrap, dominance."""
+"""Statistical battery: paired tests, effect sizes, bootstrap, dominance.
 
-from .battery import BatteryConfig, ComparisonReport, run_battery
-from .bootstrap import BootstrapCI, bootstrap_bca
-from .dominance import (
-    DominanceSide,
-    KsResult,
-    check_fsd,
-    check_ssd,
-    ks_two_sample,
-)
-from .paired import (
-    PairedSample,
-    TestResult,
-    classify_effect,
-    cohens_d,
-    hedges_g,
-    paired_t_one_tailed,
-    wilcoxon_signed_rank,
-)
+The re-exports below import their submodule on first access (PEP 562), so
+importing one submodule, as the engine does with ``paired``, loads no
+other.
+"""
 
-__all__ = [
-    "BatteryConfig",
-    "ComparisonReport",
-    "run_battery",
-    "BootstrapCI",
-    "bootstrap_bca",
-    "DominanceSide",
-    "KsResult",
-    "check_fsd",
-    "check_ssd",
-    "ks_two_sample",
-    "PairedSample",
-    "TestResult",
-    "classify_effect",
-    "cohens_d",
-    "hedges_g",
-    "paired_t_one_tailed",
-    "wilcoxon_signed_rank",
-]
+from .. import _lazy_exports
+
+# submodule -> the names this package re-exports from it
+_EXPORTS = {
+    "battery": ("BatteryConfig", "ComparisonReport", "run_battery"),
+    "bootstrap": ("BootstrapCI", "bootstrap_bca"),
+    "dominance": ("DominanceSide", "KsResult", "check_fsd", "check_ssd", "ks_two_sample"),
+    "paired": (
+        "PairedSample",
+        "TestResult",
+        "classify_effect",
+        "cohens_d",
+        "hedges_g",
+        "paired_t_one_tailed",
+        "wilcoxon_signed_rank",
+    ),
+}
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), _EXPORTS)

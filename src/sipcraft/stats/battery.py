@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import DegenerateSampleError, InsufficientDataError
 from .bootstrap import BootstrapCI, bootstrap_bca
@@ -35,17 +35,21 @@ HEDGES_VARIANTS = ("standard", "paper_compat")
 CELLS = ("t", "wilcoxon", "cohens_d", "hedges_g", "bootstrap", "ks", "fsd", "ssd")
 
 
-@dataclass(frozen=True)
-class BatteryConfig:
-    """Battery knobs; the JSON form uses keys B, alpha, seed, wilcoxon_mode, hedges_variant."""
-
+class _BatteryConfig(NamedTuple):
     resamples: int = 10000
     alpha: float = 0.05
     seed: int = 42
     wilcoxon_mode: str = "auto"
     hedges_variant: str = "standard"
 
-    def __post_init__(self) -> None:
+
+class BatteryConfig(_BatteryConfig):
+    """Battery knobs; the JSON form uses keys B, alpha, seed, wilcoxon_mode, hedges_variant."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> BatteryConfig:
+        self = super().__new__(cls, *args, **kwargs)
         for key, value in (("B", self.resamples), ("seed", self.seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
@@ -61,6 +65,7 @@ class BatteryConfig:
             raise ValueError(f"wilcoxon_mode must be one of {WILCOXON_MODES}, got {self.wilcoxon_mode!r}")
         if self.hedges_variant not in HEDGES_VARIANTS:
             raise ValueError(f"hedges_variant must be one of {HEDGES_VARIANTS}, got {self.hedges_variant!r}")
+        return self
 
     @classmethod
     def from_dict(cls, data: dict) -> "BatteryConfig":
@@ -89,16 +94,15 @@ class BatteryConfig:
         }
 
 
-@dataclass
 class ComparisonReport:
     """Battery output for one horizon; one column of the metrics table.
 
-    ``not_applicable`` maps a cell name to the reason it is undefined for
-    this sample; a cell is either populated or keyed there, never both.
+    ``run_battery`` fills the cells in turn, so this record is mutable; a
+    cell it does not fill stays ``None``. ``not_applicable`` maps a cell
+    name to the reason it is undefined for this sample; a cell is either
+    populated or keyed there, never both.
     """
 
-    label: str
-    n: int
     mean_diff: float | None = None
     t_statistic: float | None = None
     t_p: float | None = None
@@ -117,7 +121,11 @@ class ComparisonReport:
     ks_p: float | None = None
     fsd: DominanceSide | None = None
     ssd: DominanceSide | None = None
-    not_applicable: dict[str, str] = field(default_factory=dict)
+
+    def __init__(self, label: str, n: int):
+        self.label = label
+        self.n = n
+        self.not_applicable: dict[str, str] = {}
 
     def to_json_dict(self) -> dict:
         ci = None

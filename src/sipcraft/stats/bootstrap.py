@@ -20,8 +20,7 @@ import random
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..errors import InsufficientDataError
 from .paired import PairedSample
@@ -36,8 +35,7 @@ _WORD_TYPECODE = next(c for c in "IL" if array(c).itemsize == 4)
 _LANE_MAX_N = 64  # largest n whose four byte-lane residues sum below 256
 
 
-@dataclass(frozen=True)
-class BootstrapCI:
+class BootstrapCI(NamedTuple):
     point_estimate: float
     lower: float
     upper: float

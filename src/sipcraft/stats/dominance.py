@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..errors import InsufficientDataError
 from .paired import PairedSample
@@ -32,8 +31,7 @@ class DominanceSide(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class KsResult:
+class KsResult(NamedTuple):
     statistic: float
     p_value: float
 

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ..errors import DegenerateSampleError, InsufficientDataError
 from .special import normal_sf, student_t_sf
@@ -73,16 +72,21 @@ class PairedSample:
         return f"PairedSample(n={self.n})"
 
 
-@dataclass(frozen=True)
-class TestResult:
+class _TestResult(NamedTuple):
     statistic: float
     p_value: float
     df: float | None = None
     method: str | None = None
 
-    def __post_init__(self) -> None:
+
+class TestResult(_TestResult):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> TestResult:
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 <= self.p_value <= 1.0 or math.isnan(self.p_value)):
             raise ValueError(f"p_value must lie in [0, 1], got {self.p_value}")
+        return self
 
 
 def _mean_sd(diffs: Sequence[float]) -> tuple[float, float]:

@@ -12,9 +12,8 @@ import csv
 import io
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from datetime import date as Date
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CoverageError, NotTradingDayError, SeriesFormatError
 
@@ -26,20 +25,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TradingDay:
-    """One observed trading day: calendar date and positive closing level."""
-
+class _TradingDay(NamedTuple):
     date: Date
     close: float
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.date, Date):
-            raise TypeError(f"date must be a datetime.date, got {type(self.date).__name__}")
-        close = float(self.close)
-        if not math.isfinite(close) or close <= 0.0:
-            raise ValueError(f"close must be a finite positive number, got {self.close!r}")
-        object.__setattr__(self, "close", close)
+
+class TradingDay(_TradingDay):
+    """One observed trading day: calendar date and positive closing level."""
+
+    __slots__ = ()
+
+    def __new__(cls, date: Date, close: float) -> TradingDay:
+        if not isinstance(date, Date):
+            raise TypeError(f"date must be a datetime.date, got {type(date).__name__}")
+        value = float(close)
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValueError(f"close must be a finite positive number, got {close!r}")
+        return tuple.__new__(cls, (date, value))
 
 
 class IndexSeries:
@@ -158,13 +160,16 @@ def parse_series(source: str | io.TextIOBase) -> IndexSeries:
     order. Every error message carries the offending line number.
     """
     if isinstance(source, str):
-        source = io.StringIO(source)
+        # split lines as a file opened with newline="" does, so CR-only text parses
+        source = io.StringIO(source, newline="")
     reader = csv.reader(source)
 
     try:
         header = next(reader)
     except StopIteration:
         raise SeriesFormatError("input is empty, expected a header row", 1) from None
+    except csv.Error as exc:
+        raise SeriesFormatError(str(exc), reader.line_num) from None
     names = [_normalize_header_cell(c) for c in header]
     try:
         date_idx = names.index("date")
@@ -177,40 +182,43 @@ def parse_series(source: str | io.TextIOBase) -> IndexSeries:
     needed = max(date_idx, close_idx) + 1
     closes: dict[Date, float] = {}
     lines: list[int] = []  # source line of each entry of closes, in insertion order
-    for row in reader:
-        line = reader.line_num
-        raw_date = row[date_idx].strip() if len(row) >= needed else ""
-        try:
-            # only YYYY-MM-DD: from Python 3.11 on fromisoformat also takes
-            # 20030102 and the week date 2003-W01-4
-            if len(raw_date) != 10 or raw_date[4::3] != "--":
-                raise ValueError
-            date = Date.fromisoformat(raw_date)
-        except ValueError:
-            # blank and short rows have no date either; only a row that
-            # failed here is checked for them, which keeps the loop lean
-            if not "".join(row).strip():
-                continue  # blank line
-            if len(row) < needed:
+    try:
+        for row in reader:
+            line = reader.line_num
+            raw_date = row[date_idx].strip() if len(row) >= needed else ""
+            try:
+                # only YYYY-MM-DD: from Python 3.11 on fromisoformat also takes
+                # 20030102 and the week date 2003-W01-4
+                if len(raw_date) != 10 or raw_date[4::3] != "--":
+                    raise ValueError
+                date = Date.fromisoformat(raw_date)
+            except ValueError:
+                # blank and short rows have no date either; only a row that
+                # failed here is checked for them, which keeps the loop lean
+                if not "".join(row).strip():
+                    continue  # blank line
+                if len(row) < needed:
+                    raise SeriesFormatError(
+                        f"row has {len(row)} columns, expected at least {needed}", line
+                    ) from None
+                raise SeriesFormatError(f"malformed date {raw_date!r}", line) from None
+            raw_close = row[close_idx].strip()
+            try:
+                close = float(raw_close)
+            except ValueError:
+                raise SeriesFormatError(f"non-numeric close {raw_close!r}", line) from None
+            if not 0.0 < close < math.inf:  # one comparison chain; NaN fails it too
+                problem = "non-positive" if math.isfinite(close) else "non-finite"
+                raise SeriesFormatError(f"{problem} close {raw_close!r}", line)
+            if date in closes:
+                first = lines[list(closes).index(date)]
                 raise SeriesFormatError(
-                    f"row has {len(row)} columns, expected at least {needed}", line
-                ) from None
-            raise SeriesFormatError(f"malformed date {raw_date!r}", line) from None
-        raw_close = row[close_idx].strip()
-        try:
-            close = float(raw_close)
-        except ValueError:
-            raise SeriesFormatError(f"non-numeric close {raw_close!r}", line) from None
-        if not 0.0 < close < math.inf:  # one comparison chain; NaN fails it too
-            problem = "non-positive" if math.isfinite(close) else "non-finite"
-            raise SeriesFormatError(f"{problem} close {raw_close!r}", line)
-        if date in closes:
-            first = lines[list(closes).index(date)]
-            raise SeriesFormatError(
-                f"duplicate date {date.isoformat()} (first seen at line {first})", line
-            )
-        closes[date] = close
-        lines.append(line)
+                    f"duplicate date {date.isoformat()} (first seen at line {first})", line
+                )
+            closes[date] = close
+            lines.append(line)
+    except csv.Error as exc:  # an oversized field, say
+        raise SeriesFormatError(str(exc), reader.line_num) from None
 
     if not closes:
         raise SeriesFormatError("no data rows after the header")

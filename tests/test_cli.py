@@ -78,6 +78,21 @@ def test_validate_malformed_series_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--data", "--schedule"])
+def test_validate_oversized_csv_field_exits_2(flat_csv, tmp_path, capsys, flag):
+    # one quoted field longer than the csv module's field limit (131072)
+    big = tmp_path / "big.csv"
+    header = "date,close" if flag == "--data" else "year,month,ftd_dom,expiry_dom"
+    big.write_text(f'{header}\n"{"x" * 140000}",1\n')
+    argv = ["validate", "--data", str(big)] if flag == "--data" else [
+        "validate", "--data", str(flat_csv), "--schedule", str(big)]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("sipcraft: error: line 2: field larger than field limit "
+                            "(131072)\n")
+
+
 def test_validate_missing_file_exits_2(capsys):
     rc = main(["validate", "--data", "/nonexistent/series.csv"])
     assert rc == EXIT_ERROR
@@ -226,7 +241,8 @@ def test_compare_rejects_non_integer_battery_config(series_csv, tmp_path, capsys
 
 
 # ids name the config key that is broken; fd 9999 is not open, so at worst
-# open() fails on it instead of reading some other file
+# open() fails on it instead of reading some other file; a string config is
+# the file's whole text
 @pytest.mark.parametrize("command, config, fragment", [
     pytest.param("simulate", {"years": [1]}, "years must be an integer", id="years0"),
     pytest.param("simulate", {"years": 1.9}, "years must be an integer", id="years1"),
@@ -237,11 +253,16 @@ def test_compare_rejects_non_integer_battery_config(series_csv, tmp_path, capsys
     pytest.param("validate", {"schedule": 0}, "schedule must be a path string", id="schedule0"),
     pytest.param("validate", {"schedule": 9999}, "schedule must be a path string", id="schedule1"),
     pytest.param("simulate", {"data": 9999}, "data must be a path string", id="data0"),
+    pytest.param("validate", "[" * 100000 + "]" * 100000, "config file nests too deeply",
+                 id="nesting0"),
 ])
 def test_config_rejects_wrong_types(flat_csv, tmp_path, capsys, command, config, fragment):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"data": str(flat_csv), "strategy": "ftd",
-                               "start_year": 2020, "years": 1, **config}))
+    if isinstance(config, str):
+        cfg.write_text(config)
+    else:
+        cfg.write_text(json.dumps({"data": str(flat_csv), "strategy": "ftd",
+                                   "start_year": 2020, "years": 1, **config}))
     rc = main([command, "--config", str(cfg)])
     assert rc == EXIT_ERROR
     captured = capsys.readouterr()
@@ -293,6 +314,8 @@ def test_cli_import_leaves_numpy_unloaded():
 # the engine, battery and report layers; a command that runs none of them
 # must not import them
 LAYERS = ("sipcraft.engine", "sipcraft.stats", "sipcraft.report")
+# the statistics a simulate does not run
+BATTERY = ("sipcraft.stats.battery", "sipcraft.stats.bootstrap", "sipcraft.stats.dominance")
 
 
 @pytest.mark.parametrize("argv, rc, lean", [
@@ -310,7 +333,9 @@ def test_each_command_imports_only_its_layers(series_csv, tmp_path, argv, rc, le
              "out": str(tmp_path / "out")}
     argv = [a.format(**paths) for a in argv]
     # a fresh interpreter per command; only sipcraft's own modules are compared,
-    # since the stdlib's import graph differs between Python versions
+    # since the stdlib's import graph differs between Python versions; the
+    # records are NamedTuples, so no command needs dataclasses (which loads
+    # inspect and ast)
     probe = (
         "import json, sys\n"
         "from sipcraft.cli import main\n"
@@ -318,17 +343,21 @@ def test_each_command_imports_only_its_layers(series_csv, tmp_path, argv, rc, le
         f"    rc = main({argv!r})\n"
         "except SystemExit as exc:\n"
         "    rc = exc.code\n"
-        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('sipcraft.'))]))\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('sipcraft.')),\n"
+        "                  'dataclasses' in sys.modules]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    got_rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    got_rc, modules, dataclasses_loaded = json.loads(proc.stdout.splitlines()[-1])
     assert got_rc == rc, proc.stderr
+    assert not dataclasses_loaded
     loaded = [m for m in modules if m in LAYERS or m.startswith("sipcraft.stats.")]
     if lean:
         assert loaded == []
     else:
         assert "sipcraft.engine" in loaded
+    if argv[0] == "simulate":
+        assert not set(BATTERY) & set(modules)
 
 
 def test_compare_and_fixtures_never_load_numpy(series_csv, tmp_path):

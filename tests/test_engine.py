@@ -77,6 +77,8 @@ def test_cagr_validation():
 def test_plan_validation():
     with pytest.raises(ValueError):
         SipPlan(Strategy.FTD, 2020, 0)
+    with pytest.raises(ValueError, match="^years must be >= 1, got 0$"):
+        SipPlan(strategy=Strategy.FTD, start_year=2020, years=0)
     for bad_amount in (0.0, math.inf):
         with pytest.raises(ValueError):
             SipPlan(Strategy.FTD, 2020, 1, monthly_amount=bad_amount)
@@ -102,6 +104,9 @@ def test_window_grids():
     assert enumerate_windows(20) == [Window(2005, 2024)]
     with pytest.raises(ValueError):
         enumerate_windows(2)
+    for make in (lambda: Window(2010, 2009), lambda: Window(from_year=2010, to_year=2009)):
+        with pytest.raises(ValueError, match=r"^window ends before it starts: 2010\.\.2009$"):
+            make()
 
 
 def test_invested_and_execution_counts(long_series, long_table):

@@ -34,8 +34,13 @@ def test_month_key_validation_and_order():
         MonthKey(2020, 0)
     with pytest.raises(ScheduleError):
         MonthKey(2020, 13)
+    with pytest.raises(ScheduleError, match=r"^month must be in 1\.\.12, got 13$"):
+        MonthKey(year=2003, month=13)
     assert MonthKey(2020, 1) < MonthKey(2020, 2) < MonthKey(2021, 1)
+    assert sorted([MonthKey(2021, 1), MonthKey(2020, 12), MonthKey(2020, 2)]) == [
+        MonthKey(2020, 2), MonthKey(2020, 12), MonthKey(2021, 1)]
     assert str(MonthKey(2020, 3)) == "2020-03"
+    assert repr(MonthKey(2003, 1)) == "MonthKey(year=2003, month=1)"
     assert MonthKey(2020, 1).prev() == MonthKey(2019, 12)
     assert MonthKey(2019, 12).next() == MonthKey(2020, 1)
     assert MonthKey.of(datetime.date(2020, 5, 17)) == MonthKey(2020, 5)
@@ -109,6 +114,11 @@ def test_load_overrides_expiry_only_row():
     assert entry.expiry_day == datetime.date(2002, 12, 26)
 
 
+def test_load_overrides_cr_only_line_ends():
+    text = "year,month,ftd_dom,expiry_dom\n2020,1,2,30\n2020,2,,27\n"
+    assert load_schedule_overrides(text.replace("\n", "\r")) == load_schedule_overrides(text)
+
+
 def test_load_overrides_invalid_day_of_month():
     with pytest.raises(SeriesFormatError, match="not a valid day"):
         load_schedule_overrides("year,month,ftd_dom,expiry_dom\n2003,2,30,27\n")
@@ -154,6 +164,13 @@ def test_month_schedule_rejects_out_of_month_dates():
         MonthSchedule(key=MonthKey(2020, 1),
                       first_trading_day=datetime.date(2020, 2, 1),
                       ftd_source=SOURCE_OVERRIDE)
+    # positional construction runs the same checks
+    with pytest.raises(ScheduleError,
+                       match="^expiry day 2020-02-27 falls outside month 2020-01$"):
+        MonthSchedule(MonthKey(2020, 1), None, datetime.date(2020, 2, 27), None, SOURCE_OVERRIDE)
+    with pytest.raises(ScheduleError,
+                       match="^2020-01: first_trading_day and ftd_source must be set together$"):
+        MonthSchedule(MonthKey(2020, 1), datetime.date(2020, 1, 2))
 
 
 def test_build_schedule_override_wins(flat_year_series):

@@ -78,6 +78,18 @@ def test_t_errors():
         paired_t_one_tailed(sample_from_diffs([23.21, 23.21, 23.21]))
 
 
+def test_test_result_checks_p_value():
+    # imported here: pytest would try to collect a module-level Test* class
+    from sipcraft.stats.paired import TestResult
+
+    with pytest.raises(ValueError, match=r"^p_value must lie in \[0, 1\], got 2.0$"):
+        TestResult(statistic=1.0, p_value=2.0)
+    with pytest.raises(ValueError, match=r"^p_value must lie in \[0, 1\], got -0.5$"):
+        TestResult(1.0, -0.5, 3)
+    assert math.isnan(TestResult(1.0, math.nan).p_value)
+    assert TestResult(1.0, 0.5, method="exact") == (1.0, 0.5, None, "exact")
+
+
 @given(diff_lists)
 def test_t_sign_matches_mean(diffs):
     s = sample_from_diffs(diffs)
@@ -627,8 +639,10 @@ def test_battery_config_rejects_unknown_and_invalid():
         BatteryConfig.from_json('{"bee": 1}')
     with pytest.raises(ValueError):
         BatteryConfig.from_json('[1, 2]')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^B must be >= 1000, got 10$"):
         BatteryConfig(resamples=10)
+    with pytest.raises(ValueError, match="^B must be an integer, got 1000.0$"):
+        BatteryConfig(1000.0)
     with pytest.raises(ValueError):
         BatteryConfig(alpha=1.5)
     with pytest.raises(ValueError):

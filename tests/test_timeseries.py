@@ -32,6 +32,13 @@ def test_parse_accepts_stream_and_bom():
     assert len(s) == 1
 
 
+def test_parse_cr_only_line_ends():
+    text = "date,close\n2003-01-02,100\n2003-01-03,101.5\n"
+    assert parse_series(text.replace("\n", "\r")) == parse_series(text)
+    with pytest.raises(SeriesFormatError, match="^line 3: non-positive close '0'$"):
+        parse_series("date,close\r2003-01-02,100\r2003-01-03,0\r")
+
+
 def test_parse_extra_columns_ignored():
     s = parse_series(
         "date,open,high,low,close,volume\n"
@@ -152,6 +159,12 @@ def test_trading_day_validation():
         TradingDay(datetime.date(2020, 1, 1), float("nan"))
     with pytest.raises(ValueError):
         TradingDay(datetime.date(2020, 1, 1), float("inf"))
+    with pytest.raises(ValueError, match="^close must be a finite positive number, got -1$"):
+        TradingDay(date=datetime.date(2020, 1, 1), close=-1)
+    with pytest.raises(TypeError, match="^date must be a datetime.date, got str$"):
+        TradingDay(date="2020-01-01", close=1.0)
+    day = TradingDay(datetime.date(2020, 1, 1), close=5)
+    assert type(day.close) is float and day.close == 5.0
 
 
 def test_series_requires_strictly_increasing_dates():
