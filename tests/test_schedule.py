@@ -119,6 +119,11 @@ def test_load_overrides_cr_only_line_ends():
     assert load_schedule_overrides(text.replace("\n", "\r")) == load_schedule_overrides(text)
 
 
+def test_load_overrides_oversized_header_field():
+    with pytest.raises(SeriesFormatError, match="^line 1: field larger than field limit"):
+        load_schedule_overrides('"' + "x" * 140000 + '",month\n')
+
+
 def test_load_overrides_invalid_day_of_month():
     with pytest.raises(SeriesFormatError, match="not a valid day"):
         load_schedule_overrides("year,month,ftd_dom,expiry_dom\n2003,2,30,27\n")

@@ -39,6 +39,14 @@ def test_parse_cr_only_line_ends():
         parse_series("date,close\r2003-01-02,100\r2003-01-03,0\r")
 
 
+def test_parse_oversized_field_cites_line():
+    big = '"' + "x" * 140000 + '"'
+    for text, line in ((f"{big},close\n", 1), (f"date,close\n2003-01-02,1\n{big},1\n", 3)):
+        with pytest.raises(SeriesFormatError,
+                           match=rf"^line {line}: field larger than field limit \(131072\)$"):
+            parse_series(text)
+
+
 def test_parse_extra_columns_ignored():
     s = parse_series(
         "date,open,high,low,close,volume\n"
