@@ -14,6 +14,8 @@ import importlib
 import json
 import os
 import sys
+from datetime import MAXYEAR, MINYEAR
+from typing import NamedTuple
 
 from ._version import VERSION
 from .errors import SipcraftError
@@ -49,6 +51,13 @@ EXIT_ERROR = 2
 
 ENV_SEED = "SIPCRAFT_SEED"
 
+CONFIG_KEYS = ("data", "schedule", "format", "amount", "durations", "strategy",
+               "start_year", "years", "stats")
+FORMATS = ("markdown", "csv", "json")
+STRATEGIES = tuple(s.value for s in Strategy)
+# engine.DEFAULT_MONTHLY_AMOUNT and engine.SUPPORTED_DURATIONS, repeated here
+# so that resolving settings loads no engine; a test keeps them equal
+DEFAULT_AMOUNT = 10_000.0
 DEFAULT_DURATIONS = (1, 3, 5, 10, 20)
 
 
@@ -59,101 +68,142 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"sipcraft {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, data: bool = True) -> None:
-        if data:
-            p.add_argument("--data", help="daily close CSV (date,close; extra columns ignored)")
-            p.add_argument("--schedule", help="schedule override CSV (year,month,ftd_dom,expiry_dom)")
-        p.add_argument("--config", help="JSON config file; command-line flags win")
-        p.add_argument("--out", help="write output to this path instead of stdout")
-
     p_val = sub.add_parser("validate", help="check the series and schedule anchors, report anomalies")
-    add_common(p_val)
-
     p_sim = sub.add_parser("simulate", help="run one plan and print its execution ledger")
-    add_common(p_sim)
-    p_sim.add_argument("--strategy", choices=[s.value for s in Strategy])
+    p_cmp = sub.add_parser("compare", help="simulate the window grid and run the full battery")
+    p_fix = sub.add_parser("fixtures", help="generate a synthetic daily series CSV")
+    for p in (p_val, p_sim, p_cmp):
+        p.add_argument("--data", help="daily close CSV (date,close; extra columns ignored)")
+        p.add_argument("--schedule", help="schedule override CSV (year,month,ftd_dom,expiry_dom)")
+        p.add_argument("--config", help="JSON config file; command-line flags win")
+    for p, handler in ((p_val, cmd_validate), (p_sim, cmd_simulate), (p_cmp, cmd_compare),
+                       (p_fix, cmd_fixtures)):
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        p.set_defaults(handler=handler)
+
+    p_sim.add_argument("--strategy", choices=STRATEGIES)
     p_sim.add_argument("--start-year", type=int)
     p_sim.add_argument("--years", type=int)
     p_sim.add_argument("--amount", type=float)
-    p_sim.add_argument("--format", choices=["markdown", "csv", "json"])
-
-    p_cmp = sub.add_parser("compare", help="simulate the window grid and run the full battery")
-    add_common(p_cmp)
+    p_sim.add_argument("--format", choices=FORMATS)
     p_cmp.add_argument("--durations", help="comma-separated subset of 1,3,5,10,20")
     p_cmp.add_argument("--amount", type=float)
     p_cmp.add_argument("--seed", type=int)
     p_cmp.add_argument("--resamples", type=int)
     p_cmp.add_argument("--alpha", type=float)
-    p_cmp.add_argument("--format", choices=["markdown", "csv", "json"])
+    p_cmp.add_argument("--format", choices=FORMATS)
 
-    p_fix = sub.add_parser("fixtures", help="generate a synthetic daily series CSV")
-    add_common(p_fix, data=False)
     p_fix.add_argument("--kind", choices=list(KINDS), default="flat")
     p_fix.add_argument("--start-year", type=int, default=2003)
     p_fix.add_argument("--years", type=int, default=1)
     p_fix.add_argument("--seed", type=int, default=0)
     p_fix.add_argument("--base", type=float, default=1000.0)
     p_fix.add_argument("--holiday-rate", type=float, default=0.0)
-
     return parser
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
+class Settings(NamedTuple):
+    """One run's settings, built by ``resolve_settings``."""
+
+    data: str | None
+    schedule: str | None
+    format: str
+    amount: float
+    durations: list[int]
+    strategy: str | None
+    start_year: int | None
+    years: int | None
+    battery: dict  # BatteryConfig.from_dict input: stats, flags and SIPCRAFT_SEED merged
+
+
+def _bad(key: str, what: str, value) -> ValueError:
+    return ValueError(f"{key} must be {what}, got {value!r}")
+
+
+def _durations(raw) -> list[int]:
+    if raw is None:
+        return list(DEFAULT_DURATIONS)
+    if isinstance(raw, str):
         try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError("config file nests too deeply") from None
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return data
+            raw = [int(part) for part in raw.split(",") if part.strip()]
+        except ValueError:
+            raise _bad("durations", "comma-separated integers", raw) from None
+    if not isinstance(raw, list) or any(type(v) is not int for v in raw):
+        raise _bad("durations", "integers", raw)
+    if not raw:
+        raise SipcraftError("durations list is empty")
+    bad = [v for v in raw if v not in DEFAULT_DURATIONS]
+    if bad:
+        raise SipcraftError(f"unsupported durations {bad}, expected a subset of {list(DEFAULT_DURATIONS)}")
+    return sorted(set(raw))
 
 
-def _effective_battery(args, cfg: dict):
-    """Battery settings: flags > config file 'stats' object > env seed > defaults."""
-    from .stats.battery import BatteryConfig
-
-    stats = cfg.get("stats", {})
-    if not isinstance(stats, dict):
-        raise ValueError(f"config 'stats' must be a JSON object, got {stats!r}")
-    base = BatteryConfig.from_dict(stats) if stats else BatteryConfig()
-
-    seed = base.seed
-    if "seed" not in stats:
-        env_seed = os.environ.get(ENV_SEED)
-        if env_seed is not None:
+def resolve_settings(args) -> Settings:
+    """Resolve and check every setting: flag > config file > SIPCRAFT_SEED
+    (seed only) > default. A config key given as null counts as given.
+    BatteryConfig checks the stats keys when ``compare`` builds it.
+    """
+    cfg = {}
+    if getattr(args, "config", None):
+        with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                seed = int(env_seed)
-                if seed < 0:
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"{ENV_SEED} must be a non-negative integer, "
-                                 f"got {env_seed!r}") from None
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    resamples = args.resamples if getattr(args, "resamples", None) is not None else base.resamples
-    alpha = args.alpha if getattr(args, "alpha", None) is not None else base.alpha
-    return BatteryConfig(resamples=resamples, alpha=alpha, seed=seed,
-                         wilcoxon_mode=base.wilcoxon_mode, hedges_variant=base.hedges_variant)
+                cfg = json.load(fh)
+            except RecursionError:
+                raise ValueError("config file nests too deeply") from None
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
 
+    def pick(key: str, default=None):
+        flag = getattr(args, key, None)
+        return cfg.get(key, default) if flag is None else flag
 
-def _pick(args, cfg: dict, flag: str, key: str, default=None):
-    value = getattr(args, flag, None)
-    if value is not None:
-        return value
-    return cfg.get(key, default)
+    data, schedule = pick("data"), pick("schedule")
+    for key, path in (("data", data), ("schedule", schedule)):
+        # open() would take a config number as a file descriptor
+        if path is not None and not isinstance(path, str):
+            raise _bad(key, "a path string", path)
+    fmt = pick("format", "markdown")
+    if fmt not in FORMATS:
+        raise _bad("format", f"one of {FORMATS}", fmt)
+    strategy = pick("strategy")
+    if strategy is not None and strategy not in STRATEGIES:
+        raise _bad("strategy", f"one of {STRATEGIES}", strategy)
+    amount = pick("amount", DEFAULT_AMOUNT)
+    if type(amount) not in (int, float):
+        raise _bad("amount", "a number", amount)
+    try:
+        amount = float(amount)
+    except OverflowError:
+        raise _bad("amount", "a number in float range", amount) from None
 
+    # a plan or a fixture spans December of start_year - 1 through December
+    # of its last year, and every one of those dates must be a datetime.date
+    start_year, years = pick("start_year"), pick("years")
+    if start_year is not None and not (type(start_year) is int and MINYEAR < start_year <= MAXYEAR):
+        raise _bad("start_year", f"an integer in {MINYEAR + 1}..{MAXYEAR}", start_year)
+    most = MAXYEAR + 1 - (start_year or MINYEAR + 1)
+    if years is not None and not (type(years) is int and 1 <= years <= most):
+        raise _bad("years", f"an integer in 1..{most}", years)
 
-def _amount(args, cfg: dict) -> float:
-    from .engine import DEFAULT_MONTHLY_AMOUNT
-
-    amount = _pick(args, cfg, "amount", "amount", DEFAULT_MONTHLY_AMOUNT)
-    if isinstance(amount, bool) or not isinstance(amount, (int, float)):
-        raise ValueError(f"amount must be a number, got {amount!r}")
-    return float(amount)
+    battery = cfg.get("stats", {})
+    if not isinstance(battery, dict):
+        raise _bad("stats", "a JSON object", battery)
+    env_seed = os.environ.get(ENV_SEED)
+    if env_seed is not None and "seed" not in battery and getattr(args, "seed", None) is None:
+        try:
+            battery["seed"] = int(env_seed)
+            if battery["seed"] < 0:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{ENV_SEED} must be a non-negative integer, got {env_seed!r}") from None
+    for key, flag in (("B", "resamples"), ("alpha", "alpha"), ("seed", "seed")):
+        if getattr(args, flag, None) is not None:
+            battery[key] = getattr(args, flag)
+    return Settings(data, schedule, fmt, amount, _durations(pick("durations")),
+                    strategy, start_year, years, battery)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -164,39 +214,27 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _path(args, cfg: dict, key: str) -> str | None:
-    # open() takes an int as a file descriptor, so a config number must not
-    # reach it
-    path = _pick(args, cfg, key, key)
-    if path is not None and not isinstance(path, str):
-        raise ValueError(f"{key} must be a path string, got {path!r}")
-    return path
-
-
-def _load_inputs(args, cfg: dict):
-    data_path = _path(args, cfg, "data")
-    if not data_path:
+def _load_inputs(settings: Settings):
+    if not settings.data:
         raise SipcraftError("no data file given (use --data or the config file)")
-    with open(data_path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(settings.data, "r", encoding="utf-8-sig", newline="") as fh:
         series = parse_series(fh)
-    schedule_path = _path(args, cfg, "schedule")
     overrides = None
-    if schedule_path:
-        with open(schedule_path, "r", encoding="utf-8-sig", newline="") as fh:
+    if settings.schedule:
+        with open(settings.schedule, "r", encoding="utf-8-sig", newline="") as fh:
             overrides = load_schedule_overrides(fh)
-    return data_path, series, schedule_path, overrides
+    return series, overrides
 
 
-def cmd_validate(args) -> int:
-    cfg = _load_config_file(args.config)
-    data_path, series, schedule_path, overrides = _load_inputs(args, cfg)
+def cmd_validate(settings: Settings, args) -> int:
+    series, overrides = _load_inputs(settings)
     start = MonthKey(series.first_date.year, series.first_date.month)
     end = MonthKey(series.last_date.year, series.last_date.month)
     _, anomalies = build_schedule(series, overrides, start, end)
     months_checked = (end.year - start.year) * 12 + end.month - start.month + 1
     payload = {
-        "data": data_path,
-        "schedule": schedule_path,
+        "data": settings.data,
+        "schedule": settings.schedule,
         "rows": len(series),
         "coverage": {"first": series.first_date.isoformat(), "last": series.last_date.isoformat()},
         "months_checked": months_checked,
@@ -206,30 +244,20 @@ def cmd_validate(args) -> int:
     return EXIT_ANOMALIES if anomalies else EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(settings: Settings, args) -> int:
     from .engine import SipPlan, simulate
-    from .report import _check_format
 
-    cfg = _load_config_file(args.config)
-    data_path, series, schedule_path, overrides = _load_inputs(args, cfg)
-    strategy_name = _pick(args, cfg, "strategy", "strategy")
-    start_year = _pick(args, cfg, "start_year", "start_year")
-    years = _pick(args, cfg, "years", "years")
-    if strategy_name is None or start_year is None or years is None:
+    series, overrides = _load_inputs(settings)
+    if settings.strategy is None or settings.start_year is None or settings.years is None:
         raise SipcraftError("simulate needs --strategy, --start-year and --years")
-    for key, value in (("start_year", start_year), ("years", years)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-    amount = _amount(args, cfg)
-    fmt = _pick(args, cfg, "format", "format", "markdown")
-    _check_format(fmt)
 
-    plan = SipPlan(Strategy(strategy_name), start_year, years, amount)
+    plan = SipPlan(Strategy(settings.strategy), settings.start_year, settings.years,
+                   settings.amount)
     table, _ = build_schedule(series, overrides,
                               MonthKey(plan.start_year - 1, 12), MonthKey(plan.final_year, 12))
     result = simulate(plan, series, table)
 
-    if fmt == "json":
+    if settings.format == "json":
         payload = {
             "plan": {"strategy": plan.strategy.value, "start_year": plan.start_year,
                      "years": plan.years, "monthly_amount": plan.monthly_amount},
@@ -245,7 +273,7 @@ def cmd_simulate(args) -> int:
             "cagr_percent": result.cagr_percent,
         }
         text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
+    elif settings.format == "csv":
         lines = ["month,date,price,units"]
         for e in result.executions:
             lines.append(f"{e.month},{e.date.isoformat()},{e.price!r},{e.units!r}")
@@ -273,35 +301,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_durations(raw) -> list[int]:
-    if raw is None:
-        return list(DEFAULT_DURATIONS)
-    if isinstance(raw, (list, tuple)):
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in raw):
-            raise ValueError(f"durations must be integers, got {raw!r}")
-        values = list(raw)
-    else:
-        values = [int(part) for part in str(raw).split(",") if part.strip()]
-    if not values:
-        raise SipcraftError("durations list is empty")
-    bad = [v for v in values if v not in DEFAULT_DURATIONS]
-    if bad:
-        raise SipcraftError(f"unsupported durations {bad}, expected a subset of {list(DEFAULT_DURATIONS)}")
-    return sorted(set(values))
-
-
-def cmd_compare(args) -> int:
+def cmd_compare(settings: Settings, args) -> int:
     from .engine import enumerate_windows
     from .report import WindowRow, tool_provenance
+    from .stats.battery import BatteryConfig
 
-    cfg = _load_config_file(args.config)
-    data_path, series, schedule_path, overrides = _load_inputs(args, cfg)
-    durations = _parse_durations(_pick(args, cfg, "durations", "durations"))
-    amount = _amount(args, cfg)
-    fmt = _pick(args, cfg, "format", "format", "markdown")
-    battery_config = _effective_battery(args, cfg)
+    series, overrides = _load_inputs(settings)
+    battery_config = BatteryConfig.from_dict(settings.battery)
 
-    windows = [w for d in durations for w in enumerate_windows(d)]
+    windows = [w for d in settings.durations for w in enumerate_windows(d)]
     first_year = min(w.from_year for w in windows)
     last_year = max(w.to_year for w in windows)
     table, anomalies = build_schedule(series, overrides,
@@ -310,8 +318,8 @@ def cmd_compare(args) -> int:
     window_tables: dict[str, list[dict]] = {}
     metrics = []
     boxplots: dict[str, dict] = {}
-    for duration in durations:
-        sample, outcomes = paired_run(duration, series, table, amount)
+    for duration in settings.durations:
+        sample, outcomes = paired_run(duration, series, table, settings.amount)
         window_tables[f"{duration}y"] = [WindowRow.from_outcome(o).to_json_dict() for o in outcomes]
         # the 20-year horizon has a single window, so the battery reduces to
         # descriptive cells by construction (n=1 keeps every test cell n/a)
@@ -323,13 +331,13 @@ def cmd_compare(args) -> int:
 
     provenance = tool_provenance()
     provenance.update({
-        "data_path": data_path,
-        "data_sha256": file_sha256(data_path),
-        "schedule_path": schedule_path,
-        "schedule_sha256": file_sha256(schedule_path) if schedule_path else None,
-        "schedule_source": "overrides+computed" if schedule_path else "computed",
-        "durations": durations,
-        "amount": amount,
+        "data_path": settings.data,
+        "data_sha256": file_sha256(settings.data),
+        "schedule_path": settings.schedule,
+        "schedule_sha256": file_sha256(settings.schedule) if settings.schedule else None,
+        "schedule_source": "overrides+computed" if settings.schedule else "computed",
+        "durations": settings.durations,
+        "amount": settings.amount,
         "battery_config": battery_config.to_json_dict(),
         "anomaly_count": len(anomalies),
     })
@@ -340,36 +348,22 @@ def cmd_compare(args) -> int:
         "metrics": [m.to_json_dict() for m in metrics],
         "boxplots": boxplots,
     }
-    _write_out(render_bundle(bundle, fmt), args.out)
+    _write_out(render_bundle(bundle, settings.format), args.out)
     return EXIT_OK
 
 
-def cmd_fixtures(args) -> int:
-    series = generate_series(
-        kind=args.kind,
-        start_year=args.start_year,
-        years=args.years,
-        seed=args.seed,
-        base=args.base,
-        holiday_rate=args.holiday_rate,
-    )
+def cmd_fixtures(settings: Settings, args) -> int:
+    series = generate_series(kind=args.kind, start_year=settings.start_year, years=settings.years,
+                             seed=args.seed, base=args.base, holiday_rate=args.holiday_rate)
     _write_out(series.to_csv(), args.out)
     return EXIT_OK
-
-
-_HANDLERS = {
-    "validate": cmd_validate,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "fixtures": cmd_fixtures,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(resolve_settings(args), args)
     except (SipcraftError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"sipcraft: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

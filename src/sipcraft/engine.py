@@ -166,6 +166,10 @@ def simulate(plan: SipPlan, series: IndexSeries, table: ScheduleTable) -> SipRes
         executions.append(Execution(month=key, date=date, price=price, units=bought))
     final_value = terminal_close * units
     invested = 12.0 * plan.monthly_amount * plan.years
+    # the amount cancels out of the CAGR, but an extreme amount or price over- or underflows
+    if not (0.0 < final_value < math.inf and invested < math.inf):
+        raise SimulationError(f"plan {plan.start_year}..{plan.final_year} ({plan.strategy.value}): "
+                              f"final value {final_value!r} on {invested!r} invested is out of float range")
     return SipResult(
         plan=plan,
         units=units,

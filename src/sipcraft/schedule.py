@@ -9,7 +9,6 @@ reported as anomalies, never silently repaired.
 
 from __future__ import annotations
 
-import calendar as _calendar
 import csv
 import io
 from datetime import date as Date, timedelta
@@ -81,7 +80,9 @@ class MonthKey(_MonthKey):
         return Date(self.year, self.month, 1)
 
     def last_day(self) -> Date:
-        return Date(self.year, self.month, _calendar.monthrange(self.year, self.month)[1])
+        if self.month == 12:
+            return Date(self.year, 12, 31)
+        return Date(self.year, self.month + 1, 1) - timedelta(days=1)
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"
@@ -264,7 +265,7 @@ def load_schedule_overrides(source: str | io.TextIOBase) -> ScheduleTable:
                     raise SeriesFormatError(f"non-integer {cell_name} {raw!r}", line) from None
                 try:
                     return Date(year, month, dom)
-                except ValueError:
+                except (ValueError, OverflowError):  # a year past C long overflows
                     raise SeriesFormatError(
                         f"{cell_name} {dom} is not a valid day of {key}", line
                     ) from None

@@ -8,7 +8,15 @@ import sys
 import jsonschema
 import pytest
 
-from sipcraft.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
+from sipcraft.cli import (
+    ENV_SEED,
+    EXIT_ANOMALIES,
+    EXIT_ERROR,
+    EXIT_OK,
+    build_parser,
+    main,
+    resolve_settings,
+)
 
 from conftest import DATA, ROOT
 
@@ -271,6 +279,117 @@ def test_config_rejects_wrong_types(flat_csv, tmp_path, capsys, command, config,
     assert captured.err.count("\n") == 1 and fragment in captured.err
 
 
+# every setting with both a flag and a config key: the command, the flag
+# and its value, the config entry, how to read the resolved value, the
+# flag's and the config's value as resolved, and the default
+def _battery(field):
+    from sipcraft.stats.battery import BatteryConfig
+
+    return lambda s: getattr(BatteryConfig.from_dict(s.battery), field)
+
+
+@pytest.mark.parametrize("command, flag, config, read, from_flag, from_config, default", [
+    ("validate", ["--data", "a.csv"], {"data": "b.csv"}, lambda s: s.data, "a.csv", "b.csv", None),
+    ("validate", ["--schedule", "a.csv"], {"schedule": "b.csv"}, lambda s: s.schedule,
+     "a.csv", "b.csv", None),
+    ("simulate", ["--format", "csv"], {"format": "json"}, lambda s: s.format,
+     "csv", "json", "markdown"),
+    ("compare", ["--amount", "5"], {"amount": 7}, lambda s: s.amount, 5.0, 7.0, 10_000.0),
+    ("compare", ["--durations", "3,1"], {"durations": [5]}, lambda s: s.durations,
+     [1, 3], [5], [1, 3, 5, 10, 20]),
+    ("simulate", ["--strategy", "exp"], {"strategy": "ftd"}, lambda s: s.strategy,
+     "exp", "ftd", None),
+    ("simulate", ["--start-year", "2010"], {"start_year": 2012}, lambda s: s.start_year,
+     2010, 2012, None),
+    ("simulate", ["--years", "3"], {"years": 4}, lambda s: s.years, 3, 4, None),
+    ("compare", ["--seed", "5"], {"stats": {"seed": 6}}, _battery("seed"), 5, 6, 42),
+    ("compare", ["--resamples", "2000"], {"stats": {"B": 3000}}, _battery("resamples"),
+     2000, 3000, 10000),
+    ("compare", ["--alpha", "0.1"], {"stats": {"alpha": 0.2}}, _battery("alpha"), 0.1, 0.2, 0.05),
+], ids=["data", "schedule", "format", "amount", "durations", "strategy", "start_year", "years",
+        "seed", "resamples", "alpha"])
+def test_settings_precedence(tmp_path, monkeypatch, command, flag, config, read,
+                             from_flag, from_config, default):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+
+    def resolve(argv, env_seed=None):
+        if env_seed is None:
+            monkeypatch.delenv(ENV_SEED, raising=False)
+        else:
+            monkeypatch.setenv(ENV_SEED, env_seed)
+        return read(resolve_settings(build_parser().parse_args([command] + argv)))
+
+    assert resolve([]) == default
+    assert resolve(["--config", str(cfg)]) == from_config
+    assert resolve(["--config", str(cfg)] + flag) == from_flag
+    if flag[0] == "--seed":
+        # the environment sits between the config file and the default
+        assert resolve([], env_seed="9") == 9
+        assert resolve(["--config", str(cfg)], env_seed="9") == from_config
+        assert resolve(["--config", str(cfg)] + flag, env_seed="9") == from_flag
+
+
+def test_settings_defaults_match_the_engine():
+    # the CLI repeats these so that resolving settings loads no engine
+    from sipcraft import cli, engine
+
+    assert cli.DEFAULT_AMOUNT == engine.DEFAULT_MONTHLY_AMOUNT
+    assert cli.DEFAULT_DURATIONS == engine.SUPPORTED_DURATIONS
+
+
+# each of these overflowed a C long or a float and ended in a traceback
+@pytest.mark.parametrize("argv, config, message", [
+    (["simulate", "--data", "{data}", "--strategy", "ftd", "--start-year", str(10**20),
+      "--years", "1"], None, f"start_year must be an integer in 2..9999, got {10**20}"),
+    (["fixtures", "--years", str(10**20)], None,
+     f"years must be an integer in 1..7997, got {10**20}"),
+    (["fixtures", "--start-year", str(10**20)], None,
+     f"start_year must be an integer in 2..9999, got {10**20}"),
+    (["compare", "--data", "{data}", "--durations", "1", "--resamples", "1000"],
+     {"amount": 10**400}, f"amount must be a number in float range, got {10**400}"),
+], ids=["simulate-start_year", "fixtures-years", "fixtures-start_year", "compare-amount"])
+def test_out_of_range_numbers_exit_2(flat_csv, tmp_path, capsys, argv, config, message):
+    argv = [a.format(data=flat_csv) for a in argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sipcraft: error: {message}\n"
+
+
+def test_config_rejects_unknown_key(series_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"durration": [1], "amount": 5}))
+    rc = main(["compare", "--data", str(series_csv), "--config", str(cfg)])
+    assert rc == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sipcraft: error: unknown config keys: ['durration']\n"
+
+
+def test_one_config_serves_every_command(series_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "data": str(series_csv), "schedule": None, "format": "json", "amount": 500,
+        "durations": [1], "strategy": "exp", "start_year": 2010, "years": 2,
+        "stats": {"B": 1000}}))
+    for command in ("validate", "simulate", "compare"):
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)
+
+
+def test_fixtures_takes_no_config_flag(tmp_path, capsys):
+    # fixtures never read a config file; its output depends on its flags only
+    with pytest.raises(SystemExit) as exc:
+        main(["fixtures", "--config", str(tmp_path / "cfg.json")])
+    assert exc.value.code == EXIT_ERROR
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def test_simulate_rejects_infinite_amount(flat_csv, capsys):
     rc = main(["simulate", "--data", str(flat_csv), "--strategy", "ftd",
                "--start-year", "2020", "--years", "1", "--amount", "inf",
@@ -357,7 +476,7 @@ def test_each_command_imports_only_its_layers(series_csv, tmp_path, argv, rc, le
     else:
         assert "sipcraft.engine" in loaded
     if argv[0] == "simulate":
-        assert not set(BATTERY) & set(modules)
+        assert not set(BATTERY + ("sipcraft.report",)) & set(modules)
 
 
 def test_compare_and_fixtures_never_load_numpy(series_csv, tmp_path):

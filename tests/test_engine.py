@@ -144,6 +144,14 @@ def test_simulate_names_missing_terminal():
         simulate(plan, short, table_short)
 
 
+@pytest.mark.parametrize("amount", [1e308, 5e-324], ids=["overflow", "underflow"])
+def test_simulate_rejects_ledger_out_of_float_range(flat_year_series, amount):
+    table = build_table(flat_year_series, 2020, 1)
+    with pytest.raises(SimulationError, match=r"^plan 2020\.\.2020 \(ftd\): final value .* "
+                                              r"is out of float range$"):
+        simulate(SipPlan(Strategy.FTD, 2020, 1, amount), flat_year_series, table)
+
+
 def test_paired_run_flat_sample(flat_year_series):
     # restrict to the single 2020 window by reusing the 1y grid entry
     series = weekday_series(datetime.date(2002, 12, 2), datetime.date(2024, 12, 31), 100.0)

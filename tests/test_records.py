@@ -7,6 +7,7 @@ import pkgutil
 import pytest
 
 import sipcraft
+from sipcraft.cli import Settings
 from sipcraft.engine import Execution, SipPlan, SipResult, Window, WindowOutcome
 from sipcraft.report import BoxplotSummary, WindowRow
 from sipcraft.schedule import MonthKey, MonthSchedule, ScheduleAnomaly, Strategy
@@ -37,6 +38,7 @@ EXAMPLES = [
     BatteryConfig(),
     WindowRow(2003, 2003, 1, 1.0, 2.0, 1.0),
     BoxplotSummary(1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 5.0, ()),
+    Settings("series.csv", None, "json", 10_000.0, [1], "ftd", 2003, 1, {"B": 1000}),
 ]
 
 

@@ -46,6 +46,20 @@ def test_month_key_validation_and_order():
     assert MonthKey.of(datetime.date(2020, 5, 17)) == MonthKey(2020, 5)
 
 
+@pytest.mark.parametrize("key, last", [
+    (MonthKey(1900, 2), datetime.date(1900, 2, 28)),  # a century, not a leap year
+    (MonthKey(2000, 2), datetime.date(2000, 2, 29)),  # divisible by 400, a leap year
+    (MonthKey(2024, 2), datetime.date(2024, 2, 29)),
+    (MonthKey(2023, 2), datetime.date(2023, 2, 28)),
+    (MonthKey(2024, 4), datetime.date(2024, 4, 30)),
+    (MonthKey(2024, 12), datetime.date(2024, 12, 31)),
+    (MonthKey(datetime.MAXYEAR, 12), datetime.date(datetime.MAXYEAR, 12, 31)),
+])
+def test_month_key_first_and_last_day(key, last):
+    assert key.first_day() == datetime.date(key.year, key.month, 1)
+    assert key.last_day() == last
+
+
 @given(month_keys)
 def test_month_key_prev_next_inverse(key):
     assert key.prev().next() == key
@@ -127,6 +141,11 @@ def test_load_overrides_oversized_header_field():
 def test_load_overrides_invalid_day_of_month():
     with pytest.raises(SeriesFormatError, match="not a valid day"):
         load_schedule_overrides("year,month,ftd_dom,expiry_dom\n2003,2,30,27\n")
+
+
+def test_load_overrides_year_beyond_c_long():
+    with pytest.raises(SeriesFormatError, match="^line 2: ftd_dom 1 is not a valid day of "):
+        load_schedule_overrides("year,month,ftd_dom,expiry_dom\n100000000000000000000,1,1,\n")
 
 
 def test_load_overrides_duplicate_month():
