@@ -11,27 +11,23 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import os
 import sys
-from datetime import MAXYEAR, MINYEAR
 from typing import NamedTuple
 
 from ._version import VERSION
-from .errors import SipcraftError
-from .schedule import MonthKey, Strategy, build_schedule, load_schedule_overrides
-from .synth import KINDS, generate_series
-from .timeseries import parse_series
 
 
 def _deferred(module: str, name: str):
     """Stand-in for ``module.name`` that imports ``module`` on its first call.
 
-    The engine, battery and report layers are imported only by the handlers
-    that run them, so ``--version``, ``validate`` and ``fixtures`` never load
-    them. The functions ``cmd_compare`` calls stay attributes of this module
-    all the same: ``perfbench/trace_child.py`` times each layer by wrapping
-    them here, so ``cmd_compare`` must look them up in this module's globals.
+    Every layer is imported only by the handlers that run it, so
+    ``--version`` loads no sipcraft module beyond this one, ``validate``
+    loads no engine and no ``synth``, and ``fixtures`` no schedule. The
+    functions the handlers call in the timeseries, schedule, engine, battery
+    and report layers stay attributes of this module all the same:
+    ``perfbench/trace_child.py`` times each layer by wrapping them here, so
+    the handlers must look them up in this module's globals.
     """
     def call(*args, **kwargs):
         return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
@@ -39,6 +35,9 @@ def _deferred(module: str, name: str):
     return call
 
 
+parse_series = _deferred(".timeseries", "parse_series")
+load_schedule_overrides = _deferred(".schedule", "load_schedule_overrides")
+build_schedule = _deferred(".schedule", "build_schedule")
 paired_run = _deferred(".engine", "paired_run")
 run_battery = _deferred(".stats.battery", "run_battery")
 boxplot_summary = _deferred(".report", "boxplot_summary")
@@ -54,9 +53,11 @@ ENV_SEED = "SIPCRAFT_SEED"
 CONFIG_KEYS = ("data", "schedule", "format", "amount", "durations", "strategy",
                "start_year", "years", "stats")
 FORMATS = ("markdown", "csv", "json")
-STRATEGIES = tuple(s.value for s in Strategy)
-# engine.DEFAULT_MONTHLY_AMOUNT and engine.SUPPORTED_DURATIONS, repeated here
-# so that resolving settings loads no engine; a test keeps them equal
+# schedule.Strategy's values, synth.KINDS, engine.DEFAULT_MONTHLY_AMOUNT and
+# engine.SUPPORTED_DURATIONS, repeated here so that building the parser and
+# resolving settings load none of those modules; a test keeps them equal
+STRATEGIES = ("ftd", "exp")
+KINDS = ("flat", "growth", "walk")
 DEFAULT_AMOUNT = 10_000.0
 DEFAULT_DURATIONS = (1, 3, 5, 10, 20)
 
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--alpha", type=float)
     p_cmp.add_argument("--format", choices=FORMATS)
 
-    p_fix.add_argument("--kind", choices=list(KINDS), default="flat")
+    p_fix.add_argument("--kind", choices=KINDS, default="flat")
     p_fix.add_argument("--start-year", type=int, default=2003)
     p_fix.add_argument("--years", type=int, default=1)
     p_fix.add_argument("--seed", type=int, default=0)
@@ -131,10 +132,10 @@ def _durations(raw) -> list[int]:
     if not isinstance(raw, list) or any(type(v) is not int for v in raw):
         raise _bad("durations", "integers", raw)
     if not raw:
-        raise SipcraftError("durations list is empty")
+        raise ValueError("durations list is empty")
     bad = [v for v in raw if v not in DEFAULT_DURATIONS]
     if bad:
-        raise SipcraftError(f"unsupported durations {bad}, expected a subset of {list(DEFAULT_DURATIONS)}")
+        raise ValueError(f"unsupported durations {bad}, expected a subset of {list(DEFAULT_DURATIONS)}")
     return sorted(set(raw))
 
 
@@ -143,8 +144,12 @@ def resolve_settings(args) -> Settings:
     (seed only) > default. A config key given as null counts as given.
     BatteryConfig checks the stats keys when ``compare`` builds it.
     """
+    from datetime import MAXYEAR, MINYEAR
+
     cfg = {}
     if getattr(args, "config", None):
+        import json
+
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 cfg = json.load(fh)
@@ -216,7 +221,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _load_inputs(settings: Settings):
     if not settings.data:
-        raise SipcraftError("no data file given (use --data or the config file)")
+        raise ValueError("no data file given (use --data or the config file)")
     with open(settings.data, "r", encoding="utf-8-sig", newline="") as fh:
         series = parse_series(fh)
     overrides = None
@@ -227,6 +232,10 @@ def _load_inputs(settings: Settings):
 
 
 def cmd_validate(settings: Settings, args) -> int:
+    import json
+
+    from .schedule import MonthKey
+
     series, overrides = _load_inputs(settings)
     start = MonthKey(series.first_date.year, series.first_date.month)
     end = MonthKey(series.last_date.year, series.last_date.month)
@@ -246,10 +255,11 @@ def cmd_validate(settings: Settings, args) -> int:
 
 def cmd_simulate(settings: Settings, args) -> int:
     from .engine import SipPlan, simulate
+    from .schedule import MonthKey, Strategy
 
     series, overrides = _load_inputs(settings)
     if settings.strategy is None or settings.start_year is None or settings.years is None:
-        raise SipcraftError("simulate needs --strategy, --start-year and --years")
+        raise ValueError("simulate needs --strategy, --start-year and --years")
 
     plan = SipPlan(Strategy(settings.strategy), settings.start_year, settings.years,
                    settings.amount)
@@ -258,6 +268,8 @@ def cmd_simulate(settings: Settings, args) -> int:
     result = simulate(plan, series, table)
 
     if settings.format == "json":
+        import json
+
         payload = {
             "plan": {"strategy": plan.strategy.value, "start_year": plan.start_year,
                      "years": plan.years, "monthly_amount": plan.monthly_amount},
@@ -304,6 +316,7 @@ def cmd_simulate(settings: Settings, args) -> int:
 def cmd_compare(settings: Settings, args) -> int:
     from .engine import enumerate_windows
     from .report import WindowRow, tool_provenance
+    from .schedule import MonthKey
     from .stats.battery import BatteryConfig
 
     series, overrides = _load_inputs(settings)
@@ -353,18 +366,23 @@ def cmd_compare(settings: Settings, args) -> int:
 
 
 def cmd_fixtures(settings: Settings, args) -> int:
+    from .synth import generate_series
+    from .timeseries import serialize_series
+
     series = generate_series(kind=args.kind, start_year=settings.start_year, years=settings.years,
                              seed=args.seed, base=args.base, holiday_rate=args.holiday_rate)
-    _write_out(series.to_csv(), args.out)
+    _write_out(serialize_series(series), args.out)
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .errors import SipcraftError
+
     try:
         return args.handler(resolve_settings(args), args)
-    except (SipcraftError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (SipcraftError, OSError, ValueError) as exc:
         print(f"sipcraft: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -10,6 +10,7 @@ plan's years, deliberately not an IRR.
 from __future__ import annotations
 
 import math
+import sys
 from datetime import date as Date
 from typing import NamedTuple
 
@@ -166,10 +167,15 @@ def simulate(plan: SipPlan, series: IndexSeries, table: ScheduleTable) -> SipRes
         executions.append(Execution(month=key, date=date, price=price, units=bought))
     final_value = terminal_close * units
     invested = 12.0 * plan.monthly_amount * plan.years
-    # the amount cancels out of the CAGR, but an extreme amount or price over- or underflows
+    # the amount cancels out of the CAGR, but an extreme amount or price over- or
+    # underflows, and a subnormal installment keeps too few digits to cancel
+    where = f"plan {plan.start_year}..{plan.final_year} ({plan.strategy.value})"
     if not (0.0 < final_value < math.inf and invested < math.inf):
-        raise SimulationError(f"plan {plan.start_year}..{plan.final_year} ({plan.strategy.value}): "
-                              f"final value {final_value!r} on {invested!r} invested is out of float range")
+        raise SimulationError(f"{where}: final value {final_value!r} on {invested!r} invested "
+                              "is out of float range")
+    fewest = min(e.units for e in executions)
+    if fewest < sys.float_info.min:
+        raise SimulationError(f"{where}: {fewest!r} units in one installment is out of float range")
     return SipResult(
         plan=plan,
         units=units,

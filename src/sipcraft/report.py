@@ -25,9 +25,7 @@ __all__ = [
     "WindowRow",
     "BoxplotSummary",
     "render_window_table",
-    "parse_window_table",
     "render_metrics_table",
-    "parse_metrics_table",
     "boxplot_summary",
     "file_sha256",
     "render_bundle",
@@ -143,28 +141,6 @@ def render_window_table(rows: list[WindowRow], format: str = "markdown") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_window_table(text: str, format: str) -> list[WindowRow]:
-    """Inverse of render_window_table for csv and json."""
-    if format == "json":
-        return [WindowRow.from_json_dict(d) for d in json.loads(text)]
-    if format == "csv":
-        reader = csv.DictReader(io.StringIO(text))
-        rows = []
-        for rec in reader:
-            rows.append(WindowRow(
-                from_year=int(rec["from_year"]),
-                to_year=int(rec["to_year"]),
-                years=int(rec["years"]),
-                cagr_f=float(rec["cagr_ftd"]),
-                cagr_e=float(rec["cagr_exp"]),
-                difference=float(rec["difference"]),
-                difference_of_rounded=(float(rec["difference_of_rounded"])
-                                       if rec["difference_of_rounded"] else None),
-            ))
-        return rows
-    raise ValueError(f"parse supports csv and json, got {format!r}")
-
-
 def _na(report_dict: dict, cell: str) -> str | None:
     reason = report_dict["not_applicable"].get(cell)
     return f"not applicable: {reason}" if reason is not None else None
@@ -275,12 +251,6 @@ def render_metrics_table(reports: list, format: str = "markdown") -> str:
     for name, cells in rows:
         lines.append("| " + name + " | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
-
-
-def parse_metrics_table(text: str) -> list[dict]:
-    """Inverse of the JSON metrics rendering; returns the horizon dictionaries."""
-    data = json.loads(text)
-    return data["horizons"]
 
 
 class BoxplotSummary(NamedTuple):

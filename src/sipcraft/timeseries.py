@@ -144,9 +144,6 @@ class IndexSeries:
         hi = bisect_left(self._dates, upper)
         return self._dates[lo:hi]
 
-    def to_csv(self) -> str:
-        return serialize_series(self)
-
 
 def _normalize_header_cell(cell: str) -> str:
     return cell.lstrip("﻿").strip().lower()

@@ -331,11 +331,14 @@ def test_settings_precedence(tmp_path, monkeypatch, command, flag, config, read,
 
 
 def test_settings_defaults_match_the_engine():
-    # the CLI repeats these so that resolving settings loads no engine
-    from sipcraft import cli, engine
+    # the CLI repeats these so that building the parser and resolving
+    # settings load no engine, schedule or synth
+    from sipcraft import cli, engine, schedule, synth
 
     assert cli.DEFAULT_AMOUNT == engine.DEFAULT_MONTHLY_AMOUNT
     assert cli.DEFAULT_DURATIONS == engine.SUPPORTED_DURATIONS
+    assert cli.STRATEGIES == tuple(s.value for s in schedule.Strategy)
+    assert cli.KINDS == synth.KINDS
 
 
 # each of these overflowed a C long or a float and ended in a traceback
@@ -400,6 +403,32 @@ def test_simulate_rejects_infinite_amount(flat_csv, capsys):
     assert "must be positive and finite" in captured.err
 
 
+SIMULATE_2010 = ["simulate", "--strategy", "ftd", "--start-year", "2010", "--years", "3",
+                 "--format", "json"]
+
+
+@pytest.mark.parametrize("argv", [
+    SIMULATE_2010,
+    ["compare", "--durations", "1", "--resamples", "1000", "--format", "json"],
+], ids=["simulate", "compare"])
+def test_subnormal_amount_exits_2(series_csv, capsys, argv):
+    # 1e-310 buys subnormal units, whose few digits moved the CAGR silently
+    assert main(argv + ["--data", str(series_csv), "--amount", "1e-310"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("sipcraft: error: plan ")
+    assert captured.err.endswith("units in one installment is out of float range\n")
+
+
+def test_tiny_normal_amount_keeps_the_cagr(series_csv, capsys):
+    def cagr(*amount):
+        assert main(SIMULATE_2010 + ["--data", str(series_csv), *amount]) == EXIT_OK
+        return json.loads(capsys.readouterr().out)["cagr_percent"]
+
+    assert cagr("--amount", "1e-300") == cagr()
+
+
 def test_compare_markdown_to_stdout(series_csv, capsys):
     rc = main(["compare", "--data", str(series_csv), "--durations", "5",
                "--resamples", "1000"])
@@ -430,53 +459,61 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-# the engine, battery and report layers; a command that runs none of them
-# must not import them
-LAYERS = ("sipcraft.engine", "sipcraft.stats", "sipcraft.report")
-# the statistics a simulate does not run
-BATTERY = ("sipcraft.stats.battery", "sipcraft.stats.bootstrap", "sipcraft.stats.dominance")
+# the sipcraft modules every command loads: argparse needs nothing else
+START = ("sipcraft", "sipcraft._version", "sipcraft.cli")
+# the input layers that validate, simulate and compare read through
+INPUTS = ("sipcraft.errors", "sipcraft.schedule", "sipcraft.timeseries")
+# the engine and the one statistics module it builds its sample with
+ENGINE = ("sipcraft.engine", "sipcraft.stats", "sipcraft.stats.paired", "sipcraft.stats.special")
+# the battery and report layers only compare runs
+BATTERY = ("sipcraft.report", "sipcraft.stats.battery", "sipcraft.stats.bootstrap",
+           "sipcraft.stats.dominance")
+# stdlib modules --version has no use for
+UNUSED_AT_START = ("json", "csv", "datetime", "hashlib")
 
 
-@pytest.mark.parametrize("argv, rc, lean", [
-    (["--version"], EXIT_OK, True),
+@pytest.mark.parametrize("argv, rc, layers", [
+    (["--version"], EXIT_OK, ()),
     # override dates the walk series does not trade on are anomalies
-    (["validate", "--data", "{data}", "--schedule", "{schedule}"], EXIT_ANOMALIES, True),
-    (["validate", "--data", "{data}"], EXIT_OK, True),
-    (["fixtures", "--kind", "walk", "--out", "{out}"], EXIT_OK, True),
+    (["validate", "--data", "{data}", "--schedule", "{schedule}"], EXIT_ANOMALIES, INPUTS),
+    (["validate", "--data", "{data}"], EXIT_OK, INPUTS),
+    (["fixtures", "--kind", "walk", "--out", "{out}"], EXIT_OK,
+     ("sipcraft.errors", "sipcraft.synth", "sipcraft.timeseries")),
     (["simulate", "--data", "{data}", "--strategy", "exp", "--start-year", "2010",
-      "--years", "3", "--out", "{out}"], EXIT_OK, False),
-    (["compare", "--data", "{data}", "--resamples", "1000", "--out", "{out}"], EXIT_OK, False),
+      "--years", "3", "--out", "{out}"], EXIT_OK, INPUTS + ENGINE),
+    (["compare", "--data", "{data}", "--resamples", "1000", "--out", "{out}"], EXIT_OK,
+     INPUTS + ENGINE + BATTERY),
 ], ids=["version", "validate-overrides", "validate", "fixtures", "simulate", "compare"])
-def test_each_command_imports_only_its_layers(series_csv, tmp_path, argv, rc, lean):
+def test_each_command_imports_only_its_layers(series_csv, tmp_path, argv, rc, layers):
     paths = {"data": str(series_csv), "schedule": str(DATA / "schedule_overrides.csv"),
              "out": str(tmp_path / "out")}
     argv = [a.format(**paths) for a in argv]
-    # a fresh interpreter per command; only sipcraft's own modules are compared,
-    # since the stdlib's import graph differs between Python versions; the
-    # records are NamedTuples, so no command needs dataclasses (which loads
-    # inspect and ast)
+    # a fresh interpreter per command; sipcraft's own modules are pinned
+    # exactly, while of the stdlib only what the probe loads after its first
+    # line counts, since the interpreter's site hooks and Python version load
+    # their own; the records are NamedTuples, so no command needs dataclasses
+    # (which loads inspect and ast)
     probe = (
-        "import json, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
         "from sipcraft.cli import main\n"
         "try:\n"
         f"    rc = main({argv!r})\n"
         "except SystemExit as exc:\n"
         "    rc = exc.code\n"
-        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('sipcraft.')),\n"
-        "                  'dataclasses' in sys.modules]))\n"
+        "after = set(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([rc, sorted(m for m in after if m.split('.')[0] == 'sipcraft'),\n"
+        "                  sorted(after - before), 'dataclasses' in after]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    got_rc, modules, dataclasses_loaded = json.loads(proc.stdout.splitlines()[-1])
+    got_rc, modules, loaded, dataclasses_loaded = json.loads(proc.stdout.splitlines()[-1])
     assert got_rc == rc, proc.stderr
     assert not dataclasses_loaded
-    loaded = [m for m in modules if m in LAYERS or m.startswith("sipcraft.stats.")]
-    if lean:
-        assert loaded == []
-    else:
-        assert "sipcraft.engine" in loaded
-    if argv[0] == "simulate":
-        assert not set(BATTERY + ("sipcraft.report",)) & set(modules)
+    assert modules == sorted(START + layers)
+    if argv == ["--version"]:
+        assert not set(UNUSED_AT_START) & set(loaded)
 
 
 def test_compare_and_fixtures_never_load_numpy(series_csv, tmp_path):

@@ -1,5 +1,7 @@
 """Reporting layer: rounding rules, table round-trips, boxplots, provenance."""
 
+import csv
+import io
 import json
 
 import jsonschema
@@ -12,8 +14,6 @@ from sipcraft.report import (
     WindowRow,
     boxplot_summary,
     file_sha256,
-    parse_metrics_table,
-    parse_window_table,
     render_bundle,
     render_metrics_table,
     render_window_table,
@@ -22,6 +22,27 @@ from sipcraft.report import (
 from sipcraft.stats import BatteryConfig, PairedSample, run_battery
 
 from conftest import ROOT
+
+
+def parse_window_table(text: str, format: str) -> list[WindowRow]:
+    """Inverse of render_window_table for csv and json."""
+    if format == "json":
+        return [WindowRow.from_json_dict(d) for d in json.loads(text)]
+    return [WindowRow(
+        from_year=int(rec["from_year"]),
+        to_year=int(rec["to_year"]),
+        years=int(rec["years"]),
+        cagr_f=float(rec["cagr_ftd"]),
+        cagr_e=float(rec["cagr_exp"]),
+        difference=float(rec["difference"]),
+        difference_of_rounded=(float(rec["difference_of_rounded"])
+                               if rec["difference_of_rounded"] else None),
+    ) for rec in csv.DictReader(io.StringIO(text))]
+
+
+def parse_metrics_table(text: str) -> list[dict]:
+    """Inverse of the JSON metrics rendering; returns the horizon dictionaries."""
+    return json.loads(text)["horizons"]
 
 
 def outcome(f, e, from_year=2003, to_year=2003):
