@@ -47,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
         config = BatteryConfig()
 
     samples = load_samples(args.table)
-    reports = [run_battery(sample, config, label=f"{years}y")
+    reports = [run_battery(sample, config, label=f"{years}y").to_json_dict()
                for years, sample in samples.items()]
     sys.stdout.write(render_metrics_table(reports, args.format))
     return 0

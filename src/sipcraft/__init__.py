@@ -44,7 +44,6 @@ _EXPORTS = {
         "Window",
         "WindowOutcome",
         "cagr",
-        "cagr_via_lemma",
         "enumerate_windows",
         "paired_run",
         "simulate",

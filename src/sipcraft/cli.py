@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--amount", type=float)
     p_sim.add_argument("--format", choices=FORMATS)
     p_cmp.add_argument("--durations", help="comma-separated subset of 1,3,5,10,20")
-    p_cmp.add_argument("--amount", type=float)
     p_cmp.add_argument("--seed", type=int)
     p_cmp.add_argument("--resamples", type=int)
     p_cmp.add_argument("--alpha", type=float)
@@ -183,6 +182,9 @@ def resolve_settings(args) -> Settings:
         amount = float(amount)
     except OverflowError:
         raise _bad("amount", "a number in float range", amount) from None
+    # compare never uses the amount, but one config serves every command
+    if not 0.0 < amount < float("inf"):
+        raise _bad("amount", "positive and finite", amount)
 
     # a plan or a fixture spans December of start_year - 1 through December
     # of its last year, and every one of those dates must be a datetime.date
@@ -332,7 +334,7 @@ def cmd_compare(settings: Settings, args) -> int:
     metrics = []
     boxplots: dict[str, dict] = {}
     for duration in settings.durations:
-        sample, outcomes = paired_run(duration, series, table, settings.amount)
+        sample, outcomes = paired_run(duration, series, table)
         window_tables[f"{duration}y"] = [WindowRow.from_outcome(o).to_json_dict() for o in outcomes]
         # the 20-year horizon has a single window, so the battery reduces to
         # descriptive cells by construction (n=1 keeps every test cell n/a)
@@ -350,7 +352,6 @@ def cmd_compare(settings: Settings, args) -> int:
         "schedule_sha256": file_sha256(settings.schedule) if settings.schedule else None,
         "schedule_source": "overrides+computed" if settings.schedule else "computed",
         "durations": settings.durations,
-        "amount": settings.amount,
         "battery_config": battery_config.to_json_dict(),
         "anomaly_count": len(anomalies),
     })

@@ -4,7 +4,8 @@ A plan invests a fixed amount every month, January through December of each
 year in its window, at the execution date of its strategy. The terminal
 valuation always uses the last trading day of December of the final year,
 whatever the strategy. CAGR is the total-value ratio annualized over the
-plan's years, deliberately not an IRR.
+plan's years, deliberately not an IRR; the monthly amount cancels out of
+it, so it is computed from the prices alone.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "WindowOutcome",
     "cagr",
     "simulate",
-    "cagr_via_lemma",
     "enumerate_windows",
     "paired_run",
 ]
@@ -156,9 +156,37 @@ def _installments(
     return installments, terminal_date, series.close_on(terminal_date)
 
 
+def _where(plan: SipPlan) -> str:
+    return f"plan {plan.start_year}..{plan.final_year} ({plan.strategy.value})"
+
+
+def _cagr_of(plan: SipPlan, installments: list[tuple[MonthKey, Date, float]],
+             terminal_close: float) -> float:
+    """CAGR from the amount-free form ((I_L * sum(1/I_i)) / (12N))^(1/N) - 1.
+
+    The monthly amount cancels out of the total-value ratio, so the CAGR of
+    every plan comes from here and needs no monetary input at all.
+    """
+    inverses = [1.0 / price for _, _, price in installments]
+    # a subnormal term keeps too few digits, and the ratio must stay a float
+    smallest = min(inverses)
+    if smallest < sys.float_info.min:
+        raise SimulationError(f"{_where(plan)}: 1/price {smallest!r} in one installment "
+                              "is out of float range")
+    ratio = terminal_close * math.fsum(inverses)
+    if not 0.0 < ratio < math.inf:
+        raise SimulationError(f"{_where(plan)}: value ratio {ratio!r} is out of float range")
+    return cagr(ratio, 12.0 * plan.years, plan.years)
+
+
 def simulate(plan: SipPlan, series: IndexSeries, table: ScheduleTable) -> SipResult:
-    """Run the plan: 12N installments, then terminal valuation."""
+    """Run the plan: 12N installments, then terminal valuation.
+
+    The ledger (units, invested, final value) is for printing; the CAGR is
+    the amount-free one that ``paired_run`` reports for the same window.
+    """
     installments, terminal_date, terminal_close = _installments(plan, series, table)
+    cagr_percent = _cagr_of(plan, installments, terminal_close)
     executions: list[Execution] = []
     units = 0.0
     for key, date, price in installments:
@@ -167,9 +195,9 @@ def simulate(plan: SipPlan, series: IndexSeries, table: ScheduleTable) -> SipRes
         executions.append(Execution(month=key, date=date, price=price, units=bought))
     final_value = terminal_close * units
     invested = 12.0 * plan.monthly_amount * plan.years
-    # the amount cancels out of the CAGR, but an extreme amount or price over- or
-    # underflows, and a subnormal installment keeps too few digits to cancel
-    where = f"plan {plan.start_year}..{plan.final_year} ({plan.strategy.value})"
+    # an extreme amount over- or underflows the ledger, and a subnormal
+    # installment keeps too few digits to print
+    where = _where(plan)
     if not (0.0 < final_value < math.inf and invested < math.inf):
         raise SimulationError(f"{where}: final value {final_value!r} on {invested!r} invested "
                               "is out of float range")
@@ -181,25 +209,11 @@ def simulate(plan: SipPlan, series: IndexSeries, table: ScheduleTable) -> SipRes
         units=units,
         invested=invested,
         final_value=final_value,
-        cagr_percent=cagr(final_value, invested, plan.years),
+        cagr_percent=cagr_percent,
         terminal_date=terminal_date,
         terminal_close=terminal_close,
         executions=tuple(executions),
     )
-
-
-def cagr_via_lemma(plan: SipPlan, series: IndexSeries, table: ScheduleTable) -> float:
-    """CAGR from the amount-free form ((I_L * sum(1/I_i)) / (12N))^(1/N) - 1.
-
-    The monthly amount cancels out of the CAGR, so this needs no monetary
-    input at all; it must agree with simulate() to float precision.
-    """
-    installments, _, terminal_close = _installments(plan, series, table)
-    inv_sum = 0.0
-    for _, _, price in installments:
-        inv_sum += 1.0 / price
-    ratio = terminal_close * inv_sum / (12.0 * plan.years)
-    return (ratio ** (1.0 / plan.years) - 1.0) * 100.0
 
 
 def enumerate_windows(duration: int) -> list[Window]:
@@ -218,24 +232,21 @@ def enumerate_windows(duration: int) -> list[Window]:
 
 
 def paired_run(
-    duration: int,
-    series: IndexSeries,
-    table: ScheduleTable,
-    monthly_amount: float = DEFAULT_MONTHLY_AMOUNT,
+    duration: int, series: IndexSeries, table: ScheduleTable,
 ) -> tuple[PairedSample, list[WindowOutcome]]:
-    """Simulate both strategies over every window of the duration.
+    """Both strategies' CAGRs over every window of the duration.
 
     Returns the aligned paired sample (ordered by window start year) plus
     the full-precision per-window outcomes for reporting.
     """
-    outcomes: list[WindowOutcome] = []
-    for window in enumerate_windows(duration):
-        ftd = simulate(SipPlan(Strategy.FTD, window.from_year, window.years, monthly_amount),
-                       series, table)
-        exp = simulate(SipPlan(Strategy.EXP, window.from_year, window.years, monthly_amount),
-                       series, table)
-        outcomes.append(WindowOutcome(window=window, cagr_ftd=ftd.cagr_percent,
-                                      cagr_exp=exp.cagr_percent))
+    def plan_cagr(strategy: Strategy, window: Window) -> float:
+        plan = SipPlan(strategy, window.from_year, window.years)
+        installments, _, terminal_close = _installments(plan, series, table)
+        return _cagr_of(plan, installments, terminal_close)
+
+    outcomes = [WindowOutcome(window, plan_cagr(Strategy.FTD, window),
+                              plan_cagr(Strategy.EXP, window))
+                for window in enumerate_windows(duration)]
     sample = PairedSample(
         exp_values=[o.cagr_exp for o in outcomes],
         ftd_values=[o.cagr_ftd for o in outcomes],

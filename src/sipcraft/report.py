@@ -77,33 +77,21 @@ class WindowRow(NamedTuple):
             "difference_of_rounded": self.difference_of_rounded,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "WindowRow":
-        return cls(
-            from_year=int(data["from_year"]),
-            to_year=int(data["to_year"]),
-            years=int(data["years"]),
-            cagr_f=float(data["cagr_ftd"]),
-            cagr_e=float(data["cagr_exp"]),
-            difference=float(data["difference"]),
-            difference_of_rounded=(None if data.get("difference_of_rounded") is None
-                                   else float(data["difference_of_rounded"])),
-        )
-
 
 def _check_format(format: str) -> None:
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
 
 
-def render_window_table(rows: list[WindowRow], format: str = "markdown") -> str:
-    """Stable-order window table; markdown, csv, or json."""
+def render_window_table(rows: list[dict], format: str = "markdown") -> str:
+    """Stable-order window table of ``WindowRow.to_json_dict()`` rows;
+    markdown, csv, or json."""
     _check_format(format)
     if not rows:
         raise ValueError("window table needs at least one row")
 
     if format == "json":
-        return json.dumps([r.to_json_dict() for r in rows], indent=2) + "\n"
+        return json.dumps(rows, indent=2) + "\n"
 
     if format == "csv":
         buf = io.StringIO()
@@ -111,9 +99,9 @@ def render_window_table(rows: list[WindowRow], format: str = "markdown") -> str:
         writer.writerow(WINDOW_FIELDS)
         for r in rows:
             writer.writerow([
-                r.from_year, r.to_year, r.years,
-                f"{r.cagr_f:.2f}", f"{r.cagr_e:.2f}", f"{r.difference:.2f}",
-                "" if r.difference_of_rounded is None else f"{r.difference_of_rounded:.2f}",
+                r["from_year"], r["to_year"], r["years"],
+                f"{r['cagr_ftd']:.2f}", f"{r['cagr_exp']:.2f}", f"{r['difference']:.2f}",
+                "" if r["difference_of_rounded"] is None else f"{r['difference_of_rounded']:.2f}",
             ])
         return buf.getvalue()
 
@@ -121,22 +109,22 @@ def render_window_table(rows: list[WindowRow], format: str = "markdown") -> str:
         "| From | To | Years | CAGR (F) | CAGR (E) | Difference |",
         "|------|------|-------|----------|----------|------------|",
     ]
-    flagged: list[WindowRow] = []
+    flagged: list[dict] = []
     for r in rows:
         marker = ""
-        if r.difference_of_rounded is not None:
+        if r["difference_of_rounded"] is not None:
             marker = " *"
             flagged.append(r)
         lines.append(
-            f"| {r.from_year} | {r.to_year} | {r.years} "
-            f"| {r.cagr_f:.2f} | {r.cagr_e:.2f} | {r.difference:.2f}{marker} |"
+            f"| {r['from_year']} | {r['to_year']} | {r['years']} "
+            f"| {r['cagr_ftd']:.2f} | {r['cagr_exp']:.2f} | {r['difference']:.2f}{marker} |"
         )
     lines.append("")
     lines.append("Difference = full-precision CAGR(E) - CAGR(F), rounded to 2 decimals.")
     for r in flagged:
         lines.append(
-            f"* {r.from_year}-{r.to_year}: subtracting the rounded columns "
-            f"gives {r.difference_of_rounded:.2f} instead."
+            f"* {r['from_year']}-{r['to_year']}: subtracting the rounded columns "
+            f"gives {r['difference_of_rounded']:.2f} instead."
         )
     return "\n".join(lines) + "\n"
 
@@ -212,30 +200,20 @@ def _metric_rows(report_dicts: list[dict]) -> list[tuple[str, list[str]]]:
     return rows
 
 
-def _as_dicts(reports: list) -> list[dict]:
-    # imported here: simulate imports this module and runs no battery
-    from .stats.battery import ComparisonReport
-
-    return [r.to_json_dict() if isinstance(r, ComparisonReport) else dict(r) for r in reports]
-
-
-def render_metrics_table(reports: list, format: str = "markdown") -> str:
-    """Battery metrics, one column per horizon.
-
-    Accepts ComparisonReport objects or their JSON dictionaries, so a parsed
-    JSON table re-renders to the identical bytes (render, parse, render is a
-    fixed point).
+def render_metrics_table(reports: list[dict], format: str = "markdown") -> str:
+    """Battery metrics of ``ComparisonReport.to_json_dict()`` dictionaries,
+    one column per horizon; a parsed JSON table re-renders to the identical
+    bytes (render, parse, render is a fixed point).
     """
     _check_format(format)
     if not reports:
         raise ValueError("metrics table needs at least one report")
-    dicts = _as_dicts(reports)
 
     if format == "json":
-        return json.dumps({"horizons": dicts}, indent=2) + "\n"
+        return json.dumps({"horizons": reports}, indent=2) + "\n"
 
-    labels = [d["label"] or f"horizon {i + 1}" for i, d in enumerate(dicts)]
-    rows = _metric_rows(dicts)
+    labels = [d["label"] or f"horizon {i + 1}" for i, d in enumerate(reports)]
+    rows = _metric_rows(reports)
 
     if format == "csv":
         buf = io.StringIO()
@@ -329,8 +307,7 @@ def render_bundle(bundle: dict, format: str = "markdown") -> str:
         parts = []
         for years, rows in bundle["windows"].items():
             parts.append(f"# windows {years}")
-            parts.append(render_window_table(
-                [WindowRow.from_json_dict(d) for d in rows], "csv").rstrip("\n"))
+            parts.append(render_window_table(rows, "csv").rstrip("\n"))
         parts.append("# metrics")
         parts.append(render_metrics_table(bundle["metrics"], "csv").rstrip("\n"))
         return "\n".join(parts) + "\n"
@@ -351,8 +328,7 @@ def render_bundle(bundle: dict, format: str = "markdown") -> str:
     for years, rows in bundle["windows"].items():
         lines.append(f"## Windows: {years}")
         lines.append("")
-        lines.append(render_window_table(
-            [WindowRow.from_json_dict(d) for d in rows], "markdown").rstrip("\n"))
+        lines.append(render_window_table(rows, "markdown").rstrip("\n"))
         lines.append("")
     lines.append("## Comparison metrics")
     lines.append("")

@@ -82,6 +82,30 @@ def weekday_series(start: datetime.date, end: datetime.date, close) -> IndexSeri
     return IndexSeries(days)
 
 
+def anchor_prices(series: IndexSeries, table, ftd: bool, start_year: int, years: int):
+    """The plan's 12N installment closes and its terminal close, read from
+    the schedule table and the series without the engine."""
+    prices = []
+    for year in range(start_year, start_year + years):
+        for month in range(1, 13):
+            key = MonthKey(year, month)
+            anchor = (table.get(key).first_trading_day if ftd
+                      else table.get(key.prev()).expiry_day)
+            prices.append(series.close_on(anchor))
+    final_year = start_year + years - 1
+    terminal = max(d for d in series.dates if d.year == final_year)
+    return prices, series.close_on(terminal)
+
+
+def ledger_cagr(prices, terminal_close: float, years: int, amount: float) -> float:
+    """CAGR in percent from a left-to-right ledger of ``amount / price`` units."""
+    units = 0.0
+    for price in prices:
+        units += amount / price
+    final = terminal_close * units
+    return ((final / (12.0 * amount * years)) ** (1.0 / years) - 1.0) * 100.0
+
+
 @pytest.fixture
 def flat_year_series() -> IndexSeries:
     """Constant-100 weekday series covering Dec 2019 through Dec 2020."""

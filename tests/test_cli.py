@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, config precedence, exit codes."""
 
+import datetime
 import json
 import os
 import subprocess
@@ -17,8 +18,9 @@ from sipcraft.cli import (
     main,
     resolve_settings,
 )
+from sipcraft.timeseries import serialize_series
 
-from conftest import DATA, ROOT
+from conftest import DATA, ROOT, weekday_series
 
 
 @pytest.fixture(scope="module")
@@ -294,7 +296,7 @@ def _battery(field):
      "a.csv", "b.csv", None),
     ("simulate", ["--format", "csv"], {"format": "json"}, lambda s: s.format,
      "csv", "json", "markdown"),
-    ("compare", ["--amount", "5"], {"amount": 7}, lambda s: s.amount, 5.0, 7.0, 10_000.0),
+    ("simulate", ["--amount", "5"], {"amount": 7}, lambda s: s.amount, 5.0, 7.0, 10_000.0),
     ("compare", ["--durations", "3,1"], {"durations": [5]}, lambda s: s.durations,
      [1, 3], [5], [1, 3, 5, 10, 20]),
     ("simulate", ["--strategy", "exp"], {"strategy": "ftd"}, lambda s: s.strategy,
@@ -407,10 +409,7 @@ SIMULATE_2010 = ["simulate", "--strategy", "ftd", "--start-year", "2010", "--yea
                  "--format", "json"]
 
 
-@pytest.mark.parametrize("argv", [
-    SIMULATE_2010,
-    ["compare", "--durations", "1", "--resamples", "1000", "--format", "json"],
-], ids=["simulate", "compare"])
+@pytest.mark.parametrize("argv", [SIMULATE_2010], ids=["simulate"])
 def test_subnormal_amount_exits_2(series_csv, capsys, argv):
     # 1e-310 buys subnormal units, whose few digits moved the CAGR silently
     assert main(argv + ["--data", str(series_csv), "--amount", "1e-310"]) == EXIT_ERROR
@@ -427,6 +426,44 @@ def test_tiny_normal_amount_keeps_the_cagr(series_csv, capsys):
         return json.loads(capsys.readouterr().out)["cagr_percent"]
 
     assert cagr("--amount", "1e-300") == cagr()
+
+
+def test_compare_takes_no_amount(series_csv, tmp_path, capsys):
+    # the amount cancels out of every CAGR, so compare has no flag for it
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--data", str(series_csv), "--amount", "5"])
+    assert exc.value.code == EXIT_ERROR
+    assert "unrecognized arguments: --amount" in capsys.readouterr().err
+
+    # and a config amount, which simulate would use, changes no byte
+    argv = ["compare", "--data", str(series_csv), "--format", "json", "--resamples", "1000"]
+    assert main(argv) == EXIT_OK
+    plain = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"amount": 7.3}))
+    assert main(argv + ["--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out == plain
+    assert "amount" not in json.loads(plain)["provenance"]
+
+
+@pytest.mark.parametrize("close, terminal_close, message", [
+    (1e-300, 1e300, "value ratio inf is out of float range"),
+    (1e300, 1e-300, "value ratio 0.0 is out of float range"),
+    # 1/price is subnormal for a close above about 4.49e307
+    (1e308, 1e308, "1/price 1e-308 in one installment is out of float range"),
+], ids=["overflow", "underflow", "subnormal-inverse"])
+def test_compare_rejects_prices_out_of_float_range(tmp_path, capsys, close, terminal_close,
+                                                   message):
+    # every close but the last of 2024 is `close`; the 20y window spans 2005..2024
+    def price(d):
+        return terminal_close if d == datetime.date(2024, 12, 31) else close
+    data = tmp_path / "extreme.csv"
+    data.write_text(serialize_series(
+        weekday_series(datetime.date(2004, 12, 1), datetime.date(2024, 12, 31), price)))
+    assert main(["compare", "--data", str(data), "--durations", "20"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sipcraft: error: plan 2005..2024 (ftd): {message}\n"
 
 
 def test_compare_markdown_to_stdout(series_csv, capsys):

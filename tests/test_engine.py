@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sipcraft.engine import (
-    DEFAULT_MONTHLY_AMOUNT,
     SUPPORTED_DURATIONS,
     SipPlan,
     Window,
     cagr,
-    cagr_via_lemma,
     enumerate_windows,
     paired_run,
     simulate,
@@ -21,7 +19,7 @@ from sipcraft.errors import SimulationError
 from sipcraft.schedule import MonthKey, Strategy, build_schedule
 from sipcraft.synth import generate_series
 
-from conftest import weekday_series
+from conftest import anchor_prices, ledger_cagr, weekday_series
 
 
 def build_table(series, start_year, years):
@@ -53,7 +51,8 @@ def test_two_level_series():
     assert res.units == pytest.approx(11.5, abs=1e-12)
     assert res.final_value == pytest.approx(2300.0, abs=1e-9)
     assert round(res.cagr_percent, 2) == 91.67
-    assert cagr_via_lemma(SipPlan(Strategy.FTD, 2020, 1), series, table) == pytest.approx(
+    prices, terminal_close = anchor_prices(series, table, True, 2020, 1)
+    assert ledger_cagr(prices, terminal_close, 1, 100.0) == pytest.approx(
         res.cagr_percent, rel=1e-12)
 
 
@@ -174,28 +173,33 @@ def test_paired_run_rows_align_with_windows(long_series, long_table):
 
 def test_paired_run_arithmetic_order_is_exact():
     # holidays move anchors off their nominal days; every CAGR must be
-    # bit-identical to a plain left-to-right loop over the same anchors
+    # bit-identical to the amount-free form over the same anchors,
+    # ((I_L * fsum(1/I_i)) / (12N))^(1/N) - 1, evaluated left to right
     series = generate_series("walk", 2003, 22, seed=11, holiday_rate=0.05)
     table = build_table(series, 2003, 22)
-    amount = DEFAULT_MONTHLY_AMOUNT
     for duration in SUPPORTED_DURATIONS:
         _, outcomes = paired_run(duration, series, table)
         for o in outcomes:
             years = o.window.years
-            terminal = [d for d in series.days if d.date.year == o.window.to_year][-1]
-            for strategy, got in ((Strategy.FTD, o.cagr_ftd), (Strategy.EXP, o.cagr_exp)):
-                units = 0.0
-                for year in range(o.window.from_year, o.window.to_year + 1):
-                    for month in range(1, 13):
-                        key = MonthKey(year, month)
-                        if strategy is Strategy.FTD:
-                            anchor = table.get(key).first_trading_day
-                        else:
-                            anchor = table.get(key.prev()).expiry_day
-                        units += amount / series.close_on(anchor)
-                final = terminal.close * units
-                want = ((final / (12.0 * amount * years)) ** (1.0 / years) - 1.0) * 100.0
-                assert got == want, (duration, o.window, strategy)
+            for ftd, got in ((True, o.cagr_ftd), (False, o.cagr_exp)):
+                prices, terminal_close = anchor_prices(series, table, ftd,
+                                                       o.window.from_year, years)
+                inverses = []
+                for price in prices:
+                    inverses.append(1.0 / price)
+                ratio = terminal_close * math.fsum(inverses)
+                want = ((ratio / (12.0 * years)) ** (1.0 / years) - 1.0) * 100.0
+                assert got == want, (duration, o.window, ftd)
+
+
+def test_simulate_cagr_is_the_paired_run_cagr(long_series, long_table):
+    # one CAGR path: the ledger simulate prints never feeds its CAGR
+    for duration in SUPPORTED_DURATIONS:
+        _, outcomes = paired_run(duration, long_series, long_table)
+        for o in outcomes:
+            for strategy, want in ((Strategy.FTD, o.cagr_ftd), (Strategy.EXP, o.cagr_exp)):
+                plan = SipPlan(strategy, o.window.from_year, o.window.years, 7.3)
+                assert simulate(plan, long_series, long_table).cagr_percent == want
 
 
 plan_cases = st.tuples(
@@ -216,7 +220,7 @@ def test_amount_invariance(case, amount):
     base = simulate(SipPlan(strategy, start_year, years), series, table)
     scaled = simulate(SipPlan(strategy, start_year, years, monthly_amount=amount),
                       series, table)
-    assert scaled.cagr_percent == pytest.approx(base.cagr_percent, rel=1e-9)
+    assert scaled.cagr_percent == base.cagr_percent
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,9 +229,11 @@ def test_lemma_identity(case):
     kind, start_year, years, seed, strategy = case
     series = generate_series(kind, start_year, years, seed=seed)
     table = build_table(series, start_year, years)
-    plan = SipPlan(strategy, start_year, years)
-    assert cagr_via_lemma(plan, series, table) == pytest.approx(
-        simulate(plan, series, table).cagr_percent, rel=1e-9)
+    prices, terminal_close = anchor_prices(series, table, strategy is Strategy.FTD,
+                                           start_year, years)
+    ledger = ledger_cagr(prices, terminal_close, years, 10_000.0)
+    assert ledger == pytest.approx(
+        simulate(SipPlan(strategy, start_year, years), series, table).cagr_percent, rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
