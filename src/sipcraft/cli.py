@@ -317,7 +317,7 @@ def cmd_simulate(settings: Settings, args) -> int:
 
 def cmd_compare(settings: Settings, args) -> int:
     from .engine import enumerate_windows
-    from .report import WindowRow, tool_provenance
+    from .report import tool_provenance, window_row
     from .schedule import MonthKey
     from .stats.battery import BatteryConfig
 
@@ -331,18 +331,16 @@ def cmd_compare(settings: Settings, args) -> int:
                                       MonthKey(first_year - 1, 12), MonthKey(last_year, 12))
 
     window_tables: dict[str, list[dict]] = {}
-    metrics = []
+    metrics: list[dict] = []
     boxplots: dict[str, dict] = {}
     for duration in settings.durations:
         sample, outcomes = paired_run(duration, series, table)
-        window_tables[f"{duration}y"] = [WindowRow.from_outcome(o).to_json_dict() for o in outcomes]
+        window_tables[f"{duration}y"] = [window_row(o) for o in outcomes]
         # the 20-year horizon has a single window, so the battery reduces to
         # descriptive cells by construction (n=1 keeps every test cell n/a)
-        metrics.append(run_battery(sample, battery_config, label=f"{duration}y"))
-        boxplots[f"{duration}y"] = {
-            "ftd": boxplot_summary(sample.ftd_values).to_json_dict(),
-            "exp": boxplot_summary(sample.exp_values).to_json_dict(),
-        }
+        metrics.append(run_battery(sample, battery_config, label=f"{duration}y")._asdict())
+        boxplots[f"{duration}y"] = {"ftd": boxplot_summary(sample.ftd_values),
+                                    "exp": boxplot_summary(sample.exp_values)}
 
     provenance = tool_provenance()
     provenance.update({
@@ -359,7 +357,7 @@ def cmd_compare(settings: Settings, args) -> int:
         "provenance": provenance,
         "anomalies": [a.to_json_dict() for a in anomalies],
         "windows": window_tables,
-        "metrics": [m.to_json_dict() for m in metrics],
+        "metrics": metrics,
         "boxplots": boxplots,
     }
     _write_out(render_bundle(bundle, settings.format), args.out)

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-from typing import NamedTuple
 
 from ._version import VERSION
 from .engine import WindowOutcome
@@ -22,8 +21,7 @@ from .errors import InsufficientDataError
 from .stats.special import quantile_sorted
 
 __all__ = [
-    "WindowRow",
-    "BoxplotSummary",
+    "window_row",
     "render_window_table",
     "render_metrics_table",
     "boxplot_summary",
@@ -37,45 +35,25 @@ WINDOW_FIELDS = ("from_year", "to_year", "years", "cagr_ftd", "cagr_exp",
                  "difference", "difference_of_rounded")
 
 
-class WindowRow(NamedTuple):
-    """One window of the results table, at reporting (2-decimal) precision."""
+def window_row(outcome: WindowOutcome) -> dict:
+    """One window of the results table, at reporting (2-decimal) precision.
 
-    from_year: int
-    to_year: int
-    years: int
-    cagr_f: float
-    cagr_e: float
-    difference: float
-    # set only when rounding the CAGR columns first disagrees with the
-    # rounded full-precision difference
-    difference_of_rounded: float | None = None
-
-    @classmethod
-    def from_outcome(cls, outcome: WindowOutcome) -> "WindowRow":
-        f2 = round(outcome.cagr_ftd, 2)
-        e2 = round(outcome.cagr_exp, 2)
-        diff = round(outcome.difference, 2)
-        diff_of_rounded = round(e2 - f2, 2)
-        return cls(
-            from_year=outcome.window.from_year,
-            to_year=outcome.window.to_year,
-            years=outcome.window.years,
-            cagr_f=f2,
-            cagr_e=e2,
-            difference=diff,
-            difference_of_rounded=diff_of_rounded if diff_of_rounded != diff else None,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "from_year": self.from_year,
-            "to_year": self.to_year,
-            "years": self.years,
-            "cagr_ftd": self.cagr_f,
-            "cagr_exp": self.cagr_e,
-            "difference": self.difference,
-            "difference_of_rounded": self.difference_of_rounded,
-        }
+    ``difference_of_rounded`` is set only when rounding the CAGR columns
+    first disagrees with the rounded full-precision difference.
+    """
+    f2 = round(outcome.cagr_ftd, 2)
+    e2 = round(outcome.cagr_exp, 2)
+    diff = round(outcome.difference, 2)
+    diff_of_rounded = round(e2 - f2, 2)
+    return {
+        "from_year": outcome.window.from_year,
+        "to_year": outcome.window.to_year,
+        "years": outcome.window.years,
+        "cagr_ftd": f2,
+        "cagr_exp": e2,
+        "difference": diff,
+        "difference_of_rounded": diff_of_rounded if diff_of_rounded != diff else None,
+    }
 
 
 def _check_format(format: str) -> None:
@@ -84,8 +62,8 @@ def _check_format(format: str) -> None:
 
 
 def render_window_table(rows: list[dict], format: str = "markdown") -> str:
-    """Stable-order window table of ``WindowRow.to_json_dict()`` rows;
-    markdown, csv, or json."""
+    """Stable-order window table of ``window_row`` dictionaries; markdown,
+    csv, or json."""
     _check_format(format)
     if not rows:
         raise ValueError("window table needs at least one row")
@@ -201,8 +179,8 @@ def _metric_rows(report_dicts: list[dict]) -> list[tuple[str, list[str]]]:
 
 
 def render_metrics_table(reports: list[dict], format: str = "markdown") -> str:
-    """Battery metrics of ``ComparisonReport.to_json_dict()`` dictionaries,
-    one column per horizon; a parsed JSON table re-renders to the identical
+    """Battery metrics of ``ComparisonReport._asdict()`` dictionaries, one
+    column per horizon; a parsed JSON table re-renders to the identical
     bytes (render, parse, render is a fixed point).
     """
     _check_format(format)
@@ -231,34 +209,10 @@ def render_metrics_table(reports: list[dict], format: str = "markdown") -> str:
     return "\n".join(lines) + "\n"
 
 
-class BoxplotSummary(NamedTuple):
-    """Plot-ready five-number summary with 1.5 IQR whiskers."""
-
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-    whisker_low: float
-    whisker_high: float
-    outliers: tuple[float, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.maximum,
-            "whisker_low": self.whisker_low,
-            "whisker_high": self.whisker_high,
-            "outliers": list(self.outliers),
-        }
-
-
-def boxplot_summary(values) -> BoxplotSummary:
-    """Quartiles by linear interpolation (type 7); whiskers at the most
-    extreme data points within 1.5 IQR of the box."""
+def boxplot_summary(values) -> dict:
+    """Plot-ready five-number summary, as the bundle stores it. Quartiles
+    by linear interpolation (type 7); whiskers at the most extreme data
+    points within 1.5 IQR of the box."""
     if len(values) == 0:
         raise InsufficientDataError("boxplot summary needs a non-empty sample")
     xs = sorted(float(v) for v in values)
@@ -267,16 +221,16 @@ def boxplot_summary(values) -> BoxplotSummary:
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr
     inside = [v for v in xs if lo_fence <= v <= hi_fence]
-    return BoxplotSummary(
-        minimum=xs[0],
-        q1=q1,
-        median=median,
-        q3=q3,
-        maximum=xs[-1],
-        whisker_low=inside[0],
-        whisker_high=inside[-1],
-        outliers=tuple(v for v in xs if v < lo_fence or v > hi_fence),
-    )
+    return {
+        "min": xs[0],
+        "q1": q1,
+        "median": median,
+        "q3": q3,
+        "max": xs[-1],
+        "whisker_low": inside[0],
+        "whisker_high": inside[-1],
+        "outliers": [v for v in xs if v < lo_fence or v > hi_fence],
+    }
 
 
 def file_sha256(path: str) -> str:

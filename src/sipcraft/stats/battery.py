@@ -9,13 +9,12 @@ Anything undefined for the given sample degrades to a per-cell
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple
 
 from ..errors import DegenerateSampleError, InsufficientDataError
-from .bootstrap import BootstrapCI, bootstrap_bca
-from .dominance import DominanceSide, check_fsd, check_ssd, ks_two_sample
+from .bootstrap import bootstrap_bca, check_alpha
+from .dominance import check_fsd, check_ssd, ks_two_sample
 from .paired import (
     WILCOXON_EXACT_LIMIT,
     PairedSample,
@@ -33,6 +32,9 @@ HEDGES_VARIANTS = ("standard", "paper_compat")
 
 # battery cells that can individually degrade to "not applicable"
 CELLS = ("t", "wilcoxon", "cohens_d", "hedges_g", "bootstrap", "ks", "fsd", "ssd")
+# 100 times the paper's B; a 1y draw of 32 * 22 * B bits stays well below
+# the 2**31 - 1 bits that one getrandbits call takes
+MAX_RESAMPLES = 1_000_000
 
 
 class _BatteryConfig(NamedTuple):
@@ -57,8 +59,9 @@ class BatteryConfig(_BatteryConfig):
             raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
         if self.resamples < 1000:
             raise ValueError(f"B must be >= 1000, got {self.resamples}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.resamples > MAX_RESAMPLES:
+            raise ValueError(f"B must be <= {MAX_RESAMPLES}, got {self.resamples}")
+        check_alpha(self.alpha)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.wilcoxon_mode not in WILCOXON_MODES:
@@ -77,13 +80,6 @@ class BatteryConfig(_BatteryConfig):
         kwargs = {known[k]: v for k, v in data.items()}
         return cls(**kwargs)
 
-    @classmethod
-    def from_json(cls, text: str) -> "BatteryConfig":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("battery config JSON must be an object")
-        return cls.from_dict(data)
-
     def to_json_dict(self) -> dict:
         return {
             "B": self.resamples,
@@ -94,77 +90,27 @@ class BatteryConfig(_BatteryConfig):
         }
 
 
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Battery output for one horizon; one column of the metrics table.
 
-    ``run_battery`` fills the cells in turn, so this record is mutable; a
-    cell it does not fill stays ``None``. ``not_applicable`` maps a cell
-    name to the reason it is undefined for this sample; a cell is either
-    populated or keyed there, never both.
+    The fields are the keys of a bundle's metrics entry, in order, holding
+    its values, so ``_asdict()`` is that entry. A cell undefined for the
+    sample holds ``None`` values, and ``not_applicable`` maps its name to
+    the reason, sorted by name; a cell is either populated or keyed there,
+    never both.
     """
 
-    mean_diff: float | None = None
-    t_statistic: float | None = None
-    t_p: float | None = None
-    t_df: float | None = None
-    wilcoxon_statistic: float | None = None
-    wilcoxon_p: float | None = None
-    wilcoxon_method: str | None = None
-    wilcoxon_p_exact: float | None = None
-    wilcoxon_p_normal: float | None = None
-    cohens_d: float | None = None
-    effect_label: str | None = None
-    hedges_g: float | None = None
-    hedges_variant: str | None = None
-    ci: BootstrapCI | None = None
-    ks_statistic: float | None = None
-    ks_p: float | None = None
-    fsd: DominanceSide | None = None
-    ssd: DominanceSide | None = None
-
-    def __init__(self, label: str, n: int):
-        self.label = label
-        self.n = n
-        self.not_applicable: dict[str, str] = {}
-
-    def to_json_dict(self) -> dict:
-        ci = None
-        if self.ci is not None:
-            ci = {
-                "point": self.ci.point_estimate,
-                "lower": self.ci.lower,
-                "upper": self.ci.upper,
-                "B": self.ci.resamples,
-                "seed": self.ci.seed,
-                "alpha": self.ci.alpha,
-                "z0": self.ci.z0,
-                "acceleration": self.ci.acceleration,
-                "degenerate": self.ci.degenerate,
-            }
-        return {
-            "label": self.label,
-            "n": self.n,
-            "mean_diff": self.mean_diff,
-            "t": {"statistic": self.t_statistic, "p": self.t_p, "df": self.t_df},
-            "wilcoxon": {
-                "statistic": self.wilcoxon_statistic,
-                "p": self.wilcoxon_p,
-                "method": self.wilcoxon_method,
-                "p_exact": self.wilcoxon_p_exact,
-                "p_normal": self.wilcoxon_p_normal,
-            },
-            "effect": {
-                "cohens_d": self.cohens_d,
-                "label": self.effect_label,
-                "hedges_g": self.hedges_g,
-                "hedges_variant": self.hedges_variant,
-            },
-            "bootstrap": ci,
-            "ks": {"statistic": self.ks_statistic, "p": self.ks_p},
-            "fsd": self.fsd.value if self.fsd is not None else None,
-            "ssd": self.ssd.value if self.ssd is not None else None,
-            "not_applicable": dict(sorted(self.not_applicable.items())),
-        }
+    label: str
+    n: int
+    mean_diff: float
+    t: dict  # statistic, p, df
+    wilcoxon: dict  # statistic, p, method, p_exact, p_normal
+    effect: dict  # cohens_d, label, hedges_g, hedges_variant
+    bootstrap: dict | None  # the BootstrapCI under the bundle's keys
+    ks: dict  # statistic, p
+    fsd: str | None  # a DominanceSide value
+    ssd: str | None
+    not_applicable: dict
 
 
 def run_battery(s: PairedSample, config: BatteryConfig | None = None, label: str = "") -> ComparisonReport:
@@ -175,81 +121,73 @@ def run_battery(s: PairedSample, config: BatteryConfig | None = None, label: str
     descriptive and always present.
     """
     config = config or BatteryConfig()
-    report = ComparisonReport(label=label, n=s.n)
-    report.mean_diff = math.fsum(s.diffs) / s.n
+    mean_diff = math.fsum(s.diffs) / s.n
+    t = dict.fromkeys(("statistic", "p", "df"))
+    wilcoxon = dict.fromkeys(("statistic", "p", "method", "p_exact", "p_normal"))
+    ks = dict.fromkeys(("statistic", "p"))
+    d = effect_label = g = hedges_variant = bootstrap = fsd = ssd = None
+    na: dict[str, str] = {}
 
-    if s.n < 2:
-        reason = f"n too small for inference (n={s.n})"
-        for cell in CELLS:
-            report.not_applicable[cell] = reason
-        return report
-
-    if all(d == 0.0 for d in s.diffs):
-        reason = "degenerate sample (all differences zero)"
-        for cell in CELLS:
-            report.not_applicable[cell] = reason
-        return report
-
-    try:
-        t = paired_t_one_tailed(s)
-        report.t_statistic, report.t_p, report.t_df = t.statistic, t.p_value, t.df
-    except (DegenerateSampleError, InsufficientDataError) as exc:
-        report.not_applicable["t"] = str(exc)
-
-    try:
-        w = wilcoxon_signed_rank(s, mode=config.wilcoxon_mode)
-        report.wilcoxon_statistic = w.statistic
-        report.wilcoxon_p = w.p_value
-        report.wilcoxon_method = w.method
-        # both inference paths are informative at these sample sizes, so
-        # report whichever ones are computable alongside the configured mode
-        n_nonzero = sum(1 for d in s.diffs if d != 0.0)
-        if w.method == "exact":
-            report.wilcoxon_p_exact = w.p_value
-        elif n_nonzero <= WILCOXON_EXACT_LIMIT:
-            report.wilcoxon_p_exact = wilcoxon_signed_rank(s, mode="exact").p_value
-        if w.method == "normal_approx":
-            report.wilcoxon_p_normal = w.p_value
-        else:
-            report.wilcoxon_p_normal = wilcoxon_signed_rank(s, mode="normal_approx").p_value
-    except (DegenerateSampleError, InsufficientDataError) as exc:
-        report.not_applicable["wilcoxon"] = str(exc)
-
-    d_value: float | None = None
-    try:
-        d_value = cohens_d(s)
-        report.cohens_d = d_value
-        report.effect_label = classify_effect(d_value)
-    except (DegenerateSampleError, InsufficientDataError) as exc:
-        report.not_applicable["cohens_d"] = str(exc)
-
-    if d_value is None:
-        report.not_applicable["hedges_g"] = report.not_applicable["cohens_d"]
+    if s.n < 2 or all(v == 0.0 for v in s.diffs):
+        reason = (f"n too small for inference (n={s.n})" if s.n < 2
+                  else "degenerate sample (all differences zero)")
+        na = dict.fromkeys(CELLS, reason)
     else:
         try:
-            report.hedges_g = hedges_g(d_value, s.n, config.hedges_variant)
-            report.hedges_variant = config.hedges_variant
+            tr = paired_t_one_tailed(s)
+            t = {"statistic": tr.statistic, "p": tr.p_value, "df": tr.df}
+        except (DegenerateSampleError, InsufficientDataError) as exc:
+            na["t"] = str(exc)
+
+        try:
+            w = wilcoxon_signed_rank(s, mode=config.wilcoxon_mode)
+            # both inference paths are informative at these sample sizes, so
+            # report whichever ones are computable alongside the configured mode
+            p_exact = None
+            if w.method == "exact":
+                p_exact = w.p_value
+            elif sum(1 for v in s.diffs if v != 0.0) <= WILCOXON_EXACT_LIMIT:
+                p_exact = wilcoxon_signed_rank(s, mode="exact").p_value
+            if w.method == "normal_approx":
+                p_normal = w.p_value
+            else:
+                p_normal = wilcoxon_signed_rank(s, mode="normal_approx").p_value
+            wilcoxon = {"statistic": w.statistic, "p": w.p_value, "method": w.method,
+                        "p_exact": p_exact, "p_normal": p_normal}
+        except (DegenerateSampleError, InsufficientDataError) as exc:
+            na["wilcoxon"] = str(exc)
+
+        try:
+            d = cohens_d(s)
+            effect_label = classify_effect(d)
+        except (DegenerateSampleError, InsufficientDataError) as exc:
+            na["cohens_d"] = na["hedges_g"] = str(exc)
+        if d is not None:
+            try:
+                g = hedges_g(d, s.n, config.hedges_variant)
+                hedges_variant = config.hedges_variant
+            except InsufficientDataError as exc:
+                na["hedges_g"] = str(exc)
+
+        try:
+            ci = bootstrap_bca(s, resamples=config.resamples, alpha=config.alpha, seed=config.seed)
+            bootstrap = {"point": ci.point_estimate, "lower": ci.lower, "upper": ci.upper,
+                         "B": ci.resamples, "seed": ci.seed, "alpha": ci.alpha, "z0": ci.z0,
+                         "acceleration": ci.acceleration, "degenerate": ci.degenerate}
+        except (DegenerateSampleError, InsufficientDataError) as exc:
+            na["bootstrap"] = str(exc)
+
+        try:
+            kr = ks_two_sample(s.exp_values, s.ftd_values)
+            ks = {"statistic": kr.statistic, "p": kr.p_value}
         except InsufficientDataError as exc:
-            report.not_applicable["hedges_g"] = str(exc)
+            na["ks"] = str(exc)
 
-    try:
-        report.ci = bootstrap_bca(s, resamples=config.resamples, alpha=config.alpha, seed=config.seed)
-    except (DegenerateSampleError, InsufficientDataError) as exc:
-        report.not_applicable["bootstrap"] = str(exc)
+        try:
+            fsd, ssd = check_fsd(s).value, check_ssd(s).value
+        except InsufficientDataError as exc:
+            na["fsd"] = na["ssd"] = str(exc)
 
-    try:
-        ks = ks_two_sample(s.exp_values, s.ftd_values)
-        report.ks_statistic, report.ks_p = ks.statistic, ks.p_value
-    except InsufficientDataError as exc:
-        report.not_applicable["ks"] = str(exc)
-
-    try:
-        report.fsd = check_fsd(s)
-        report.ssd = check_ssd(s)
-    except InsufficientDataError as exc:
-        report.not_applicable["fsd"] = str(exc)
-        report.not_applicable["ssd"] = str(exc)
-        report.fsd = None
-        report.ssd = None
-
-    return report
+    effect = {"cohens_d": d, "label": effect_label, "hedges_g": g, "hedges_variant": hedges_variant}
+    return ComparisonReport(label, s.n, mean_diff, t, wilcoxon, effect, bootstrap, ks, fsd, ssd,
+                            dict(sorted(na.items())))

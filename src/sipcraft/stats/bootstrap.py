@@ -29,10 +29,17 @@ from .special import normal_cdf, normal_ppf, quantile_sorted
 __all__ = ["BootstrapCI", "bootstrap_bca"]
 
 MIN_RESAMPLES = 1000
+# at or below 2**-53, 1 - alpha/2 rounds to 1 and the upper z is infinite
+MIN_ALPHA = 2.0 ** -53
 
 _WORDS = 1 << 32
 _WORD_TYPECODE = next(c for c in "IL" if array(c).itemsize == 4)
 _LANE_MAX_N = 64  # largest n whose four byte-lane residues sum below 256
+
+
+def check_alpha(alpha: float) -> None:
+    if not MIN_ALPHA < alpha < 1.0:
+        raise ValueError(f"alpha must be in (2**-53, 1), got {alpha}")
 
 
 class BootstrapCI(NamedTuple):
@@ -124,8 +131,7 @@ def bootstrap_bca(
         raise InsufficientDataError(f"BCa bootstrap needs n >= 3, got n={s.n}")
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 

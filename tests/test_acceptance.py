@@ -64,24 +64,25 @@ def test_criterion_1_one_year_battery_golden():
     start = time.perf_counter()
     r = run_battery(sample, BatteryConfig(hedges_variant="paper_compat"), label="1y")
     elapsed = time.perf_counter() - start
+    t, w, eff, ci = r.t, r.wilcoxon, r.effect, r.bootstrap
 
-    check(abs(round(r.t_statistic, 3) - 3.271) <= 0.005,
-          f"t={r.t_statistic:.6f} outside 3.271 +/- 0.005 at report precision")
-    check(abs(r.t_p - 0.0018) <= 0.0003, f"t p={r.t_p:.6f} outside 0.0018 +/- 0.0003")
-    check(abs(r.cohens_d - 0.697) <= 0.003, f"d={r.cohens_d:.6f} outside 0.697 +/- 0.003")
-    check(abs(r.hedges_g - 0.671) <= 0.003, f"g={r.hedges_g:.6f} outside 0.671 +/- 0.003")
+    check(abs(round(t['statistic'], 3) - 3.271) <= 0.005,
+          f"t={t['statistic']:.6f} outside 3.271 +/- 0.005 at report precision")
+    check(abs(t['p'] - 0.0018) <= 0.0003, f"t p={t['p']:.6f} outside 0.0018 +/- 0.0003")
+    check(abs(eff['cohens_d'] - 0.697) <= 0.003, f"d={eff['cohens_d']:.6f} outside 0.697 +/- 0.003")
+    check(abs(eff['hedges_g'] - 0.671) <= 0.003, f"g={eff['hedges_g']:.6f} outside 0.671 +/- 0.003")
     check(abs(r.mean_diff - 0.770) <= 0.001, f"mean={r.mean_diff:.6f} outside 0.770 +/- 0.001")
-    check(abs(r.ci.lower - 0.301) <= 0.05, f"CI lower {r.ci.lower:.4f} not within 0.05 of 0.301")
-    check(abs(r.ci.upper - 1.203) <= 0.05, f"CI upper {r.ci.upper:.4f} not within 0.05 of 1.203")
-    check(r.ci.resamples == 10000 and r.ci.seed == 42, "CI not run at B=10000 with the fixed seed")
+    check(abs(ci['lower'] - 0.301) <= 0.05, f"CI lower {ci['lower']:.4f} not within 0.05 of 0.301")
+    check(abs(ci['upper'] - 1.203) <= 0.05, f"CI upper {ci['upper']:.4f} not within 0.05 of 1.203")
+    check(ci['B'] == 10000 and ci['seed'] == 42, "CI not run at B=10000 with the fixed seed")
     # at n=22 the normal-approximation path lands on the quoted value; the
     # exact enumeration gives 0.00257 and is reported alongside
-    check(abs(r.wilcoxon_p_normal - 0.0035) <= 0.0005,
-          f"wilcoxon normal p={r.wilcoxon_p_normal:.6f} outside 0.0035 +/- 0.0005")
-    check(abs(r.wilcoxon_p_exact - 0.00257468) <= 1e-6,
-          f"wilcoxon exact p={r.wilcoxon_p_exact:.8f} moved off 0.00257468")
-    check(r.ssd is DominanceSide.EXP, f"SSD verdict {r.ssd} is not exp_dominates")
-    check(r.fsd is DominanceSide.NONE, f"FSD verdict {r.fsd} is not none")
+    check(abs(w['p_normal'] - 0.0035) <= 0.0005,
+          f"wilcoxon normal p={w['p_normal']:.6f} outside 0.0035 +/- 0.0005")
+    check(abs(w['p_exact'] - 0.00257468) <= 1e-6,
+          f"wilcoxon exact p={w['p_exact']:.8f} moved off 0.00257468")
+    check(r.ssd == DominanceSide.EXP.value, f"SSD verdict {r.ssd} is not exp_dominates")
+    check(r.fsd == DominanceSide.NONE.value, f"FSD verdict {r.fsd} is not none")
     check(elapsed < 5.0, f"battery took {elapsed:.2f}s, limit is 5s")
 
     report("criterion 1: one-year battery golden values", failures)
@@ -96,14 +97,15 @@ def test_criterion_2_three_year_column():
           f"three-year diffs {diffs} are not the expected column")
 
     r = run_battery(sample, BatteryConfig(hedges_variant="paper_compat"), label="3y")
-    check(abs(r.t_statistic - 2.833) <= 0.005, f"t={r.t_statistic:.6f} outside 2.833 +/- 0.005")
-    check(abs(r.t_p - 0.0149) <= 0.0005, f"p={r.t_p:.6f} outside 0.0149 +/- 0.0005")
-    check(abs(r.cohens_d - 1.071) <= 0.005, f"d={r.cohens_d:.6f} outside 1.071 +/- 0.005")
-    check(abs(r.hedges_g - 0.902) <= 0.003, f"g={r.hedges_g:.6f} outside 0.902 +/- 0.003")
-    check(r.wilcoxon_p_exact == 3.0 / 128.0, f"exact wilcoxon p={r.wilcoxon_p_exact!r} != 3/128")
-    check(abs(r.ci.lower - 0.099) <= 0.05, f"CI lower {r.ci.lower:.4f} not within 0.05 of 0.099")
-    check(abs(r.ci.upper - 0.443) <= 0.05, f"CI upper {r.ci.upper:.4f} not within 0.05 of 0.443")
-    check(r.ssd is DominanceSide.EXP, f"SSD verdict {r.ssd} is not exp_dominates")
+    t, w, eff, ci = r.t, r.wilcoxon, r.effect, r.bootstrap
+    check(abs(t['statistic'] - 2.833) <= 0.005, f"t={t['statistic']:.6f} outside 2.833 +/- 0.005")
+    check(abs(t['p'] - 0.0149) <= 0.0005, f"p={t['p']:.6f} outside 0.0149 +/- 0.0005")
+    check(abs(eff['cohens_d'] - 1.071) <= 0.005, f"d={eff['cohens_d']:.6f} outside 1.071 +/- 0.005")
+    check(abs(eff['hedges_g'] - 0.902) <= 0.003, f"g={eff['hedges_g']:.6f} outside 0.902 +/- 0.003")
+    check(w['p_exact'] == 3.0 / 128.0, f"exact wilcoxon p={w['p_exact']!r} != 3/128")
+    check(abs(ci['lower'] - 0.099) <= 0.05, f"CI lower {ci['lower']:.4f} not within 0.05 of 0.099")
+    check(abs(ci['upper'] - 0.443) <= 0.05, f"CI upper {ci['upper']:.4f} not within 0.05 of 0.443")
+    check(r.ssd == DominanceSide.EXP.value, f"SSD verdict {r.ssd} is not exp_dominates")
 
     report("criterion 2: three-year battery column", failures)
 
@@ -117,15 +119,16 @@ def test_criterion_3_five_year_column():
           f"five-year diffs {diffs} are not the expected column")
 
     r = run_battery(sample, BatteryConfig(hedges_variant="paper_compat"), label="5y")
-    check(r.wilcoxon_p_exact == 1.0 / 16.0, f"exact wilcoxon p={r.wilcoxon_p_exact!r} != 1/16")
-    check(r.ssd is DominanceSide.EXP, f"SSD verdict {r.ssd} is not exp_dominates")
-    check(r.cohens_d > 0.8, f"d={r.cohens_d:.4f} not above 0.8")
-    check(r.effect_label == "large", f"effect label {r.effect_label!r} is not large")
+    t, w, eff = r.t, r.wilcoxon, r.effect
+    check(w['p_exact'] == 1.0 / 16.0, f"exact wilcoxon p={w['p_exact']!r} != 1/16")
+    check(r.ssd == DominanceSide.EXP.value, f"SSD verdict {r.ssd} is not exp_dominates")
+    check(eff['cohens_d'] > 0.8, f"d={eff['cohens_d']:.4f} not above 0.8")
+    check(eff['label'] == "large", f"effect label {eff['label']!r} is not large")
     # the full-precision source data implies d 4.069 and t 8.138; those are
     # unrecoverable from the 2-decimal table, which itself yields ~4.44/~8.88,
     # so the bands below pin the 2-decimal-input values
-    check(abs(r.cohens_d - 4.44) <= 0.02, f"d={r.cohens_d:.6f} outside 4.44 +/- 0.02")
-    check(abs(r.t_statistic - 8.88) <= 0.02, f"t={r.t_statistic:.6f} outside 8.88 +/- 0.02")
+    check(abs(eff['cohens_d'] - 4.44) <= 0.02, f"d={eff['cohens_d']:.6f} outside 4.44 +/- 0.02")
+    check(abs(t['statistic'] - 8.88) <= 0.02, f"t={t['statistic']:.6f} outside 8.88 +/- 0.02")
 
     report("criterion 3: five-year battery column", failures)
 

@@ -366,6 +366,39 @@ def test_out_of_range_numbers_exit_2(flat_csv, tmp_path, capsys, argv, config, m
     assert captured.err == f"sipcraft: error: {message}\n"
 
 
+# alpha at or below 2**-53 made the upper z infinite, and a B this large
+# overflowed getrandbits; each ended in a nan quantile or a traceback
+@pytest.mark.parametrize("key, flag, value, message", [
+    ("alpha", "--alpha", "1e-16", "alpha must be in (2**-53, 1), got 1e-16"),
+    ("alpha", "--alpha", "1e-310", "alpha must be in (2**-53, 1), got 1e-310"),
+    ("B", "--resamples", "3000000000", "B must be <= 1000000, got 3000000000"),
+], ids=["alpha-1e-16", "alpha-subnormal", "B"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unusable_battery_numbers_exit_2(series_csv, tmp_path, capsys, key, flag, value,
+                                         message, source):
+    argv = ["compare", "--data", str(series_csv), "--durations", "1"]
+    if key == "alpha":
+        argv += ["--resamples", "1000"]
+    if source == "flag":
+        argv += [flag, value]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stats": {key: json.loads(value)}}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sipcraft: error: {message}\n"
+
+
+def test_smallest_usable_alpha_runs(series_csv, capsys):
+    assert main(["compare", "--data", str(series_csv), "--durations", "1", "--resamples", "1000",
+                 "--alpha", "1.2e-16", "--format", "json"]) == EXIT_OK
+    ci = json.loads(capsys.readouterr().out)["metrics"][0]["bootstrap"]
+    assert ci["alpha"] == 1.2e-16
+    assert ci["lower"] <= ci["point"] <= ci["upper"]
+
+
 def test_config_rejects_unknown_key(series_csv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"durration": [1], "amount": 5}))

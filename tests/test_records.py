@@ -9,9 +9,9 @@ import pytest
 import sipcraft
 from sipcraft.cli import Settings
 from sipcraft.engine import Execution, SipPlan, SipResult, Window, WindowOutcome
-from sipcraft.report import BoxplotSummary, WindowRow
 from sipcraft.schedule import MonthKey, MonthSchedule, ScheduleAnomaly, Strategy
-from sipcraft.stats.battery import BatteryConfig
+from sipcraft.stats import PairedSample
+from sipcraft.stats.battery import BatteryConfig, run_battery
 from sipcraft.stats.bootstrap import BootstrapCI
 from sipcraft.stats.dominance import KsResult
 from sipcraft.stats.paired import TestResult as PairedTestResult
@@ -36,8 +36,7 @@ EXAMPLES = [
     BootstrapCI(0.1, -0.2, 0.4, 1000, 42, 0.05, 0.0, 0.0),
     KsResult(0.25, 0.9),
     BatteryConfig(),
-    WindowRow(2003, 2003, 1, 1.0, 2.0, 1.0),
-    BoxplotSummary(1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 5.0, ()),
+    run_battery(PairedSample([5.0], [4.0]), label="20y"),
     Settings("series.csv", None, "json", 10_000.0, [1], "ftd", 2003, 1, {"B": 1000}),
 ]
 

@@ -10,14 +10,13 @@ import pytest
 from sipcraft.engine import Window, WindowOutcome
 from sipcraft.errors import InsufficientDataError
 from sipcraft.report import (
-    BoxplotSummary,
-    WindowRow,
     boxplot_summary,
     file_sha256,
     render_bundle,
     render_metrics_table,
     render_window_table,
     tool_provenance,
+    window_row,
 )
 from sipcraft.stats import BatteryConfig, PairedSample, run_battery
 
@@ -28,20 +27,20 @@ def parse_window_table(text: str, format: str) -> list[dict]:
     """Inverse of render_window_table for csv and json: its row dictionaries."""
     if format == "json":
         return json.loads(text)
-    return [WindowRow(
-        from_year=int(rec["from_year"]),
-        to_year=int(rec["to_year"]),
-        years=int(rec["years"]),
-        cagr_f=float(rec["cagr_ftd"]),
-        cagr_e=float(rec["cagr_exp"]),
-        difference=float(rec["difference"]),
-        difference_of_rounded=(float(rec["difference_of_rounded"])
-                               if rec["difference_of_rounded"] else None),
-    ).to_json_dict() for rec in csv.DictReader(io.StringIO(text))]
+    return [{
+        "from_year": int(rec["from_year"]),
+        "to_year": int(rec["to_year"]),
+        "years": int(rec["years"]),
+        "cagr_ftd": float(rec["cagr_ftd"]),
+        "cagr_exp": float(rec["cagr_exp"]),
+        "difference": float(rec["difference"]),
+        "difference_of_rounded": (float(rec["difference_of_rounded"])
+                                  if rec["difference_of_rounded"] else None),
+    } for rec in csv.DictReader(io.StringIO(text))]
 
 
-def window_row(f, e, from_year=2003, to_year=2003) -> dict:
-    return WindowRow.from_outcome(outcome(f, e, from_year, to_year)).to_json_dict()
+def row(f, e, from_year=2003, to_year=2003) -> dict:
+    return window_row(outcome(f, e, from_year, to_year))
 
 
 def parse_metrics_table(text: str) -> list[dict]:
@@ -54,22 +53,22 @@ def outcome(f, e, from_year=2003, to_year=2003):
 
 
 def test_window_row_rounding_agreement():
-    row = WindowRow.from_outcome(outcome(10.124, 11.126))
-    assert row.cagr_f == 10.12
-    assert row.cagr_e == 11.13
+    r = row(10.124, 11.126)
+    assert r["cagr_ftd"] == 10.12
+    assert r["cagr_exp"] == 11.13
     # full-precision diff 1.002 rounds to 1.00; rounded columns differ by 1.01
-    assert row.difference == 1.0
-    assert row.difference_of_rounded == 1.01
+    assert r["difference"] == 1.0
+    assert r["difference_of_rounded"] == 1.01
 
 
 def test_window_row_rounding_consistent_case():
-    row = WindowRow.from_outcome(outcome(10.10, 11.20))
-    assert row.difference == 1.1
-    assert row.difference_of_rounded is None
+    r = row(10.10, 11.20)
+    assert r["difference"] == 1.1
+    assert r["difference_of_rounded"] is None
 
 
 def test_window_table_markdown_flags_divergent_rows():
-    rows = [window_row(10.124, 11.126), window_row(10.0, 11.0, 2004, 2004)]
+    rows = [row(10.124, 11.126), row(10.0, 11.0, 2004, 2004)]
     text = render_window_table(rows, "markdown")
     assert "| 1.00 * |" in text
     assert "* 2003-2003: subtracting the rounded columns gives 1.01 instead." in text
@@ -77,7 +76,7 @@ def test_window_table_markdown_flags_divergent_rows():
 
 
 def test_window_table_round_trips():
-    rows = [window_row(10.124, 11.126), window_row(-3.5, -2.25, 2004, 2004)]
+    rows = [row(10.124, 11.126), row(-3.5, -2.25, 2004, 2004)]
     for fmt in ("csv", "json"):
         text = render_window_table(rows, fmt)
         assert parse_window_table(text, fmt) == rows
@@ -87,23 +86,23 @@ def test_window_table_rejects_empty_and_bad_format():
     with pytest.raises(ValueError):
         render_window_table([], "csv")
     with pytest.raises(ValueError):
-        render_window_table([window_row(1, 2)], "yaml")
+        render_window_table([row(1, 2)], "yaml")
 
 
 def test_metrics_json_round_trip_is_fixed_point(three_year_sample):
-    reports = [run_battery(three_year_sample, BatteryConfig(), label="3y").to_json_dict()]
+    reports = [run_battery(three_year_sample, BatteryConfig(), label="3y")._asdict()]
     text = render_metrics_table(reports, "json")
     parsed = parse_metrics_table(text)
     assert render_metrics_table(parsed, "json") == text
 
 
 def test_metrics_markdown_header_names_each_horizon(three_year_sample):
-    reports = [run_battery(three_year_sample, BatteryConfig(), label="3y").to_json_dict()]
+    reports = [run_battery(three_year_sample, BatteryConfig(), label="3y")._asdict()]
     assert render_metrics_table(reports, "markdown").splitlines()[0] == "| Metric | 3y |"
 
 
 def test_metrics_table_shows_na_reasons():
-    report = run_battery(PairedSample([5.0], [4.0]), label="20y").to_json_dict()
+    report = run_battery(PairedSample([5.0], [4.0]), label="20y")._asdict()
     text = render_metrics_table([report], "markdown")
     assert "not applicable: n too small for inference (n=1)" in text
     csv_text = render_metrics_table([report], "csv")
@@ -111,7 +110,7 @@ def test_metrics_table_shows_na_reasons():
 
 
 def test_metrics_rendering_deterministic(one_year_sample):
-    reports = [run_battery(one_year_sample, BatteryConfig(), label="1y").to_json_dict()]
+    reports = [run_battery(one_year_sample, BatteryConfig(), label="1y")._asdict()]
     assert render_metrics_table(reports, "markdown") == render_metrics_table(
         reports, "markdown")
     assert render_metrics_table(reports, "csv") == render_metrics_table(
@@ -120,27 +119,28 @@ def test_metrics_rendering_deterministic(one_year_sample):
 
 def test_boxplot_five_numbers_and_outliers():
     b = boxplot_summary([1.0, 2.0, 3.0, 4.0, 100.0])
-    assert b.q1 == 2.0
-    assert b.median == 3.0
-    assert b.q3 == 4.0
-    assert b.minimum == 1.0
-    assert b.maximum == 100.0
+    assert b["q1"] == 2.0
+    assert b["median"] == 3.0
+    assert b["q3"] == 4.0
+    assert b["min"] == 1.0
+    assert b["max"] == 100.0
     # fences at q1 - 1.5 IQR = -1 and q3 + 1.5 IQR = 7
-    assert b.whisker_low == 1.0
-    assert b.whisker_high == 4.0
-    assert b.outliers == (100.0,)
+    assert b["whisker_low"] == 1.0
+    assert b["whisker_high"] == 4.0
+    assert b["outliers"] == [100.0]
 
 
 def test_boxplot_no_outliers_whiskers_at_extremes():
     b = boxplot_summary([10.0, 12.0, 14.0, 16.0])
-    assert b.whisker_low == 10.0
-    assert b.whisker_high == 16.0
-    assert b.outliers == ()
+    assert b["whisker_low"] == 10.0
+    assert b["whisker_high"] == 16.0
+    assert b["outliers"] == []
 
 
 def test_boxplot_singleton_and_empty():
     b = boxplot_summary([7.0])
-    assert b == BoxplotSummary(7.0, 7.0, 7.0, 7.0, 7.0, 7.0, 7.0, ())
+    assert b == {"min": 7.0, "q1": 7.0, "median": 7.0, "q3": 7.0, "max": 7.0,
+                 "whisker_low": 7.0, "whisker_high": 7.0, "outliers": []}
     with pytest.raises(InsufficientDataError):
         boxplot_summary([])
 
@@ -175,11 +175,11 @@ def make_bundle(three_year_sample):
     return {
         "provenance": prov,
         "anomalies": [],
-        "windows": {"3y": [window_row(20.53, 21.02, 2004, 2006)]},
-        "metrics": [report.to_json_dict()],
+        "windows": {"3y": [row(20.53, 21.02, 2004, 2006)]},
+        "metrics": [report._asdict()],
         "boxplots": {"3y": {
-            "ftd": boxplot_summary(three_year_sample.ftd_values).to_json_dict(),
-            "exp": boxplot_summary(three_year_sample.exp_values).to_json_dict(),
+            "ftd": boxplot_summary(three_year_sample.ftd_values),
+            "exp": boxplot_summary(three_year_sample.exp_values),
         }},
     }
 

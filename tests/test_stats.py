@@ -350,6 +350,12 @@ def test_bootstrap_validation(three_year_sample):
         bootstrap_bca(three_year_sample, alpha=1.0)
     with pytest.raises(ValueError):
         bootstrap_bca(three_year_sample, seed=-1)
+    # at or below 2**-53, 1 - alpha/2 rounds to 1 and the upper z is infinite
+    for alpha in (2.0 ** -53, 1e-16, 1e-310):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(2\*\*-53, 1\), got "):
+            bootstrap_bca(three_year_sample, resamples=1000, alpha=alpha)
+    ci = bootstrap_bca(three_year_sample, resamples=1000, alpha=1.2e-16)
+    assert math.isfinite(ci.lower) and math.isfinite(ci.upper)
 
 
 def test_bootstrap_brackets_point_estimate(three_year_sample):
@@ -569,8 +575,8 @@ def test_battery_flat_sample_all_na():
     for cell in cells:
         assert "degenerate" in report.not_applicable[cell]
     assert report.mean_diff == 0.0
-    assert report.t_statistic is None
-    assert report.ci is None
+    assert report.t == {"statistic": None, "p": None, "df": None}
+    assert report.bootstrap is None
 
 
 def test_battery_single_pair_all_na():
@@ -579,35 +585,48 @@ def test_battery_single_pair_all_na():
         "t", "wilcoxon", "cohens_d", "hedges_g", "bootstrap", "ks", "fsd", "ssd"}
     assert all("n too small" in r for r in report.not_applicable.values())
     assert report.mean_diff == 1.0
+    # the bundle's metrics entry, key order included: every cell None and
+    # the reasons sorted by cell name
+    reason = "n too small for inference (n=1)"
+    assert json.dumps(report._asdict()) == json.dumps({
+        "label": "", "n": 1, "mean_diff": 1.0,
+        "t": {"statistic": None, "p": None, "df": None},
+        "wilcoxon": {"statistic": None, "p": None, "method": None, "p_exact": None,
+                     "p_normal": None},
+        "effect": {"cohens_d": None, "label": None, "hedges_g": None, "hedges_variant": None},
+        "bootstrap": None, "ks": {"statistic": None, "p": None}, "fsd": None, "ssd": None,
+        "not_applicable": {cell: reason for cell in ("bootstrap", "cohens_d", "fsd", "hedges_g",
+                                                     "ks", "ssd", "t", "wilcoxon")}})
 
 
 def test_battery_hedges_na_at_n2():
     report = run_battery(PairedSample([2.0, 4.0], [1.0, 1.0]))
-    assert report.cohens_d is not None
+    assert report.effect["cohens_d"] is not None
     assert "hedges_g" in report.not_applicable
     assert "bootstrap" in report.not_applicable
-    assert report.ks_statistic is not None
+    assert report.ks["statistic"] is not None
 
 
 def test_battery_respects_config(three_year_sample):
     cfg = BatteryConfig(resamples=2000, seed=9, wilcoxon_mode="normal_approx",
                         hedges_variant="paper_compat")
     report = run_battery(three_year_sample, cfg)
-    assert report.wilcoxon_method == "normal_approx"
-    assert report.wilcoxon_p == report.wilcoxon_p_normal
-    assert report.wilcoxon_p_exact == 3.0 / 128.0  # still reported alongside
-    assert report.hedges_variant == "paper_compat"
-    assert report.ci.resamples == 2000
-    assert report.ci.seed == 9
+    assert report.wilcoxon["method"] == "normal_approx"
+    assert report.wilcoxon["p"] == report.wilcoxon["p_normal"]
+    assert report.wilcoxon["p_exact"] == 3.0 / 128.0  # still reported alongside
+    assert report.effect["hedges_variant"] == "paper_compat"
+    assert report.bootstrap["B"] == 2000
+    assert report.bootstrap["seed"] == 9
 
 
 def test_battery_report_round_trips_json(one_year_sample):
     report = run_battery(one_year_sample, label="1y")
-    blob = json.dumps(report.to_json_dict())
+    blob = json.dumps(report._asdict())
     again = json.loads(blob)
+    assert again == report._asdict()
     assert again["label"] == "1y"
-    assert again["t"]["statistic"] == report.t_statistic
-    assert again["bootstrap"]["lower"] == report.ci.lower
+    assert again["t"]["statistic"] == report.t["statistic"]
+    assert again["bootstrap"]["lower"] == report.bootstrap["lower"]
     assert again["fsd"] == "none"
     assert again["ssd"] == "exp_dominates"
 
@@ -621,26 +640,29 @@ def test_battery_config_defaults():
     assert cfg.hedges_variant == "standard"
 
 
-def test_battery_config_from_json():
-    cfg = BatteryConfig.from_json(
-        '{"B": 5000, "alpha": 0.1, "seed": 3, '
-        '"wilcoxon_mode": "exact", "hedges_variant": "paper_compat"}')
+def test_battery_config_from_dict():
+    cfg = BatteryConfig.from_dict({"B": 5000, "alpha": 0.1, "seed": 3,
+                                   "wilcoxon_mode": "exact", "hedges_variant": "paper_compat"})
     assert cfg.resamples == 5000
     assert cfg.alpha == 0.1
     assert cfg.seed == 3
     assert cfg.wilcoxon_mode == "exact"
     assert cfg.hedges_variant == "paper_compat"
     # partial configs keep defaults for the rest
-    assert BatteryConfig.from_json('{"B": 2000}').alpha == 0.05
+    assert BatteryConfig.from_dict({"B": 2000}).alpha == 0.05
 
 
 def test_battery_config_rejects_unknown_and_invalid():
-    with pytest.raises(ValueError):
-        BatteryConfig.from_json('{"bee": 1}')
-    with pytest.raises(ValueError):
-        BatteryConfig.from_json('[1, 2]')
+    with pytest.raises(ValueError, match=r"^unknown battery config keys: \['bee'\]$"):
+        BatteryConfig.from_dict({"bee": 1})
     with pytest.raises(ValueError, match="^B must be >= 1000, got 10$"):
         BatteryConfig(resamples=10)
+    # a larger draw would outgrow what one getrandbits call takes
+    with pytest.raises(ValueError, match="^B must be <= 1000000, got 1000001$"):
+        BatteryConfig(resamples=1_000_001)
+    assert BatteryConfig(resamples=1_000_000).resamples == 1_000_000
+    with pytest.raises(ValueError, match=r"^alpha must be in \(2\*\*-53, 1\), got 1e-16$"):
+        BatteryConfig(alpha=1e-16)
     with pytest.raises(ValueError, match="^B must be an integer, got 1000.0$"):
         BatteryConfig(1000.0)
     with pytest.raises(ValueError):
