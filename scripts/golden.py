@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Golden-output corpus: every command's exit code and output digests.
+
+Each command runs in-process through ``sipcraft.cli.main``, in a scratch
+directory that holds seeded inputs under relative paths, so provenance
+paths are the same on every machine. ``tests/golden/manifest.json`` maps
+each command to its exit code and the SHA-256 of its stdout and stderr.
+
+    PYTHONPATH=src python3 scripts/golden.py            # list moved entries, exit 1 if any
+    PYTHONPATH=src python3 scripts/golden.py --update   # rewrite the manifest
+
+A change that moves an entry on purpose regenerates the manifest and names
+every moved entry in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tests" / "golden" / "manifest.json"
+SCHEDULE = ROOT / "data" / "schedule_overrides.csv"
+
+# overrides on Saturdays, which no series trades on
+UNVERIFIABLE = "year,month,ftd_dom,expiry_dom\n2010,1,2,\n2009,12,,5\n"
+
+_SIM = ("simulate", "--data", "grid.csv", "--start-year", "2010", "--years", "3")
+_LONG = ("--data", "long.csv", "--schedule", "schedule.csv")
+COMMANDS: dict[str, tuple[str, ...]] = {
+    "compare-markdown": ("compare", "--data", "grid.csv", "--resamples", "1000"),
+    "compare-csv": ("compare", "--data", "grid.csv", "--resamples", "1000", "--format", "csv"),
+    "compare-json": ("compare", "--data", "grid.csv", "--resamples", "1000", "--format", "json"),
+    "compare-json-default-b": ("compare", "--data", "grid.csv", "--format", "json"),
+    "compare-overrides": ("compare", *_LONG, "--resamples", "1000"),
+    "validate-grid": ("validate", "--data", "grid.csv"),
+    "validate-overrides": ("validate", *_LONG),
+    "simulate-markdown": (*_SIM, "--strategy", "ftd"),
+    "simulate-csv": (*_SIM, "--strategy", "exp", "--format", "csv"),
+    "simulate-json": (*_SIM, "--strategy", "exp", "--format", "json"),
+    "simulate-overrides": ("simulate", *_LONG, "--strategy", "exp", "--start-year", "2003",
+                           "--years", "5", "--format", "json"),
+    "fixtures": ("fixtures",),
+    "fixtures-walk": ("fixtures", "--kind", "walk", "--start-year", "2003", "--years", "22",
+                      "--seed", "11", "--holiday-rate", "0.05"),
+    "version": ("--version",),
+    "error-uncovered-ftd": ("simulate", "--data", "grid.csv", "--strategy", "ftd",
+                            "--start-year", "2025", "--years", "1"),
+    "error-uncovered-exp": ("simulate", "--data", "grid.csv", "--strategy", "exp",
+                            "--start-year", "2025", "--years", "1"),
+    "error-unverifiable-ftd": ("simulate", "--data", "grid.csv", "--schedule", "bad.csv",
+                               "--strategy", "ftd", "--start-year", "2010", "--years", "1"),
+    "error-unverifiable-exp": ("simulate", "--data", "grid.csv", "--schedule", "bad.csv",
+                               "--strategy", "exp", "--start-year", "2010", "--years", "1"),
+    "validate-unverifiable": ("validate", "--data", "grid.csv", "--schedule", "bad.csv"),
+}
+
+
+def _gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_inputs(directory: Path) -> None:
+    """The corpus inputs: the benchmark's seed-1 grid and long series, the
+    override table, and an override table no series can verify."""
+    gen = _gen()
+    (directory / "grid.csv").write_text(gen.grid_csv(1), encoding="utf-8")
+    (directory / "long.csv").write_text(gen.long_csv(1, str(SCHEDULE)), encoding="utf-8")
+    (directory / "schedule.csv").write_bytes(SCHEDULE.read_bytes())
+    (directory / "bad.csv").write_text(UNVERIFIABLE, encoding="utf-8")
+
+
+def run(argv: tuple[str, ...]) -> dict:
+    """Exit code and output digests of one ``cli.main`` call in the current directory."""
+    from sipcraft.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --version
+            code = exc.code
+    return {"exit": code,
+            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+
+
+def load_manifest() -> dict:
+    with open(MANIFEST, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--update", action="store_true", help="rewrite the manifest")
+    args = parser.parse_args(argv)
+
+    os.environ.pop("SIPCRAFT_SEED", None)
+    old = load_manifest() if MANIFEST.exists() else {}
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(Path(tmp))
+        os.chdir(tmp)
+        try:
+            new = {name: {"argv": list(argv), **run(argv)} for name, argv in COMMANDS.items()}
+        finally:
+            os.chdir(here)
+    moved = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+    for name in moved:
+        print(name)
+    if args.update:
+        MANIFEST.parent.mkdir(exist_ok=True)
+        MANIFEST.write_text(json.dumps(new, indent=2) + "\n", encoding="utf-8")
+        return 0
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -51,11 +51,9 @@ _EXPORTS = {
     "schedule": (
         "MonthKey",
         "MonthSchedule",
-        "ScheduleTable",
         "Strategy",
         "build_schedule",
         "compute_expiry",
-        "execution_date",
         "load_schedule_overrides",
         "resolve_first_trading_day",
     ),

@@ -241,14 +241,13 @@ def cmd_validate(settings: Settings, args) -> int:
     series, overrides = _load_inputs(settings)
     start = MonthKey(series.first_date.year, series.first_date.month)
     end = MonthKey(series.last_date.year, series.last_date.month)
-    _, anomalies = build_schedule(series, overrides, start, end)
-    months_checked = (end.year - start.year) * 12 + end.month - start.month + 1
+    table, anomalies = build_schedule(series, overrides, start, end)
     payload = {
         "data": settings.data,
         "schedule": settings.schedule,
         "rows": len(series),
         "coverage": {"first": series.first_date.isoformat(), "last": series.last_date.isoformat()},
-        "months_checked": months_checked,
+        "months_checked": len(table),
         "anomalies": [a.to_json_dict() for a in anomalies],
     }
     _write_out(json.dumps(payload, indent=2) + "\n", args.out)

@@ -15,13 +15,8 @@ import sys
 from datetime import date as Date
 from typing import NamedTuple
 
-from .errors import (
-    CoverageError,
-    NotTradingDayError,
-    ScheduleError,
-    SimulationError,
-)
-from .schedule import MonthKey, ScheduleTable, Strategy, execution_date
+from .errors import CoverageError, NotTradingDayError, SimulationError
+from .schedule import MonthKey, MonthSchedule, Strategy
 from .stats.paired import PairedSample
 from .timeseries import IndexSeries
 
@@ -65,12 +60,6 @@ class SipPlan(_SipPlan):
     @property
     def final_year(self) -> int:
         return self.start_year + self.years - 1
-
-    def months(self) -> list[MonthKey]:
-        """The 12*years installment months, January through December per year."""
-        return [MonthKey(y, m)
-                for y in range(self.start_year, self.start_year + self.years)
-                for m in range(1, 13)]
 
 
 class Execution(NamedTuple):
@@ -135,20 +124,32 @@ def cagr(final_value: float, invested: float, years: int) -> float:
 
 
 def _installments(
-    plan: SipPlan, series: IndexSeries, table: ScheduleTable,
+    plan: SipPlan, series: IndexSeries, table: dict[MonthKey, MonthSchedule],
 ) -> tuple[list[tuple[MonthKey, Date, float]], Date, float]:
     """The plan's (month, date, price) installments and its terminal (date, close).
 
+    FTD executes on the month's own first trading day, EXP on the previous
+    month's expiry (a January installment executes on December's expiry).
     Any missing execution date or price aborts with the offending month in
     the message.
     """
+    ftd = plan.strategy is Strategy.FTD
     installments = []
-    for key in plan.months():
-        try:
-            date = execution_date(plan.strategy, key, table)
-            installments.append((key, date, series.close_on(date)))
-        except (ScheduleError, NotTradingDayError) as exc:
-            raise SimulationError(f"installment {key} ({plan.strategy.value}): {exc}") from exc
+    for year in range(plan.start_year, plan.final_year + 1):
+        for month in range(1, 13):
+            key = MonthKey(year, month)
+            anchor = key if ftd else key.prev()
+            entry = table.get(anchor)
+            date = None if entry is None else entry.first_trading_day if ftd else entry.expiry_day
+            if date is None:
+                missing = (f"first trading day for {key}" if ftd
+                           else f"expiry for {anchor} (needed by {key})")
+                raise SimulationError(f"installment {key} ({plan.strategy.value}): "
+                                      f"schedule has no {missing}")
+            try:
+                installments.append((key, date, series.close_on(date)))
+            except NotTradingDayError as exc:
+                raise SimulationError(f"installment {key} ({plan.strategy.value}): {exc}") from exc
     try:
         terminal_date = series.last_trading_day_of_year(plan.final_year)
     except CoverageError as exc:
@@ -179,7 +180,7 @@ def _cagr_of(plan: SipPlan, installments: list[tuple[MonthKey, Date, float]],
     return cagr(ratio, 12.0 * plan.years, plan.years)
 
 
-def simulate(plan: SipPlan, series: IndexSeries, table: ScheduleTable) -> SipResult:
+def simulate(plan: SipPlan, series: IndexSeries, table: dict[MonthKey, MonthSchedule]) -> SipResult:
     """Run the plan: 12N installments, then terminal valuation.
 
     The ledger (units, invested, final value) is for printing; the CAGR is
@@ -232,7 +233,7 @@ def enumerate_windows(duration: int) -> list[Window]:
 
 
 def paired_run(
-    duration: int, series: IndexSeries, table: ScheduleTable,
+    duration: int, series: IndexSeries, table: dict[MonthKey, MonthSchedule],
 ) -> tuple[PairedSample, list[WindowOutcome]]:
     """Both strategies' CAGRs over every window of the duration.
 

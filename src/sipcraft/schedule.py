@@ -13,7 +13,7 @@ import csv
 import io
 from datetime import date as Date, timedelta
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ScheduleError, SeriesFormatError
 from .timeseries import IndexSeries
@@ -22,7 +22,6 @@ __all__ = [
     "Strategy",
     "MonthKey",
     "MonthSchedule",
-    "ScheduleTable",
     "ScheduleAnomaly",
     "SOURCE_OVERRIDE",
     "SOURCE_COMPUTED",
@@ -31,7 +30,6 @@ __all__ = [
     "compute_expiry",
     "load_schedule_overrides",
     "build_schedule",
-    "execution_date",
 ]
 
 _THURSDAY = 3  # datetime.weekday() convention, Monday == 0
@@ -62,10 +60,6 @@ class MonthKey(_MonthKey):
             raise ScheduleError(f"month must be in 1..12, got {month}")
         return tuple.__new__(cls, (year, month))
 
-    @classmethod
-    def of(cls, date: Date) -> "MonthKey":
-        return cls(date.year, date.month)
-
     def prev(self) -> "MonthKey":
         if self.month == 1:
             return MonthKey(self.year - 1, 12)
@@ -75,9 +69,6 @@ class MonthKey(_MonthKey):
         if self.month == 12:
             return MonthKey(self.year + 1, 1)
         return MonthKey(self.year, self.month + 1)
-
-    def first_day(self) -> Date:
-        return Date(self.year, self.month, 1)
 
     def last_day(self) -> Date:
         if self.month == 12:
@@ -140,47 +131,6 @@ class ScheduleAnomaly(NamedTuple):
         }
 
 
-class ScheduleTable:
-    """Immutable MonthKey -> MonthSchedule mapping."""
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Iterable[MonthSchedule]):
-        table: dict[MonthKey, MonthSchedule] = {}
-        for entry in entries:
-            if entry.key in table:
-                raise ScheduleError(f"duplicate schedule entry for {entry.key}")
-            table[entry.key] = entry
-        self._entries = dict(sorted(table.items()))
-
-    def get(self, key: MonthKey) -> MonthSchedule | None:
-        return self._entries.get(key)
-
-    def __contains__(self, key: MonthKey) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[MonthKey]:
-        return iter(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScheduleTable):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def items(self) -> Iterable[tuple[MonthKey, MonthSchedule]]:
-        return self._entries.items()
-
-    @property
-    def coverage(self) -> tuple[MonthKey, MonthKey] | None:
-        if not self._entries:
-            return None
-        keys = list(self._entries)
-        return keys[0], keys[-1]
-
-
 def last_thursday(key: MonthKey) -> Date:
     """Calendar last Thursday of the month, before any holiday adjustment."""
     d = key.last_day()
@@ -210,7 +160,7 @@ def compute_expiry(series: IndexSeries, key: MonthKey) -> Date:
     raise ScheduleError(f"no trading day at or before the last Thursday of {key}")
 
 
-def load_schedule_overrides(source: str | io.TextIOBase) -> ScheduleTable:
+def load_schedule_overrides(source: str | io.TextIOBase) -> dict[MonthKey, MonthSchedule]:
     """Load an override CSV with columns ``year,month,ftd_dom,expiry_dom``.
 
     Day-of-month cells may be empty (an expiry-only or first-day-only row);
@@ -284,7 +234,7 @@ def load_schedule_overrides(source: str | io.TextIOBase) -> ScheduleTable:
             first_lines[key] = line
     except csv.Error as exc:  # an oversized field, say
         raise SeriesFormatError(str(exc), reader.line_num) from None
-    return ScheduleTable(entries.values())
+    return entries
 
 
 def _month_range(start: MonthKey, end: MonthKey) -> Iterator[MonthKey]:
@@ -298,17 +248,17 @@ def _month_range(start: MonthKey, end: MonthKey) -> Iterator[MonthKey]:
 
 def build_schedule(
     series: IndexSeries,
-    overrides: ScheduleTable | None,
+    overrides: dict[MonthKey, MonthSchedule] | None,
     start: MonthKey,
     end: MonthKey,
-) -> tuple[ScheduleTable, list[ScheduleAnomaly]]:
+) -> tuple[dict[MonthKey, MonthSchedule], list[ScheduleAnomaly]]:
     """Resolve every month in ``start..end``: override wins, else computed rule.
 
     Every resulting date is validated against the series. Failures are
     collected as anomalies and the offending value is kept as-is, so data
     problems surface to the operator instead of being guessed around.
     """
-    entries: list[MonthSchedule] = []
+    table: dict[MonthKey, MonthSchedule] = {}
     anomalies: list[ScheduleAnomaly] = []
     for key in _month_range(start, end):
         override = overrides.get(key) if overrides is not None else None
@@ -358,29 +308,7 @@ def build_schedule(
                 ScheduleAnomaly(key, "expiry_day", expiry,
                                 "expiry precedes the first trading day")
             )
-        entries.append(
-            MonthSchedule(key=key, first_trading_day=ftd, expiry_day=expiry,
-                          ftd_source=ftd_source, expiry_source=expiry_source)
-        )
-    return ScheduleTable(entries), anomalies
+        table[key] = MonthSchedule(key=key, first_trading_day=ftd, expiry_day=expiry,
+                                   ftd_source=ftd_source, expiry_source=expiry_source)
+    return table, anomalies
 
-
-def execution_date(strategy: Strategy, key: MonthKey, table: ScheduleTable) -> Date:
-    """Concrete execution date of an installment for month ``key``.
-
-    FTD executes on the month's own first trading day; EXP executes on the
-    previous month's expiry (e.g., a January installment executes on
-    December's expiry).
-    """
-    if strategy is Strategy.FTD:
-        entry = table.get(key)
-        if entry is None or entry.first_trading_day is None:
-            raise ScheduleError(f"schedule has no first trading day for {key}")
-        return entry.first_trading_day
-    if strategy is Strategy.EXP:
-        prev = key.prev()
-        entry = table.get(prev)
-        if entry is None or entry.expiry_day is None:
-            raise ScheduleError(f"schedule has no expiry for {prev} (needed by {key})")
-        return entry.expiry_day
-    raise ScheduleError(f"unknown strategy {strategy!r}")

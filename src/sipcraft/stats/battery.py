@@ -32,8 +32,8 @@ HEDGES_VARIANTS = ("standard", "paper_compat")
 
 # battery cells that can individually degrade to "not applicable"
 CELLS = ("t", "wilcoxon", "cohens_d", "hedges_g", "bootstrap", "ks", "fsd", "ssd")
-# 100 times the paper's B; a 1y draw of 32 * 22 * B bits stays well below
-# the 2**31 - 1 bits that one getrandbits call takes
+# 100 times the paper's B; the CLI's samples (n <= 22) stay inside the
+# n * B bound of bootstrap_bca, a longer window table may not
 MAX_RESAMPLES = 1_000_000
 
 

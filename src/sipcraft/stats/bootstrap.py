@@ -31,6 +31,8 @@ __all__ = ["BootstrapCI", "bootstrap_bca"]
 MIN_RESAMPLES = 1000
 # at or below 2**-53, 1 - alpha/2 rounds to 1 and the upper z is infinite
 MIN_ALPHA = 2.0 ** -53
+# one getrandbits call draws 32 bits per pick and takes at most 2**31 - 1 bits
+MAX_PICKS = (2 ** 31 - 1) // 32
 
 _WORDS = 1 << 32
 _WORD_TYPECODE = next(c for c in "IL" if array(c).itemsize == 4)
@@ -134,6 +136,8 @@ def bootstrap_bca(
     check_alpha(alpha)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    if s.n * resamples > MAX_PICKS:
+        raise ValueError(f"n * resamples must be <= {MAX_PICKS}, got {s.n} * {resamples}")
 
     diffs = s.diffs
     n = len(diffs)

@@ -54,9 +54,9 @@ def generate_series(
     days: list[TradingDay] = []
     level = base
     i = 0
-    current = first
-    one_day = timedelta(days=1)
-    while current <= last:
+    # stepping a date past ``last`` would overflow at 9999-12-31
+    for offset in range((last - first).days + 1):
+        current = first + timedelta(days=offset)
         if current.weekday() < 5:  # Monday..Friday
             is_holiday = holiday_rate > 0.0 and rng.random() < holiday_rate
             if not is_holiday:
@@ -69,5 +69,4 @@ def generate_series(
                     close = level
                 days.append(TradingDay(current, close))
                 i += 1
-        current += one_day
     return IndexSeries(days)

@@ -137,11 +137,10 @@ class IndexSeries:
     def dates_in_month(self, year: int, month: int) -> tuple[Date, ...]:
         """All trading dates falling inside the given calendar month."""
         lo = bisect_left(self._dates, Date(year, month, 1))
-        if month == 12:
-            upper = Date(year + 1, 1, 1)
+        if month == 12:  # year + 1 may be past MAXYEAR
+            hi = bisect_right(self._dates, Date(year, 12, 31))
         else:
-            upper = Date(year, month + 1, 1)
-        hi = bisect_left(self._dates, upper)
+            hi = bisect_left(self._dates, Date(year, month + 1, 1))
         return self._dates[lo:hi]
 
 

@@ -73,12 +73,11 @@ def five_year_sample() -> PairedSample:
 def weekday_series(start: datetime.date, end: datetime.date, close) -> IndexSeries:
     """Mon-Fri series over [start, end]; close is a constant or date -> price."""
     days = []
-    d = start
-    while d <= end:
+    for offset in range((end - start).days + 1):  # forms no date past end, which may be 9999-12-31
+        d = start + datetime.timedelta(days=offset)
         if d.weekday() < 5:
             price = close(d) if callable(close) else close
             days.append(TradingDay(d, price))
-        d += datetime.timedelta(days=1)
     return IndexSeries(days)
 
 

@@ -80,6 +80,19 @@ def test_validate_clean_series(series_csv, tmp_path, capsys):
     assert payload["rows"] > 5000
 
 
+def test_validate_and_simulate_december_9999(tmp_path, capsys):
+    # the last month's upper bound once named year 10000 and exited 2
+    data = tmp_path / "y9999.csv"
+    data.write_text(serialize_series(weekday_series(
+        datetime.date(9998, 12, 1), datetime.date(datetime.MAXYEAR, 12, 31), 100.0)))
+    assert main(["validate", "--data", str(data)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["months_checked"] == 13
+    for strategy in ("ftd", "exp"):
+        assert main(["simulate", "--data", str(data), "--strategy", strategy,
+                     "--start-year", "9999", "--years", "1"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_validate_malformed_series_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("date,close\n2003-01-01,-4\n")

@@ -83,10 +83,16 @@ def test_plan_validation():
             SipPlan(Strategy.FTD, 2020, 1, monthly_amount=bad_amount)
     plan = SipPlan(Strategy.FTD, 2020, 2)
     assert plan.final_year == 2021
-    months = plan.months()
-    assert len(months) == 24
-    assert months[0] == MonthKey(2020, 1)
-    assert months[-1] == MonthKey(2021, 12)
+
+
+def test_simulate_missing_anchor(flat_year_series):
+    with pytest.raises(SimulationError) as ftd:
+        simulate(SipPlan(Strategy.FTD, 2020, 1), flat_year_series, {})
+    assert str(ftd.value) == "installment 2020-01 (ftd): schedule has no first trading day for 2020-01"
+    with pytest.raises(SimulationError) as exp:
+        simulate(SipPlan(Strategy.EXP, 2020, 1), flat_year_series, {})
+    assert str(exp.value) == ("installment 2020-01 (exp): "
+                              "schedule has no expiry for 2019-12 (needed by 2020-01)")
 
 
 def test_window_grids():

@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sipcraft.cli import CONFIG_KEYS, EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
 from sipcraft.errors import SipcraftError
@@ -95,6 +95,7 @@ def test_main_survives_any_config_value(walk_csv, tmp_path, key, value, override
 
 
 @given(start_year=st.integers(), years=st.integers())
+@example(start_year=9999, years=2)  # runs --years 1: the walk once stepped past 9999-12-31
 @settings(max_examples=60, deadline=None)
 def test_fixtures_survives_any_year_flags(start_year, years):
     # only the span is checked here, so a valid one stays short

@@ -11,11 +11,8 @@ from sipcraft.schedule import (
     SOURCE_OVERRIDE,
     MonthKey,
     MonthSchedule,
-    ScheduleTable,
-    Strategy,
     build_schedule,
     compute_expiry,
-    execution_date,
     last_thursday,
     load_schedule_overrides,
     resolve_first_trading_day,
@@ -43,7 +40,6 @@ def test_month_key_validation_and_order():
     assert repr(MonthKey(2003, 1)) == "MonthKey(year=2003, month=1)"
     assert MonthKey(2020, 1).prev() == MonthKey(2019, 12)
     assert MonthKey(2019, 12).next() == MonthKey(2020, 1)
-    assert MonthKey.of(datetime.date(2020, 5, 17)) == MonthKey(2020, 5)
 
 
 @pytest.mark.parametrize("key, last", [
@@ -56,7 +52,6 @@ def test_month_key_validation_and_order():
     (MonthKey(datetime.MAXYEAR, 12), datetime.date(datetime.MAXYEAR, 12, 31)),
 ])
 def test_month_key_first_and_last_day(key, last):
-    assert key.first_day() == datetime.date(key.year, key.month, 1)
     assert key.last_day() == last
 
 
@@ -163,7 +158,7 @@ def test_bundled_override_table():
     with open(DATA / "schedule_overrides.csv") as fh:
         table = load_schedule_overrides(fh)
     assert len(table) == 265  # Dec 2002 + 22 full years
-    assert table.coverage == (MonthKey(2002, 12), MonthKey(2024, 12))
+    assert (min(table), max(table)) == (MonthKey(2002, 12), MonthKey(2024, 12))
 
     dec02 = table.get(MonthKey(2002, 12))
     assert dec02.first_trading_day is None
@@ -248,19 +243,11 @@ def test_execution_dates_from_override_table(flat_year_series):
                                       MonthKey(2019, 12), MonthKey(2020, 12))
     assert not anomalies
     # January executes on December's expiry under the expiry schedule
-    exp = execution_date(Strategy.EXP, MonthKey(2020, 1), table)
+    exp = table[MonthKey(2019, 12)].expiry_day
     assert exp == datetime.date(2019, 12, 26)
-    ftd = execution_date(Strategy.FTD, MonthKey(2020, 1), table)
+    ftd = table[MonthKey(2020, 1)].first_trading_day
     assert ftd == datetime.date(2020, 1, 1)
     assert exp < ftd
-
-
-def test_execution_date_missing_entries():
-    table = ScheduleTable([])
-    with pytest.raises(ScheduleError, match="no first trading day"):
-        execution_date(Strategy.FTD, MonthKey(2020, 1), table)
-    with pytest.raises(ScheduleError, match="no expiry"):
-        execution_date(Strategy.EXP, MonthKey(2020, 1), table)
 
 
 def test_expiry_precedes_next_months_ftd(long_series, long_table):
@@ -268,13 +255,13 @@ def test_expiry_precedes_next_months_ftd(long_series, long_table):
         nxt = key.next()
         if nxt not in long_table:
             continue
-        exp = execution_date(Strategy.EXP, nxt, long_table)
-        ftd = execution_date(Strategy.FTD, nxt, long_table)
+        exp = long_table[key].expiry_day
+        ftd = long_table[nxt].first_trading_day
         assert exp < ftd, f"expiry of {key} not before first trading day of {nxt}"
 
 
 def test_computed_expiry_bounds(long_series, long_table):
     for key, entry in long_table.items():
         assert entry.expiry_day <= last_thursday(key)
-        assert entry.expiry_day >= key.first_day()
+        assert entry.expiry_day >= datetime.date(key.year, key.month, 1)
         assert entry.first_trading_day <= entry.expiry_day

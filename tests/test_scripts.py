@@ -41,8 +41,11 @@ def test_run_reference_battery_prints_every_horizon(tmp_path):
      "table.csv line 2: expected integer years and numeric CAGRs, got ['1.5', '1.0', '2.0']"),
     (None, "years,cagr_ftd,cagr_exp\n1,1.0\n",
      "table.csv line 2: expected integer years and numeric CAGRs, got ['1', '1.0', None]"),
+    # one getrandbits call for 70 * 1000000 picks would take more than 2**31 - 1 bits
+    ('{"B": 1000000}', "years,cagr_ftd,cagr_exp\n" + "".join(f"1,{i},{i / 2}\n" for i in range(70)),
+     "n * resamples must be <= 67108863, got 70 * 1000000"),
 ], ids=["not-an-object", "malformed", "nesting", "unknown-key", "invalid-key", "missing-column",
-        "non-numeric", "fractional-years", "short-row"])
+        "non-numeric", "fractional-years", "short-row", "too-many-picks"])
 def test_run_reference_battery_bad_input_exits_2(tmp_path, config, table, message):
     args = []
     if config is not None:

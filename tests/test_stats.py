@@ -350,6 +350,9 @@ def test_bootstrap_validation(three_year_sample):
         bootstrap_bca(three_year_sample, alpha=1.0)
     with pytest.raises(ValueError):
         bootstrap_bca(three_year_sample, seed=-1)
+    # checked before any draw, so the bound costs nothing to test
+    with pytest.raises(ValueError, match=r"^n \* resamples must be <= 67108863, got 7 \* 9586981$"):
+        bootstrap_bca(three_year_sample, resamples=9_586_981)  # 7 * 9586980 fits
     # at or below 2**-53, 1 - alpha/2 rounds to 1 and the upper z is infinite
     for alpha in (2.0 ** -53, 1e-16, 1e-310):
         with pytest.raises(ValueError, match=r"^alpha must be in \(2\*\*-53, 1\), got "):

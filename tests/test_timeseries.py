@@ -158,6 +158,11 @@ def test_dates_in_month():
     assert jan[-1] == datetime.date(2020, 1, 31)
     assert all(d.month == 1 for d in jan)
     assert s.dates_in_month(2021, 1) == ()
+    # December's bound once named January of the next year, past MAXYEAR
+    last = datetime.date(datetime.MAXYEAR, 12, 31)
+    dec = weekday_series(datetime.date(datetime.MAXYEAR, 11, 1), last, 10.0).dates_in_month(
+        datetime.MAXYEAR, 12)
+    assert (dec[0], dec[-1], len(dec)) == (datetime.date(datetime.MAXYEAR, 12, 1), last, 23)
 
 
 def test_trading_day_validation():
