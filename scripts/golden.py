@@ -28,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden" / "manifest.json"
 SCHEDULE = ROOT / "data" / "schedule_overrides.csv"
+WINDOWS = ROOT / "data" / "reference_windows.csv"
 
 # overrides on Saturdays, which no series trades on
 UNVERIFIABLE = "year,month,ftd_dom,expiry_dom\n2010,1,2,\n2009,12,,5\n"
@@ -40,6 +41,8 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "compare-json": ("compare", "--data", "grid.csv", "--resamples", "1000", "--format", "json"),
     "compare-json-default-b": ("compare", "--data", "grid.csv", "--format", "json"),
     "compare-overrides": ("compare", *_LONG, "--resamples", "1000"),
+    "compare-windows-markdown": ("compare", "--data", "windows.csv"),
+    "compare-windows-json": ("compare", "--data", "windows.csv", "--format", "json"),
     "validate-grid": ("validate", "--data", "grid.csv"),
     "validate-overrides": ("validate", *_LONG),
     "simulate-markdown": (*_SIM, "--strategy", "ftd"),
@@ -60,6 +63,7 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "error-unverifiable-exp": ("simulate", "--data", "grid.csv", "--schedule", "bad.csv",
                                "--strategy", "exp", "--start-year", "2010", "--years", "1"),
     "validate-unverifiable": ("validate", "--data", "grid.csv", "--schedule", "bad.csv"),
+    "error-windows-schedule": ("compare", "--data", "windows.csv", "--schedule", "schedule.csv"),
 }
 
 
@@ -72,12 +76,14 @@ def _gen():
 
 def write_inputs(directory: Path) -> None:
     """The corpus inputs: the benchmark's seed-1 grid and long series, the
-    override table, and an override table no series can verify."""
+    override table, an override table no series can verify, and the frozen
+    per-window CAGR table."""
     gen = _gen()
     (directory / "grid.csv").write_text(gen.grid_csv(1), encoding="utf-8")
     (directory / "long.csv").write_text(gen.long_csv(1, str(SCHEDULE)), encoding="utf-8")
     (directory / "schedule.csv").write_bytes(SCHEDULE.read_bytes())
     (directory / "bad.csv").write_text(UNVERIFIABLE, encoding="utf-8")
+    (directory / "windows.csv").write_bytes(WINDOWS.read_bytes())
 
 
 def run(argv: tuple[str, ...]) -> dict:

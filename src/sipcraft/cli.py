@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import itertools
 import os
 import sys
 from typing import NamedTuple
@@ -74,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="simulate the window grid and run the full battery")
     p_fix = sub.add_parser("fixtures", help="generate a synthetic daily series CSV")
     for p in (p_val, p_sim, p_cmp):
-        p.add_argument("--data", help="daily close CSV (date,close; extra columns ignored)")
+        p.add_argument("--data", help="daily close CSV (date,close; extra columns ignored)"
+                       + (", or a per-window CAGR table" if p is p_cmp else ""))
         p.add_argument("--schedule", help="schedule override CSV (year,month,ftd_dom,expiry_dom)")
         p.add_argument("--config", help="JSON config file; command-line flags win")
     for p, handler in ((p_val, cmd_validate), (p_sim, cmd_simulate), (p_cmp, cmd_compare),
@@ -221,11 +223,25 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_inputs(settings: Settings):
+def _load_inputs(settings: Settings, durations: list[int] | None = None):
+    """The daily close series and the schedule overrides. Given durations,
+    as ``compare`` gives them, a data file whose header names both CAGR
+    columns is a per-window CAGR table instead: its runs by duration come
+    back in place of the series, and no overrides."""
     if not settings.data:
         raise ValueError("no data file given (use --data or the config file)")
     with open(settings.data, "r", encoding="utf-8-sig", newline="") as fh:
-        series = parse_series(fh)
+        lines = fh
+        if durations is not None:
+            from .engine import is_window_table, load_windows
+
+            header = fh.readline()
+            lines = itertools.chain([header], fh)  # a pipe cannot seek back to the header
+            if is_window_table(header):
+                if settings.schedule:
+                    raise ValueError("a schedule file does not apply to a per-window CAGR table")
+                return load_windows(lines, durations), None
+        series = parse_series(lines)
     overrides = None
     if settings.schedule:
         with open(settings.schedule, "r", encoding="utf-8-sig", newline="") as fh:
@@ -320,20 +336,25 @@ def cmd_compare(settings: Settings, args) -> int:
     from .schedule import MonthKey
     from .stats.battery import BatteryConfig
 
-    series, overrides = _load_inputs(settings)
+    series, overrides = _load_inputs(settings, settings.durations)
     battery_config = BatteryConfig.from_dict(settings.battery)
 
-    windows = [w for d in settings.durations for w in enumerate_windows(d)]
-    first_year = min(w.from_year for w in windows)
-    last_year = max(w.to_year for w in windows)
-    table, anomalies = build_schedule(series, overrides,
-                                      MonthKey(first_year - 1, 12), MonthKey(last_year, 12))
+    runs = series if isinstance(series, dict) else None  # a window table's runs by duration
+    if runs:
+        source, anomalies = "windows", []
+    else:
+        source = "overrides+computed" if settings.schedule else "computed"
+        windows = [w for d in settings.durations for w in enumerate_windows(d)]
+        first_year = min(w.from_year for w in windows)
+        last_year = max(w.to_year for w in windows)
+        table, anomalies = build_schedule(series, overrides,
+                                          MonthKey(first_year - 1, 12), MonthKey(last_year, 12))
 
     window_tables: dict[str, list[dict]] = {}
     metrics: list[dict] = []
     boxplots: dict[str, dict] = {}
     for duration in settings.durations:
-        sample, outcomes = paired_run(duration, series, table)
+        sample, outcomes = runs[duration] if runs else paired_run(duration, series, table)
         window_tables[f"{duration}y"] = [window_row(o) for o in outcomes]
         # the 20-year horizon has a single window, so the battery reduces to
         # descriptive cells by construction (n=1 keeps every test cell n/a)
@@ -347,7 +368,7 @@ def cmd_compare(settings: Settings, args) -> int:
         "data_sha256": file_sha256(settings.data),
         "schedule_path": settings.schedule,
         "schedule_sha256": file_sha256(settings.schedule) if settings.schedule else None,
-        "schedule_source": "overrides+computed" if settings.schedule else "computed",
+        "schedule_source": source,
         "durations": settings.durations,
         "battery_config": battery_config.to_json_dict(),
         "anomaly_count": len(anomalies),

@@ -10,15 +10,16 @@ it, so it is computed from the prices alone.
 
 from __future__ import annotations
 
+import csv
 import math
 import sys
 from datetime import date as Date
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import CoverageError, NotTradingDayError, SimulationError
+from .errors import CoverageError, NotTradingDayError, SeriesFormatError, SimulationError
 from .schedule import MonthKey, MonthSchedule, Strategy
 from .stats.paired import PairedSample
-from .timeseries import IndexSeries
+from .timeseries import IndexSeries, _normalize_header_cell
 
 __all__ = [
     "DEFAULT_MONTHLY_AMOUNT",
@@ -27,6 +28,8 @@ __all__ = [
     "SipResult",
     "Window",
     "WindowOutcome",
+    "is_window_table",
+    "load_windows",
     "cagr",
     "simulate",
     "enumerate_windows",
@@ -37,6 +40,9 @@ __all__ = [
 DEFAULT_MONTHLY_AMOUNT = 10_000.0
 
 SUPPORTED_DURATIONS = (1, 3, 5, 10, 20)
+
+# the columns of a per-window CAGR table; all but years are required
+WINDOW_COLUMNS = ("from_year", "to_year", "years", "cagr_ftd", "cagr_exp")
 
 
 class _SipPlan(NamedTuple):
@@ -110,6 +116,82 @@ class WindowOutcome(NamedTuple):
     @property
     def difference(self) -> float:
         return self.cagr_exp - self.cagr_ftd
+
+
+def _paired(outcomes: list[WindowOutcome]) -> tuple[PairedSample, list[WindowOutcome]]:
+    return PairedSample([o.cagr_exp for o in outcomes], [o.cagr_ftd for o in outcomes]), outcomes
+
+
+def is_window_table(header: str) -> bool:
+    """Whether a CSV header line names both CAGR columns of a per-window table."""
+    try:
+        names = [_normalize_header_cell(c) for c in next(csv.reader([header]), [])]
+    except csv.Error:  # a quoted cell that runs past the line, say
+        return False
+    return "cagr_ftd" in names and "cagr_exp" in names
+
+
+def load_windows(
+    lines: Iterable[str], durations: Iterable[int],
+) -> dict[int, tuple[PairedSample, list[WindowOutcome]]]:
+    """Per-window CAGR table to each selected duration's paired sample and
+    outcomes in start-year order, the shape ``paired_run`` returns.
+
+    ``years`` is the one optional column of ``WINDOW_COLUMNS``. Every error
+    message carries the offending line number.
+    """
+    reader = csv.reader(lines)
+    names = [_normalize_header_cell(c) for c in next(reader, [])]
+    columns = {c: names.index(c) for c in WINDOW_COLUMNS if c in names}
+    missing = [c for c in WINDOW_COLUMNS if c not in columns and c != "years"]
+    if missing:
+        raise SeriesFormatError(f"window table header lacks {missing}", 1)
+    needed = max(columns.values()) + 1
+    selected: dict[int, list[WindowOutcome]] = {d: [] for d in durations}
+    seen: dict[Window, int] = {}
+    try:
+        for row in reader:
+            line = reader.line_num
+            if not "".join(row).strip():
+                continue  # blank line
+            if len(row) < needed:
+                raise SeriesFormatError(f"row has {len(row)} columns, expected at least {needed}",
+                                        line)
+            cells = {}
+            for key, i in columns.items():
+                kind = float if key.startswith("cagr") else int
+                try:
+                    cells[key] = kind(row[i])
+                except ValueError:
+                    cells[key] = math.nan
+                if not math.isfinite(cells[key]):
+                    what = "a finite number" if kind is float else "an integer"
+                    raise SeriesFormatError(f"{key} must be {what}, got {row[i].strip()!r}", line)
+            try:
+                window = Window(cells["from_year"], cells["to_year"])
+            except ValueError as exc:
+                raise SeriesFormatError(str(exc), line) from None
+            where = f"window {window.from_year}..{window.to_year}"
+            if cells.get("years", window.years) != window.years:
+                raise SeriesFormatError(f"years {cells['years']} does not match {where}", line)
+            if window.years not in SUPPORTED_DURATIONS:
+                raise SeriesFormatError(f"{where} spans {window.years} years, expected one of "
+                                        f"{SUPPORTED_DURATIONS}", line)
+            if window in seen:
+                raise SeriesFormatError(f"duplicate {where} (first seen at line {seen[window]})",
+                                        line)
+            seen[window] = line
+            if window.years in selected:
+                selected[window.years].append(
+                    WindowOutcome(window, cells["cagr_ftd"], cells["cagr_exp"]))
+    except csv.Error as exc:  # an oversized field, say
+        raise SeriesFormatError(str(exc), reader.line_num) from None
+    absent = [d for d, outcomes in selected.items() if not outcomes]
+    if absent:
+        raise SeriesFormatError(f"window table ends with no rows for durations {absent}",
+                                reader.line_num)
+    return {d: _paired(sorted(outcomes, key=lambda o: o.window.from_year))
+            for d, outcomes in selected.items()}
 
 
 def cagr(final_value: float, invested: float, years: int) -> float:
@@ -245,11 +327,6 @@ def paired_run(
         installments, _, terminal_close = _installments(plan, series, table)
         return _cagr_of(plan, installments, terminal_close)
 
-    outcomes = [WindowOutcome(window, plan_cagr(Strategy.FTD, window),
-                              plan_cagr(Strategy.EXP, window))
-                for window in enumerate_windows(duration)]
-    sample = PairedSample(
-        exp_values=[o.cagr_exp for o in outcomes],
-        ftd_values=[o.cagr_ftd for o in outcomes],
-    )
-    return sample, outcomes
+    return _paired([WindowOutcome(window, plan_cagr(Strategy.FTD, window),
+                                  plan_cagr(Strategy.EXP, window))
+                    for window in enumerate_windows(duration)])

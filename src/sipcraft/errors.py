@@ -10,7 +10,7 @@ class SipcraftError(Exception):
 
 
 class SeriesFormatError(SipcraftError, ValueError):
-    """Malformed input series; carries the offending 1-based line number."""
+    """Malformed input file; carries the offending 1-based line number."""
 
     def __init__(self, message: str, line_no: int | None = None):
         self.line_no = line_no

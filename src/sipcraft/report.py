@@ -127,50 +127,21 @@ def _metric_rows(report_dicts: list[dict]) -> list[tuple[str, list[str]]]:
     add("Mean difference", lambda d: fmt(d["mean_diff"]))
     add("t-statistic", lambda d: _na(d, "t") or fmt(d["t"]["statistic"]))
     add("Paired t-test p (one-sided)", lambda d: _na(d, "t") or fmt(d["t"]["p"]))
+    add("Wilcoxon signed-rank p (one-sided)", lambda d: _na(d, "wilcoxon") or
+        "{:.4f} ({})".format(d["wilcoxon"]["p"], d["wilcoxon"]["method"].replace("_", " ")))
+    add("Wilcoxon p, exact / normal approx", lambda d: _na(d, "wilcoxon") or "{} / {}".format(
+        fmt(d["wilcoxon"]["p_exact"]) or "n/a", fmt(d["wilcoxon"]["p_normal"]) or "n/a"))
+    add("Cohen's d", lambda d: _na(d, "cohens_d") or
+        f"{d['effect']['cohens_d']:.4f} ({d['effect']['label']})")
+    add("Hedges' g", lambda d: _na(d, "hedges_g") or
+        f"{d['effect']['hedges_g']:.4f} ({d['effect']['hedges_variant']})")
 
-    def wilcoxon_primary(d):
-        na = _na(d, "wilcoxon")
-        if na:
-            return na
-        method = d["wilcoxon"]["method"].replace("_", " ")
-        return f"{d['wilcoxon']['p']:.4f} ({method})"
-
-    def wilcoxon_both(d):
-        na = _na(d, "wilcoxon")
-        if na:
-            return na
-        exact = fmt(d["wilcoxon"]["p_exact"]) or "n/a"
-        normal = fmt(d["wilcoxon"]["p_normal"]) or "n/a"
-        return f"{exact} / {normal}"
-
-    add("Wilcoxon signed-rank p (one-sided)", wilcoxon_primary)
-    add("Wilcoxon p, exact / normal approx", wilcoxon_both)
-
-    def effect(d):
-        na = _na(d, "cohens_d")
-        if na:
-            return na
-        return f"{d['effect']['cohens_d']:.4f} ({d['effect']['label']})"
-
-    def hedges(d):
-        na = _na(d, "hedges_g")
-        if na:
-            return na
-        return f"{d['effect']['hedges_g']:.4f} ({d['effect']['hedges_variant']})"
-
-    add("Cohen's d", effect)
-    add("Hedges' g", hedges)
-
-    def ci(d):
-        na = _na(d, "bootstrap")
-        if na:
-            return na
-        b = d["bootstrap"]
+    def ci(b):
         pct = round((1.0 - b["alpha"]) * 100)
         tag = " (degenerate)" if b["degenerate"] else ""
         return f"[{b['lower']:.4f}, {b['upper']:.4f}] ({pct}%, B={b['B']}){tag}"
 
-    add("Bootstrap CI (mean diff)", ci)
+    add("Bootstrap CI (mean diff)", lambda d: _na(d, "bootstrap") or ci(d["bootstrap"]))
     add("KS statistic (D)", lambda d: _na(d, "ks") or fmt(d["ks"]["statistic"]))
     add("KS p", lambda d: _na(d, "ks") or fmt(d["ks"]["p"]))
     add("FSD verdict", lambda d: _na(d, "fsd") or d["fsd"])

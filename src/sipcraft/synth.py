@@ -42,8 +42,8 @@ def generate_series(
         raise ValueError(f"years must be >= 1, got {years}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if not base > 0:
-        raise ValueError(f"base must be positive, got {base}")
+    if not 0.0 < base < math.inf:
+        raise ValueError(f"base must be positive and finite, got {base}")
     if not 0.0 <= holiday_rate <= MAX_HOLIDAY_RATE:
         raise ValueError(f"holiday_rate must be in [0, {MAX_HOLIDAY_RATE}], got {holiday_rate}")
 
@@ -67,6 +67,9 @@ def generate_series(
                 else:
                     level *= math.exp(rng.normalvariate(3e-4, 0.01))
                     close = level
+                if not 0.0 < close < math.inf:  # the level over- or underflowed
+                    raise ValueError(f"level on {current.isoformat()} is not a finite positive "
+                                     f"float, got {close!r}")
                 days.append(TradingDay(current, close))
                 i += 1
     return IndexSeries(days)

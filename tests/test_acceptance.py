@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines. The
 criteria pin the statistics layer to the frozen reference results at their
 stated tolerances and exercise the structural guarantees (amount invariance,
 exact-test oracles, bootstrap determinism, dominance logic, CDF accuracy).
+Criterion 10 pins the abstract's claims as ``compare`` reads them off the
+frozen window table.
 """
 
 import itertools
@@ -352,3 +354,37 @@ def test_criterion_9_cdf_reference_accuracy():
     print(f"  worst distribution-function error: {worst:.3e}")
 
     report("criterion 9: distribution functions at 1e-10 against frozen references", failures)
+
+
+def test_criterion_10_abstract_reading(tmp_path):
+    """The abstract's claims as ``compare`` reads them off the frozen window table."""
+    from sipcraft.cli import main
+
+    failures = []
+    check = checker(failures)
+    out = tmp_path / "bundle.json"
+    code = main(["compare", "--data", str(DATA / "reference_windows.csv"), "--format", "json",
+                 "--out", str(out)])
+    assert code == 0
+    bundle = json.loads(out.read_text())
+    metrics = {m["label"]: m for m in bundle["metrics"]}
+
+    twenty = bundle["windows"]["20y"]
+    check([(w["cagr_ftd"], w["cagr_exp"]) for w in twenty] == [(6.65, 6.68)],
+          f"20y CAGRs {twenty} are not 6.65 (FTD) and 6.68 (EXP)")
+    for label in ("1y", "3y", "5y", "10y"):
+        check(metrics[label]["ssd"] == DominanceSide.EXP.value,
+              f"{label} SSD verdict {metrics[label]['ssd']} is not exp_dominates")
+    for label, fsd in (("1y", DominanceSide.NONE), ("3y", DominanceSide.NONE),
+                       ("5y", DominanceSide.EXP), ("10y", DominanceSide.EXP)):
+        check(metrics[label]["fsd"] == fsd.value,
+              f"{label} FSD verdict {metrics[label]['fsd']} is not {fsd.value}")
+    means = [metrics[label]["mean_diff"] for label in ("1y", "3y", "5y", "10y", "20y")]
+    check([round(m, 2) for m in means] == [0.77, 0.27, 0.13, 0.06, 0.03],
+          f"mean gaps {means} do not round to 0.77, 0.27, 0.13, 0.06, 0.03")
+    check(all(a > b for a, b in zip(means, means[1:])), f"mean gaps {means} do not fall strictly")
+    # "0.5-2.5% annually over 1-5 years" holds for the 1y mean only
+    check(0.5 <= means[0] <= 2.5, f"1y mean gap {means[0]} is outside [0.5, 2.5]")
+    check(means[1] < 0.5 and means[2] < 0.5, f"3y and 5y mean gaps {means[1:3]} reach 0.5")
+
+    report("criterion 10: the abstract's reading of the window table", failures)

@@ -177,6 +177,115 @@ def test_compare_json_bundle_validates(series_csv, tmp_path):
     assert bundle["provenance"]["battery_config"]["B"] == 2000
 
 
+def test_compare_reads_a_window_table(tmp_path):
+    out = tmp_path / "bundle.json"
+    assert main(["compare", "--data", str(DATA / "reference_windows.csv"), "--durations", "3,20",
+                 "--resamples", "1000", "--format", "json", "--out", str(out)]) == EXIT_OK
+    bundle = read_json(out)
+    with open(ROOT / "docs" / "report_schema.json") as fh:
+        jsonschema.validate(bundle, json.load(fh))
+    prov = bundle["provenance"]
+    assert (prov["schedule_source"], prov["schedule_path"], prov["anomaly_count"]) == (
+        "windows", None, 0)
+    assert prov["data_path"] == str(DATA / "reference_windows.csv")
+    assert bundle["anomalies"] == []
+    assert [m["label"] for m in bundle["metrics"]] == ["3y", "20y"]
+    assert [(w["from_year"], w["cagr_ftd"]) for w in bundle["windows"]["20y"]] == [(2005, 6.65)]
+    assert [w["from_year"] for w in bundle["windows"]["3y"]] == list(range(2004, 2023, 3))
+
+
+def test_compare_window_table_header_is_normalized(tmp_path, capsys):
+    # rows out of order and a BOM, upper-case header with extra columns
+    table = tmp_path / "table.csv"
+    table.write_text("\ufeffNote,CAGR_EXP,To_Year,From_Year,cagr_ftd\n"
+                     "b,3.0,2004,2004,2.5\na,2.0,2003,2003,1.0\n", encoding="utf-8")
+    assert main(["compare", "--data", str(table), "--durations", "1", "--resamples", "1000",
+                 "--format", "csv"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(
+        "# windows 1y\nfrom_year,to_year,years,cagr_ftd,cagr_exp,difference,"
+        "difference_of_rounded\n2003,2003,1,1.00,2.00,1.00,\n2004,2004,1,2.50,3.00,0.50,\n")
+
+
+def test_compare_window_table_prints_every_horizon(tmp_path, capsys):
+    # the compare config holds battery settings under "stats"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"stats": {"B": 1000}}))
+    assert main(["compare", "--data", str(DATA / "reference_windows.csv"),
+                 "--config", str(cfg)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "| Metric | 1y | 3y | 5y | 10y | 20y |\n" in out
+    assert "B=1000" in out
+
+
+@pytest.mark.parametrize("name", ["reference_windows.csv", "series"])
+def test_compare_reads_data_from_a_pipe(series_csv, name):
+    # the header check reads ahead without seeking, which a pipe cannot
+    path = series_csv if name == "series" else DATA / name
+    argv = ["compare", "--data", "/dev/stdin", "--durations", "1", "--resamples", "1000",
+            "--format", "json"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    with open(path, "rb") as fh:
+        proc = subprocess.run([sys.executable, "-m", "sipcraft", *argv], stdin=fh,
+                              capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len(json.loads(proc.stdout)["windows"]["1y"]) == 22
+
+
+_TABLE = "from_year,to_year,years,cagr_ftd,cagr_exp\n"
+
+
+# each case the removed battery script rejected, as compare exits it, and
+# the rules a window table adds; a missing CAGR column makes a daily close
+# series of the file, whose header then lacks date and close
+@pytest.mark.parametrize("table, argv, message", [
+    ("from_year,to_year,years,cagr_ftd\n2003,2003,1,1.0\n", [],
+     "line 1: header must contain 'date' and 'close' columns, got "
+     "['from_year', 'to_year', 'years', 'cagr_ftd']"),
+    ("from_year,years,cagr_ftd,cagr_exp\n2003,1,1.0,2.0\n", [],
+     "line 1: window table header lacks ['to_year']"),
+    (_TABLE + "2003,2003,1,1.0,x\n", [], "line 2: cagr_exp must be a finite number, got 'x'"),
+    (_TABLE + "2003,2003,1,nan,2.0\n", [], "line 2: cagr_ftd must be a finite number, got 'nan'"),
+    (_TABLE + "2003,2003,1.5,1.0,2.0\n", [], "line 2: years must be an integer, got '1.5'"),
+    (_TABLE + "2003,2003,1,1.0\n", [], "line 2: row has 4 columns, expected at least 5"),
+    (_TABLE + "2003,2004,1,1.0,2.0\n", [],
+     "line 2: years 1 does not match window 2003..2004"),
+    (_TABLE + "2004,2003,0,1.0,2.0\n", [], "line 2: window ends before it starts: 2004..2003"),
+    (_TABLE + "2003,2009,7,1.0,2.0\n", [],
+     "line 2: window 2003..2009 spans 7 years, expected one of (1, 3, 5, 10, 20)"),
+    (_TABLE + "2003,2003,1,1.0,2.0\n\n2003,2003,1,1.5,2.5\n", [],
+     "line 4: duplicate window 2003..2003 (first seen at line 2)"),
+    (_TABLE + "2003,2003,1,1.0,2.0\n", ["--durations", "1,5"],
+     "line 2: window table ends with no rows for durations [5]"),
+    (_TABLE + "2003,2003,1,1.0,2.0\n", ["--durations", "1", "--schedule",
+                                          str(DATA / "schedule_overrides.csv")],
+     "a schedule file does not apply to a per-window CAGR table"),
+    # one getrandbits call for 70 * 1000000 picks would take more than 2**31 - 1 bits
+    (_TABLE + "".join(f"{1950 + i},{1950 + i},1,{i},{i / 2}\n" for i in range(70)),
+     ["--durations", "1", "--resamples", "1000000"],
+     "n * resamples must be <= 67108863, got 70 * 1000000"),
+], ids=["missing-column", "missing-year-column", "non-numeric", "non-finite",
+        "fractional-years", "short-row", "years-mismatch", "reversed", "seven-years",
+        "duplicate", "missing-duration", "schedule", "too-many-picks"])
+def test_compare_bad_window_table_exits_2(tmp_path, capsys, table, argv, message):
+    (tmp_path / "table.csv").write_text(table)
+    assert main(["compare", "--data", str(tmp_path / "table.csv"), *argv]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sipcraft: error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--data", "--config"])
+def test_compare_unreadable_file_exits_2(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = ["compare", flag, "absent"]
+    if flag == "--config":
+        argv += ["--data", str(DATA / "reference_windows.csv")]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sipcraft: error: [Errno 2] No such file or directory: 'absent'\n"
+
+
 def test_compare_seed_precedence(series_csv, tmp_path, monkeypatch):
     def bundle_seed(argv):
         out = tmp_path / "p.json"
@@ -278,6 +387,13 @@ def test_compare_rejects_non_integer_battery_config(series_csv, tmp_path, capsys
     pytest.param("simulate", {"data": 9999}, "data must be a path string", id="data0"),
     pytest.param("validate", "[" * 100000 + "]" * 100000, "config file nests too deeply",
                  id="nesting0"),
+    pytest.param("compare", "[" * 100000 + "]" * 100000, "config file nests too deeply",
+                 id="nesting1"),
+    pytest.param("compare", "[1, 2]", "config file must hold a JSON object", id="object0"),
+    pytest.param("compare", "{", "Expecting property name enclosed in double quotes: line 1 "
+                 "column 2 (char 1)", id="malformed0"),
+    pytest.param("compare", {"stats": {"bee": 1}}, "unknown battery config keys: ['bee']",
+                 id="stats0"),
 ])
 def test_config_rejects_wrong_types(flat_csv, tmp_path, capsys, command, config, fragment):
     cfg = tmp_path / "cfg.json"
@@ -366,7 +482,11 @@ def test_settings_defaults_match_the_engine():
      f"start_year must be an integer in 2..9999, got {10**20}"),
     (["compare", "--data", "{data}", "--durations", "1", "--resamples", "1000"],
      {"amount": 10**400}, f"amount must be a number in float range, got {10**400}"),
-], ids=["simulate-start_year", "fixtures-years", "fixtures-start_year", "compare-amount"])
+    (["fixtures", "--base", "inf"], None, "base must be positive and finite, got inf"),
+    (["fixtures", "--kind", "walk", "--base", "1.7e308", "--seed", "3"], None,
+     "level on 2002-12-31 is not a finite positive float, got inf"),
+], ids=["simulate-start_year", "fixtures-years", "fixtures-start_year", "compare-amount",
+        "fixtures-base", "fixtures-overflow"])
 def test_out_of_range_numbers_exit_2(flat_csv, tmp_path, capsys, argv, config, message):
     argv = [a.format(data=flat_csv) for a in argv]
     if config is not None:
@@ -385,7 +505,8 @@ def test_out_of_range_numbers_exit_2(flat_csv, tmp_path, capsys, argv, config, m
     ("alpha", "--alpha", "1e-16", "alpha must be in (2**-53, 1), got 1e-16"),
     ("alpha", "--alpha", "1e-310", "alpha must be in (2**-53, 1), got 1e-310"),
     ("B", "--resamples", "3000000000", "B must be <= 1000000, got 3000000000"),
-], ids=["alpha-1e-16", "alpha-subnormal", "B"])
+    ("B", "--resamples", "10", "B must be >= 1000, got 10"),
+], ids=["alpha-1e-16", "alpha-subnormal", "B", "B-small"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_unusable_battery_numbers_exit_2(series_csv, tmp_path, capsys, key, flag, value,
                                          message, source):

@@ -12,6 +12,8 @@ from sipcraft.engine import (
     Window,
     cagr,
     enumerate_windows,
+    is_window_table,
+    load_windows,
     paired_run,
     simulate,
 )
@@ -19,7 +21,7 @@ from sipcraft.errors import SimulationError
 from sipcraft.schedule import MonthKey, Strategy, build_schedule
 from sipcraft.synth import generate_series
 
-from conftest import anchor_prices, ledger_cagr, weekday_series
+from conftest import DATA, anchor_prices, ledger_cagr, load_reference_sample, weekday_series
 
 
 def build_table(series, start_year, years):
@@ -257,3 +259,37 @@ def test_uniform_price_scaling_preserves_cagr(case, factor):
     base = simulate(plan, series, base_table).cagr_percent
     scaled = simulate(plan, scaled_series, scaled_table).cagr_percent
     assert scaled == pytest.approx(base, rel=1e-9, abs=1e-9)
+
+
+def test_reference_table_follows_the_window_grid():
+    with open(DATA / "reference_windows.csv", newline="") as fh:
+        assert is_window_table(fh.readline())
+        fh.seek(0)
+        runs = load_windows(fh, SUPPORTED_DURATIONS)
+    assert list(runs) == list(SUPPORTED_DURATIONS)
+    for duration, (sample, outcomes) in runs.items():
+        assert [o.window for o in outcomes] == enumerate_windows(duration)
+        reference = load_reference_sample(duration)
+        assert (sample.exp_values, sample.ftd_values) == (reference.exp_values,
+                                                          reference.ftd_values)
+
+
+@pytest.mark.parametrize("header, table", [
+    ("from_year,to_year,cagr_ftd,cagr_exp\r\n", True),
+    ("\ufeffCAGR_EXP, Cagr_Ftd\n", True),
+    ("date,close,cagr_ftd\n", False),
+    ('"cagr_ftd,cagr_exp\n', False),  # one quoted cell that runs on
+    ("", False),
+])
+def test_is_window_table(header, table):
+    assert is_window_table(header) is table
+
+
+def test_load_windows_keeps_selected_durations_in_start_order():
+    lines = ["from_year,to_year,cagr_ftd,cagr_exp", "2010,2012,1,2", "2003,2003,3,4",
+             "2004,2006,5,6"]
+    runs = load_windows(lines, [3])
+    sample, outcomes = runs[3]
+    assert list(runs) == [3]
+    assert [o.window for o in outcomes] == [Window(2004, 2006), Window(2010, 2012)]
+    assert (sample.ftd_values, sample.exp_values) == ((5.0, 1.0), (6.0, 2.0))
