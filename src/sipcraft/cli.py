@@ -272,6 +272,7 @@ def cmd_validate(settings: Settings, args) -> int:
 
 def cmd_simulate(settings: Settings, args) -> int:
     from .engine import SipPlan, simulate
+    from .report import render_simulation
     from .schedule import MonthKey, Strategy
 
     series, overrides = _load_inputs(settings)
@@ -282,51 +283,7 @@ def cmd_simulate(settings: Settings, args) -> int:
                    settings.amount)
     table, _ = build_schedule(series, overrides,
                               MonthKey(plan.start_year - 1, 12), MonthKey(plan.final_year, 12))
-    result = simulate(plan, series, table)
-
-    if settings.format == "json":
-        import json
-
-        payload = {
-            "plan": {"strategy": plan.strategy.value, "start_year": plan.start_year,
-                     "years": plan.years, "monthly_amount": plan.monthly_amount},
-            "executions": [
-                {"month": str(e.month), "date": e.date.isoformat(), "price": e.price, "units": e.units}
-                for e in result.executions
-            ],
-            "units": result.units,
-            "invested": result.invested,
-            "terminal_date": result.terminal_date.isoformat(),
-            "terminal_close": result.terminal_close,
-            "final_value": result.final_value,
-            "cagr_percent": result.cagr_percent,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    elif settings.format == "csv":
-        lines = ["month,date,price,units"]
-        for e in result.executions:
-            lines.append(f"{e.month},{e.date.isoformat()},{e.price!r},{e.units!r}")
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"Plan: {plan.strategy.value} {plan.start_year}..{plan.final_year} "
-            f"({plan.years}y, {plan.monthly_amount:g}/month)",
-            "",
-            "| Month | Date | Price | Units |",
-            "|-------|------|-------|-------|",
-        ]
-        for e in result.executions:
-            lines.append(f"| {e.month} | {e.date.isoformat()} | {e.price:.4f} | {e.units:.6f} |")
-        lines += [
-            "",
-            f"Units: {result.units:.6f}",
-            f"Invested: {result.invested:.2f}",
-            f"Terminal: {result.terminal_date.isoformat()} at close {result.terminal_close:.4f}",
-            f"Final value: {result.final_value:.2f}",
-            f"CAGR: {result.cagr_percent:.2f}%",
-        ]
-        text = "\n".join(lines) + "\n"
-    _write_out(text, args.out)
+    _write_out(render_simulation(simulate(plan, series, table), settings.format), args.out)
     return EXIT_OK
 
 

@@ -1,38 +1,37 @@
-"""Rendering: window tables, the metrics battery table, boxplot summaries.
+"""Rendering: the window, metrics and ledger tables, boxplot summaries.
 
 All output is deterministic byte for byte: no timestamps, no environment
 leakage, stable ordering everywhere. CAGRs are rounded to 2 decimals only
 here, at the reporting boundary; the difference column is always the
 rounded difference of the full-precision CAGRs, and whenever subtracting
 the already-rounded columns would give a different value, that alternative
-is surfaced alongside rather than papered over.
+is surfaced alongside rather than papered over. Every table goes through
+one CSV writer and one markdown writer.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 
 from ._version import VERSION
-from .engine import WindowOutcome
+from .engine import SipResult, WindowOutcome
 from .errors import InsufficientDataError
 from .stats.special import quantile_sorted
 
 __all__ = [
     "window_row",
-    "render_window_table",
-    "render_metrics_table",
     "boxplot_summary",
     "file_sha256",
     "render_bundle",
+    "render_simulation",
 ]
-
-FORMATS = ("markdown", "csv", "json")
 
 WINDOW_FIELDS = ("from_year", "to_year", "years", "cagr_ftd", "cagr_exp",
                  "difference", "difference_of_rounded")
+WINDOW_HEADER = ("From", "To", "Years", "CAGR (F)", "CAGR (E)", "Difference")
+WINDOW_RULE = (6, 6, 7, 10, 10, 12)  # the To column is wider than its header
 
 
 def window_row(outcome: WindowOutcome) -> dict:
@@ -56,55 +55,41 @@ def window_row(outcome: WindowOutcome) -> dict:
     }
 
 
-def _check_format(format: str) -> None:
-    if format not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def render_window_table(rows: list[dict], format: str = "markdown") -> str:
-    """Stable-order window table of ``window_row`` dictionaries; markdown,
-    csv, or json."""
-    _check_format(format)
-    if not rows:
-        raise ValueError("window table needs at least one row")
+def _markdown(header, rows, rule=None) -> list[str]:
+    """A markdown table's lines: the header, the rule, one line per row. Each
+    rule cell is two dashes wider than its header unless ``rule`` gives the
+    widths."""
+    widths = rule or [len(h) + 2 for h in header]
+    return ["| " + " | ".join(header) + " |", "|" + "|".join("-" * w for w in widths) + "|",
+            *("| " + " | ".join(map(str, row)) + " |" for row in rows)]
 
-    if format == "json":
-        return json.dumps(rows, indent=2) + "\n"
 
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(WINDOW_FIELDS)
-        for r in rows:
-            writer.writerow([
-                r["from_year"], r["to_year"], r["years"],
-                f"{r['cagr_ftd']:.2f}", f"{r['cagr_exp']:.2f}", f"{r['difference']:.2f}",
-                "" if r["difference_of_rounded"] is None else f"{r['difference_of_rounded']:.2f}",
-            ])
-        return buf.getvalue()
+def _window_cells(r: dict) -> list:
+    """A window row's CSV cells, one per ``WINDOW_FIELDS`` entry."""
+    rounded = r["difference_of_rounded"]
+    return [r["from_year"], r["to_year"], r["years"], f"{r['cagr_ftd']:.2f}",
+            f"{r['cagr_exp']:.2f}", f"{r['difference']:.2f}",
+            "" if rounded is None else f"{rounded:.2f}"]
 
-    lines = [
-        "| From | To | Years | CAGR (F) | CAGR (E) | Difference |",
-        "|------|------|-------|----------|----------|------------|",
-    ]
-    flagged: list[dict] = []
-    for r in rows:
-        marker = ""
-        if r["difference_of_rounded"] is not None:
-            marker = " *"
-            flagged.append(r)
-        lines.append(
-            f"| {r['from_year']} | {r['to_year']} | {r['years']} "
-            f"| {r['cagr_ftd']:.2f} | {r['cagr_exp']:.2f} | {r['difference']:.2f}{marker} |"
-        )
-    lines.append("")
-    lines.append("Difference = full-precision CAGR(E) - CAGR(F), rounded to 2 decimals.")
-    for r in flagged:
-        lines.append(
-            f"* {r['from_year']}-{r['to_year']}: subtracting the rounded columns "
-            f"gives {r['difference_of_rounded']:.2f} instead."
-        )
-    return "\n".join(lines) + "\n"
+
+def _window_markdown(rows: list[dict]) -> list[str]:
+    """The window table with a marker on, and a footnote for, each row whose
+    rounded columns subtract to another difference."""
+    cells = [_window_cells(r) for r in rows]
+    lines = _markdown(WINDOW_HEADER, [[*c[:5], c[5] + (" *" if c[6] else "")] for c in cells],
+                      WINDOW_RULE)
+    lines += ["", "Difference = full-precision CAGR(E) - CAGR(F), rounded to 2 decimals."]
+    lines += [f"* {c[0]}-{c[1]}: subtracting the rounded columns gives {c[6]} instead."
+              for c in cells if c[6]]
+    return lines
 
 
 def _na(report_dict: dict, cell: str) -> str | None:
@@ -112,16 +97,18 @@ def _na(report_dict: dict, cell: str) -> str | None:
     return f"not applicable: {reason}" if reason is not None else None
 
 
-def _metric_rows(report_dicts: list[dict]) -> list[tuple[str, list[str]]]:
-    """The fixed metric-row layout shared by the markdown and csv renderers."""
+def _metrics_table(report_dicts: list[dict], first: str) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of the battery metrics, one column per horizon of
+    ``ComparisonReport._asdict()`` dictionaries; ``first`` heads the
+    metric-name column."""
 
     def fmt(value, pattern="{:.4f}"):
         return "" if value is None else pattern.format(value)
 
-    rows: list[tuple[str, list[str]]] = []
+    rows: list[list[str]] = []
 
     def add(label: str, cell_of) -> None:
-        rows.append((label, [cell_of(d) for d in report_dicts]))
+        rows.append([label, *(cell_of(d) for d in report_dicts)])
 
     add("n", lambda d: str(d["n"]))
     add("Mean difference", lambda d: fmt(d["mean_diff"]))
@@ -146,38 +133,8 @@ def _metric_rows(report_dicts: list[dict]) -> list[tuple[str, list[str]]]:
     add("KS p", lambda d: _na(d, "ks") or fmt(d["ks"]["p"]))
     add("FSD verdict", lambda d: _na(d, "fsd") or d["fsd"])
     add("SSD verdict", lambda d: _na(d, "ssd") or d["ssd"])
-    return rows
-
-
-def render_metrics_table(reports: list[dict], format: str = "markdown") -> str:
-    """Battery metrics of ``ComparisonReport._asdict()`` dictionaries, one
-    column per horizon; a parsed JSON table re-renders to the identical
-    bytes (render, parse, render is a fixed point).
-    """
-    _check_format(format)
-    if not reports:
-        raise ValueError("metrics table needs at least one report")
-
-    if format == "json":
-        return json.dumps({"horizons": reports}, indent=2) + "\n"
-
-    labels = [d["label"] or f"horizon {i + 1}" for i, d in enumerate(reports)]
-    rows = _metric_rows(reports)
-
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["metric", *labels])
-        for name, cells in rows:
-            writer.writerow([name, *cells])
-        return buf.getvalue()
-
-    header = "| Metric | " + " | ".join(labels) + " |"
-    sep = "|--------|" + "|".join("-" * (len(l) + 2) for l in labels) + "|"
-    lines = [header, sep]
-    for name, cells in rows:
-        lines.append("| " + name + " | " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
+    labels = [d["label"] or f"horizon {i + 1}" for i, d in enumerate(report_dicts)]
+    return [first, *labels], rows
 
 
 def boxplot_summary(values) -> dict:
@@ -205,6 +162,8 @@ def boxplot_summary(values) -> dict:
 
 
 def file_sha256(path: str) -> str:
+    import hashlib  # only compare hashes its inputs, so simulate loads no OpenSSL
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -219,48 +178,39 @@ def tool_provenance() -> dict:
                                  "w < 2**32 - 2**32 % n, row-major; fsum means")}
 
 
+def _unknown(format: str) -> ValueError:
+    return ValueError(f"format must be markdown, csv or json, got {format!r}")
+
+
 def render_bundle(bundle: dict, format: str = "markdown") -> str:
     """Render a full comparison bundle (as assembled by the CLI)."""
     if format == "json":
         return json.dumps(bundle, indent=2) + "\n"
-    if format not in ("markdown", "csv"):
-        raise ValueError(f"bundle format must be markdown, csv or json, got {format!r}")
-
     if format == "csv":
         # CSV cannot hold heterogeneous tables in one stream, so sections are
         # separated by comment lines; each section body is plain CSV
         parts = []
         for years, rows in bundle["windows"].items():
-            parts.append(f"# windows {years}")
-            parts.append(render_window_table(rows, "csv").rstrip("\n"))
-        parts.append("# metrics")
-        parts.append(render_metrics_table(bundle["metrics"], "csv").rstrip("\n"))
-        return "\n".join(parts) + "\n"
+            parts += [f"# windows {years}\n", _csv(WINDOW_FIELDS, map(_window_cells, rows))]
+        parts += ["# metrics\n", _csv(*_metrics_table(bundle["metrics"], "metric"))]
+        return "".join(parts)
+    if format != "markdown":
+        raise _unknown(format)
 
-    lines = ["# SIP schedule comparison", ""]
     prov = bundle["provenance"]
-    lines.append("## Provenance")
-    lines.append("")
-    for key in sorted(prov):
-        lines.append(f"- {key}: {json.dumps(prov[key])}")
+    lines = ["# SIP schedule comparison", "", "## Provenance", ""]
+    lines += [f"- {key}: {json.dumps(prov[key])}" for key in sorted(prov)]
     lines.append("")
     if bundle.get("anomalies"):
-        lines.append("## Schedule anomalies")
-        lines.append("")
-        for a in bundle["anomalies"]:
-            lines.append(f"- {a['month']} {a['field']} {a['date']}: {a['reason']}")
+        lines += ["## Schedule anomalies", ""]
+        lines += [f"- {a['month']} {a['field']} {a['date']}: {a['reason']}"
+                  for a in bundle["anomalies"]]
         lines.append("")
     for years, rows in bundle["windows"].items():
-        lines.append(f"## Windows: {years}")
-        lines.append("")
-        lines.append(render_window_table(rows, "markdown").rstrip("\n"))
-        lines.append("")
-    lines.append("## Comparison metrics")
-    lines.append("")
-    lines.append(render_metrics_table(bundle["metrics"], "markdown").rstrip("\n"))
-    lines.append("")
-    lines.append("## Boxplot summaries")
-    lines.append("")
+        lines += [f"## Windows: {years}", "", *_window_markdown(rows), ""]
+    lines += ["## Comparison metrics", "",
+              *_markdown(*_metrics_table(bundle["metrics"], "Metric")), "",
+              "## Boxplot summaries", ""]
     for years, sides in bundle["boxplots"].items():
         for side in ("ftd", "exp"):
             b = sides[side]
@@ -270,4 +220,45 @@ def render_bundle(bundle: dict, format: str = "markdown") -> str:
                 f"median {b['median']:.2f}, q3 {b['q3']:.2f}, max {b['max']:.2f}, "
                 f"whiskers [{b['whisker_low']:.2f}, {b['whisker_high']:.2f}], outliers: {outl}"
             )
+    return "\n".join(lines) + "\n"
+
+
+def render_simulation(result: SipResult, format: str = "markdown") -> str:
+    """One plan's execution ledger and valuation, as ``simulate`` prints it."""
+    plan, executions = result.plan, result.executions
+    if format == "json":
+        payload = {
+            "plan": {"strategy": plan.strategy.value, "start_year": plan.start_year,
+                     "years": plan.years, "monthly_amount": plan.monthly_amount},
+            "executions": [
+                {"month": str(e.month), "date": e.date.isoformat(), "price": e.price, "units": e.units}
+                for e in executions
+            ],
+            "units": result.units,
+            "invested": result.invested,
+            "terminal_date": result.terminal_date.isoformat(),
+            "terminal_close": result.terminal_close,
+            "final_value": result.final_value,
+            "cagr_percent": result.cagr_percent,
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    if format == "csv":
+        return _csv(("month", "date", "price", "units"),
+                    ((e.month, e.date.isoformat(), e.price, e.units) for e in executions))
+    if format != "markdown":
+        raise _unknown(format)
+    lines = [
+        f"Plan: {plan.strategy.value} {plan.start_year}..{plan.final_year} "
+        f"({plan.years}y, {plan.monthly_amount:g}/month)",
+        "",
+        *_markdown(("Month", "Date", "Price", "Units"),
+                   ((e.month, e.date.isoformat(), f"{e.price:.4f}", f"{e.units:.6f}")
+                    for e in executions)),
+        "",
+        f"Units: {result.units:.6f}",
+        f"Invested: {result.invested:.2f}",
+        f"Terminal: {result.terminal_date.isoformat()} at close {result.terminal_close:.4f}",
+        f"Final value: {result.final_value:.2f}",
+        f"CAGR: {result.cagr_percent:.2f}%",
+    ]
     return "\n".join(lines) + "\n"

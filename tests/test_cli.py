@@ -669,7 +669,7 @@ START = ("sipcraft", "sipcraft._version", "sipcraft.cli")
 INPUTS = ("sipcraft.errors", "sipcraft.schedule", "sipcraft.timeseries")
 # the engine and the one statistics module it builds its sample with
 ENGINE = ("sipcraft.engine", "sipcraft.stats", "sipcraft.stats.paired", "sipcraft.stats.special")
-# the battery and report layers only compare runs
+# the battery layers only compare runs; simulate renders through report too
 BATTERY = ("sipcraft.report", "sipcraft.stats.battery", "sipcraft.stats.bootstrap",
            "sipcraft.stats.dominance")
 # stdlib modules --version has no use for
@@ -684,7 +684,7 @@ UNUSED_AT_START = ("json", "csv", "datetime", "hashlib")
     (["fixtures", "--kind", "walk", "--out", "{out}"], EXIT_OK,
      ("sipcraft.errors", "sipcraft.synth", "sipcraft.timeseries")),
     (["simulate", "--data", "{data}", "--strategy", "exp", "--start-year", "2010",
-      "--years", "3", "--out", "{out}"], EXIT_OK, INPUTS + ENGINE),
+      "--years", "3", "--out", "{out}"], EXIT_OK, INPUTS + ENGINE + ("sipcraft.report",)),
     (["compare", "--data", "{data}", "--resamples", "1000", "--out", "{out}"], EXIT_OK,
      INPUTS + ENGINE + BATTERY),
 ], ids=["version", "validate-overrides", "validate", "fixtures", "simulate", "compare"])
@@ -718,6 +718,8 @@ def test_each_command_imports_only_its_layers(series_csv, tmp_path, argv, rc, la
     assert modules == sorted(START + layers)
     if argv == ["--version"]:
         assert not set(UNUSED_AT_START) & set(loaded)
+    if argv[0] == "simulate":  # the ledger renderer hashes nothing
+        assert "hashlib" not in loaded
 
 
 def test_compare_and_fixtures_never_load_numpy(series_csv, tmp_path):

@@ -1,32 +1,48 @@
 """Reporting layer: rounding rules, table round-trips, boxplots, provenance."""
 
 import csv
+import datetime
 import io
 import json
 
 import jsonschema
 import pytest
 
-from sipcraft.engine import Window, WindowOutcome
+from sipcraft.engine import SipPlan, Window, WindowOutcome, simulate
 from sipcraft.errors import InsufficientDataError
 from sipcraft.report import (
     boxplot_summary,
     file_sha256,
     render_bundle,
-    render_metrics_table,
-    render_window_table,
+    render_simulation,
     tool_provenance,
     window_row,
 )
+from sipcraft.schedule import MonthKey, Strategy, build_schedule
 from sipcraft.stats import BatteryConfig, PairedSample, run_battery
 
-from conftest import ROOT
+from conftest import ROOT, weekday_series
 
 
-def parse_window_table(text: str, format: str) -> list[dict]:
-    """Inverse of render_window_table for csv and json: its row dictionaries."""
-    if format == "json":
-        return json.loads(text)
+def csv_sections(text: str) -> dict[str, str]:
+    """A CSV bundle's section bodies by the titles of their comment lines."""
+    sections: dict[str, str] = {}
+    for line in text.splitlines(keepends=True):
+        if line.startswith("# "):
+            title = line[2:].rstrip("\n")
+            sections[title] = ""
+        else:
+            sections[title] += line
+    return sections
+
+
+def markdown_section(text: str, heading: str) -> str:
+    """The body of one ``## `` section of a markdown bundle."""
+    return text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def parse_window_table(text: str) -> list[dict]:
+    """Inverse of a CSV bundle's window section: its row dictionaries."""
     return [{
         "from_year": int(rec["from_year"]),
         "to_year": int(rec["to_year"]),
@@ -43,13 +59,17 @@ def row(f, e, from_year=2003, to_year=2003) -> dict:
     return window_row(outcome(f, e, from_year, to_year))
 
 
-def parse_metrics_table(text: str) -> list[dict]:
-    """Inverse of the JSON metrics rendering; returns the horizon dictionaries."""
-    return json.loads(text)["horizons"]
-
-
 def outcome(f, e, from_year=2003, to_year=2003):
     return WindowOutcome(Window(from_year, to_year), cagr_ftd=f, cagr_exp=e)
+
+
+@pytest.fixture(scope="module")
+def ledger():
+    """A one-year FTD plan over closes with many significant digits."""
+    series = weekday_series(datetime.date(2019, 12, 1), datetime.date(2020, 12, 31),
+                            lambda d: 100.0 + d.toordinal() % 37 / 3)
+    table, _ = build_schedule(series, None, MonthKey(2019, 12), MonthKey(2020, 12))
+    return simulate(SipPlan(Strategy.FTD, 2020, 1), series, table)
 
 
 def test_window_row_rounding_agreement():
@@ -67,54 +87,49 @@ def test_window_row_rounding_consistent_case():
     assert r["difference_of_rounded"] is None
 
 
-def test_window_table_markdown_flags_divergent_rows():
+def test_window_table_markdown_flags_divergent_rows(three_year_sample):
     rows = [row(10.124, 11.126), row(10.0, 11.0, 2004, 2004)]
-    text = render_window_table(rows, "markdown")
-    assert "| 1.00 * |" in text
-    assert "* 2003-2003: subtracting the rounded columns gives 1.01 instead." in text
-    assert text.count("*") == 2  # one cell marker, one footnote bullet
+    text = render_bundle(make_bundle(three_year_sample, rows), "markdown")
+    section = markdown_section(text, "Windows: 3y")
+    assert "| 1.00 * |" in section
+    assert "* 2003-2003: subtracting the rounded columns gives 1.01 instead." in section
+    assert section.count("*") == 2  # one cell marker, one footnote bullet
 
 
-def test_window_table_round_trips():
+def test_window_table_round_trips(three_year_sample):
     rows = [row(10.124, 11.126), row(-3.5, -2.25, 2004, 2004)]
-    for fmt in ("csv", "json"):
-        text = render_window_table(rows, fmt)
-        assert parse_window_table(text, fmt) == rows
+    text = render_bundle(make_bundle(three_year_sample, rows), "csv")
+    assert parse_window_table(csv_sections(text)["windows 3y"]) == rows
 
 
-def test_window_table_rejects_empty_and_bad_format():
-    with pytest.raises(ValueError):
-        render_window_table([], "csv")
-    with pytest.raises(ValueError):
-        render_window_table([row(1, 2)], "yaml")
+def test_simulation_rejects_unknown_format(ledger):
+    with pytest.raises(ValueError, match="^format must be markdown, csv or json, got 'yaml'$"):
+        render_simulation(ledger, "yaml")
 
 
-def test_metrics_json_round_trip_is_fixed_point(three_year_sample):
-    reports = [run_battery(three_year_sample, BatteryConfig(), label="3y")._asdict()]
-    text = render_metrics_table(reports, "json")
-    parsed = parse_metrics_table(text)
-    assert render_metrics_table(parsed, "json") == text
+def test_simulation_csv_round_trips(ledger):
+    records = list(csv.DictReader(io.StringIO(render_simulation(ledger, "csv"))))
+    assert [(r["month"], r["date"], float(r["price"]), float(r["units"])) for r in records] == [
+        (str(e.month), e.date.isoformat(), e.price, e.units) for e in ledger.executions]
 
 
 def test_metrics_markdown_header_names_each_horizon(three_year_sample):
-    reports = [run_battery(three_year_sample, BatteryConfig(), label="3y")._asdict()]
-    assert render_metrics_table(reports, "markdown").splitlines()[0] == "| Metric | 3y |"
+    text = render_bundle(make_bundle(three_year_sample), "markdown")
+    assert markdown_section(text, "Comparison metrics").splitlines()[1] == "| Metric | 3y |"
 
 
 def test_metrics_table_shows_na_reasons():
-    report = run_battery(PairedSample([5.0], [4.0]), label="20y")._asdict()
-    text = render_metrics_table([report], "markdown")
-    assert "not applicable: n too small for inference (n=1)" in text
-    csv_text = render_metrics_table([report], "csv")
-    assert "not applicable" in csv_text
+    bundle = make_bundle(PairedSample([5.0], [4.0]), label="20y")
+    text = render_bundle(bundle, "markdown")
+    assert "not applicable: n too small for inference (n=1)" in markdown_section(
+        text, "Comparison metrics")
+    assert "not applicable" in csv_sections(render_bundle(bundle, "csv"))["metrics"]
 
 
 def test_metrics_rendering_deterministic(one_year_sample):
-    reports = [run_battery(one_year_sample, BatteryConfig(), label="1y")._asdict()]
-    assert render_metrics_table(reports, "markdown") == render_metrics_table(
-        reports, "markdown")
-    assert render_metrics_table(reports, "csv") == render_metrics_table(
-        reports, "csv")
+    for fmt in ("markdown", "csv"):
+        assert render_bundle(make_bundle(one_year_sample, label="1y"), fmt) == render_bundle(
+            make_bundle(one_year_sample, label="1y"), fmt)
 
 
 def test_boxplot_five_numbers_and_outliers():
@@ -159,8 +174,8 @@ def test_file_sha256_known_value(tmp_path):
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
 
 
-def make_bundle(three_year_sample):
-    report = run_battery(three_year_sample, BatteryConfig(), label="3y")
+def make_bundle(sample, rows=None, label="3y"):
+    report = run_battery(sample, BatteryConfig(), label=label)
     prov = tool_provenance()
     prov.update({
         "data_path": "series.csv",
@@ -175,11 +190,11 @@ def make_bundle(three_year_sample):
     return {
         "provenance": prov,
         "anomalies": [],
-        "windows": {"3y": [row(20.53, 21.02, 2004, 2006)]},
+        "windows": {label: rows or [row(20.53, 21.02, 2004, 2006)]},
         "metrics": [report._asdict()],
-        "boxplots": {"3y": {
-            "ftd": boxplot_summary(three_year_sample.ftd_values),
-            "exp": boxplot_summary(three_year_sample.exp_values),
+        "boxplots": {label: {
+            "ftd": boxplot_summary(sample.ftd_values),
+            "exp": boxplot_summary(sample.exp_values),
         }},
     }
 
