@@ -23,6 +23,7 @@ import io
 import json
 import os
 import tempfile
+from datetime import date, timedelta
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +33,10 @@ WINDOWS = ROOT / "data" / "reference_windows.csv"
 
 # overrides on Saturdays, which no series trades on
 UNVERIFIABLE = "year,month,ftd_dom,expiry_dom\n2010,1,2,\n2009,12,,5\n"
+# window tables whose CAGRs lie beyond float range and beyond engine.MAX_CAGR
+BEYOND_FLOAT = "from_year,to_year,cagr_ftd,cagr_exp\n2003,2003,1e308,-1e308\n"
+BEYOND_MAX = "from_year,to_year,cagr_ftd,cagr_exp\n" + "".join(
+    f"{y},{y},2.0,{y - 2002}e200\n" for y in range(2003, 2009))
 
 _SIM = ("simulate", "--data", "grid.csv", "--start-year", "2010", "--years", "3")
 _LONG = ("--data", "long.csv", "--schedule", "schedule.csv")
@@ -43,6 +48,7 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "compare-overrides": ("compare", *_LONG, "--resamples", "1000"),
     "compare-windows-markdown": ("compare", "--data", "windows.csv"),
     "compare-windows-json": ("compare", "--data", "windows.csv", "--format", "json"),
+    "compare-windows-csv": ("compare", "--data", "windows.csv", "--format", "csv"),
     "validate-grid": ("validate", "--data", "grid.csv"),
     "validate-overrides": ("validate", *_LONG),
     "simulate-markdown": (*_SIM, "--strategy", "ftd"),
@@ -64,6 +70,13 @@ COMMANDS: dict[str, tuple[str, ...]] = {
                                "--strategy", "exp", "--start-year", "2010", "--years", "1"),
     "validate-unverifiable": ("validate", "--data", "grid.csv", "--schedule", "bad.csv"),
     "error-windows-schedule": ("compare", "--data", "windows.csv", "--schedule", "schedule.csv"),
+    "error-cagr-overflow": ("simulate", "--data", "jump.csv", "--strategy", "ftd",
+                            "--start-year", "2011", "--years", "1", "--amount", "1",
+                            "--format", "json"),
+    "error-windows-beyond-float": ("compare", "--data", "beyond-float.csv", "--durations", "1",
+                                   "--format", "json"),
+    "error-windows-beyond-max": ("compare", "--data", "beyond-max.csv", "--durations", "1",
+                                 "--format", "json"),
 }
 
 
@@ -74,16 +87,27 @@ def _gen():
     return module
 
 
+def jump_csv() -> str:
+    """Weekday closes at 1.0 through 2011-12-19 and at 1e307 after: a one-year
+    plan's CAGR overflows while an amount of 1 keeps its ledger finite."""
+    days = (date(2010, 12, 1) + timedelta(i) for i in range(396))
+    return "date,close\n" + "".join(f"{d},{1.0 if d < date(2011, 12, 20) else 1e307}\n"
+                                     for d in days if d.weekday() < 5)
+
+
 def write_inputs(directory: Path) -> None:
     """The corpus inputs: the benchmark's seed-1 grid and long series, the
-    override table, an override table no series can verify, and the frozen
-    per-window CAGR table."""
+    override table, an override table no series can verify, the frozen
+    per-window CAGR table, and the inputs whose CAGRs lie out of range."""
     gen = _gen()
     (directory / "grid.csv").write_text(gen.grid_csv(1), encoding="utf-8")
     (directory / "long.csv").write_text(gen.long_csv(1, str(SCHEDULE)), encoding="utf-8")
     (directory / "schedule.csv").write_bytes(SCHEDULE.read_bytes())
     (directory / "bad.csv").write_text(UNVERIFIABLE, encoding="utf-8")
     (directory / "windows.csv").write_bytes(WINDOWS.read_bytes())
+    (directory / "jump.csv").write_text(jump_csv(), encoding="utf-8")
+    (directory / "beyond-float.csv").write_text(BEYOND_FLOAT, encoding="utf-8")
+    (directory / "beyond-max.csv").write_text(BEYOND_MAX, encoding="utf-8")
 
 
 def run(argv: tuple[str, ...]) -> dict:

@@ -23,6 +23,7 @@ from .timeseries import IndexSeries, _normalize_header_cell
 
 __all__ = [
     "DEFAULT_MONTHLY_AMOUNT",
+    "MAX_CAGR",
     "SipPlan",
     "Execution",
     "SipResult",
@@ -40,6 +41,11 @@ __all__ = [
 DEFAULT_MONTHLY_AMOUNT = 10_000.0
 
 SUPPORTED_DURATIONS = (1, 3, 5, 10, 20)
+
+# the largest CAGR, in percent, that a plan or a window table may give; the
+# bootstrap's jackknife cubes deviations of this size, which overflows above
+# about 5.6e102
+MAX_CAGR = 1e100
 
 # the columns of a per-window CAGR table; all but years are required
 WINDOW_COLUMNS = ("from_year", "to_year", "years", "cagr_ftd", "cagr_exp")
@@ -167,6 +173,8 @@ def load_windows(
                 if not math.isfinite(cells[key]):
                     what = "a finite number" if kind is float else "an integer"
                     raise SeriesFormatError(f"{key} must be {what}, got {row[i].strip()!r}", line)
+                if kind is float and not -100.0 <= cells[key] <= MAX_CAGR:
+                    raise SeriesFormatError(f"{key} {_outside(cells[key])}", line)
             try:
                 window = Window(cells["from_year"], cells["to_year"])
             except ValueError as exc:
@@ -239,6 +247,10 @@ def _installments(
     return installments, terminal_date, series.close_on(terminal_date)
 
 
+def _outside(value: float) -> str:
+    return f"{value!r} lies outside [-100, {MAX_CAGR:g}]"
+
+
 def _where(plan: SipPlan) -> str:
     return f"plan {plan.start_year}..{plan.final_year} ({plan.strategy.value})"
 
@@ -259,7 +271,10 @@ def _cagr_of(plan: SipPlan, installments: list[tuple[MonthKey, Date, float]],
     ratio = terminal_close * math.fsum(inverses)
     if not 0.0 < ratio < math.inf:
         raise SimulationError(f"{_where(plan)}: value ratio {ratio!r} is out of float range")
-    return cagr(ratio, 12.0 * plan.years, plan.years)
+    value = cagr(ratio, 12.0 * plan.years, plan.years)
+    if not -100.0 <= value <= MAX_CAGR:
+        raise SimulationError(f"{_where(plan)}: CAGR {_outside(value)}")
+    return value
 
 
 def simulate(plan: SipPlan, series: IndexSeries, table: dict[MonthKey, MonthSchedule]) -> SipResult:

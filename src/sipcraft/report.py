@@ -63,11 +63,11 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _markdown(header, rows, rule=None) -> list[str]:
+def _markdown(header, rows, widths=None) -> list[str]:
     """A markdown table's lines: the header, the rule, one line per row. Each
-    rule cell is two dashes wider than its header unless ``rule`` gives the
-    widths."""
-    widths = rule or [len(h) + 2 for h in header]
+    rule cell is two dashes wider than its header unless ``widths`` gives
+    the dash counts."""
+    widths = widths or [len(h) + 2 for h in header]
     return ["| " + " | ".join(header) + " |", "|" + "|".join("-" * w for w in widths) + "|",
             *("| " + " | ".join(map(str, row)) + " |" for row in rows)]
 

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple
 
 from .errors import ScheduleError, SeriesFormatError
-from .timeseries import IndexSeries
+from .timeseries import IndexSeries, _normalize_header_cell
 
 __all__ = [
     "Strategy",
@@ -176,7 +176,7 @@ def load_schedule_overrides(source: str | io.TextIOBase) -> dict[MonthKey, Month
         raise SeriesFormatError("override file is empty, expected a header row", 1) from None
     except csv.Error as exc:
         raise SeriesFormatError(str(exc), reader.line_num) from None
-    names = [c.lstrip("﻿").strip().lower() for c in header]
+    names = [_normalize_header_cell(c) for c in header]
     try:
         idx = {name: names.index(name) for name in ("year", "month", "ftd_dom", "expiry_dom")}
     except ValueError:

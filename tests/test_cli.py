@@ -3,6 +3,7 @@
 import datetime
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -194,6 +195,16 @@ def test_compare_reads_a_window_table(tmp_path):
     assert [w["from_year"] for w in bundle["windows"]["3y"]] == list(range(2004, 2023, 3))
 
 
+def test_compare_runs_at_the_cagr_bounds(tmp_path, capsys):
+    # the widest differences MAX_CAGR admits leave every statistic finite
+    table = tmp_path / "table.csv"
+    table.write_text(_TABLE + "".join(f"{y},{y},1,-100,{1e100 if y % 3 else 0}\n"
+                                      for y in range(2003, 2025)))
+    assert main(["compare", "--data", str(table), "--durations", "1", "--resamples", "1000",
+                 "--format", "json"]) == EXIT_OK
+    json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+
+
 def test_compare_window_table_header_is_normalized(tmp_path, capsys):
     # rows out of order and a BOM, upper-case header with extra columns
     table = tmp_path / "table.csv"
@@ -245,6 +256,14 @@ _TABLE = "from_year,to_year,years,cagr_ftd,cagr_exp\n"
      "line 1: window table header lacks ['to_year']"),
     (_TABLE + "2003,2003,1,1.0,x\n", [], "line 2: cagr_exp must be a finite number, got 'x'"),
     (_TABLE + "2003,2003,1,nan,2.0\n", [], "line 2: cagr_ftd must be a finite number, got 'nan'"),
+    # a CAGR beyond MAX_CAGR overflowed the bootstrap or printed as -Infinity
+    ("from_year,to_year,cagr_ftd,cagr_exp\n2003,2003,1e308,-1e308\n", ["--durations", "1"],
+     "line 2: cagr_ftd 1e+308 lies outside [-100, 1e+100]"),
+    (_TABLE + "".join(f"{y},{y},1,2.0,{y - 2002}e200\n" for y in range(2003, 2009)),
+     ["--durations", "1"],
+     "line 2: cagr_exp 1e+200 lies outside [-100, 1e+100]"),
+    (_TABLE + "2003,2003,1,-100.5,2.0\n", ["--durations", "1"],
+     "line 2: cagr_ftd -100.5 lies outside [-100, 1e+100]"),
     (_TABLE + "2003,2003,1.5,1.0,2.0\n", [], "line 2: years must be an integer, got '1.5'"),
     (_TABLE + "2003,2003,1,1.0\n", [], "line 2: row has 4 columns, expected at least 5"),
     (_TABLE + "2003,2004,1,1.0,2.0\n", [],
@@ -264,7 +283,7 @@ _TABLE = "from_year,to_year,years,cagr_ftd,cagr_exp\n"
      ["--durations", "1", "--resamples", "1000000"],
      "n * resamples must be <= 67108863, got 70 * 1000000"),
 ], ids=["missing-column", "missing-year-column", "non-numeric", "non-finite",
-        "fractional-years", "short-row", "years-mismatch", "reversed", "seven-years",
+        "beyond-float", "beyond-max", "below-total-loss", "fractional-years", "short-row", "years-mismatch", "reversed", "seven-years",
         "duplicate", "missing-duration", "schedule", "too-many-picks"])
 def test_compare_bad_window_table_exits_2(tmp_path, capsys, table, argv, message):
     (tmp_path / "table.csv").write_text(table)
@@ -631,6 +650,27 @@ def test_compare_rejects_prices_out_of_float_range(tmp_path, capsys, close, term
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sipcraft: error: plan 2005..2024 (ftd): {message}\n"
+
+
+@pytest.mark.parametrize("argv, start, close, message", [
+    # with an amount of 1 the ledger stays finite while the CAGR overflows
+    (["simulate", "--strategy", "ftd", "--start-year", "2011", "--years", "1", "--amount", "1",
+      "--format", "json"], 2010,
+     lambda d: 1.0 if d < datetime.date(2011, 12, 20) else 1e307,
+     "plan 2011..2011 (ftd): CAGR inf lies outside [-100, 1e+100]"),
+    # a finite CAGR above MAX_CAGR overflowed the bootstrap's jackknife
+    (["compare", "--durations", "1", "--resamples", "1000"], 2002,
+     lambda d: 10.0 ** random.Random(d.toordinal()).randint(0, 150),
+     "plan 2004..2004 (ftd): CAGR 8.333333333333333e+113 lies outside [-100, 1e+100]"),
+], ids=["simulate-overflow", "compare-beyond-max"])
+def test_cagr_beyond_max_exits_2(tmp_path, capsys, argv, start, close, message):
+    data = tmp_path / "extreme.csv"
+    data.write_text(serialize_series(
+        weekday_series(datetime.date(start, 12, 1), datetime.date(2024, 12, 31), close)))
+    assert main(argv + ["--data", str(data)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sipcraft: error: {message}\n"
 
 
 def test_compare_markdown_to_stdout(series_csv, capsys):
