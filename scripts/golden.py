@@ -6,22 +6,30 @@ directory that holds seeded inputs under relative paths, so provenance
 paths are the same on every machine. ``tests/golden/manifest.json`` maps
 each command to its exit code and the SHA-256 of its stdout and stderr.
 
-    PYTHONPATH=src python3 scripts/golden.py            # list moved entries, exit 1 if any
-    PYTHONPATH=src python3 scripts/golden.py --update   # rewrite the manifest
+    PYTHONPATH=src python3 scripts/golden.py                 # list moved entries, exit 1 if any
+    PYTHONPATH=src python3 scripts/golden.py --update        # rewrite the manifest
+    PYTHONPATH=src python3 scripts/golden.py --against REV   # diff every output against REV's
 
 A change that moves an entry on purpose regenerates the manifest and names
-every moved entry in CHANGES.md.
+every moved entry in CHANGES.md. ``--against`` runs the same corpus on the
+same inputs with the program of git revision REV (a temporary worktree
+whose ``src/`` a subprocess imports), prints the name and a unified diff
+of every entry whose exit code, stdout or stderr differs, and exits 1 if
+any does.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
@@ -37,6 +45,8 @@ UNVERIFIABLE = "year,month,ftd_dom,expiry_dom\n2010,1,2,\n2009,12,,5\n"
 BEYOND_FLOAT = "from_year,to_year,cagr_ftd,cagr_exp\n2003,2003,1e308,-1e308\n"
 BEYOND_MAX = "from_year,to_year,cagr_ftd,cagr_exp\n" + "".join(
     f"{y},{y},2.0,{y - 2002}e200\n" for y in range(2003, 2009))
+# an override row whose year lies outside the years a date can hold
+YEAR_ZERO = "year,month,ftd_dom,expiry_dom\n0,1,2,\n"
 
 _SIM = ("simulate", "--data", "grid.csv", "--start-year", "2010", "--years", "3")
 _LONG = ("--data", "long.csv", "--schedule", "schedule.csv")
@@ -77,6 +87,7 @@ COMMANDS: dict[str, tuple[str, ...]] = {
                                    "--format", "json"),
     "error-windows-beyond-max": ("compare", "--data", "beyond-max.csv", "--durations", "1",
                                  "--format", "json"),
+    "error-override-year": ("validate", "--data", "grid.csv", "--schedule", "year-zero.csv"),
 }
 
 
@@ -98,7 +109,8 @@ def jump_csv() -> str:
 def write_inputs(directory: Path) -> None:
     """The corpus inputs: the benchmark's seed-1 grid and long series, the
     override table, an override table no series can verify, the frozen
-    per-window CAGR table, and the inputs whose CAGRs lie out of range."""
+    per-window CAGR table, the inputs whose CAGRs lie out of range, and an
+    override table whose year no date can hold."""
     gen = _gen()
     (directory / "grid.csv").write_text(gen.grid_csv(1), encoding="utf-8")
     (directory / "long.csv").write_text(gen.long_csv(1, str(SCHEDULE)), encoding="utf-8")
@@ -108,10 +120,11 @@ def write_inputs(directory: Path) -> None:
     (directory / "jump.csv").write_text(jump_csv(), encoding="utf-8")
     (directory / "beyond-float.csv").write_text(BEYOND_FLOAT, encoding="utf-8")
     (directory / "beyond-max.csv").write_text(BEYOND_MAX, encoding="utf-8")
+    (directory / "year-zero.csv").write_text(YEAR_ZERO, encoding="utf-8")
 
 
-def run(argv: tuple[str, ...]) -> dict:
-    """Exit code and output digests of one ``cli.main`` call in the current directory."""
+def capture(argv: tuple[str, ...]) -> dict:
+    """Exit code, stdout and stderr of one ``cli.main`` call in the current directory."""
     from sipcraft.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -120,9 +133,64 @@ def run(argv: tuple[str, ...]) -> dict:
             code = main(list(argv))
         except SystemExit as exc:  # --version
             code = exc.code
-    return {"exit": code,
-            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def run(argv: tuple[str, ...]) -> dict:
+    """Exit code and output digests of one ``cli.main`` call in the current directory."""
+    result = capture(argv)
+    return {"exit": result["exit"],
+            "stdout_sha256": hashlib.sha256(result["stdout"].encode()).hexdigest(),
+            "stderr_sha256": hashlib.sha256(result["stderr"].encode()).hexdigest()}
+
+
+def outputs(record=capture) -> dict[str, dict]:
+    """``record`` of every corpus command, run on fresh inputs in a scratch directory."""
+    os.environ.pop("SIPCRAFT_SEED", None)
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(Path(tmp))
+        os.chdir(tmp)
+        try:
+            return {name: record(argv) for name, argv in COMMANDS.items()}
+        finally:
+            os.chdir(here)
+
+
+def outputs_at(rev: str) -> dict[str, dict]:
+    """``outputs()`` of git revision REV's program on this tree's corpus and inputs.
+
+    A subprocess imports ``sipcraft`` from a temporary worktree of REV and
+    this module from this tree, so only the program differs.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "rev"
+        git = ["git", "-C", str(ROOT), "worktree"]
+        subprocess.run([*git, "add", "--detach", "--quiet", str(tree), rev], check=True)
+        try:
+            env = {**os.environ,
+                   "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(ROOT / "scripts")])}
+            dump = "import golden, json, sys; json.dump(golden.outputs(), sys.stdout)"
+            child = subprocess.run([sys.executable, "-c", dump], env=env,
+                                   capture_output=True, text=True, check=True)
+        finally:
+            subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+    return json.loads(child.stdout)
+
+
+def diff_outputs(base: dict[str, dict], head: dict[str, dict], base_label: str) -> list[str]:
+    """The name and a unified diff of each entry whose exit code, stdout or stderr differs."""
+    lines: list[str] = []
+    for name in dict.fromkeys([*head, *base]):
+        old, new = base.get(name, {}), head.get(name, {})
+        if old == new:
+            continue
+        lines.append(name)
+        for stream in ("exit", "stdout", "stderr"):
+            lines += difflib.unified_diff(
+                str(old.get(stream, "")).split("\n"), str(new.get(stream, "")).split("\n"),
+                f"{base_label}:{name}:{stream}", f"this tree:{name}:{stream}", lineterm="")
+    return lines
 
 
 def load_manifest() -> dict:
@@ -132,19 +200,27 @@ def load_manifest() -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--update", action="store_true", help="rewrite the manifest")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--update", action="store_true", help="rewrite the manifest")
+    mode.add_argument("--against", metavar="REV",
+                      help="diff every entry's output against that of git revision REV")
     args = parser.parse_args(argv)
 
-    os.environ.pop("SIPCRAFT_SEED", None)
-    old = load_manifest() if MANIFEST.exists() else {}
-    here = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        write_inputs(Path(tmp))
-        os.chdir(tmp)
+    if args.against:
         try:
-            new = {name: {"argv": list(argv), **run(argv)} for name, argv in COMMANDS.items()}
-        finally:
-            os.chdir(here)
+            base = outputs_at(args.against)
+        except subprocess.CalledProcessError as exc:
+            print(f"golden: {' '.join(exc.cmd[:4])} ... exited {exc.returncode}", file=sys.stderr)
+            if exc.stderr:
+                print(exc.stderr, end="", file=sys.stderr)
+            return 2
+        lines = diff_outputs(base, outputs(), args.against)
+        for line in lines:
+            print(line)
+        return 1 if lines else 0
+
+    old = load_manifest() if MANIFEST.exists() else {}
+    new = outputs(lambda argv: {"argv": list(argv), **run(argv)})
     moved = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
     for name in moved:
         print(name)

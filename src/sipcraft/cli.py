@@ -327,7 +327,7 @@ def cmd_compare(settings: Settings, args) -> int:
         "schedule_sha256": file_sha256(settings.schedule) if settings.schedule else None,
         "schedule_source": source,
         "durations": settings.durations,
-        "battery_config": battery_config.to_json_dict(),
+        "battery_config": battery_config._asdict(),
         "anomaly_count": len(anomalies),
     })
     bundle = {

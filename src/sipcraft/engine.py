@@ -315,18 +315,11 @@ def simulate(plan: SipPlan, series: IndexSeries, table: dict[MonthKey, MonthSche
 
 
 def enumerate_windows(duration: int) -> list[Window]:
-    """The fixed, non-overlapping window grid for a supported duration."""
-    if duration == 1:
-        return [Window(y, y) for y in range(2003, 2025)]
-    if duration == 3:
-        return [Window(y, y + 2) for y in range(2004, 2023, 3)]
-    if duration == 5:
-        return [Window(y, y + 4) for y in range(2005, 2021, 5)]
-    if duration == 10:
-        return [Window(2005, 2014), Window(2015, 2024)]
-    if duration == 20:
-        return [Window(2005, 2024)]
-    raise ValueError(f"unsupported duration {duration}, expected one of {SUPPORTED_DURATIONS}")
+    """The fixed window grid for a supported duration: non-overlapping windows
+    packed back from December 2024, none starting before 2003, in start order."""
+    if duration not in SUPPORTED_DURATIONS:
+        raise ValueError(f"unsupported duration {duration}, expected one of {SUPPORTED_DURATIONS}")
+    return [Window(y, y + duration - 1) for y in reversed(range(2025 - duration, 2002, -duration))]
 
 
 def paired_run(

@@ -120,8 +120,8 @@ def _metrics_table(report_dicts: list[dict], first: str) -> tuple[list[str], lis
         fmt(d["wilcoxon"]["p_exact"]) or "n/a", fmt(d["wilcoxon"]["p_normal"]) or "n/a"))
     add("Cohen's d", lambda d: _na(d, "cohens_d") or
         f"{d['effect']['cohens_d']:.4f} ({d['effect']['label']})")
-    add("Hedges' g", lambda d: _na(d, "hedges_g") or
-        f"{d['effect']['hedges_g']:.4f} ({d['effect']['hedges_variant']})")
+    add("Hedges' g, standard / paper", lambda d: _na(d, "hedges_g") or
+        f"{d['effect']['hedges_g']:.4f} / {d['effect']['hedges_g_paper']:.4f}")
 
     def ci(b):
         pct = round((1.0 - b["alpha"]) * 100)

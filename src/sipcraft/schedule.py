@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from datetime import date as Date, timedelta
+from datetime import MAXYEAR, MINYEAR, date as Date, timedelta
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -196,6 +196,8 @@ def load_schedule_overrides(source: str | io.TextIOBase) -> dict[MonthKey, Month
                 month = int(row[idx["month"]])
             except (ValueError, IndexError):
                 raise SeriesFormatError(f"malformed year/month in row {row!r}", line) from None
+            if not MINYEAR <= year <= MAXYEAR:
+                raise SeriesFormatError(f"year {year} is outside {MINYEAR}..{MAXYEAR}", line)
             try:
                 key = MonthKey(year, month)
             except ScheduleError as exc:
@@ -215,7 +217,7 @@ def load_schedule_overrides(source: str | io.TextIOBase) -> dict[MonthKey, Month
                     raise SeriesFormatError(f"non-integer {cell_name} {raw!r}", line) from None
                 try:
                     return Date(year, month, dom)
-                except (ValueError, OverflowError):  # a year past C long overflows
+                except (ValueError, OverflowError):  # a day past C long overflows
                     raise SeriesFormatError(
                         f"{cell_name} {dom} is not a valid day of {key}", line
                     ) from None
@@ -235,6 +237,14 @@ def load_schedule_overrides(source: str | io.TextIOBase) -> dict[MonthKey, Month
     except csv.Error as exc:  # an oversized field, say
         raise SeriesFormatError(str(exc), reader.line_num) from None
     return entries
+
+
+# each anchor in MonthSchedule field order: its field, the rule that computes
+# it where no override applies, and the anomaly when the rule finds no day
+_ANCHOR_RULES = (
+    ("first_trading_day", resolve_first_trading_day, "month has no trading days in the series"),
+    ("expiry_day", compute_expiry, "no trading day at or before the last Thursday"),
+)
 
 
 def _month_range(start: MonthKey, end: MonthKey) -> Iterator[MonthKey]:
@@ -262,53 +272,27 @@ def build_schedule(
     anomalies: list[ScheduleAnomaly] = []
     for key in _month_range(start, end):
         override = overrides.get(key) if overrides is not None else None
-
-        ftd: Date | None = None
-        ftd_source: str | None = None
-        if override is not None and override.first_trading_day is not None:
-            ftd = override.first_trading_day
-            ftd_source = SOURCE_OVERRIDE
-            if ftd not in series:
-                anomalies.append(
-                    ScheduleAnomaly(key, "first_trading_day", ftd,
-                                    "override date is not a trading day in the series")
-                )
-        else:
-            try:
-                ftd = resolve_first_trading_day(series, key)
-                ftd_source = SOURCE_COMPUTED
-            except ScheduleError:
-                anomalies.append(
-                    ScheduleAnomaly(key, "first_trading_day", None,
-                                    "month has no trading days in the series")
-                )
-
-        expiry: Date | None = None
-        expiry_source: str | None = None
-        if override is not None and override.expiry_day is not None:
-            expiry = override.expiry_day
-            expiry_source = SOURCE_OVERRIDE
-            if expiry not in series:
-                anomalies.append(
-                    ScheduleAnomaly(key, "expiry_day", expiry,
-                                    "override date is not a trading day in the series")
-                )
-        else:
-            try:
-                expiry = compute_expiry(series, key)
-                expiry_source = SOURCE_COMPUTED
-            except ScheduleError:
-                anomalies.append(
-                    ScheduleAnomaly(key, "expiry_day", None,
-                                    "no trading day at or before the last Thursday")
-                )
-
+        days: list[Date | None] = []
+        sources: list[str | None] = []
+        for field, compute, missing in _ANCHOR_RULES:
+            day, source = getattr(override, field, None), SOURCE_OVERRIDE  # None: no override row
+            if day is not None:
+                if day not in series:
+                    anomalies.append(ScheduleAnomaly(
+                        key, field, day, "override date is not a trading day in the series"))
+            else:
+                try:
+                    day, source = compute(series, key), SOURCE_COMPUTED
+                except ScheduleError:
+                    source = None
+                    anomalies.append(ScheduleAnomaly(key, field, None, missing))
+            days.append(day)
+            sources.append(source)
+        ftd, expiry = days
         if ftd is not None and expiry is not None and expiry < ftd:
             anomalies.append(
-                ScheduleAnomaly(key, "expiry_day", expiry,
-                                "expiry precedes the first trading day")
+                ScheduleAnomaly(key, "expiry_day", expiry, "expiry precedes the first trading day")
             )
-        table[key] = MonthSchedule(key=key, first_trading_day=ftd, expiry_day=expiry,
-                                   ftd_source=ftd_source, expiry_source=expiry_source)
+        table[key] = MonthSchedule(key, *days, *sources)
     return table, anomalies
 

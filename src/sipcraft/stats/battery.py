@@ -2,9 +2,10 @@
 
 One call produces every metric for a horizon: paired t, Wilcoxon signed
 rank (both the exact and the normal-approximation path are reported),
-effect sizes, the BCa interval, the KS statistic, and dominance verdicts.
-Anything undefined for the given sample degrades to a per-cell
-"not applicable" note instead of aborting the battery.
+Cohen's d, Hedges' g (both the standard and the paper's small-sample
+correction are reported), the BCa interval, the KS statistic, and
+dominance verdicts. Anything undefined for the given sample degrades to a
+per-cell "not applicable" note instead of aborting the battery.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from ..errors import DegenerateSampleError, InsufficientDataError
 from .bootstrap import bootstrap_bca, check_alpha
 from .dominance import check_fsd, check_ssd, ks_two_sample
 from .paired import (
-    WILCOXON_EXACT_LIMIT,
     PairedSample,
     classify_effect,
     cohens_d,
@@ -27,9 +27,6 @@ from .paired import (
 
 __all__ = ["BatteryConfig", "ComparisonReport", "run_battery"]
 
-WILCOXON_MODES = ("auto", "exact", "normal_approx")
-HEDGES_VARIANTS = ("standard", "paper_compat")
-
 # battery cells that can individually degrade to "not applicable"
 CELLS = ("t", "wilcoxon", "cohens_d", "hedges_g", "bootstrap", "ks", "fsd", "ssd")
 # 100 times the paper's B; the CLI's samples (n <= 22) stay inside the
@@ -38,56 +35,38 @@ MAX_RESAMPLES = 1_000_000
 
 
 class _BatteryConfig(NamedTuple):
-    resamples: int = 10000
+    B: int = 10000
     alpha: float = 0.05
     seed: int = 42
-    wilcoxon_mode: str = "auto"
-    hedges_variant: str = "standard"
 
 
 class BatteryConfig(_BatteryConfig):
-    """Battery knobs; the JSON form uses keys B, alpha, seed, wilcoxon_mode, hedges_variant."""
+    """Battery settings; the field names are the JSON keys, so ``_asdict()`` is the JSON form."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> BatteryConfig:
         self = super().__new__(cls, *args, **kwargs)
-        for key, value in (("B", self.resamples), ("seed", self.seed)):
+        for key, value in (("B", self.B), ("seed", self.seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
             raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
-        if self.resamples < 1000:
-            raise ValueError(f"B must be >= 1000, got {self.resamples}")
-        if self.resamples > MAX_RESAMPLES:
-            raise ValueError(f"B must be <= {MAX_RESAMPLES}, got {self.resamples}")
+        if self.B < 1000:
+            raise ValueError(f"B must be >= 1000, got {self.B}")
+        if self.B > MAX_RESAMPLES:
+            raise ValueError(f"B must be <= {MAX_RESAMPLES}, got {self.B}")
         check_alpha(self.alpha)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.wilcoxon_mode not in WILCOXON_MODES:
-            raise ValueError(f"wilcoxon_mode must be one of {WILCOXON_MODES}, got {self.wilcoxon_mode!r}")
-        if self.hedges_variant not in HEDGES_VARIANTS:
-            raise ValueError(f"hedges_variant must be one of {HEDGES_VARIANTS}, got {self.hedges_variant!r}")
         return self
 
     @classmethod
     def from_dict(cls, data: dict) -> "BatteryConfig":
-        known = {"B": "resamples", "alpha": "alpha", "seed": "seed",
-                 "wilcoxon_mode": "wilcoxon_mode", "hedges_variant": "hedges_variant"}
-        unknown = set(data) - set(known)
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ValueError(f"unknown battery config keys: {sorted(unknown)}")
-        kwargs = {known[k]: v for k, v in data.items()}
-        return cls(**kwargs)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "B": self.resamples,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "wilcoxon_mode": self.wilcoxon_mode,
-            "hedges_variant": self.hedges_variant,
-        }
+        return cls(**data)
 
 
 class ComparisonReport(NamedTuple):
@@ -105,7 +84,7 @@ class ComparisonReport(NamedTuple):
     mean_diff: float
     t: dict  # statistic, p, df
     wilcoxon: dict  # statistic, p, method, p_exact, p_normal
-    effect: dict  # cohens_d, label, hedges_g, hedges_variant
+    effect: dict  # cohens_d, label, hedges_g, hedges_g_paper
     bootstrap: dict | None  # the BootstrapCI under the bundle's keys
     ks: dict  # statistic, p
     fsd: str | None  # a DominanceSide value
@@ -125,7 +104,7 @@ def run_battery(s: PairedSample, config: BatteryConfig | None = None, label: str
     t = dict.fromkeys(("statistic", "p", "df"))
     wilcoxon = dict.fromkeys(("statistic", "p", "method", "p_exact", "p_normal"))
     ks = dict.fromkeys(("statistic", "p"))
-    d = effect_label = g = hedges_variant = bootstrap = fsd = ssd = None
+    d = effect_label = g = g_paper = bootstrap = fsd = ssd = None
     na: dict[str, str] = {}
 
     if s.n < 2 or all(v == 0.0 for v in s.diffs):
@@ -140,18 +119,13 @@ def run_battery(s: PairedSample, config: BatteryConfig | None = None, label: str
             na["t"] = str(exc)
 
         try:
-            w = wilcoxon_signed_rank(s, mode=config.wilcoxon_mode)
-            # both inference paths are informative at these sample sizes, so
-            # report whichever ones are computable alongside the configured mode
-            p_exact = None
-            if w.method == "exact":
-                p_exact = w.p_value
-            elif sum(1 for v in s.diffs if v != 0.0) <= WILCOXON_EXACT_LIMIT:
-                p_exact = wilcoxon_signed_rank(s, mode="exact").p_value
-            if w.method == "normal_approx":
-                p_normal = w.p_value
-            else:
-                p_normal = wilcoxon_signed_rank(s, mode="normal_approx").p_value
+            w = wilcoxon_signed_rank(s)
+            # exact up to WILCOXON_EXACT_LIMIT nonzero differences; both paths are
+            # informative at these sample sizes, so an exact p gets its normal
+            # approximation reported next to it
+            p_exact = w.p_value if w.method == "exact" else None
+            p_normal = (wilcoxon_signed_rank(s, mode="normal_approx").p_value
+                        if p_exact is not None else w.p_value)
             wilcoxon = {"statistic": w.statistic, "p": w.p_value, "method": w.method,
                         "p_exact": p_exact, "p_normal": p_normal}
         except (DegenerateSampleError, InsufficientDataError) as exc:
@@ -164,13 +138,12 @@ def run_battery(s: PairedSample, config: BatteryConfig | None = None, label: str
             na["cohens_d"] = na["hedges_g"] = str(exc)
         if d is not None:
             try:
-                g = hedges_g(d, s.n, config.hedges_variant)
-                hedges_variant = config.hedges_variant
+                g, g_paper = hedges_g(d, s.n), hedges_g(d, s.n, "paper_compat")
             except InsufficientDataError as exc:
                 na["hedges_g"] = str(exc)
 
         try:
-            ci = bootstrap_bca(s, resamples=config.resamples, alpha=config.alpha, seed=config.seed)
+            ci = bootstrap_bca(s, resamples=config.B, alpha=config.alpha, seed=config.seed)
             bootstrap = {"point": ci.point_estimate, "lower": ci.lower, "upper": ci.upper,
                          "B": ci.resamples, "seed": ci.seed, "alpha": ci.alpha, "z0": ci.z0,
                          "acceleration": ci.acceleration, "degenerate": ci.degenerate}
@@ -188,6 +161,6 @@ def run_battery(s: PairedSample, config: BatteryConfig | None = None, label: str
         except InsufficientDataError as exc:
             na["fsd"] = na["ssd"] = str(exc)
 
-    effect = {"cohens_d": d, "label": effect_label, "hedges_g": g, "hedges_variant": hedges_variant}
+    effect = {"cohens_d": d, "label": effect_label, "hedges_g": g, "hedges_g_paper": g_paper}
     return ComparisonReport(label, s.n, mean_diff, t, wilcoxon, effect, bootstrap, ks, fsd, ssd,
                             dict(sorted(na.items())))

@@ -64,7 +64,7 @@ def test_criterion_1_one_year_battery_golden():
     sample = load_reference_sample(1)
 
     start = time.perf_counter()
-    r = run_battery(sample, BatteryConfig(hedges_variant="paper_compat"), label="1y")
+    r = run_battery(sample, BatteryConfig(), label="1y")
     elapsed = time.perf_counter() - start
     t, w, eff, ci = r.t, r.wilcoxon, r.effect, r.bootstrap
 
@@ -72,7 +72,8 @@ def test_criterion_1_one_year_battery_golden():
           f"t={t['statistic']:.6f} outside 3.271 +/- 0.005 at report precision")
     check(abs(t['p'] - 0.0018) <= 0.0003, f"t p={t['p']:.6f} outside 0.0018 +/- 0.0003")
     check(abs(eff['cohens_d'] - 0.697) <= 0.003, f"d={eff['cohens_d']:.6f} outside 0.697 +/- 0.003")
-    check(abs(eff['hedges_g'] - 0.671) <= 0.003, f"g={eff['hedges_g']:.6f} outside 0.671 +/- 0.003")
+    check(abs(eff['hedges_g_paper'] - 0.671) <= 0.003,
+          f"paper g={eff['hedges_g_paper']:.6f} outside 0.671 +/- 0.003")
     check(abs(r.mean_diff - 0.770) <= 0.001, f"mean={r.mean_diff:.6f} outside 0.770 +/- 0.001")
     check(abs(ci['lower'] - 0.301) <= 0.05, f"CI lower {ci['lower']:.4f} not within 0.05 of 0.301")
     check(abs(ci['upper'] - 1.203) <= 0.05, f"CI upper {ci['upper']:.4f} not within 0.05 of 1.203")
@@ -98,12 +99,13 @@ def test_criterion_2_three_year_column():
     check(diffs == [0.49, 0.04, 0.17, 0.63, 0.27, -0.09, 0.38],
           f"three-year diffs {diffs} are not the expected column")
 
-    r = run_battery(sample, BatteryConfig(hedges_variant="paper_compat"), label="3y")
+    r = run_battery(sample, BatteryConfig(), label="3y")
     t, w, eff, ci = r.t, r.wilcoxon, r.effect, r.bootstrap
     check(abs(t['statistic'] - 2.833) <= 0.005, f"t={t['statistic']:.6f} outside 2.833 +/- 0.005")
     check(abs(t['p'] - 0.0149) <= 0.0005, f"p={t['p']:.6f} outside 0.0149 +/- 0.0005")
     check(abs(eff['cohens_d'] - 1.071) <= 0.005, f"d={eff['cohens_d']:.6f} outside 1.071 +/- 0.005")
-    check(abs(eff['hedges_g'] - 0.902) <= 0.003, f"g={eff['hedges_g']:.6f} outside 0.902 +/- 0.003")
+    check(abs(eff['hedges_g_paper'] - 0.902) <= 0.003,
+          f"paper g={eff['hedges_g_paper']:.6f} outside 0.902 +/- 0.003")
     check(w['p_exact'] == 3.0 / 128.0, f"exact wilcoxon p={w['p_exact']!r} != 3/128")
     check(abs(ci['lower'] - 0.099) <= 0.05, f"CI lower {ci['lower']:.4f} not within 0.05 of 0.099")
     check(abs(ci['upper'] - 0.443) <= 0.05, f"CI upper {ci['upper']:.4f} not within 0.05 of 0.443")
@@ -120,7 +122,7 @@ def test_criterion_3_five_year_column():
     check(diffs == [0.13, 0.16, 0.13, 0.09],
           f"five-year diffs {diffs} are not the expected column")
 
-    r = run_battery(sample, BatteryConfig(hedges_variant="paper_compat"), label="5y")
+    r = run_battery(sample, BatteryConfig(), label="5y")
     t, w, eff = r.t, r.wilcoxon, r.effect
     check(w['p_exact'] == 1.0 / 16.0, f"exact wilcoxon p={w['p_exact']!r} != 1/16")
     check(r.ssd == DominanceSide.EXP.value, f"SSD verdict {r.ssd} is not exp_dominates")

@@ -413,6 +413,11 @@ def test_compare_rejects_non_integer_battery_config(series_csv, tmp_path, capsys
                  "column 2 (char 1)", id="malformed0"),
     pytest.param("compare", {"stats": {"bee": 1}}, "unknown battery config keys: ['bee']",
                  id="stats0"),
+    # the battery reports every method's value, so no key selects one
+    pytest.param("compare", {"stats": {"wilcoxon_mode": "auto"}},
+                 "unknown battery config keys: ['wilcoxon_mode']", id="stats1"),
+    pytest.param("compare", {"stats": {"hedges_variant": "standard"}},
+                 "unknown battery config keys: ['hedges_variant']", id="stats2"),
 ])
 def test_config_rejects_wrong_types(flat_csv, tmp_path, capsys, command, config, fragment):
     cfg = tmp_path / "cfg.json"
@@ -453,7 +458,7 @@ def _battery(field):
      2010, 2012, None),
     ("simulate", ["--years", "3"], {"years": 4}, lambda s: s.years, 3, 4, None),
     ("compare", ["--seed", "5"], {"stats": {"seed": 6}}, _battery("seed"), 5, 6, 42),
-    ("compare", ["--resamples", "2000"], {"stats": {"B": 3000}}, _battery("resamples"),
+    ("compare", ["--resamples", "2000"], {"stats": {"B": 3000}}, _battery("B"),
      2000, 3000, 10000),
     ("compare", ["--alpha", "0.1"], {"stats": {"alpha": 0.2}}, _battery("alpha"), 0.1, 0.2, 0.05),
 ], ids=["data", "schedule", "format", "amount", "durations", "strategy", "start_year", "years",

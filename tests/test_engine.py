@@ -99,17 +99,16 @@ def test_simulate_missing_anchor(flat_year_series):
 
 def test_window_grids():
     assert [len(enumerate_windows(d)) for d in SUPPORTED_DURATIONS] == [22, 7, 4, 2, 1]
-    ones = enumerate_windows(1)
-    assert ones[0] == Window(2003, 2003)
-    assert ones[-1] == Window(2024, 2024)
-    threes = enumerate_windows(3)
-    assert threes[0] == Window(2004, 2006)
-    assert threes[-1] == Window(2022, 2024)
+    assert enumerate_windows(1) == [Window(y, y) for y in range(2003, 2025)]
+    assert enumerate_windows(3) == [Window(2004, 2006), Window(2007, 2009), Window(2010, 2012),
+                                    Window(2013, 2015), Window(2016, 2018), Window(2019, 2021),
+                                    Window(2022, 2024)]
     assert enumerate_windows(5) == [Window(2005, 2009), Window(2010, 2014),
                                     Window(2015, 2019), Window(2020, 2024)]
     assert enumerate_windows(10) == [Window(2005, 2014), Window(2015, 2024)]
     assert enumerate_windows(20) == [Window(2005, 2024)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^unsupported duration 2, expected one of \(1, 3, 5, 10, 20\)$"):
         enumerate_windows(2)
     for make in (lambda: Window(2010, 2009), lambda: Window(from_year=2010, to_year=2009)):
         with pytest.raises(ValueError, match=r"^window ends before it starts: 2010\.\.2009$"):

@@ -40,3 +40,19 @@ def test_golden_output(name, inputs, monkeypatch):
     monkeypatch.delenv("SIPCRAFT_SEED", raising=False)
     argv = golden.COMMANDS[name]
     assert {"argv": list(argv), **golden.run(argv)} == MANIFEST[name]
+
+
+def test_diff_outputs_names_each_moved_entry_with_a_unified_diff():
+    same = {"exit": 0, "stdout": "kept\n", "stderr": ""}
+    base = {"a": {"exit": 0, "stdout": "x\ny\n", "stderr": ""}, "b": same,
+            "c": {"exit": 2, "stdout": "", "stderr": "old\n"}}
+    head = {"a": {"exit": 0, "stdout": "x\nz\n", "stderr": ""}, "b": dict(same),
+            "c": {"exit": 1, "stdout": "", "stderr": "old\n"}}
+    assert golden.diff_outputs(base, head, "REV") == [
+        "a",
+        "--- REV:a:stdout", "+++ this tree:a:stdout", "@@ -1,3 +1,3 @@",
+        " x", "-y", "+z", " ",
+        "c",
+        "--- REV:c:exit", "+++ this tree:c:exit", "@@ -1 +1 @@", "-2", "+1",
+    ]
+    assert golden.diff_outputs(base, base, "REV") == []

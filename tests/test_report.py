@@ -184,7 +184,7 @@ def make_bundle(sample, rows=None, label="3y"):
         "schedule_sha256": None,
         "schedule_source": "computed",
         "durations": [3],
-        "battery_config": BatteryConfig().to_json_dict(),
+        "battery_config": BatteryConfig()._asdict(),
         "anomaly_count": 0,
     })
     return {

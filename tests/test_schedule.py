@@ -146,8 +146,16 @@ def test_load_overrides_invalid_day_of_month():
 
 
 def test_load_overrides_year_beyond_c_long():
-    with pytest.raises(SeriesFormatError, match="^line 2: ftd_dom 1 is not a valid day of "):
+    with pytest.raises(SeriesFormatError,
+                       match="^line 2: year 100000000000000000000 is outside 1..9999$"):
         load_schedule_overrides("year,month,ftd_dom,expiry_dom\n100000000000000000000,1,1,\n")
+
+
+# these once blamed the day, and printed the year as 0000 or -005
+@pytest.mark.parametrize("year", [0, -5, 10000, 10**20])
+def test_load_overrides_names_an_out_of_range_year(year):
+    with pytest.raises(SeriesFormatError, match=rf"^line 2: year {year} is outside 1\.\.9999$"):
+        load_schedule_overrides(f"year,month,ftd_dom,expiry_dom\n{year},1,2,\n")
 
 
 def test_load_overrides_duplicate_month():

@@ -27,9 +27,10 @@ from sipcraft.stats import (
     wilcoxon_signed_rank,
 )
 from sipcraft.stats.bootstrap import _accept_limit, _draw
+from sipcraft.stats.paired import WILCOXON_EXACT_LIMIT
 from sipcraft.stats.special import normal_ppf
 
-from conftest import stdlib_bootstrap_means, stdlib_bootstrap_picks
+from conftest import load_reference_sample, stdlib_bootstrap_means, stdlib_bootstrap_picks
 
 diff_lists = st.lists(
     st.floats(min_value=-100.0, max_value=100.0,
@@ -596,7 +597,7 @@ def test_battery_single_pair_all_na():
         "t": {"statistic": None, "p": None, "df": None},
         "wilcoxon": {"statistic": None, "p": None, "method": None, "p_exact": None,
                      "p_normal": None},
-        "effect": {"cohens_d": None, "label": None, "hedges_g": None, "hedges_variant": None},
+        "effect": {"cohens_d": None, "label": None, "hedges_g": None, "hedges_g_paper": None},
         "bootstrap": None, "ks": {"statistic": None, "p": None}, "fsd": None, "ssd": None,
         "not_applicable": {cell: reason for cell in ("bootstrap", "cohens_d", "fsd", "hedges_g",
                                                      "ks", "ssd", "t", "wilcoxon")}})
@@ -611,15 +612,32 @@ def test_battery_hedges_na_at_n2():
 
 
 def test_battery_respects_config(three_year_sample):
-    cfg = BatteryConfig(resamples=2000, seed=9, wilcoxon_mode="normal_approx",
-                        hedges_variant="paper_compat")
-    report = run_battery(three_year_sample, cfg)
-    assert report.wilcoxon["method"] == "normal_approx"
-    assert report.wilcoxon["p"] == report.wilcoxon["p_normal"]
-    assert report.wilcoxon["p_exact"] == 3.0 / 128.0  # still reported alongside
-    assert report.effect["hedges_variant"] == "paper_compat"
+    report = run_battery(three_year_sample, BatteryConfig(B=2000, seed=9))
     assert report.bootstrap["B"] == 2000
     assert report.bootstrap["seed"] == 9
+
+
+@pytest.mark.parametrize("duration", [1, 3, 5])
+def test_battery_reports_both_hedges_corrections(duration):
+    sample = load_reference_sample(duration)
+    effect = run_battery(sample, BatteryConfig(B=1000)).effect
+    assert effect["hedges_g"] == hedges_g(effect["cohens_d"], sample.n)
+    assert effect["hedges_g_paper"] == hedges_g(effect["cohens_d"], sample.n, "paper_compat")
+
+
+def test_battery_reports_both_wilcoxon_p_values(three_year_sample):
+    w = run_battery(three_year_sample, BatteryConfig(B=1000)).wilcoxon
+    assert w["method"] == "exact"
+    assert w["p"] == w["p_exact"] == 3.0 / 128.0
+    assert w["p_normal"] == wilcoxon_signed_rank(three_year_sample, mode="normal_approx").p_value
+
+
+def test_battery_wilcoxon_beyond_the_exact_limit_has_no_exact_p():
+    diffs = [0.1 * (i + 1) * (-1) ** (i % 3 == 0) for i in range(WILCOXON_EXACT_LIMIT + 1)]
+    w = run_battery(sample_from_diffs(diffs), BatteryConfig(B=1000)).wilcoxon
+    assert w["method"] == "normal_approx"
+    assert w["p_exact"] is None
+    assert w["p"] == w["p_normal"]
 
 
 def test_battery_report_round_trips_json(one_year_sample):
@@ -638,19 +656,13 @@ def test_battery_report_round_trips_json(one_year_sample):
 
 def test_battery_config_defaults():
     cfg = BatteryConfig()
-    assert (cfg.resamples, cfg.alpha, cfg.seed) == (10000, 0.05, 42)
-    assert cfg.wilcoxon_mode == "auto"
-    assert cfg.hedges_variant == "standard"
+    assert BatteryConfig._fields == ("B", "alpha", "seed")
+    assert (cfg.B, cfg.alpha, cfg.seed) == (10000, 0.05, 42)
 
 
 def test_battery_config_from_dict():
-    cfg = BatteryConfig.from_dict({"B": 5000, "alpha": 0.1, "seed": 3,
-                                   "wilcoxon_mode": "exact", "hedges_variant": "paper_compat"})
-    assert cfg.resamples == 5000
-    assert cfg.alpha == 0.1
-    assert cfg.seed == 3
-    assert cfg.wilcoxon_mode == "exact"
-    assert cfg.hedges_variant == "paper_compat"
+    cfg = BatteryConfig.from_dict({"B": 5000, "alpha": 0.1, "seed": 3})
+    assert cfg == BatteryConfig(5000, 0.1, 3)
     # partial configs keep defaults for the rest
     assert BatteryConfig.from_dict({"B": 2000}).alpha == 0.05
 
@@ -658,25 +670,25 @@ def test_battery_config_from_dict():
 def test_battery_config_rejects_unknown_and_invalid():
     with pytest.raises(ValueError, match=r"^unknown battery config keys: \['bee'\]$"):
         BatteryConfig.from_dict({"bee": 1})
+    # the method settings are gone: every bundle reports both methods' values
+    with pytest.raises(ValueError, match=r"^unknown battery config keys: \['hedges_variant'\]$"):
+        BatteryConfig.from_dict({"hedges_variant": "paper_compat"})
+    with pytest.raises(ValueError, match=r"^unknown battery config keys: \['wilcoxon_mode'\]$"):
+        BatteryConfig.from_dict({"wilcoxon_mode": "exact"})
     with pytest.raises(ValueError, match="^B must be >= 1000, got 10$"):
-        BatteryConfig(resamples=10)
+        BatteryConfig(B=10)
     # a larger draw would outgrow what one getrandbits call takes
     with pytest.raises(ValueError, match="^B must be <= 1000000, got 1000001$"):
-        BatteryConfig(resamples=1_000_001)
-    assert BatteryConfig(resamples=1_000_000).resamples == 1_000_000
+        BatteryConfig(B=1_000_001)
+    assert BatteryConfig(B=1_000_000).B == 1_000_000
     with pytest.raises(ValueError, match=r"^alpha must be in \(2\*\*-53, 1\), got 1e-16$"):
         BatteryConfig(alpha=1e-16)
     with pytest.raises(ValueError, match="^B must be an integer, got 1000.0$"):
         BatteryConfig(1000.0)
     with pytest.raises(ValueError):
         BatteryConfig(alpha=1.5)
-    with pytest.raises(ValueError):
-        BatteryConfig(wilcoxon_mode="sometimes")
-    with pytest.raises(ValueError):
-        BatteryConfig(hedges_variant="other")
 
 
 def test_battery_config_json_round_trip():
-    cfg = BatteryConfig(resamples=2000, seed=1, hedges_variant="paper_compat")
-    again = BatteryConfig.from_dict(cfg.to_json_dict())
-    assert again == cfg
+    cfg = BatteryConfig(B=2000, seed=1)
+    assert BatteryConfig.from_dict(cfg._asdict()) == cfg
