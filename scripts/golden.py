@@ -47,6 +47,14 @@ BEYOND_MAX = "from_year,to_year,cagr_ftd,cagr_exp\n" + "".join(
     f"{y},{y},2.0,{y - 2002}e200\n" for y in range(2003, 2009))
 # an override row whose year lies outside the years a date can hold
 YEAR_ZERO = "year,month,ftd_dom,expiry_dom\n0,1,2,\n"
+# inputs that each break one rule of the CSV reader all three input files share
+READER_ERRORS = {
+    "empty.csv": "",
+    "no-close.csv": "date,price\n2003-01-02,1\n",
+    "short-series.csv": "date,close\n2003-01-02,100\n2003-01-03\n",
+    "short-override.csv": "year,month,ftd_dom,expiry_dom\n2010,1,4\n",
+    "no-to-year.csv": "from_year,years,cagr_ftd,cagr_exp\n2003,1,1.0,2.0\n",
+}
 
 _SIM = ("simulate", "--data", "grid.csv", "--start-year", "2010", "--years", "3")
 _LONG = ("--data", "long.csv", "--schedule", "schedule.csv")
@@ -88,6 +96,12 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "error-windows-beyond-max": ("compare", "--data", "beyond-max.csv", "--durations", "1",
                                  "--format", "json"),
     "error-override-year": ("validate", "--data", "grid.csv", "--schedule", "year-zero.csv"),
+    "error-series-empty": ("validate", "--data", "empty.csv"),
+    "error-series-no-close": ("validate", "--data", "no-close.csv"),
+    "error-series-short-row": ("validate", "--data", "short-series.csv"),
+    "error-override-short-row": ("validate", "--data", "grid.csv", "--schedule",
+                                 "short-override.csv"),
+    "error-windows-no-to-year": ("compare", "--data", "no-to-year.csv"),
 }
 
 
@@ -109,8 +123,9 @@ def jump_csv() -> str:
 def write_inputs(directory: Path) -> None:
     """The corpus inputs: the benchmark's seed-1 grid and long series, the
     override table, an override table no series can verify, the frozen
-    per-window CAGR table, the inputs whose CAGRs lie out of range, and an
-    override table whose year no date can hold."""
+    per-window CAGR table, the inputs whose CAGRs lie out of range, an
+    override table whose year no date can hold, and the inputs that break
+    the shared CSV rules."""
     gen = _gen()
     (directory / "grid.csv").write_text(gen.grid_csv(1), encoding="utf-8")
     (directory / "long.csv").write_text(gen.long_csv(1, str(SCHEDULE)), encoding="utf-8")
@@ -121,6 +136,8 @@ def write_inputs(directory: Path) -> None:
     (directory / "beyond-float.csv").write_text(BEYOND_FLOAT, encoding="utf-8")
     (directory / "beyond-max.csv").write_text(BEYOND_MAX, encoding="utf-8")
     (directory / "year-zero.csv").write_text(YEAR_ZERO, encoding="utf-8")
+    for name, text in READER_ERRORS.items():
+        (directory / name).write_text(text, encoding="utf-8")
 
 
 def capture(argv: tuple[str, ...]) -> dict:

@@ -10,7 +10,6 @@ it, so it is computed from the prices alone.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from datetime import date as Date
@@ -19,7 +18,7 @@ from typing import Iterable, NamedTuple
 from .errors import CoverageError, NotTradingDayError, SeriesFormatError, SimulationError
 from .schedule import MonthKey, MonthSchedule, Strategy
 from .stats.paired import PairedSample
-from .timeseries import IndexSeries, _normalize_header_cell
+from .timeseries import IndexSeries, read_table
 
 __all__ = [
     "DEFAULT_MONTHLY_AMOUNT",
@@ -131,10 +130,10 @@ def _paired(outcomes: list[WindowOutcome]) -> tuple[PairedSample, list[WindowOut
 def is_window_table(header: str) -> bool:
     """Whether a CSV header line names both CAGR columns of a per-window table."""
     try:
-        names = [_normalize_header_cell(c) for c in next(csv.reader([header]), [])]
-    except csv.Error:  # a quoted cell that runs past the line, say
+        read_table(header, ("cagr_ftd", "cagr_exp"), "window table")
+    except SeriesFormatError:  # an empty line, or a header without both CAGR columns
         return False
-    return "cagr_ftd" in names and "cagr_exp" in names
+    return True
 
 
 def load_windows(
@@ -143,61 +142,47 @@ def load_windows(
     """Per-window CAGR table to each selected duration's paired sample and
     outcomes in start-year order, the shape ``paired_run`` returns.
 
+    The header and row rules are :func:`~sipcraft.timeseries.read_table`'s;
     ``years`` is the one optional column of ``WINDOW_COLUMNS``. Every error
     message carries the offending line number.
     """
-    reader = csv.reader(lines)
-    names = [_normalize_header_cell(c) for c in next(reader, [])]
-    columns = {c: names.index(c) for c in WINDOW_COLUMNS if c in names}
-    missing = [c for c in WINDOW_COLUMNS if c not in columns and c != "years"]
-    if missing:
-        raise SeriesFormatError(f"window table header lacks {missing}", 1)
-    needed = max(columns.values()) + 1
+    columns, rows = read_table(lines, WINDOW_COLUMNS, "window table", optional=("years",))
     selected: dict[int, list[WindowOutcome]] = {d: [] for d in durations}
     seen: dict[Window, int] = {}
-    try:
-        for row in reader:
-            line = reader.line_num
-            if not "".join(row).strip():
-                continue  # blank line
-            if len(row) < needed:
-                raise SeriesFormatError(f"row has {len(row)} columns, expected at least {needed}",
-                                        line)
-            cells = {}
-            for key, i in columns.items():
-                kind = float if key.startswith("cagr") else int
-                try:
-                    cells[key] = kind(row[i])
-                except ValueError:
-                    cells[key] = math.nan
-                if not math.isfinite(cells[key]):
-                    what = "a finite number" if kind is float else "an integer"
-                    raise SeriesFormatError(f"{key} must be {what}, got {row[i].strip()!r}", line)
-                if kind is float and not -100.0 <= cells[key] <= MAX_CAGR:
-                    raise SeriesFormatError(f"{key} {_outside(cells[key])}", line)
+    line = 1
+    for line, row in rows:
+        cells = {}
+        for key, i in columns.items():
+            kind = float if key.startswith("cagr") else int
             try:
-                window = Window(cells["from_year"], cells["to_year"])
-            except ValueError as exc:
-                raise SeriesFormatError(str(exc), line) from None
-            where = f"window {window.from_year}..{window.to_year}"
-            if cells.get("years", window.years) != window.years:
-                raise SeriesFormatError(f"years {cells['years']} does not match {where}", line)
-            if window.years not in SUPPORTED_DURATIONS:
-                raise SeriesFormatError(f"{where} spans {window.years} years, expected one of "
-                                        f"{SUPPORTED_DURATIONS}", line)
-            if window in seen:
-                raise SeriesFormatError(f"duplicate {where} (first seen at line {seen[window]})",
-                                        line)
-            seen[window] = line
-            if window.years in selected:
-                selected[window.years].append(
-                    WindowOutcome(window, cells["cagr_ftd"], cells["cagr_exp"]))
-    except csv.Error as exc:  # an oversized field, say
-        raise SeriesFormatError(str(exc), reader.line_num) from None
+                cells[key] = kind(row[i])
+            except ValueError:
+                cells[key] = math.nan
+            if not math.isfinite(cells[key]):
+                what = "a finite number" if kind is float else "an integer"
+                raise SeriesFormatError(f"{key} must be {what}, got {row[i].strip()!r}", line)
+            if kind is float and not -100.0 <= cells[key] <= MAX_CAGR:
+                raise SeriesFormatError(f"{key} {_outside(cells[key])}", line)
+        try:
+            window = Window(cells["from_year"], cells["to_year"])
+        except ValueError as exc:
+            raise SeriesFormatError(str(exc), line) from None
+        where = f"window {window.from_year}..{window.to_year}"
+        if cells.get("years", window.years) != window.years:
+            raise SeriesFormatError(f"years {cells['years']} does not match {where}", line)
+        if window.years not in SUPPORTED_DURATIONS:
+            raise SeriesFormatError(f"{where} spans {window.years} years, expected one of "
+                                    f"{SUPPORTED_DURATIONS}", line)
+        if window in seen:
+            raise SeriesFormatError(f"duplicate {where} (first seen at line {seen[window]})",
+                                    line)
+        seen[window] = line
+        if window.years in selected:
+            selected[window.years].append(
+                WindowOutcome(window, cells["cagr_ftd"], cells["cagr_exp"]))
     absent = [d for d, outcomes in selected.items() if not outcomes]
     if absent:
-        raise SeriesFormatError(f"window table ends with no rows for durations {absent}",
-                                reader.line_num)
+        raise SeriesFormatError(f"window table ends with no rows for durations {absent}", line)
     return {d: _paired(sorted(outcomes, key=lambda o: o.window.from_year))
             for d, outcomes in selected.items()}
 

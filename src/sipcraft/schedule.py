@@ -9,14 +9,13 @@ reported as anomalies, never silently repaired.
 
 from __future__ import annotations
 
-import csv
 import io
 from datetime import MAXYEAR, MINYEAR, date as Date, timedelta
 from enum import Enum
 from typing import Iterator, NamedTuple
 
 from .errors import ScheduleError, SeriesFormatError
-from .timeseries import IndexSeries, _normalize_header_cell
+from .timeseries import IndexSeries, read_table
 
 __all__ = [
     "Strategy",
@@ -163,79 +162,57 @@ def compute_expiry(series: IndexSeries, key: MonthKey) -> Date:
 def load_schedule_overrides(source: str | io.TextIOBase) -> dict[MonthKey, MonthSchedule]:
     """Load an override CSV with columns ``year,month,ftd_dom,expiry_dom``.
 
+    The header and row rules are :func:`~sipcraft.timeseries.read_table`'s.
     Day-of-month cells may be empty (an expiry-only or first-day-only row);
     populated cells get source "override".
     """
-    if isinstance(source, str):
-        # split lines as a file opened with newline="" does, so CR-only text parses
-        source = io.StringIO(source, newline="")
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SeriesFormatError("override file is empty, expected a header row", 1) from None
-    except csv.Error as exc:
-        raise SeriesFormatError(str(exc), reader.line_num) from None
-    names = [_normalize_header_cell(c) for c in header]
-    try:
-        idx = {name: names.index(name) for name in ("year", "month", "ftd_dom", "expiry_dom")}
-    except ValueError:
-        raise SeriesFormatError(
-            f"override header must contain year, month, ftd_dom, expiry_dom; got {header!r}", 1
-        ) from None
-
+    columns, rows = read_table(source, ("year", "month", "ftd_dom", "expiry_dom"), "override file")
     entries: dict[MonthKey, MonthSchedule] = {}
     first_lines: dict[MonthKey, int] = {}
-    try:
-        for row in reader:
-            line = reader.line_num
-            if not any(cell.strip() for cell in row):
-                continue
-            try:
-                year = int(row[idx["year"]])
-                month = int(row[idx["month"]])
-            except (ValueError, IndexError):
-                raise SeriesFormatError(f"malformed year/month in row {row!r}", line) from None
-            if not MINYEAR <= year <= MAXYEAR:
-                raise SeriesFormatError(f"year {year} is outside {MINYEAR}..{MAXYEAR}", line)
-            try:
-                key = MonthKey(year, month)
-            except ScheduleError as exc:
-                raise SeriesFormatError(str(exc), line) from None
-            if key in entries:
-                raise SeriesFormatError(
-                    f"duplicate override for {key} (first seen at line {first_lines[key]})", line
-                )
-
-            def _dom(cell_name: str) -> Date | None:
-                raw = row[idx[cell_name]].strip() if idx[cell_name] < len(row) else ""
-                if not raw:
-                    return None
-                try:
-                    dom = int(raw)
-                except ValueError:
-                    raise SeriesFormatError(f"non-integer {cell_name} {raw!r}", line) from None
-                try:
-                    return Date(year, month, dom)
-                except (ValueError, OverflowError):  # a day past C long overflows
-                    raise SeriesFormatError(
-                        f"{cell_name} {dom} is not a valid day of {key}", line
-                    ) from None
-
-            ftd = _dom("ftd_dom")
-            expiry = _dom("expiry_dom")
-            if ftd is None and expiry is None:
-                raise SeriesFormatError(f"override row for {key} has neither anchor", line)
-            entries[key] = MonthSchedule(
-                key=key,
-                first_trading_day=ftd,
-                expiry_day=expiry,
-                ftd_source=SOURCE_OVERRIDE if ftd is not None else None,
-                expiry_source=SOURCE_OVERRIDE if expiry is not None else None,
+    for line, row in rows:
+        try:
+            year = int(row[columns["year"]])
+            month = int(row[columns["month"]])
+        except ValueError:
+            raise SeriesFormatError(f"malformed year/month in row {row!r}", line) from None
+        if not MINYEAR <= year <= MAXYEAR:
+            raise SeriesFormatError(f"year {year} is outside {MINYEAR}..{MAXYEAR}", line)
+        try:
+            key = MonthKey(year, month)
+        except ScheduleError as exc:
+            raise SeriesFormatError(str(exc), line) from None
+        if key in entries:
+            raise SeriesFormatError(
+                f"duplicate override for {key} (first seen at line {first_lines[key]})", line
             )
-            first_lines[key] = line
-    except csv.Error as exc:  # an oversized field, say
-        raise SeriesFormatError(str(exc), reader.line_num) from None
+
+        def _dom(cell_name: str) -> Date | None:
+            raw = row[columns[cell_name]].strip()
+            if not raw:
+                return None
+            try:
+                dom = int(raw)
+            except ValueError:
+                raise SeriesFormatError(f"non-integer {cell_name} {raw!r}", line) from None
+            try:
+                return Date(year, month, dom)
+            except (ValueError, OverflowError):  # a day past C long overflows
+                raise SeriesFormatError(
+                    f"{cell_name} {dom} is not a valid day of {key}", line
+                ) from None
+
+        ftd = _dom("ftd_dom")
+        expiry = _dom("expiry_dom")
+        if ftd is None and expiry is None:
+            raise SeriesFormatError(f"override row for {key} has neither anchor", line)
+        entries[key] = MonthSchedule(
+            key=key,
+            first_trading_day=ftd,
+            expiry_day=expiry,
+            ftd_source=SOURCE_OVERRIDE if ftd is not None else None,
+            expiry_source=SOURCE_OVERRIDE if expiry is not None else None,
+        )
+        first_lines[key] = line
     return entries
 
 

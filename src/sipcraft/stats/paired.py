@@ -210,10 +210,8 @@ def hedges_g(d: float, n: int, variant: str = "standard") -> float:
         denom = 4 * n - 9
     else:
         raise ValueError(f"unknown hedges variant {variant!r}")
-    if n < 3 or denom <= 0:
-        raise InsufficientDataError(
-            f"hedges_g({variant}) needs n >= 3 with a positive correction denominator, got n={n}"
-        )
+    if n < 3:  # both denominators are positive from n = 3 on
+        raise InsufficientDataError(f"Hedges' g needs n >= 3, got n={n}")
     return d * (1.0 - 3.0 / denom)
 
 

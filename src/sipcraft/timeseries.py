@@ -21,6 +21,7 @@ __all__ = [
     "TradingDay",
     "IndexSeries",
     "parse_series",
+    "read_table",
     "serialize_series",
 ]
 
@@ -144,77 +145,88 @@ class IndexSeries:
         return self._dates[lo:hi]
 
 
-def _normalize_header_cell(cell: str) -> str:
-    return cell.lstrip("﻿").strip().lower()
+def read_table(
+    source: str | Iterable[str], columns: tuple[str, ...], what: str, optional: tuple[str, ...] = (),
+) -> tuple[dict[str, int], Iterator[tuple[int, list[str]]]]:
+    """The CSV rules every input file shares; ``what`` names the file in errors.
+
+    A header cell matches a column once its BOM, padding and case are
+    dropped; ``optional`` names the columns of ``columns`` that may be
+    absent. Returns each found column's position, in ``columns`` order, and
+    an iterator of ``(line, row)`` that skips blank rows. A ``str`` source is
+    split into lines as a file opened with ``newline=""`` is. Every error is
+    a :class:`SeriesFormatError` that names its line.
+    """
+    if isinstance(source, str):
+        source = io.StringIO(source, newline="")
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SeriesFormatError(f"{what} is empty, expected a header row", 1) from None
+    except csv.Error as exc:
+        raise SeriesFormatError(str(exc), reader.line_num) from None
+    names = [cell.lstrip("\ufeff").strip().lower() for cell in header]
+    found = {c: names.index(c) for c in columns if c in names}
+    missing = [c for c in columns if c not in found and c not in optional]
+    if missing:
+        raise SeriesFormatError(f"{what} header lacks {missing}, got {header!r}", 1)
+    return found, _data_rows(reader, max(found.values()) + 1)
+
+
+def _data_rows(reader, needed: int) -> Iterator[tuple[int, list[str]]]:
+    try:
+        for row in reader:
+            # only a short row or one whose first cell is blank can be a blank
+            # row; checking just those keeps the loop lean
+            if len(row) < needed or not row[0].strip():
+                if not "".join(row).strip():
+                    continue
+                if len(row) < needed:
+                    raise SeriesFormatError(
+                        f"row has {len(row)} columns, expected at least {needed}", reader.line_num
+                    )
+            yield reader.line_num, row
+    except csv.Error as exc:  # an oversized field, say
+        raise SeriesFormatError(str(exc), reader.line_num) from None
 
 
 def parse_series(source: str | io.TextIOBase) -> IndexSeries:
     """Parse ``date,close`` CSV text into a validated ascending series.
 
-    The header row is required and matched case-insensitively; extra columns
+    The header and row rules are :func:`read_table`'s; extra columns
     (open/high/low/volume and the like) are ignored. Rows may appear in any
     order. Every error message carries the offending line number.
     """
-    if isinstance(source, str):
-        # split lines as a file opened with newline="" does, so CR-only text parses
-        source = io.StringIO(source, newline="")
-    reader = csv.reader(source)
-
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SeriesFormatError("input is empty, expected a header row", 1) from None
-    except csv.Error as exc:
-        raise SeriesFormatError(str(exc), reader.line_num) from None
-    names = [_normalize_header_cell(c) for c in header]
-    try:
-        date_idx = names.index("date")
-        close_idx = names.index("close")
-    except ValueError:
-        raise SeriesFormatError(
-            f"header must contain 'date' and 'close' columns, got {header!r}", 1
-        ) from None
-
-    needed = max(date_idx, close_idx) + 1
+    columns, rows = read_table(source, ("date", "close"), "input")
+    date_idx, close_idx = columns["date"], columns["close"]
     closes: dict[Date, float] = {}
     lines: list[int] = []  # source line of each entry of closes, in insertion order
-    try:
-        for row in reader:
-            line = reader.line_num
-            raw_date = row[date_idx].strip() if len(row) >= needed else ""
-            try:
-                # only YYYY-MM-DD: from Python 3.11 on fromisoformat also takes
-                # 20030102 and the week date 2003-W01-4
-                if len(raw_date) != 10 or raw_date[4::3] != "--":
-                    raise ValueError
-                date = Date.fromisoformat(raw_date)
-            except ValueError:
-                # blank and short rows have no date either; only a row that
-                # failed here is checked for them, which keeps the loop lean
-                if not "".join(row).strip():
-                    continue  # blank line
-                if len(row) < needed:
-                    raise SeriesFormatError(
-                        f"row has {len(row)} columns, expected at least {needed}", line
-                    ) from None
-                raise SeriesFormatError(f"malformed date {raw_date!r}", line) from None
-            raw_close = row[close_idx].strip()
-            try:
-                close = float(raw_close)
-            except ValueError:
-                raise SeriesFormatError(f"non-numeric close {raw_close!r}", line) from None
-            if not 0.0 < close < math.inf:  # one comparison chain; NaN fails it too
-                problem = "non-positive" if math.isfinite(close) else "non-finite"
-                raise SeriesFormatError(f"{problem} close {raw_close!r}", line)
-            if date in closes:
-                first = lines[list(closes).index(date)]
-                raise SeriesFormatError(
-                    f"duplicate date {date.isoformat()} (first seen at line {first})", line
-                )
-            closes[date] = close
-            lines.append(line)
-    except csv.Error as exc:  # an oversized field, say
-        raise SeriesFormatError(str(exc), reader.line_num) from None
+    for line, row in rows:
+        raw_date = row[date_idx].strip()
+        try:
+            # only YYYY-MM-DD: from Python 3.11 on fromisoformat also takes
+            # 20030102 and the week date 2003-W01-4
+            if len(raw_date) != 10 or raw_date[4::3] != "--":
+                raise ValueError
+            date = Date.fromisoformat(raw_date)
+        except ValueError:
+            raise SeriesFormatError(f"malformed date {raw_date!r}", line) from None
+        raw_close = row[close_idx].strip()
+        try:
+            close = float(raw_close)
+        except ValueError:
+            raise SeriesFormatError(f"non-numeric close {raw_close!r}", line) from None
+        if not 0.0 < close < math.inf:  # one comparison chain; NaN fails it too
+            problem = "non-positive" if math.isfinite(close) else "non-finite"
+            raise SeriesFormatError(f"{problem} close {raw_close!r}", line)
+        if date in closes:
+            first = lines[list(closes).index(date)]
+            raise SeriesFormatError(
+                f"duplicate date {date.isoformat()} (first seen at line {first})", line
+            )
+        closes[date] = close
+        lines.append(line)
 
     if not closes:
         raise SeriesFormatError("no data rows after the header")

@@ -250,10 +250,11 @@ _TABLE = "from_year,to_year,years,cagr_ftd,cagr_exp\n"
 # series of the file, whose header then lacks date and close
 @pytest.mark.parametrize("table, argv, message", [
     ("from_year,to_year,years,cagr_ftd\n2003,2003,1,1.0\n", [],
-     "line 1: header must contain 'date' and 'close' columns, got "
+     "line 1: input header lacks ['date', 'close'], got "
      "['from_year', 'to_year', 'years', 'cagr_ftd']"),
     ("from_year,years,cagr_ftd,cagr_exp\n2003,1,1.0,2.0\n", [],
-     "line 1: window table header lacks ['to_year']"),
+     "line 1: window table header lacks ['to_year'], got "
+     "['from_year', 'years', 'cagr_ftd', 'cagr_exp']"),
     (_TABLE + "2003,2003,1,1.0,x\n", [], "line 2: cagr_exp must be a finite number, got 'x'"),
     (_TABLE + "2003,2003,1,nan,2.0\n", [], "line 2: cagr_ftd must be a finite number, got 'nan'"),
     # a CAGR beyond MAX_CAGR overflowed the bootstrap or printed as -Infinity

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sipcraft.cli import CONFIG_KEYS, EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
+from sipcraft.engine import load_windows
 from sipcraft.errors import SipcraftError
 from sipcraft.schedule import load_schedule_overrides
 from sipcraft.timeseries import parse_series
@@ -21,19 +22,26 @@ def rows(row):
     return st.lists(row.map(lambda cells: ",".join(map(str, cells))), max_size=6).map("\n".join)
 
 
-# rows shaped like either input, rows of numbers, dates and short text, or
-# text in which the characters that steer the csv reader show up often
+# rows shaped like any of the three inputs, rows of numbers, dates and short
+# text, or text in which the characters that steer the csv reader show up often
 csv_text = (rows(st.tuples(st.dates(), numbers))
             | rows(st.tuples(st.integers(), st.integers(0, 13), numbers, numbers))
+            | rows(st.tuples(st.integers(1990, 2030), st.integers(1990, 2030), numbers, numbers,
+                             numbers))
             | rows(st.lists(numbers | st.dates() | st.text(max_size=5), min_size=2, max_size=5))
             | st.text(st.sampled_from('0123456789-,.\n\r" eE+') | st.characters(), max_size=200))
 
 
-@pytest.mark.parametrize("header", ["", "date,close\n", "year,month,ftd_dom,expiry_dom\n"])
+def window_table(text):
+    return load_windows(io.StringIO(text, newline=""), [1])
+
+
+@pytest.mark.parametrize("header", ["", "date,close\n", "year,month,ftd_dom,expiry_dom\n",
+                                    "from_year,to_year,years,cagr_ftd,cagr_exp\n"])
 @given(body=csv_text)
 @settings(max_examples=150, deadline=None)
 def test_csv_parsers_return_or_raise_sipcraft_error(header, body):
-    for parse in (parse_series, load_schedule_overrides):
+    for parse in (parse_series, load_schedule_overrides, window_table):
         try:
             parse(header + body)
         except SipcraftError:

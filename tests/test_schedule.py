@@ -123,23 +123,6 @@ def test_load_overrides_expiry_only_row():
     assert entry.expiry_day == datetime.date(2002, 12, 26)
 
 
-def test_load_overrides_cr_only_line_ends():
-    text = "year,month,ftd_dom,expiry_dom\n2020,1,2,30\n2020,2,,27\n"
-    assert load_schedule_overrides(text.replace("\n", "\r")) == load_schedule_overrides(text)
-
-
-def test_load_overrides_header_is_normalized():
-    # the daily close series' header rule: BOM, case and padding do not matter
-    rows = "2020,1,2,30\n2020,2,,27\n"
-    plain = load_schedule_overrides("year,month,ftd_dom,expiry_dom\n" + rows)
-    assert load_schedule_overrides("\ufeffYear , MONTH,  Ftd_Dom,expiry_DOM \n" + rows) == plain
-
-
-def test_load_overrides_oversized_header_field():
-    with pytest.raises(SeriesFormatError, match="^line 1: field larger than field limit"):
-        load_schedule_overrides('"' + "x" * 140000 + '",month\n')
-
-
 def test_load_overrides_invalid_day_of_month():
     with pytest.raises(SeriesFormatError, match="not a valid day"):
         load_schedule_overrides("year,month,ftd_dom,expiry_dom\n2003,2,30,27\n")

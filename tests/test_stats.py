@@ -274,10 +274,10 @@ def test_hedges_g_variants():
 def test_hedges_g_validation():
     with pytest.raises(ValueError):
         hedges_g(1.0, 7, "bogus")
-    with pytest.raises(InsufficientDataError):
-        hedges_g(1.0, 2, "paper_compat")
-    with pytest.raises(InsufficientDataError):
-        hedges_g(1.0, 2, "standard")
+    # one reason for both corrections, since the battery's cell holds both
+    for variant in ("standard", "paper_compat"):
+        with pytest.raises(InsufficientDataError, match="^Hedges' g needs n >= 3, got n=2$"):
+            hedges_g(1.0, 2, variant)
 
 
 def test_classify_effect_boundaries():

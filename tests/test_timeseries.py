@@ -1,4 +1,5 @@
-"""Series parsing, lookup, and round-trip behavior."""
+"""Series parsing, lookup, and round-trip behavior, and the CSV rules
+every input file shares."""
 
 import datetime
 import io
@@ -6,7 +7,9 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from sipcraft.engine import load_windows
 from sipcraft.errors import CoverageError, NotTradingDayError, SeriesFormatError
+from sipcraft.schedule import load_schedule_overrides
 from sipcraft.timeseries import IndexSeries, TradingDay, parse_series, serialize_series
 
 from conftest import weekday_series
@@ -37,14 +40,6 @@ def test_parse_cr_only_line_ends():
     assert parse_series(text.replace("\n", "\r")) == parse_series(text)
     with pytest.raises(SeriesFormatError, match="^line 3: non-positive close '0'$"):
         parse_series("date,close\r2003-01-02,100\r2003-01-03,0\r")
-
-
-def test_parse_oversized_field_cites_line():
-    big = '"' + "x" * 140000 + '"'
-    for text, line in ((f"{big},close\n", 1), (f"date,close\n2003-01-02,1\n{big},1\n", 3)):
-        with pytest.raises(SeriesFormatError,
-                           match=rf"^line {line}: field larger than field limit \(131072\)$"):
-            parse_series(text)
 
 
 def test_parse_extra_columns_ignored():
@@ -103,6 +98,82 @@ def test_parse_missing_columns_rejected():
         parse_series("date,price\n2003-01-01,5\n")
     with pytest.raises(SeriesFormatError):
         parse_series("")
+
+
+# each reader of read_table: a comparable result, the name its errors give
+# the file, a header and two data rows
+READERS = {
+    "series": (parse_series, "input", "date,close", ["2003-01-02,100", "2003-01-03,101.5"]),
+    "overrides": (load_schedule_overrides, "override file", "year,month,ftd_dom,expiry_dom",
+                  ["2020,1,2,30", "2020,2,,27"]),
+    "windows": (lambda text: load_windows(io.StringIO(text, newline=""), [1])[1][1],
+                "window table", "from_year,to_year,cagr_ftd,cagr_exp",
+                ["2003,2003,1.0,2.0", "2004,2004,3.0,-4.5"]),
+}
+BIG = '"' + "x" * 140000 + '"'
+
+
+def _text(lines, end="\n"):
+    return end.join(lines) + end
+
+
+def _error(read, text):
+    with pytest.raises(SeriesFormatError) as exc:
+        read(text)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_reader_rejects_an_empty_source(name):
+    read, what, _, _ = READERS[name]
+    assert _error(read, "") == f"line 1: {what} is empty, expected a header row"
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_reader_header_ignores_bom_case_and_padding(name):
+    read, _, header, rows = READERS[name]
+    odd = "\ufeff" + ",".join(f" {c.upper()}  " for c in header.split(","))
+    assert read(_text([odd, *rows])) == read(_text([header, *rows]))
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_reader_names_a_missing_column(name):
+    read, what, header, rows = READERS[name]
+    kept, lost = header.rsplit(",", 1)
+    assert _error(read, _text([kept, *rows])) == (
+        f"line 1: {what} header lacks [{lost!r}], got {kept.split(',')!r}")
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_reader_names_a_short_row(name):
+    read, _, header, rows = READERS[name]
+    short = rows[1].rsplit(",", 1)[0]
+    needed = header.count(",") + 1
+    assert _error(read, _text([header, rows[0], short])) == (
+        f"line 3: row has {needed - 1} columns, expected at least {needed}")
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_reader_skips_blank_and_whitespace_rows(name):
+    read, _, header, rows = READERS[name]
+    padded = [header, "", rows[0], "  ", ",,", " , ,", ",,,,,,", rows[1], ""]
+    assert read(_text(padded)) == read(_text([header, *rows]))
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_reader_splits_cr_only_line_ends(name):
+    read, _, header, rows = READERS[name]
+    assert read(_text([header, *rows], "\r")) == read(_text([header, *rows]))
+    short = rows[1].rsplit(",", 1)[0]
+    assert _error(read, _text([header, rows[0], short], "\r")).startswith("line 3: row has")
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_reader_names_the_line_of_an_oversized_field(name):
+    read, _, header, rows = READERS[name]
+    message = "field larger than field limit (131072)"
+    assert _error(read, _text([f"{BIG},{header}", *rows])) == f"line 1: {message}"
+    assert _error(read, _text([header, rows[0], f"{BIG},{rows[1]}"])) == f"line 3: {message}"
 
 
 def test_parsed_series_matches_series_built_from_days():
