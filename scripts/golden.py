@@ -4,18 +4,23 @@
 Each command runs in-process through ``sipcraft.cli.main``, in a scratch
 directory that holds seeded inputs under relative paths, so provenance
 paths are the same on every machine. ``tests/golden/manifest.json`` maps
-each command to its exit code and the SHA-256 of its stdout and stderr.
+each command to its exit code and the SHA-256 of its stdout and stderr,
+and of its ``--out`` file if it writes one; an entry of ``ENV`` runs with
+those environment variables set, and its record lists them.
 
     PYTHONPATH=src python3 scripts/golden.py                 # list moved entries, exit 1 if any
     PYTHONPATH=src python3 scripts/golden.py --update        # rewrite the manifest
     PYTHONPATH=src python3 scripts/golden.py --against REV   # diff every output against REV's
+    PYTHONPATH=src python3 scripts/golden.py --reach         # list package lines no entry runs
 
 A change that moves an entry on purpose regenerates the manifest and names
 every moved entry in CHANGES.md. ``--against`` runs the same corpus on the
 same inputs with the program of git revision REV (a temporary worktree
 whose ``src/`` a subprocess imports), prints the name and a unified diff
 of every entry whose exit code, stdout or stderr differs, and exits 1 if
-any does.
+any does. ``--reach`` runs the corpus under ``sys.settrace`` and prints,
+for each module of the package, the executable lines (those of its code
+objects' ``co_lines()``) that no entry runs, then their total.
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden" / "manifest.json"
@@ -55,6 +62,19 @@ READER_ERRORS = {
     "short-override.csv": "year,month,ftd_dom,expiry_dom\n2010,1,4\n",
     "no-to-year.csv": "from_year,years,cagr_ftd,cagr_exp\n2003,1,1.0,2.0\n",
 }
+# a config file with a stats block and no seed, so SIPCRAFT_SEED supplies it
+CONFIG = {"data": "grid.csv", "durations": [1, 3], "format": "json",
+          "stats": {"B": 1000, "alpha": 0.1}}
+# an override row whose expiry, 2010-03-04, precedes its first trading day,
+# 2010-03-25; both are trading days of the grid series
+EXPIRY_FIRST = "year,month,ftd_dom,expiry_dom\n2010,3,25,4\n"
+# 65 one-year windows: more than bootstrap._LANE_MAX_N pairs
+MANY_WINDOWS = "from_year,to_year,cagr_ftd,cagr_exp\n" + "".join(
+    f"{y},{y},{y * 7 % 19 - 6}.5,{y * 11 % 17 - 5}.25\n" for y in range(1950, 2015))
+# three one-year windows whose differences all equal 0.5, and two
+# three-year windows whose differences are both zero
+EQUAL_DIFFS = "from_year,to_year,cagr_ftd,cagr_exp\n2003,2003,1.0,1.5\n2004,2004,2.0,2.5\n" \
+    "2005,2005,3.0,3.5\n2006,2008,5.0,5.0\n2009,2011,-6.0,-6.0\n"
 
 _SIM = ("simulate", "--data", "grid.csv", "--start-year", "2010", "--years", "3")
 _LONG = ("--data", "long.csv", "--schedule", "schedule.csv")
@@ -102,7 +122,19 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "error-override-short-row": ("validate", "--data", "grid.csv", "--schedule",
                                  "short-override.csv"),
     "error-windows-no-to-year": ("compare", "--data", "no-to-year.csv"),
+    "compare-config-out": ("compare", "--config", "config.json", "--out", "bundle.json"),
+    "compare-anomalies-markdown": ("compare", "--data", "grid.csv", "--schedule",
+                                   "expiry-first.csv", "--resamples", "1000"),
+    "compare-windows-ftd-dominates": ("compare", "--data", "swapped.csv", "--resamples",
+                                      "1000", "--format", "json"),
+    "fixtures-growth": ("fixtures", "--kind", "growth"),
+    "compare-windows-65": ("compare", "--data", "many-windows.csv", "--durations", "1",
+                           "--resamples", "1000", "--format", "json"),
+    "compare-windows-equal-diffs": ("compare", "--data", "equal-diffs.csv", "--durations",
+                                    "1,3", "--format", "json"),
 }
+# entry -> the environment variables it runs with
+ENV: dict[str, dict[str, str]] = {"compare-config-out": {"SIPCRAFT_SEED": "7"}}
 
 
 def _gen():
@@ -124,8 +156,11 @@ def write_inputs(directory: Path) -> None:
     """The corpus inputs: the benchmark's seed-1 grid and long series, the
     override table, an override table no series can verify, the frozen
     per-window CAGR table, the inputs whose CAGRs lie out of range, an
-    override table whose year no date can hold, and the inputs that break
-    the shared CSV rules."""
+    override table whose year no date can hold, the inputs that break
+    the shared CSV rules, a config file, an override table that puts an
+    expiry before its month's first trading day, the CAGR table with its
+    two CAGR headers swapped, a 65-row one-year table and a table whose
+    differences are equal within each duration."""
     gen = _gen()
     (directory / "grid.csv").write_text(gen.grid_csv(1), encoding="utf-8")
     (directory / "long.csv").write_text(gen.long_csv(1, str(SCHEDULE)), encoding="utf-8")
@@ -138,27 +173,43 @@ def write_inputs(directory: Path) -> None:
     (directory / "year-zero.csv").write_text(YEAR_ZERO, encoding="utf-8")
     for name, text in READER_ERRORS.items():
         (directory / name).write_text(text, encoding="utf-8")
+    (directory / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
+    (directory / "expiry-first.csv").write_text(EXPIRY_FIRST, encoding="utf-8")
+    (directory / "swapped.csv").write_bytes(
+        WINDOWS.read_bytes().replace(b"cagr_ftd,cagr_exp", b"cagr_exp,cagr_ftd"))
+    (directory / "many-windows.csv").write_text(MANY_WINDOWS, encoding="utf-8")
+    (directory / "equal-diffs.csv").write_text(EQUAL_DIFFS, encoding="utf-8")
 
 
-def capture(argv: tuple[str, ...]) -> dict:
-    """Exit code, stdout and stderr of one ``cli.main`` call in the current directory."""
+def capture(name: str) -> dict:
+    """Exit code, stdout, stderr and any ``--out`` file text of corpus command
+    ``name``, run through ``cli.main`` in the current directory under its ``ENV``."""
     from sipcraft.cli import main
 
+    argv = COMMANDS[name]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, ENV.get(name, {})), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:  # --version
             code = exc.code
-    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    result = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    if "--out" in argv:
+        path = Path(argv[argv.index("--out") + 1])
+        result["out"] = path.read_text(encoding="utf-8")
+        path.unlink()
+    return result
 
 
-def run(argv: tuple[str, ...]) -> dict:
-    """Exit code and output digests of one ``cli.main`` call in the current directory."""
-    result = capture(argv)
-    return {"exit": result["exit"],
-            "stdout_sha256": hashlib.sha256(result["stdout"].encode()).hexdigest(),
-            "stderr_sha256": hashlib.sha256(result["stderr"].encode()).hexdigest()}
+def record(name: str) -> dict:
+    """Manifest record of corpus command ``name``: its argv and any ``ENV``,
+    then its exit code and the digest of each output."""
+    result = capture(name)
+    head = {"argv": list(COMMANDS[name]), **({"env": ENV[name]} if name in ENV else {}),
+            "exit": result.pop("exit")}
+    return {**head, **{f"{stream}_sha256": hashlib.sha256(text.encode()).hexdigest()
+                       for stream, text in result.items()}}
 
 
 def outputs(record=capture) -> dict[str, dict]:
@@ -169,9 +220,69 @@ def outputs(record=capture) -> dict[str, dict]:
         write_inputs(Path(tmp))
         os.chdir(tmp)
         try:
-            return {name: record(argv) for name, argv in COMMANDS.items()}
+            return {name: record(name) for name in COMMANDS}
         finally:
             os.chdir(here)
+
+
+def executable_lines(path: Path) -> set[int]:
+    """Line numbers that the code objects compiled from ``path`` map instructions to."""
+    lines: set[int] = set()
+    stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)
+        stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return lines
+
+
+def reach() -> dict[str, tuple[int, list[int]]]:
+    """Each package module's executable line count and the lines of those
+    that no corpus entry runs, by path relative to the package.
+
+    The package must not be imported yet, so that its module-level lines
+    run under the tracer too.
+    """
+    if "sipcraft" in sys.modules:
+        raise RuntimeError("reach() needs an interpreter that has not imported sipcraft")
+    package = Path(importlib.util.find_spec("sipcraft").submodule_search_locations[0])
+    prefix = f"{package}{os.sep}"
+    ran: dict[str, set[int]] = {}
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            ran[frame.f_code.co_filename].add(frame.f_lineno)
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        filename = frame.f_code.co_filename
+        if not filename.startswith(prefix):
+            return None
+        ran.setdefault(filename, set()).add(frame.f_lineno)
+        return trace_lines
+
+    sys.settrace(trace_calls)
+    try:
+        outputs()
+    finally:
+        sys.settrace(None)
+    counts = {}
+    for path in sorted(package.rglob("*.py")):
+        lines = executable_lines(path)
+        counts[path.relative_to(package).as_posix()] = (
+            len(lines), sorted(lines - ran.get(str(path), set())))
+    return counts
+
+
+def _ranges(lines: list[int]) -> str:
+    """``[1, 2, 3, 7]`` as ``1-3, 7``."""
+    runs: list[list[int]] = []
+    for line in lines:
+        if runs and line == runs[-1][-1] + 1:
+            runs[-1][1:] = [line]
+        else:
+            runs.append([line])
+    return ", ".join("-".join(map(str, run)) for run in runs)
 
 
 def outputs_at(rev: str) -> dict[str, dict]:
@@ -203,7 +314,7 @@ def diff_outputs(base: dict[str, dict], head: dict[str, dict], base_label: str) 
         if old == new:
             continue
         lines.append(name)
-        for stream in ("exit", "stdout", "stderr"):
+        for stream in ("exit", "stdout", "stderr", "out"):
             lines += difflib.unified_diff(
                 str(old.get(stream, "")).split("\n"), str(new.get(stream, "")).split("\n"),
                 f"{base_label}:{name}:{stream}", f"this tree:{name}:{stream}", lineterm="")
@@ -221,7 +332,17 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--update", action="store_true", help="rewrite the manifest")
     mode.add_argument("--against", metavar="REV",
                       help="diff every entry's output against that of git revision REV")
+    mode.add_argument("--reach", action="store_true",
+                      help="list each module's executable lines that no entry runs")
     args = parser.parse_args(argv)
+
+    if args.reach:
+        counts = reach()
+        for path, (executable, lines) in counts.items():
+            print(f"{path}: {len(lines)} of {executable}" + (f": {_ranges(lines)}" if lines else ""))
+        print(f"total: {sum(len(lines) for _, lines in counts.values())} of "
+              f"{sum(executable for executable, _ in counts.values())} executable lines unreached")
+        return 0
 
     if args.against:
         try:
@@ -237,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if lines else 0
 
     old = load_manifest() if MANIFEST.exists() else {}
-    new = outputs(lambda argv: {"argv": list(argv), **run(argv)})
+    new = outputs(record)
     moved = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
     for name in moved:
         print(name)

@@ -58,7 +58,7 @@ _EXPORTS = {
         "resolve_first_trading_day",
     ),
     "stats": ("BatteryConfig", "ComparisonReport", "PairedSample", "run_battery"),
-    "timeseries": ("IndexSeries", "TradingDay", "parse_series", "serialize_series"),
+    "timeseries": ("IndexSeries", "parse_series", "serialize_series"),
 }
 __getattr__, __dir__, _names = _lazy_exports(globals(), _EXPORTS)
 __all__ = ["__version__", *_names]

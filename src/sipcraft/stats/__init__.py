@@ -15,6 +15,7 @@ _EXPORTS = {
     "paired": (
         "PairedSample",
         "TestResult",
+        "WilcoxonResult",
         "classify_effect",
         "cohens_d",
         "hedges_g",

@@ -115,30 +115,28 @@ def run_battery(s: PairedSample, config: BatteryConfig | None = None, label: str
         try:
             tr = paired_t_one_tailed(s)
             t = {"statistic": tr.statistic, "p": tr.p_value, "df": tr.df}
-        except (DegenerateSampleError, InsufficientDataError) as exc:
+        except DegenerateSampleError as exc:
             na["t"] = str(exc)
 
-        try:
-            w = wilcoxon_signed_rank(s)
-            # exact up to WILCOXON_EXACT_LIMIT nonzero differences; both paths are
-            # informative at these sample sizes, so an exact p gets its normal
-            # approximation reported next to it
-            p_exact = w.p_value if w.method == "exact" else None
-            p_normal = (wilcoxon_signed_rank(s, mode="normal_approx").p_value
-                        if p_exact is not None else w.p_value)
-            wilcoxon = {"statistic": w.statistic, "p": w.p_value, "method": w.method,
-                        "p_exact": p_exact, "p_normal": p_normal}
-        except (DegenerateSampleError, InsufficientDataError) as exc:
-            na["wilcoxon"] = str(exc)
+        # n >= 2 pairs and a nonzero difference from here on, so the Wilcoxon,
+        # KS and dominance cells are always defined
+        w = wilcoxon_signed_rank(s)
+        # exact up to WILCOXON_EXACT_LIMIT nonzero differences; both paths are
+        # informative at these sample sizes, so an exact p gets its normal
+        # approximation reported next to it
+        exact = w.p_exact is not None
+        wilcoxon = {"statistic": w.statistic, "p": w.p_exact if exact else w.p_normal,
+                    "method": "exact" if exact else "normal_approx",
+                    "p_exact": w.p_exact, "p_normal": w.p_normal}
 
         try:
             d = cohens_d(s)
             effect_label = classify_effect(d)
-        except (DegenerateSampleError, InsufficientDataError) as exc:
+        except DegenerateSampleError as exc:
             na["cohens_d"] = na["hedges_g"] = str(exc)
         if d is not None:
             try:
-                g, g_paper = hedges_g(d, s.n), hedges_g(d, s.n, "paper_compat")
+                g, g_paper = hedges_g(d, s.n)
             except InsufficientDataError as exc:
                 na["hedges_g"] = str(exc)
 
@@ -147,19 +145,12 @@ def run_battery(s: PairedSample, config: BatteryConfig | None = None, label: str
             bootstrap = {"point": ci.point_estimate, "lower": ci.lower, "upper": ci.upper,
                          "B": ci.resamples, "seed": ci.seed, "alpha": ci.alpha, "z0": ci.z0,
                          "acceleration": ci.acceleration, "degenerate": ci.degenerate}
-        except (DegenerateSampleError, InsufficientDataError) as exc:
+        except InsufficientDataError as exc:
             na["bootstrap"] = str(exc)
 
-        try:
-            kr = ks_two_sample(s.exp_values, s.ftd_values)
-            ks = {"statistic": kr.statistic, "p": kr.p_value}
-        except InsufficientDataError as exc:
-            na["ks"] = str(exc)
-
-        try:
-            fsd, ssd = check_fsd(s).value, check_ssd(s).value
-        except InsufficientDataError as exc:
-            na["fsd"] = na["ssd"] = str(exc)
+        kr = ks_two_sample(s.exp_values, s.ftd_values)
+        ks = {"statistic": kr.statistic, "p": kr.p_value}
+        fsd, ssd = check_fsd(s).value, check_ssd(s).value
 
     effect = {"cohens_d": d, "label": effect_label, "hedges_g": g, "hedges_g_paper": g_paper}
     return ComparisonReport(label, s.n, mean_diff, t, wilcoxon, effect, bootstrap, ks, fsd, ssd,

@@ -117,17 +117,12 @@ def bootstrap_bca(
     resamples: int = 10000,
     alpha: float = 0.05,
     seed: int = 42,
-    *,
-    z0_override: float | None = None,
-    accel_override: float | None = None,
 ) -> BootstrapCI:
     """BCa interval for the mean of the paired differences.
 
     z0 comes from the fraction of bootstrap means strictly below the
     observed mean (clamped away from 0 and 1 by half a resample weight),
-    the acceleration from jackknife-mean skewness. The override keywords
-    substitute fixed values for z0 / a, which is useful for diagnostics:
-    forcing both to zero reduces BCa to the plain percentile interval.
+    the acceleration from jackknife-mean skewness.
     """
     if s.n < 3:
         raise InsufficientDataError(f"BCa bootstrap needs n >= 3, got n={s.n}")
@@ -153,31 +148,20 @@ def bootstrap_bca(
     picks = _draw(diffs, resamples * n, random.Random(seed))
     boot = sorted([row_sum / n for row_sum in map(math.fsum, zip(*[iter(picks)] * n))])
 
-    if z0_override is not None:
-        z0 = float(z0_override)
-    else:
-        frac = bisect_left(boot, theta) / resamples  # share of means below theta
-        frac = min(max(frac, 0.5 / resamples), 1.0 - 0.5 / resamples)
-        z0 = normal_ppf(frac)
+    frac = bisect_left(boot, theta) / resamples  # share of means below theta
+    frac = min(max(frac, 0.5 / resamples), 1.0 - 0.5 / resamples)
+    z0 = normal_ppf(frac)
 
-    if accel_override is not None:
-        accel = float(accel_override)
-    else:
-        jack = [(total - d) / (n - 1) for d in diffs]  # leave-one-out means
-        jack_mean = math.fsum(jack) / n
-        resid = [jack_mean - j for j in jack]
-        denom = math.fsum(r * r for r in resid) ** 1.5
-        accel = math.fsum(r ** 3 for r in resid) / (6.0 * denom) if denom > 0.0 else 0.0
+    jack = [(total - d) / (n - 1) for d in diffs]  # leave-one-out means
+    jack_mean = math.fsum(jack) / n
+    resid = [jack_mean - j for j in jack]
+    denom = math.fsum(r * r for r in resid) ** 1.5
+    accel = math.fsum(r ** 3 for r in resid) / (6.0 * denom) if denom > 0.0 else 0.0
 
-    if z0 == 0.0 and accel == 0.0:
-        # Phi(Phi^-1(q)) = q, so skip the round trip; this keeps the
-        # percentile reduction exact instead of exact-to-rounding
-        q_lo, q_hi = alpha / 2.0, 1.0 - alpha / 2.0
-    else:
-        z_lo = normal_ppf(alpha / 2.0)
-        z_hi = normal_ppf(1.0 - alpha / 2.0)
-        q_lo = normal_cdf(z0 + (z0 + z_lo) / (1.0 - accel * (z0 + z_lo)))
-        q_hi = normal_cdf(z0 + (z0 + z_hi) / (1.0 - accel * (z0 + z_hi)))
+    z_lo = normal_ppf(alpha / 2.0)
+    z_hi = normal_ppf(1.0 - alpha / 2.0)
+    q_lo = normal_cdf(z0 + (z0 + z_lo) / (1.0 - accel * (z0 + z_lo)))
+    q_hi = normal_cdf(z0 + (z0 + z_hi) / (1.0 - accel * (z0 + z_hi)))
 
     lower = quantile_sorted(boot, q_lo)
     upper = quantile_sorted(boot, q_hi)

@@ -16,6 +16,7 @@ from .special import normal_sf, student_t_sf
 __all__ = [
     "PairedSample",
     "TestResult",
+    "WilcoxonResult",
     "paired_t_one_tailed",
     "wilcoxon_signed_rank",
     "cohens_d",
@@ -65,18 +66,11 @@ class PairedSample:
     def n(self) -> int:
         return len(self._diffs)
 
-    def __len__(self) -> int:
-        return len(self._diffs)
-
-    def __repr__(self) -> str:
-        return f"PairedSample(n={self.n})"
-
 
 class _TestResult(NamedTuple):
     statistic: float
     p_value: float
-    df: float | None = None
-    method: str | None = None
+    df: float
 
 
 class TestResult(_TestResult):
@@ -158,34 +152,35 @@ def _wilcoxon_exact_p(doubled_ranks: Sequence[int], doubled_w: int) -> float:
     return favorable / (1 << len(doubled_ranks))
 
 
-def wilcoxon_signed_rank(s: PairedSample, mode: str = "auto") -> TestResult:
+class WilcoxonResult(NamedTuple):
+    statistic: float  # W+
+    p_exact: float | None  # None above WILCOXON_EXACT_LIMIT nonzero differences
+    p_normal: float
+
+
+def wilcoxon_signed_rank(s: PairedSample) -> WilcoxonResult:
     """One-sided Wilcoxon signed-rank test for median(diff) > 0.
 
     Zero differences are dropped before ranking; ties get average ranks.
-    ``mode`` is "exact" (full null enumeration), "normal_approx" (continuity
-    and tie corrected), or "auto" (exact up to WILCOXON_EXACT_LIMIT).
+    One ranking gives W+, the exact p by full null enumeration (up to
+    WILCOXON_EXACT_LIMIT nonzero differences) and the continuity and tie
+    corrected normal-approximation p.
     """
-    if mode not in ("exact", "normal_approx", "auto"):
-        raise ValueError(f"unknown wilcoxon mode {mode!r}")
     doubled, positive = _doubled_signed_ranks(s.diffs)
     n = len(doubled)
     if n == 0:
         raise DegenerateSampleError("all differences are zero, signed-rank test is undefined")
     doubled_w = sum(r for r, pos in zip(doubled, positive) if pos)
     w_plus = doubled_w / 2.0
-
-    if mode == "exact" or (mode == "auto" and n <= WILCOXON_EXACT_LIMIT):
-        p = _wilcoxon_exact_p(doubled, doubled_w)
-        return TestResult(statistic=w_plus, p_value=p, method="exact")
+    p_exact = _wilcoxon_exact_p(doubled, doubled_w) if n <= WILCOXON_EXACT_LIMIT else None
 
     mean_w = n * (n + 1) / 4.0
     tie_sizes = Counter(abs(d) for d in s.diffs if d != 0.0)
     tie_term = sum(t ** 3 - t for t in tie_sizes.values()) / 48.0
+    # sum(t**3 - t) <= n**3 - n, so var_w >= n(n+1)**2 / 16 > 0
     var_w = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    if var_w <= 0.0:
-        raise DegenerateSampleError("signed-rank variance collapsed to zero under ties")
     z = (w_plus - mean_w - 0.5) / math.sqrt(var_w)  # 0.5 = continuity correction
-    return TestResult(statistic=w_plus, p_value=normal_sf(z), method="normal_approx")
+    return WilcoxonResult(w_plus, p_exact, normal_sf(z))
 
 
 def cohens_d(s: PairedSample) -> float:
@@ -198,21 +193,15 @@ def cohens_d(s: PairedSample) -> float:
     return mean / sd
 
 
-def hedges_g(d: float, n: int, variant: str = "standard") -> float:
-    """Small-sample corrected effect size.
+def hedges_g(d: float, n: int) -> tuple[float, float]:
+    """Small-sample corrected effect sizes, the standard and the paper's:
 
-    standard:     g = d * (1 - 3 / (4(n-1) - 1))
-    paper_compat: g = d * (1 - 3 / (4n - 9))
+    standard: g = d * (1 - 3 / (4(n-1) - 1))
+    paper:    g = d * (1 - 3 / (4n - 9))
     """
-    if variant == "standard":
-        denom = 4 * (n - 1) - 1
-    elif variant == "paper_compat":
-        denom = 4 * n - 9
-    else:
-        raise ValueError(f"unknown hedges variant {variant!r}")
     if n < 3:  # both denominators are positive from n = 3 on
         raise InsufficientDataError(f"Hedges' g needs n >= 3, got n={n}")
-    return d * (1.0 - 3.0 / denom)
+    return d * (1.0 - 3.0 / (4 * (n - 1) - 1)), d * (1.0 - 3.0 / (4 * n - 9))
 
 
 def classify_effect(d: float) -> str:

@@ -13,7 +13,7 @@ import math
 import random
 from datetime import date as Date, timedelta
 
-from .timeseries import IndexSeries, TradingDay
+from .timeseries import IndexSeries
 
 __all__ = ["KINDS", "generate_series"]
 
@@ -51,7 +51,7 @@ def generate_series(
     last = Date(start_year + years - 1, 12, 31)
 
     rng = random.Random(seed)
-    days: list[TradingDay] = []
+    closes: dict[Date, float] = {}
     level = base
     i = 0
     # stepping a date past ``last`` would overflow at 9999-12-31
@@ -70,6 +70,6 @@ def generate_series(
                 if not 0.0 < close < math.inf:  # the level over- or underflowed
                     raise ValueError(f"level on {current.isoformat()} is not a finite positive "
                                      f"float, got {close!r}")
-                days.append(TradingDay(current, close))
+                closes[current] = close
                 i += 1
-    return IndexSeries(days)
+    return IndexSeries(closes)

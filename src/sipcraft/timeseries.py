@@ -13,12 +13,11 @@ import io
 import math
 from bisect import bisect_left, bisect_right
 from datetime import date as Date
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import CoverageError, NotTradingDayError, SeriesFormatError
 
 __all__ = [
-    "TradingDay",
     "IndexSeries",
     "parse_series",
     "read_table",
@@ -26,63 +25,19 @@ __all__ = [
 ]
 
 
-class _TradingDay(NamedTuple):
-    date: Date
-    close: float
-
-
-class TradingDay(_TradingDay):
-    """One observed trading day: calendar date and positive closing level."""
-
-    __slots__ = ()
-
-    def __new__(cls, date: Date, close: float) -> TradingDay:
-        if not isinstance(date, Date):
-            raise TypeError(f"date must be a datetime.date, got {type(date).__name__}")
-        value = float(close)
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(f"close must be a finite positive number, got {close!r}")
-        return tuple.__new__(cls, (date, value))
-
-
 class IndexSeries:
     """Immutable, strictly ascending sequence of trading days.
 
-    Construction validates ordering and uniqueness; use :func:`parse_series`
-    to build one from CSV text in arbitrary row order. The series keeps its
-    dates and a date -> close map; :class:`TradingDay` values are built
-    only when ``days`` or iteration asks for them.
+    Takes a non-empty date -> close map in ascending date order with finite
+    positive closes, as :func:`parse_series` and ``synth.generate_series``
+    build it, and checks none of that.
     """
 
     __slots__ = ("_dates", "_lookup")
 
-    def __init__(self, days: Iterable[TradingDay]):
-        days = tuple(days)
-        if not days:
-            raise ValueError("series must contain at least one trading day")
-        for prev, cur in zip(days, days[1:]):
-            if cur.date <= prev.date:
-                raise ValueError(
-                    f"dates must be strictly increasing: {prev.date} followed by {cur.date}"
-                )
-        self._dates = tuple(d.date for d in days)
-        self._lookup = {d.date: d.close for d in days}
-
-    @classmethod
-    def _from_closes(cls, closes: dict[Date, float]) -> IndexSeries:
-        """Series over a non-empty, ascending map of validated closes; no checks."""
-        series = object.__new__(cls)
-        series._dates = tuple(closes)
-        series._lookup = closes
-        return series
-
-    @property
-    def days(self) -> tuple[TradingDay, ...]:
-        return tuple(self)
-
-    @property
-    def dates(self) -> tuple[Date, ...]:
-        return self._dates
+    def __init__(self, closes: dict[Date, float]):
+        self._dates = tuple(closes)
+        self._lookup = closes
 
     @property
     def first_date(self) -> Date:
@@ -95,25 +50,8 @@ class IndexSeries:
     def __len__(self) -> int:
         return len(self._dates)
 
-    def __iter__(self) -> Iterator[TradingDay]:
-        return map(TradingDay, self._dates, self._lookup.values())
-
     def __contains__(self, date: Date) -> bool:
         return date in self._lookup
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IndexSeries):
-            return NotImplemented
-        return self._lookup == other._lookup
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._lookup.items()))
-
-    def __repr__(self) -> str:
-        return (
-            f"IndexSeries({len(self._dates)} days, "
-            f"{self.first_date.isoformat()}..{self.last_date.isoformat()})"
-        )
 
     def close_on(self, date: Date) -> float:
         """Exact close for ``date``; no interpolation ever.
@@ -230,7 +168,7 @@ def parse_series(source: str | io.TextIOBase) -> IndexSeries:
 
     if not closes:
         raise SeriesFormatError("no data rows after the header")
-    return IndexSeries._from_closes({d: closes[d] for d in sorted(closes)})
+    return IndexSeries({d: closes[d] for d in sorted(closes)})
 
 
 def serialize_series(series: IndexSeries) -> str:

@@ -11,7 +11,7 @@ import pytest
 from sipcraft.schedule import MonthKey, build_schedule
 from sipcraft.stats import PairedSample
 from sipcraft.synth import generate_series
-from sipcraft.timeseries import IndexSeries, TradingDay
+from sipcraft.timeseries import IndexSeries
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -72,13 +72,12 @@ def five_year_sample() -> PairedSample:
 
 def weekday_series(start: datetime.date, end: datetime.date, close) -> IndexSeries:
     """Mon-Fri series over [start, end]; close is a constant or date -> price."""
-    days = []
+    closes = {}
     for offset in range((end - start).days + 1):  # forms no date past end, which may be 9999-12-31
         d = start + datetime.timedelta(days=offset)
         if d.weekday() < 5:
-            price = close(d) if callable(close) else close
-            days.append(TradingDay(d, price))
-    return IndexSeries(days)
+            closes[d] = float(close(d) if callable(close) else close)
+    return IndexSeries(closes)
 
 
 def anchor_prices(series: IndexSeries, table, ftd: bool, start_year: int, years: int):
@@ -92,7 +91,7 @@ def anchor_prices(series: IndexSeries, table, ftd: bool, start_year: int, years:
                       else table.get(key.prev()).expiry_day)
             prices.append(series.close_on(anchor))
     final_year = start_year + years - 1
-    terminal = max(d for d in series.dates if d.year == final_year)
+    terminal = series.last_trading_day_of_year(final_year)
     return prices, series.close_on(terminal)
 
 

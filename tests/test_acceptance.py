@@ -32,7 +32,7 @@ from sipcraft.stats import (
     run_battery,
     wilcoxon_signed_rank,
 )
-from sipcraft.stats.special import normal_cdf, student_t_sf
+from sipcraft.stats.special import normal_cdf, normal_ppf, student_t_sf
 from sipcraft.synth import generate_series
 from sipcraft.timeseries import parse_series
 
@@ -210,7 +210,7 @@ def test_criterion_5_wilcoxon_exact_oracle():
         if all(d == 0.0 for d in diffs):
             diffs[rng.randrange(n)] = rng.choice((-1.0, 1.0))
         sample = PairedSample(diffs, [0.0] * n)
-        got = wilcoxon_signed_rank(sample, mode="exact").p_value
+        got = wilcoxon_signed_rank(sample).p_exact
         want = brute_force_wilcoxon_p(diffs)
         if got != want:
             mismatches += 1
@@ -225,22 +225,38 @@ def test_criterion_6_bootstrap_sanity():
     failures = []
     check = checker(failures)
 
+    from scipy.stats import norm
+
     # asymmetric and irregular: the resample means fall on no common lattice,
     # so both percentiles move with any change to the stream
     diffs = [-4.1, -1.3, -0.2, 0.7, 2.6, 9.4]
-    s = PairedSample(diffs, [0.0] * len(diffs))
-    forced = bootstrap_bca(s, resamples=2000, seed=5, z0_override=0.0, accel_override=0.0)
-    boot = stdlib_bootstrap_means(diffs, 2000, 5)
-    lo, hi = np.quantile(boot, [0.025, 0.975])
-    check(forced.lower == lo, f"forced-percentile lower {forced.lower!r} != {lo!r}")
-    check(forced.upper == hi, f"forced-percentile upper {forced.upper!r} != {hi!r}")
+    n, B = len(diffs), 2000
+    ci = bootstrap_bca(PairedSample(diffs, [0.0] * n), resamples=B, seed=5)
+    boot = stdlib_bootstrap_means(diffs, B, 5)
+    # the BCa levels at the returned z0 and acceleration, then numpy's quantiles
+    levels = [normal_cdf(ci.z0 + (ci.z0 + z) / (1.0 - ci.acceleration * (ci.z0 + z)))
+              for z in (normal_ppf(0.025), normal_ppf(0.975))]
+    lo, hi = np.quantile(boot, levels)
+    check(ci.lower == lo, f"BCa lower {ci.lower!r} != {lo!r}")
+    check(ci.upper == hi, f"BCa upper {ci.upper!r} != {hi!r}")
+
+    # z0 from the share of means below the estimate, the acceleration from a jackknife
+    theta = math.fsum(diffs) / n
+    share = min(max(sum(m < theta for m in boot) / B, 0.5 / B), 1.0 - 0.5 / B)
+    jack = (sum(diffs) - np.array(diffs)) / (n - 1)
+    resid = jack.mean() - jack
+    accel = (resid ** 3).sum() / (6.0 * (resid ** 2).sum() ** 1.5)
+    check(ci.z0 == pytest.approx(norm.ppf(share), rel=1e-12, abs=1e-15),
+          f"z0 {ci.z0!r} != norm.ppf({share!r}) = {norm.ppf(share)!r}")
+    check(ci.acceleration == pytest.approx(accel, rel=1e-9),
+          f"acceleration {ci.acceleration!r} != jackknife {accel!r}")
 
     three = load_reference_sample(3)
     a = bootstrap_bca(three, resamples=5000, seed=123)
     b = bootstrap_bca(three, resamples=5000, seed=123)
     check((a.lower, a.upper) == (b.lower, b.upper), "same seed gave different intervals")
 
-    report("criterion 6: bootstrap percentile/determinism", failures)
+    report("criterion 6: bootstrap BCa interval/determinism", failures)
 
 
 def test_criterion_7_dominance_logic():

@@ -246,12 +246,10 @@ def test_lemma_identity(case):
 @settings(max_examples=40, deadline=None)
 @given(plan_cases, st.floats(min_value=0.001, max_value=1000.0, allow_nan=False))
 def test_uniform_price_scaling_preserves_cagr(case, factor):
-    from sipcraft.timeseries import IndexSeries, TradingDay
-
     kind, start_year, years, seed, strategy = case
     series = generate_series(kind, start_year, years, seed=seed)
-    scaled_series = IndexSeries(
-        [TradingDay(d.date, d.close * factor) for d in series.days])
+    # every kind's closes are proportional to its base level
+    scaled_series = generate_series(kind, start_year, years, seed=seed, base=1000.0 * factor)
     plan = SipPlan(strategy, start_year, years)
     base_table = build_table(series, start_year, years)
     scaled_table = build_table(scaled_series, start_year, years)

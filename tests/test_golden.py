@@ -6,6 +6,10 @@ byte, which only a declared contract change may bring.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -38,8 +42,41 @@ def test_manifest_names_every_command():
 def test_golden_output(name, inputs, monkeypatch):
     monkeypatch.chdir(inputs)
     monkeypatch.delenv("SIPCRAFT_SEED", raising=False)
-    argv = golden.COMMANDS[name]
-    assert {"argv": list(argv), **golden.run(argv)} == MANIFEST[name]
+    assert golden.record(name) == MANIFEST[name]
+
+
+# package lines, by their source text, that only the corpus entries added for
+# them run: a config file, SIPCRAFT_SEED and --out; a bundle with anomalies;
+# an ftd_dominates verdict; growth fixtures; the bootstrap's word loop; and
+# samples whose differences are all equal or all zero
+REACHED = {
+    "cli.py": ("cfg = json.load(fh)", 'battery["seed"] = int(env_seed)',
+               'with open(out, "w", encoding="utf-8") as fh:', "fh.write(text)"),
+    "report.py": ('lines += ["## Schedule anomalies", ""]',),
+    "schedule.py": ('ScheduleAnomaly(key, "expiry_day", expiry, "expiry precedes',),
+    "stats/dominance.py": ("return DominanceSide.FTD",),
+    "synth.py": ("close = base * math.exp(3e-4 * i)",),
+    "stats/bootstrap.py": ("picks += [diffs[w % n] for w in words if w < limit]",
+                           "z0=0.0, acceleration=0.0, degenerate=True"),
+    "stats/battery.py": ('na["t"] = str(exc)', 'na["cohens_d"] = na["hedges_g"] = str(exc)',
+                         '"degenerate sample (all differences zero)"'),
+}
+
+
+def test_corpus_reaches_every_path_an_entry_was_added_for():
+    # a fresh interpreter, so that the package's module-level lines run traced too
+    proc = subprocess.run(
+        [sys.executable, "-c", "import golden, json; print(json.dumps(golden.reach()))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "scripts")])})
+    assert proc.returncode == 0, proc.stderr
+    unreached = {path: set(lines) for path, (_, lines) in json.loads(proc.stdout).items()}
+    for path, texts in REACHED.items():
+        source = (ROOT / "src" / "sipcraft" / path).read_text(encoding="utf-8").splitlines()
+        for text in texts:
+            lines = {number for number, line in enumerate(source, 1) if text in line}
+            assert lines, (path, text)
+            assert not lines & unreached[path], (path, text, sorted(lines & unreached[path]))
 
 
 def test_diff_outputs_names_each_moved_entry_with_a_unified_diff():

@@ -14,8 +14,7 @@ from sipcraft.stats import PairedSample
 from sipcraft.stats.battery import BatteryConfig, run_battery
 from sipcraft.stats.bootstrap import BootstrapCI
 from sipcraft.stats.dominance import KsResult
-from sipcraft.stats.paired import TestResult as PairedTestResult
-from sipcraft.timeseries import TradingDay
+from sipcraft.stats.paired import TestResult as PairedTestResult, WilcoxonResult
 
 DAY = datetime.date(2003, 1, 2)
 KEY = MonthKey(2003, 1)
@@ -23,7 +22,6 @@ PLAN = SipPlan(Strategy.FTD, 2003, 1)
 
 # one instance of every record the package defines
 EXAMPLES = [
-    TradingDay(DAY, 100.0),
     KEY,
     MonthSchedule(KEY, DAY, None, "computed", None),
     ScheduleAnomaly(KEY, "expiry_day", None, "no trading day"),
@@ -32,7 +30,8 @@ EXAMPLES = [
     SipResult(PLAN, 1.0, 100.0, 110.0, 10.0, DAY, 110.0, ()),
     Window(2003, 2005),
     WindowOutcome(Window(2003, 2003), 1.0, 2.0),
-    PairedTestResult(1.0, 0.5),
+    PairedTestResult(1.0, 0.5, 21),
+    WilcoxonResult(10.0, 0.5, 0.4),
     BootstrapCI(0.1, -0.2, 0.4, 1000, 42, 0.05, 0.0, 0.0),
     KsResult(0.25, 0.9),
     BatteryConfig(),

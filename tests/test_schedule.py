@@ -17,7 +17,7 @@ from sipcraft.schedule import (
     load_schedule_overrides,
     resolve_first_trading_day,
 )
-from sipcraft.timeseries import IndexSeries, TradingDay
+from sipcraft.timeseries import IndexSeries
 
 from conftest import DATA, weekday_series
 
@@ -77,9 +77,7 @@ def test_last_thursday_known_months():
 
 
 def test_resolve_first_trading_day_min_date():
-    series = IndexSeries([
-        TradingDay(datetime.date(2020, 3, d), 10.0) for d in (5, 6, 7)
-    ])
+    series = IndexSeries({datetime.date(2020, 3, d): 10.0 for d in (5, 6, 7)})
     assert resolve_first_trading_day(series, MonthKey(2020, 3)) == datetime.date(2020, 3, 5)
     with pytest.raises(ScheduleError):
         resolve_first_trading_day(series, MonthKey(2020, 4))
@@ -92,17 +90,15 @@ def test_compute_expiry_unadjusted():
 
 
 def test_compute_expiry_steps_back_over_holiday():
-    series = IndexSeries([
-        TradingDay(d, 10.0)
-        for d in (datetime.date(2020, 9, 21), datetime.date(2020, 9, 23),
-                  datetime.date(2020, 9, 28))
-    ])
+    series = IndexSeries(dict.fromkeys(
+        (datetime.date(2020, 9, 21), datetime.date(2020, 9, 23), datetime.date(2020, 9, 28)),
+        10.0))
     # the 24th (Thursday) is absent; the Wednesday before is the answer
     assert compute_expiry(series, MonthKey(2020, 9)) == datetime.date(2020, 9, 23)
 
 
 def test_compute_expiry_exhausts_month():
-    series = IndexSeries([TradingDay(datetime.date(2020, 9, 28), 10.0)])
+    series = IndexSeries({datetime.date(2020, 9, 28): 10.0})
     with pytest.raises(ScheduleError, match="no trading day at or before"):
         compute_expiry(series, MonthKey(2020, 9))
 

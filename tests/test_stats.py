@@ -84,11 +84,11 @@ def test_test_result_checks_p_value():
     from sipcraft.stats.paired import TestResult
 
     with pytest.raises(ValueError, match=r"^p_value must lie in \[0, 1\], got 2.0$"):
-        TestResult(statistic=1.0, p_value=2.0)
+        TestResult(statistic=1.0, p_value=2.0, df=3)
     with pytest.raises(ValueError, match=r"^p_value must lie in \[0, 1\], got -0.5$"):
         TestResult(1.0, -0.5, 3)
-    assert math.isnan(TestResult(1.0, math.nan).p_value)
-    assert TestResult(1.0, 0.5, method="exact") == (1.0, 0.5, None, "exact")
+    assert math.isnan(TestResult(1.0, math.nan, 3).p_value)
+    assert TestResult(1.0, 0.5, df=3) == (1.0, 0.5, 3)
 
 
 @given(diff_lists)
@@ -111,40 +111,27 @@ def test_t_p_decreasing_in_statistic():
 # ------------------------------------------------------------------- wilcoxon
 
 def test_wilcoxon_five_year_exact(five_year_sample):
-    r = wilcoxon_signed_rank(five_year_sample)
-    assert r.method == "exact"
-    assert r.p_value == 1.0 / 16.0
+    assert wilcoxon_signed_rank(five_year_sample).p_exact == 1.0 / 16.0
 
 
 def test_wilcoxon_three_year_exact(three_year_sample):
-    r = wilcoxon_signed_rank(three_year_sample)
-    assert r.method == "exact"
-    assert r.p_value == 3.0 / 128.0
+    assert wilcoxon_signed_rank(three_year_sample).p_exact == 3.0 / 128.0
 
 
 def test_wilcoxon_one_year_both_paths(one_year_sample):
-    exact = wilcoxon_signed_rank(one_year_sample, mode="exact")
-    approx = wilcoxon_signed_rank(one_year_sample, mode="normal_approx")
-    assert approx.p_value == pytest.approx(0.0035, abs=0.0005)
-    assert exact.p_value == pytest.approx(0.00257468, abs=1e-6)
-    auto = wilcoxon_signed_rank(one_year_sample, mode="auto")
-    assert auto.method == "exact"
-    assert auto.p_value == exact.p_value
+    r = wilcoxon_signed_rank(one_year_sample)
+    assert r.p_normal == pytest.approx(0.0035, abs=0.0005)
+    assert r.p_exact == pytest.approx(0.00257468, abs=1e-6)
 
 
 def test_wilcoxon_drops_zero_diffs():
     r = wilcoxon_signed_rank(sample_from_diffs([0.0, 0.0, 1.0, 2.0]))
-    assert r.p_value == wilcoxon_signed_rank(sample_from_diffs([1.0, 2.0])).p_value
+    assert r == wilcoxon_signed_rank(sample_from_diffs([1.0, 2.0]))
 
 
 def test_wilcoxon_all_zero_degenerate():
     with pytest.raises(DegenerateSampleError):
         wilcoxon_signed_rank(sample_from_diffs([0.0, 0.0]))
-
-
-def test_wilcoxon_mode_validation():
-    with pytest.raises(ValueError):
-        wilcoxon_signed_rank(sample_from_diffs([1.0, 2.0]), mode="bogus")
 
 
 def brute_force_wilcoxon_p(diffs):
@@ -178,7 +165,7 @@ def test_wilcoxon_exact_matches_brute_force():
         diffs = [round(rng.uniform(-3, 3), 1) for _ in range(n)]
         if all(d == 0.0 for d in diffs):
             diffs[0] = 1.0
-        got = wilcoxon_signed_rank(sample_from_diffs(diffs), mode="exact").p_value
+        got = wilcoxon_signed_rank(sample_from_diffs(diffs)).p_exact
         assert got == brute_force_wilcoxon_p(diffs), diffs
 
 
@@ -218,19 +205,18 @@ def test_wilcoxon_matches_scipy(diffs):
         return
     s = sample_from_diffs(diffs)
     common = dict(zero_method="wilcox", correction=True, alternative="greater")
-    exact = wilcoxon_signed_rank(s, mode="exact")
-    approx = wilcoxon_signed_rank(s, mode="normal_approx")
+    got = wilcoxon_signed_rank(s)
     # scipy's "exact" uses the tie-free null; a full sign-flip enumeration
     # is its exact test for tied ranks
     enumerated = wilcoxon(diffs, method=PermutationMethod(n_resamples=math.inf), **common)
-    assert exact.p_value == pytest.approx(enumerated.pvalue, rel=1e-12)
+    assert got.p_exact == pytest.approx(enumerated.pvalue, rel=1e-12)
     if len(set(nonzero)) == len(nonzero):
         want = wilcoxon(diffs, method="exact", **common)
-        assert exact.statistic == want.statistic
-        assert exact.p_value == pytest.approx(want.pvalue, rel=1e-12)
+        assert got.statistic == want.statistic
+        assert got.p_exact == pytest.approx(want.pvalue, rel=1e-12)
     want = wilcoxon(diffs, method="approx", **common)
-    assert approx.statistic == want.statistic
-    assert approx.p_value == pytest.approx(want.pvalue, rel=1e-9, abs=1e-15)
+    assert got.statistic == want.statistic
+    assert got.p_normal == pytest.approx(want.pvalue, rel=1e-9, abs=1e-15)
 
 
 @pytest.mark.parametrize("diffs, t, d", [
@@ -262,22 +248,19 @@ def test_cohens_d_errors():
 
 
 def test_hedges_g_variants():
-    assert hedges_g(1.071, 7, "paper_compat") == pytest.approx(1.071 * (1 - 3 / 19), abs=1e-12)
-    assert round(hedges_g(1.071, 7, "paper_compat"), 3) == 0.902
-    assert round(hedges_g(4.069, 4, "paper_compat"), 3) == 2.325
-    assert hedges_g(0.0, 10, "standard") == 0.0
-    assert hedges_g(0.0, 10, "paper_compat") == 0.0
-    # standard correction uses 4(n-1) - 1 in the denominator
-    assert hedges_g(1.0, 7, "standard") == pytest.approx(1 - 3 / 23, abs=1e-12)
+    # (standard, paper's): the paper's correction uses 4n - 9 in the denominator
+    assert hedges_g(1.071, 7)[1] == pytest.approx(1.071 * (1 - 3 / 19), abs=1e-12)
+    assert round(hedges_g(1.071, 7)[1], 3) == 0.902
+    assert round(hedges_g(4.069, 4)[1], 3) == 2.325
+    assert hedges_g(0.0, 10) == (0.0, 0.0)
+    # the standard correction uses 4(n-1) - 1
+    assert hedges_g(1.0, 7)[0] == pytest.approx(1 - 3 / 23, abs=1e-12)
 
 
 def test_hedges_g_validation():
-    with pytest.raises(ValueError):
-        hedges_g(1.0, 7, "bogus")
     # one reason for both corrections, since the battery's cell holds both
-    for variant in ("standard", "paper_compat"):
-        with pytest.raises(InsufficientDataError, match="^Hedges' g needs n >= 3, got n=2$"):
-            hedges_g(1.0, 2, variant)
+    with pytest.raises(InsufficientDataError, match="^Hedges' g needs n >= 3, got n=2$"):
+        hedges_g(1.0, 2)
 
 
 def test_classify_effect_boundaries():
@@ -314,18 +297,6 @@ def test_bootstrap_seed_determinism(three_year_sample):
     assert (a.lower, a.upper) == (b.lower, b.upper)
     c = bootstrap_bca(three_year_sample, resamples=2000, seed=8)
     assert (a.lower, a.upper) != (c.lower, c.upper)
-
-
-def test_bootstrap_forced_percentile_equality():
-    import numpy as np
-
-    diffs = [-3.0, -1.0, -0.5, 0.5, 1.0, 3.0]
-    s = sample_from_diffs(diffs)
-    ci = bootstrap_bca(s, resamples=2000, seed=5, z0_override=0.0, accel_override=0.0)
-    boot = stdlib_bootstrap_means(diffs, 2000, 5)
-    lo, hi = np.quantile(boot, [0.025, 0.975])
-    assert ci.lower == lo
-    assert ci.upper == hi
 
 
 def test_bootstrap_z0_counts_permuted_resamples_as_ties():
@@ -621,15 +592,14 @@ def test_battery_respects_config(three_year_sample):
 def test_battery_reports_both_hedges_corrections(duration):
     sample = load_reference_sample(duration)
     effect = run_battery(sample, BatteryConfig(B=1000)).effect
-    assert effect["hedges_g"] == hedges_g(effect["cohens_d"], sample.n)
-    assert effect["hedges_g_paper"] == hedges_g(effect["cohens_d"], sample.n, "paper_compat")
+    assert (effect["hedges_g"], effect["hedges_g_paper"]) == hedges_g(effect["cohens_d"], sample.n)
 
 
 def test_battery_reports_both_wilcoxon_p_values(three_year_sample):
     w = run_battery(three_year_sample, BatteryConfig(B=1000)).wilcoxon
     assert w["method"] == "exact"
     assert w["p"] == w["p_exact"] == 3.0 / 128.0
-    assert w["p_normal"] == wilcoxon_signed_rank(three_year_sample, mode="normal_approx").p_value
+    assert w["p_normal"] == wilcoxon_signed_rank(three_year_sample).p_normal
 
 
 def test_battery_wilcoxon_beyond_the_exact_limit_has_no_exact_p():
