@@ -89,7 +89,9 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "compare-windows-csv": ("compare", "--data", "windows.csv", "--format", "csv"),
     "validate-grid": ("validate", "--data", "grid.csv"),
     "validate-overrides": ("validate", *_LONG),
+    "validate-gaps": ("validate", "--data", "gaps.csv"),
     "simulate-markdown": (*_SIM, "--strategy", "ftd"),
+    "simulate-amount-markdown": (*_SIM, "--strategy", "ftd", "--amount", "2500.5"),
     "simulate-csv": (*_SIM, "--strategy", "exp", "--format", "csv"),
     "simulate-json": (*_SIM, "--strategy", "exp", "--format", "json"),
     "simulate-overrides": ("simulate", *_LONG, "--strategy", "exp", "--start-year", "2003",
@@ -152,21 +154,32 @@ def jump_csv() -> str:
                                      for d in days if d.weekday() < 5)
 
 
+def gaps_csv() -> str:
+    """Weekday closes from January through June 2010 with no March rows and,
+    in April, only the 30th, the day after its last Thursday: March has no
+    first trading day and neither month an expiry."""
+    days = (date(2010, 1, 4) + timedelta(i) for i in range(178))
+    return "date,close\n" + "".join(f"{d},{100 + i}\n" for i, d in enumerate(days)
+                                     if d.weekday() < 5 and d.month != 3
+                                     and not (d.month == 4 and d.day < 30))
+
+
 def write_inputs(directory: Path) -> None:
     """The corpus inputs: the benchmark's seed-1 grid and long series, the
     override table, an override table no series can verify, the frozen
-    per-window CAGR table, the inputs whose CAGRs lie out of range, an
-    override table whose year no date can hold, the inputs that break
-    the shared CSV rules, a config file, an override table that puts an
-    expiry before its month's first trading day, the CAGR table with its
-    two CAGR headers swapped, a 65-row one-year table and a table whose
-    differences are equal within each duration."""
+    per-window CAGR table, the series with gaps, the inputs whose CAGRs
+    lie out of range, an override table whose year no date can hold, the
+    inputs that break the shared CSV rules, a config file, an override
+    table that puts an expiry before its month's first trading day, the
+    CAGR table with its two CAGR headers swapped, a 65-row one-year table
+    and a table whose differences are equal within each duration."""
     gen = _gen()
     (directory / "grid.csv").write_text(gen.grid_csv(1), encoding="utf-8")
     (directory / "long.csv").write_text(gen.long_csv(1, str(SCHEDULE)), encoding="utf-8")
     (directory / "schedule.csv").write_bytes(SCHEDULE.read_bytes())
     (directory / "bad.csv").write_text(UNVERIFIABLE, encoding="utf-8")
     (directory / "windows.csv").write_bytes(WINDOWS.read_bytes())
+    (directory / "gaps.csv").write_text(gaps_csv(), encoding="utf-8")
     (directory / "jump.csv").write_text(jump_csv(), encoding="utf-8")
     (directory / "beyond-float.csv").write_text(BEYOND_FLOAT, encoding="utf-8")
     (directory / "beyond-max.csv").write_text(BEYOND_MAX, encoding="utf-8")

@@ -40,7 +40,6 @@ def _lazy_exports(namespace: dict, exports: dict[str, tuple[str, ...]]):
 _EXPORTS = {
     "engine": (
         "SipPlan",
-        "SipResult",
         "Window",
         "WindowOutcome",
         "cagr",

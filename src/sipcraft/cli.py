@@ -54,13 +54,14 @@ ENV_SEED = "SIPCRAFT_SEED"
 CONFIG_KEYS = ("data", "schedule", "format", "amount", "durations", "strategy",
                "start_year", "years", "stats")
 FORMATS = ("markdown", "csv", "json")
-# schedule.Strategy's values, synth.KINDS, engine.DEFAULT_MONTHLY_AMOUNT and
-# engine.SUPPORTED_DURATIONS, repeated here so that building the parser and
-# resolving settings load none of those modules; a test keeps them equal
+# schedule.Strategy's values, synth.KINDS and engine.SUPPORTED_DURATIONS,
+# repeated here so that building the parser and resolving settings load none
+# of those modules; a test keeps them equal
 STRATEGIES = ("ftd", "exp")
 KINDS = ("flat", "growth", "walk")
-DEFAULT_AMOUNT = 10_000.0
 DEFAULT_DURATIONS = (1, 3, 5, 10, 20)
+# the amount cancels out of every CAGR, so its default is arbitrary
+DEFAULT_AMOUNT = 10_000.0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,7 +362,3 @@ def main(argv: list[str] | None = None) -> int:
     except (SipcraftError, OSError, ValueError) as exc:
         print(f"sipcraft: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

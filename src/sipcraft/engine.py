@@ -15,17 +15,14 @@ import sys
 from datetime import date as Date
 from typing import Iterable, NamedTuple
 
-from .errors import CoverageError, NotTradingDayError, SeriesFormatError, SimulationError
+from .errors import NotTradingDayError, SeriesFormatError, SimulationError
 from .schedule import MonthKey, MonthSchedule, Strategy
 from .stats.paired import PairedSample
 from .timeseries import IndexSeries, read_table
 
 __all__ = [
-    "DEFAULT_MONTHLY_AMOUNT",
     "MAX_CAGR",
     "SipPlan",
-    "Execution",
-    "SipResult",
     "Window",
     "WindowOutcome",
     "is_window_table",
@@ -35,9 +32,6 @@ __all__ = [
     "enumerate_windows",
     "paired_run",
 ]
-
-# the amount is irrelevant to CAGR (it cancels), so the default is arbitrary
-DEFAULT_MONTHLY_AMOUNT = 10_000.0
 
 SUPPORTED_DURATIONS = (1, 3, 5, 10, 20)
 
@@ -54,7 +48,7 @@ class _SipPlan(NamedTuple):
     strategy: Strategy
     start_year: int
     years: int
-    monthly_amount: float = DEFAULT_MONTHLY_AMOUNT
+    monthly_amount: float
 
 
 class SipPlan(_SipPlan):
@@ -71,26 +65,6 @@ class SipPlan(_SipPlan):
     @property
     def final_year(self) -> int:
         return self.start_year + self.years - 1
-
-
-class Execution(NamedTuple):
-    """One installment: where the money went and what it bought."""
-
-    month: MonthKey
-    date: Date
-    price: float
-    units: float
-
-
-class SipResult(NamedTuple):
-    plan: SipPlan
-    units: float
-    invested: float
-    final_value: float
-    cagr_percent: float
-    terminal_date: Date
-    terminal_close: float
-    executions: tuple[Execution, ...]
 
 
 class _Window(NamedTuple):
@@ -199,18 +173,18 @@ def cagr(final_value: float, invested: float, years: int) -> float:
 
 
 def _installments(
-    plan: SipPlan, series: IndexSeries, table: dict[MonthKey, MonthSchedule],
+    strategy: Strategy, window: Window, series: IndexSeries, table: dict[MonthKey, MonthSchedule],
 ) -> tuple[list[tuple[MonthKey, Date, float]], Date, float]:
-    """The plan's (month, date, price) installments and its terminal (date, close).
+    """A plan's (month, date, price) installments and its terminal (date, close).
 
     FTD executes on the month's own first trading day, EXP on the previous
     month's expiry (a January installment executes on December's expiry).
     Any missing execution date or price aborts with the offending month in
     the message.
     """
-    ftd = plan.strategy is Strategy.FTD
+    ftd = strategy is Strategy.FTD
     installments = []
-    for year in range(plan.start_year, plan.final_year + 1):
+    for year in range(window.from_year, window.to_year + 1):
         for month in range(1, 13):
             key = MonthKey(year, month)
             anchor = key if ftd else key.prev()
@@ -219,16 +193,15 @@ def _installments(
             if date is None:
                 missing = (f"first trading day for {key}" if ftd
                            else f"expiry for {anchor} (needed by {key})")
-                raise SimulationError(f"installment {key} ({plan.strategy.value}): "
+                raise SimulationError(f"installment {key} ({strategy.value}): "
                                       f"schedule has no {missing}")
             try:
                 installments.append((key, date, series.close_on(date)))
             except NotTradingDayError as exc:
-                raise SimulationError(f"installment {key} ({plan.strategy.value}): {exc}") from exc
-    try:
-        terminal_date = series.last_trading_day_of_year(plan.final_year)
-    except CoverageError as exc:
-        raise SimulationError(f"terminal valuation {plan.final_year}-12: {exc}") from exc
+                raise SimulationError(f"installment {key} ({strategy.value}): {exc}") from exc
+    # the last installment fell on a trading day of the final year, so the
+    # terminal day lies in that year too
+    terminal_date = series.on_or_before(Date(window.to_year, 12, 31))
     return installments, terminal_date, series.close_on(terminal_date)
 
 
@@ -236,12 +209,12 @@ def _outside(value: float) -> str:
     return f"{value!r} lies outside [-100, {MAX_CAGR:g}]"
 
 
-def _where(plan: SipPlan) -> str:
-    return f"plan {plan.start_year}..{plan.final_year} ({plan.strategy.value})"
+def _where(strategy: Strategy, window: Window) -> str:
+    return f"plan {window.from_year}..{window.to_year} ({strategy.value})"
 
 
-def _cagr_of(plan: SipPlan, installments: list[tuple[MonthKey, Date, float]],
-             terminal_close: float) -> float:
+def _cagr_of(strategy: Strategy, window: Window,
+             installments: list[tuple[MonthKey, Date, float]], terminal_close: float) -> float:
     """CAGR from the amount-free form ((I_L * sum(1/I_i)) / (12N))^(1/N) - 1.
 
     The monthly amount cancels out of the total-value ratio, so the CAGR of
@@ -251,52 +224,58 @@ def _cagr_of(plan: SipPlan, installments: list[tuple[MonthKey, Date, float]],
     # a subnormal term keeps too few digits, and the ratio must stay a float
     smallest = min(inverses)
     if smallest < sys.float_info.min:
-        raise SimulationError(f"{_where(plan)}: 1/price {smallest!r} in one installment "
-                              "is out of float range")
+        raise SimulationError(f"{_where(strategy, window)}: 1/price {smallest!r} in one "
+                              "installment is out of float range")
     ratio = terminal_close * math.fsum(inverses)
     if not 0.0 < ratio < math.inf:
-        raise SimulationError(f"{_where(plan)}: value ratio {ratio!r} is out of float range")
-    value = cagr(ratio, 12.0 * plan.years, plan.years)
+        raise SimulationError(f"{_where(strategy, window)}: value ratio {ratio!r} is out of "
+                              "float range")
+    value = cagr(ratio, 12.0 * window.years, window.years)
     if not -100.0 <= value <= MAX_CAGR:
-        raise SimulationError(f"{_where(plan)}: CAGR {_outside(value)}")
+        raise SimulationError(f"{_where(strategy, window)}: CAGR {_outside(value)}")
     return value
 
 
-def simulate(plan: SipPlan, series: IndexSeries, table: dict[MonthKey, MonthSchedule]) -> SipResult:
+def simulate(plan: SipPlan, series: IndexSeries, table: dict[MonthKey, MonthSchedule]) -> dict:
     """Run the plan: 12N installments, then terminal valuation.
 
-    The ledger (units, invested, final value) is for printing; the CAGR is
-    the amount-free one that ``paired_run`` reports for the same window.
+    Returns the ledger as ``simulate --format json`` prints it. Its units,
+    outlay and final value are for printing; its CAGR is the amount-free
+    one that ``paired_run`` reports for the same window.
     """
-    installments, terminal_date, terminal_close = _installments(plan, series, table)
-    cagr_percent = _cagr_of(plan, installments, terminal_close)
-    executions: list[Execution] = []
+    window = Window(plan.start_year, plan.final_year)
+    installments, terminal_date, terminal_close = _installments(plan.strategy, window, series,
+                                                                table)
+    cagr_percent = _cagr_of(plan.strategy, window, installments, terminal_close)
+    executions = []
     units = 0.0
     for key, date, price in installments:
         bought = plan.monthly_amount / price
         units += bought
-        executions.append(Execution(month=key, date=date, price=price, units=bought))
+        executions.append({"month": str(key), "date": date.isoformat(), "price": price,
+                           "units": bought})
     final_value = terminal_close * units
     invested = 12.0 * plan.monthly_amount * plan.years
     # an extreme amount over- or underflows the ledger, and a subnormal
     # installment keeps too few digits to print
-    where = _where(plan)
+    where = _where(plan.strategy, window)
     if not (0.0 < final_value < math.inf and invested < math.inf):
         raise SimulationError(f"{where}: final value {final_value!r} on {invested!r} invested "
                               "is out of float range")
-    fewest = min(e.units for e in executions)
+    fewest = min(e["units"] for e in executions)
     if fewest < sys.float_info.min:
         raise SimulationError(f"{where}: {fewest!r} units in one installment is out of float range")
-    return SipResult(
-        plan=plan,
-        units=units,
-        invested=invested,
-        final_value=final_value,
-        cagr_percent=cagr_percent,
-        terminal_date=terminal_date,
-        terminal_close=terminal_close,
-        executions=tuple(executions),
-    )
+    return {
+        "plan": {"strategy": plan.strategy.value, "start_year": plan.start_year,
+                 "years": plan.years, "monthly_amount": plan.monthly_amount},
+        "executions": executions,
+        "units": units,
+        "invested": invested,
+        "terminal_date": terminal_date.isoformat(),
+        "terminal_close": terminal_close,
+        "final_value": final_value,
+        "cagr_percent": cagr_percent,
+    }
 
 
 def enumerate_windows(duration: int) -> list[Window]:
@@ -316,9 +295,8 @@ def paired_run(
     the full-precision per-window outcomes for reporting.
     """
     def plan_cagr(strategy: Strategy, window: Window) -> float:
-        plan = SipPlan(strategy, window.from_year, window.years)
-        installments, _, terminal_close = _installments(plan, series, table)
-        return _cagr_of(plan, installments, terminal_close)
+        installments, _, terminal_close = _installments(strategy, window, series, table)
+        return _cagr_of(strategy, window, installments, terminal_close)
 
     return _paired([WindowOutcome(window, plan_cagr(Strategy.FTD, window),
                                   plan_cagr(Strategy.EXP, window))

@@ -32,10 +32,6 @@ class NotTradingDayError(SipcraftError, LookupError):
         super().__init__(msg)
 
 
-class CoverageError(SipcraftError, ValueError):
-    """The series or schedule does not cover a requested span."""
-
-
 class ScheduleError(SipcraftError, ValueError):
     """Schedule construction or lookup failed."""
 

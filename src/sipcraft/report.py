@@ -16,7 +16,7 @@ import io
 import json
 
 from ._version import VERSION
-from .engine import SipResult, WindowOutcome
+from .engine import WindowOutcome
 from .errors import InsufficientDataError
 from .stats.special import quantile_sorted
 
@@ -223,42 +223,28 @@ def render_bundle(bundle: dict, format: str = "markdown") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_simulation(result: SipResult, format: str = "markdown") -> str:
-    """One plan's execution ledger and valuation, as ``simulate`` prints it."""
-    plan, executions = result.plan, result.executions
+def render_simulation(ledger: dict, format: str = "markdown") -> str:
+    """One plan's ledger from ``engine.simulate``, as ``simulate`` prints it."""
     if format == "json":
-        payload = {
-            "plan": {"strategy": plan.strategy.value, "start_year": plan.start_year,
-                     "years": plan.years, "monthly_amount": plan.monthly_amount},
-            "executions": [
-                {"month": str(e.month), "date": e.date.isoformat(), "price": e.price, "units": e.units}
-                for e in executions
-            ],
-            "units": result.units,
-            "invested": result.invested,
-            "terminal_date": result.terminal_date.isoformat(),
-            "terminal_close": result.terminal_close,
-            "final_value": result.final_value,
-            "cagr_percent": result.cagr_percent,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(ledger, indent=2) + "\n"
+    executions = ledger["executions"]
     if format == "csv":
-        return _csv(("month", "date", "price", "units"),
-                    ((e.month, e.date.isoformat(), e.price, e.units) for e in executions))
+        return _csv(("month", "date", "price", "units"), (e.values() for e in executions))
     if format != "markdown":
         raise _unknown(format)
+    plan = ledger["plan"]
     lines = [
-        f"Plan: {plan.strategy.value} {plan.start_year}..{plan.final_year} "
-        f"({plan.years}y, {plan.monthly_amount:g}/month)",
+        f"Plan: {plan['strategy']} {plan['start_year']}..{plan['start_year'] + plan['years'] - 1} "
+        f"({plan['years']}y, {plan['monthly_amount']:g}/month)",
         "",
         *_markdown(("Month", "Date", "Price", "Units"),
-                   ((e.month, e.date.isoformat(), f"{e.price:.4f}", f"{e.units:.6f}")
+                   ((e["month"], e["date"], f"{e['price']:.4f}", f"{e['units']:.6f}")
                     for e in executions)),
         "",
-        f"Units: {result.units:.6f}",
-        f"Invested: {result.invested:.2f}",
-        f"Terminal: {result.terminal_date.isoformat()} at close {result.terminal_close:.4f}",
-        f"Final value: {result.final_value:.2f}",
-        f"CAGR: {result.cagr_percent:.2f}%",
+        f"Units: {ledger['units']:.6f}",
+        f"Invested: {ledger['invested']:.2f}",
+        f"Terminal: {ledger['terminal_date']} at close {ledger['terminal_close']:.4f}",
+        f"Final value: {ledger['final_value']:.2f}",
+        f"CAGR: {ledger['cagr_percent']:.2f}%",
     ]
     return "\n".join(lines) + "\n"

@@ -1,10 +1,10 @@
 """Per-month execution anchors: first trading day and derivatives expiry.
 
-The expiry rule is the last Thursday of the month, stepped backward one
-calendar day at a time over non-trading days (never forward, which would
-leak into the next month). An explicit override table is authoritative
-wherever it has a value; overrides that conflict with the price series are
-reported as anomalies, never silently repaired.
+The expiry rule is the last Thursday of the month, or the latest trading
+day before it within the month (never a later day, which would leak into
+the next month). An explicit override table is authoritative wherever it
+has a value; overrides that conflict with the price series are reported
+as anomalies, never silently repaired.
 """
 
 from __future__ import annotations
@@ -140,23 +140,19 @@ def last_thursday(key: MonthKey) -> Date:
 
 def resolve_first_trading_day(series: IndexSeries, key: MonthKey) -> Date:
     """Earliest series date within the month."""
-    days = series.dates_in_month(key.year, key.month)
-    if not days:
+    day = series.on_or_after(Date(key.year, key.month, 1))
+    if day is None or (day.year, day.month) != key:
         raise ScheduleError(f"series has no trading days in {key}")
-    return days[0]
+    return day
 
 
 def compute_expiry(series: IndexSeries, key: MonthKey) -> Date:
-    """Last Thursday of the month, walked backward to the nearest trading day.
-
-    The walk is in calendar days and must stay inside the month.
-    """
-    d = last_thursday(key)
-    while d.month == key.month:
-        if d in series:
-            return d
-        d -= timedelta(days=1)
-    raise ScheduleError(f"no trading day at or before the last Thursday of {key}")
+    """Latest trading day on or before the month's last Thursday, if it is
+    in the month."""
+    day = series.on_or_before(last_thursday(key))
+    if day is None or (day.year, day.month) != key:
+        raise ScheduleError(f"no trading day at or before the last Thursday of {key}")
+    return day
 
 
 def load_schedule_overrides(source: str | io.TextIOBase) -> dict[MonthKey, MonthSchedule]:

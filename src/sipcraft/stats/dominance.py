@@ -74,16 +74,21 @@ def _require_pairs(s: PairedSample, what: str) -> None:
         raise InsufficientDataError(f"{what} needs at least 2 pairs, got n={s.n}")
 
 
+def _side(values: list[int]) -> DominanceSide:
+    """EXP if no value is negative and one is positive, FTD if the reverse,
+    else (an empty list included) NONE."""
+    if all(v >= 0 for v in values) and any(v > 0 for v in values):
+        return DominanceSide.EXP
+    if all(v <= 0 for v in values) and any(v < 0 for v in values):
+        return DominanceSide.FTD
+    return DominanceSide.NONE
+
+
 def check_fsd(s: PairedSample) -> DominanceSide:
     """First-order verdict: one ECDF never above the other, strictly below somewhere."""
     _require_pairs(s, "check_fsd")
-    _, gaps = _pooled_gaps(s)
     # gap > 0 means F_exp < F_ftd at that point, i.e. EXP mass sits higher
-    if all(g >= 0 for g in gaps) and any(g > 0 for g in gaps):
-        return DominanceSide.EXP
-    if all(g <= 0 for g in gaps) and any(g < 0 for g in gaps):
-        return DominanceSide.FTD
-    return DominanceSide.NONE
+    return _side(_pooled_gaps(s)[1])
 
 
 def check_ssd(s: PairedSample) -> DominanceSide:
@@ -108,10 +113,5 @@ def check_ssd(s: PairedSample) -> DominanceSide:
     for i in range(1, len(grid)):
         running += gaps[i - 1] * (ticks[i] - ticks[i - 1])
         integrals.append(running)
-    if not integrals:  # single pooled point: identical constant samples
-        return DominanceSide.NONE
-    if all(v >= 0 for v in integrals) and any(v > 0 for v in integrals):
-        return DominanceSide.EXP
-    if all(v <= 0 for v in integrals) and any(v < 0 for v in integrals):
-        return DominanceSide.FTD
-    return DominanceSide.NONE
+    # a single pooled point (identical constant samples) leaves no integral: NONE
+    return _side(integrals)

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from datetime import date as Date
 from typing import Iterable, Iterator
 
-from .errors import CoverageError, NotTradingDayError, SeriesFormatError
+from .errors import NotTradingDayError, SeriesFormatError
 
 __all__ = [
     "IndexSeries",
@@ -62,25 +62,17 @@ class IndexSeries:
         try:
             return self._lookup[date]
         except KeyError:
-            idx = bisect_left(self._dates, date)
-            hint = self._dates[idx - 1] if idx > 0 else None
-            raise NotTradingDayError(date, hint) from None
+            raise NotTradingDayError(date, self.on_or_before(date)) from None
 
-    def last_trading_day_of_year(self, year: int) -> Date:
-        """Latest series date within ``year``; requires December coverage."""
-        idx = bisect_right(self._dates, Date(year, 12, 31))
-        if idx == 0 or self._dates[idx - 1].year != year:
-            raise CoverageError(f"series has no trading days in {year}")
-        return self._dates[idx - 1]
+    def on_or_before(self, date: Date) -> Date | None:
+        """Latest trading day no later than ``date``, or None if there is none."""
+        idx = bisect_right(self._dates, date)
+        return self._dates[idx - 1] if idx else None
 
-    def dates_in_month(self, year: int, month: int) -> tuple[Date, ...]:
-        """All trading dates falling inside the given calendar month."""
-        lo = bisect_left(self._dates, Date(year, month, 1))
-        if month == 12:  # year + 1 may be past MAXYEAR
-            hi = bisect_right(self._dates, Date(year, 12, 31))
-        else:
-            hi = bisect_left(self._dates, Date(year, month + 1, 1))
-        return self._dates[lo:hi]
+    def on_or_after(self, date: Date) -> Date | None:
+        """Earliest trading day no earlier than ``date``, or None if there is none."""
+        idx = bisect_left(self._dates, date)
+        return self._dates[idx] if idx < len(self._dates) else None
 
 
 def read_table(

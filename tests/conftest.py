@@ -90,8 +90,10 @@ def anchor_prices(series: IndexSeries, table, ftd: bool, start_year: int, years:
             anchor = (table.get(key).first_trading_day if ftd
                       else table.get(key.prev()).expiry_day)
             prices.append(series.close_on(anchor))
-    final_year = start_year + years - 1
-    terminal = series.last_trading_day_of_year(final_year)
+    # the latest trading day of the final year, found one calendar day at a time
+    terminal = datetime.date(start_year + years - 1, 12, 31)
+    while terminal not in series:
+        terminal -= datetime.timedelta(days=1)
     return prices, series.close_on(terminal)
 
 

@@ -160,8 +160,8 @@ def test_criterion_4_amount_invariance_and_lemma():
             MonthKey(start_year + years - 1, 12))
         if anomalies:
             continue  # a hostile holiday draw can empty a month; not this suite's target
-        a = simulate(SipPlan(strategy, start_year, years, m1), series, table).cagr_percent
-        b = simulate(SipPlan(strategy, start_year, years, m2), series, table).cagr_percent
+        a = simulate(SipPlan(strategy, start_year, years, m1), series, table)["cagr_percent"]
+        b = simulate(SipPlan(strategy, start_year, years, m2), series, table)["cagr_percent"]
         # the amount-free CAGR against a test-local ledger of m1 / price units
         prices, terminal_close = anchor_prices(series, table, strategy is Strategy.FTD,
                                                start_year, years)

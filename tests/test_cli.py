@@ -491,7 +491,6 @@ def test_settings_defaults_match_the_engine():
     # settings load no engine, schedule or synth
     from sipcraft import cli, engine, schedule, synth
 
-    assert cli.DEFAULT_AMOUNT == engine.DEFAULT_MONTHLY_AMOUNT
     assert cli.DEFAULT_DURATIONS == engine.SUPPORTED_DURATIONS
     assert cli.STRATEGIES == tuple(s.value for s in schedule.Strategy)
     assert cli.KINDS == synth.KINDS
@@ -690,7 +689,7 @@ def test_compare_markdown_to_stdout(series_csv, capsys):
 
 def test_module_entry_point(flat_csv):
     proc = subprocess.run(
-        [sys.executable, "-m", "sipcraft.cli", "simulate", "--data", str(flat_csv),
+        [sys.executable, "-m", "sipcraft", "simulate", "--data", str(flat_csv),
          "--strategy", "ftd", "--start-year", "2020", "--years", "1",
          "--format", "json"],
         capture_output=True, text=True)

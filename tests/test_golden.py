@@ -47,13 +47,17 @@ def test_golden_output(name, inputs, monkeypatch):
 
 # package lines, by their source text, that only the corpus entries added for
 # them run: a config file, SIPCRAFT_SEED and --out; a bundle with anomalies;
-# an ftd_dominates verdict; growth fixtures; the bootstrap's word loop; and
-# samples whose differences are all equal or all zero
+# a simulate amount other than the default; a month without trading days and
+# one without an expiry; an ftd_dominates verdict; growth fixtures; the
+# bootstrap's word loop; and samples whose differences are all equal or all zero
 REACHED = {
     "cli.py": ("cfg = json.load(fh)", 'battery["seed"] = int(env_seed)',
                'with open(out, "w", encoding="utf-8") as fh:', "fh.write(text)"),
-    "report.py": ('lines += ["## Schedule anomalies", ""]',),
-    "schedule.py": ('ScheduleAnomaly(key, "expiry_day", expiry, "expiry precedes',),
+    "report.py": ('lines += ["## Schedule anomalies", ""]', "{plan['monthly_amount']:g}/month"),
+    "schedule.py": ('ScheduleAnomaly(key, "expiry_day", expiry, "expiry precedes',
+                    'raise ScheduleError(f"series has no trading days in {key}")',
+                    'raise ScheduleError(f"no trading day at or before the last Thursday',
+                    "anomalies.append(ScheduleAnomaly(key, field, None, missing))"),
     "stats/dominance.py": ("return DominanceSide.FTD",),
     "synth.py": ("close = base * math.exp(3e-4 * i)",),
     "stats/bootstrap.py": ("picks += [diffs[w % n] for w in words if w < limit]",

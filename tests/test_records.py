@@ -8,7 +8,7 @@ import pytest
 
 import sipcraft
 from sipcraft.cli import Settings
-from sipcraft.engine import Execution, SipPlan, SipResult, Window, WindowOutcome
+from sipcraft.engine import SipPlan, Window, WindowOutcome
 from sipcraft.schedule import MonthKey, MonthSchedule, ScheduleAnomaly, Strategy
 from sipcraft.stats import PairedSample
 from sipcraft.stats.battery import BatteryConfig, run_battery
@@ -18,16 +18,13 @@ from sipcraft.stats.paired import TestResult as PairedTestResult, WilcoxonResult
 
 DAY = datetime.date(2003, 1, 2)
 KEY = MonthKey(2003, 1)
-PLAN = SipPlan(Strategy.FTD, 2003, 1)
 
 # one instance of every record the package defines
 EXAMPLES = [
     KEY,
     MonthSchedule(KEY, DAY, None, "computed", None),
     ScheduleAnomaly(KEY, "expiry_day", None, "no trading day"),
-    PLAN,
-    Execution(KEY, DAY, 100.0, 1.0),
-    SipResult(PLAN, 1.0, 100.0, 110.0, 10.0, DAY, 110.0, ()),
+    SipPlan(Strategy.FTD, 2003, 1, 100.0),
     Window(2003, 2005),
     WindowOutcome(Window(2003, 2003), 1.0, 2.0),
     PairedTestResult(1.0, 0.5, 21),

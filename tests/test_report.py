@@ -69,7 +69,7 @@ def ledger():
     series = weekday_series(datetime.date(2019, 12, 1), datetime.date(2020, 12, 31),
                             lambda d: 100.0 + d.toordinal() % 37 / 3)
     table, _ = build_schedule(series, None, MonthKey(2019, 12), MonthKey(2020, 12))
-    return simulate(SipPlan(Strategy.FTD, 2020, 1), series, table)
+    return simulate(SipPlan(Strategy.FTD, 2020, 1, 10_000.0), series, table)
 
 
 def test_window_row_rounding_agreement():
@@ -107,10 +107,16 @@ def test_simulation_rejects_unknown_format(ledger):
         render_simulation(ledger, "yaml")
 
 
+def test_simulation_json_is_the_ledger(ledger):
+    assert render_simulation(ledger, "json") == json.dumps(ledger, indent=2) + "\n"
+    assert list(ledger) == ["plan", "executions", "units", "invested", "terminal_date",
+                            "terminal_close", "final_value", "cagr_percent"]
+
+
 def test_simulation_csv_round_trips(ledger):
     records = list(csv.DictReader(io.StringIO(render_simulation(ledger, "csv"))))
     assert [(r["month"], r["date"], float(r["price"]), float(r["units"])) for r in records] == [
-        (str(e.month), e.date.isoformat(), e.price, e.units) for e in ledger.executions]
+        (e["month"], e["date"], e["price"], e["units"]) for e in ledger["executions"]]
 
 
 def test_metrics_markdown_header_names_each_horizon(three_year_sample):

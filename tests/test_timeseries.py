@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sipcraft.engine import load_windows
-from sipcraft.errors import CoverageError, NotTradingDayError, SeriesFormatError
+from sipcraft.errors import NotTradingDayError, SeriesFormatError
 from sipcraft.schedule import load_schedule_overrides
 from sipcraft.timeseries import IndexSeries, parse_series, serialize_series
 
@@ -189,7 +189,8 @@ def test_parsed_series_matches_series_built_from_days():
         assert (len(series), series.first_date, series.last_date) == (3, jan1, feb3)
         assert jan2 in series and datetime.date(2003, 1, 3) not in series
         assert series.close_on(jan2) == 1100.9
-        assert series.dates_in_month(2003, 1) == (jan1, jan2)
+        assert series.on_or_before(datetime.date(2003, 2, 2)) == jan2
+        assert series.on_or_after(datetime.date(2003, 1, 3)) == feb3
 
 
 def test_close_on_absent_date_hints_preceding_day():
@@ -208,29 +209,31 @@ def test_close_on_before_series_start():
 
 def test_last_trading_day_of_year():
     s = weekday_series(datetime.date(2020, 1, 1), datetime.date(2020, 12, 28), 50.0)
-    assert s.last_trading_day_of_year(2020) == datetime.date(2020, 12, 28)
-    with pytest.raises(CoverageError):
-        s.last_trading_day_of_year(2021)
+    assert s.on_or_before(datetime.date(2020, 12, 31)) == datetime.date(2020, 12, 28)
+    # a later year holds no trading day: the nearest one falls back into 2020
+    assert s.on_or_before(datetime.date(2021, 12, 31)).year == 2020
+    assert s.on_or_after(datetime.date(2021, 1, 1)) is None
 
 
 def test_last_trading_day_requires_year_presence():
     s = parse_series("date,close\n2003-01-01,5\n2005-01-03,6\n")
-    with pytest.raises(CoverageError):
-        s.last_trading_day_of_year(2004)
+    assert s.on_or_before(datetime.date(2004, 12, 31)) == datetime.date(2003, 1, 1)
+    assert s.on_or_after(datetime.date(2004, 1, 1)) == datetime.date(2005, 1, 3)
+    assert s.on_or_before(datetime.date(2002, 12, 31)) is None
 
 
 def test_dates_in_month():
     s = weekday_series(datetime.date(2020, 1, 1), datetime.date(2020, 3, 31), 10.0)
-    jan = s.dates_in_month(2020, 1)
-    assert jan[0] == datetime.date(2020, 1, 1)
-    assert jan[-1] == datetime.date(2020, 1, 31)
-    assert all(d.month == 1 for d in jan)
-    assert s.dates_in_month(2021, 1) == ()
-    # December's bound once named January of the next year, past MAXYEAR
+    assert s.on_or_after(datetime.date(2020, 1, 1)) == datetime.date(2020, 1, 1)
+    assert s.on_or_before(datetime.date(2020, 1, 31)) == datetime.date(2020, 1, 31)
+    assert s.on_or_after(datetime.date(2020, 2, 1)) == datetime.date(2020, 2, 3)
+    assert s.on_or_after(datetime.date(2021, 1, 1)) is None
+    # December's last day is the last date there is: no bound past MAXYEAR is needed
     last = datetime.date(datetime.MAXYEAR, 12, 31)
-    dec = weekday_series(datetime.date(datetime.MAXYEAR, 11, 1), last, 10.0).dates_in_month(
-        datetime.MAXYEAR, 12)
-    assert (dec[0], dec[-1], len(dec)) == (datetime.date(datetime.MAXYEAR, 12, 1), last, 23)
+    dec = weekday_series(datetime.date(datetime.MAXYEAR, 11, 1), last, 10.0)
+    assert dec.on_or_after(datetime.date(datetime.MAXYEAR, 12, 1)) == datetime.date(
+        datetime.MAXYEAR, 12, 1)
+    assert dec.on_or_before(last) == last and dec.on_or_after(last) == last
 
 
 @st.composite
@@ -272,8 +275,20 @@ def test_close_on_succeeds_iff_date_present(rows, jitter):
 @given(series_rows())
 def test_last_trading_day_is_latest_covered(rows):
     series = IndexSeries(dict(rows))
-    years = {d.year for d, _ in rows}
-    for year in years:
-        last = series.last_trading_day_of_year(year)
-        in_year = [d for d, _ in rows if d.year == year]
-        assert last == max(in_year)
+    for year in {d.year for d, _ in rows}:
+        last = series.on_or_before(datetime.date(year, 12, 31))
+        assert last == max(d for d, _ in rows if d.year == year)
+
+
+@given(series_rows(), st.booleans())
+def test_nearest_trading_days_match_a_linear_scan(rows, at_maxyear):
+    if at_maxyear:  # end the rows on 9999-12-31
+        shift = datetime.date(datetime.MAXYEAR, 12, 31) - rows[-1][0]
+        rows = [(d + shift, c) for d, c in rows]
+    series = IndexSeries(dict(rows))
+    dates = [d for d, _ in rows]
+    last = min(dates[-1].toordinal() + 3, datetime.date.max.toordinal())
+    for ordinal in range(dates[0].toordinal() - 3, last + 1):
+        probe = datetime.date.fromordinal(ordinal)
+        assert series.on_or_before(probe) == max((d for d in dates if d <= probe), default=None)
+        assert series.on_or_after(probe) == min((d for d in dates if d >= probe), default=None)
