@@ -119,6 +119,7 @@ COMMANDS: dict[str, tuple[str, ...]] = {
                                  "--format", "json"),
     "error-override-year": ("validate", "--data", "grid.csv", "--schedule", "year-zero.csv"),
     "error-series-empty": ("validate", "--data", "empty.csv"),
+    "error-compare-empty": ("compare", "--data", "empty.csv"),
     "error-series-no-close": ("validate", "--data", "no-close.csv"),
     "error-series-short-row": ("validate", "--data", "short-series.csv"),
     "error-override-short-row": ("validate", "--data", "grid.csv", "--schedule",

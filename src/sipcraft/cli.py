@@ -23,12 +23,13 @@ def _deferred(module: str, name: str):
     """Stand-in for ``module.name`` that imports ``module`` on its first call.
 
     Every layer is imported only by the handlers that run it, so
-    ``--version`` loads no sipcraft module beyond this one, ``validate``
-    loads no engine and no ``synth``, and ``fixtures`` no schedule. The
-    functions the handlers call in the timeseries, schedule, engine, battery
-    and report layers stay attributes of this module all the same:
-    ``perfbench/trace_child.py`` times each layer by wrapping them here, so
-    the handlers must look them up in this module's globals.
+    ``--version`` loads no sipcraft module beyond the package, ``_version``
+    and this one, ``validate`` loads no engine and no ``synth``, and
+    ``fixtures`` no schedule. The functions the handlers call in the
+    timeseries, schedule, engine, battery and report layers stay attributes
+    of this module all the same: ``perfbench/trace_child.py`` times each
+    layer by wrapping them here, so the handlers must look them up in this
+    module's globals.
     """
     def call(*args, **kwargs):
         return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
@@ -237,7 +238,9 @@ def _load_inputs(settings: Settings, durations: list[int] | None = None):
             from .engine import is_window_table, load_windows
 
             header = fh.readline()
-            lines = itertools.chain([header], fh)  # a pipe cannot seek back to the header
+            # a pipe cannot seek back to the header; an empty file has none
+            # to put back, since csv reads "" as an empty header row
+            lines = itertools.chain([header], fh) if header else fh
             if is_window_table(header):
                 if settings.schedule:
                     raise ValueError("a schedule file does not apply to a per-window CAGR table")
@@ -272,7 +275,7 @@ def cmd_validate(settings: Settings, args) -> int:
 
 
 def cmd_simulate(settings: Settings, args) -> int:
-    from .engine import SipPlan, simulate
+    from .engine import Window, simulate
     from .report import render_simulation
     from .schedule import MonthKey, Strategy
 
@@ -280,11 +283,11 @@ def cmd_simulate(settings: Settings, args) -> int:
     if settings.strategy is None or settings.start_year is None or settings.years is None:
         raise ValueError("simulate needs --strategy, --start-year and --years")
 
-    plan = SipPlan(Strategy(settings.strategy), settings.start_year, settings.years,
-                   settings.amount)
+    window = Window(settings.start_year, settings.start_year + settings.years - 1)
     table, _ = build_schedule(series, overrides,
-                              MonthKey(plan.start_year - 1, 12), MonthKey(plan.final_year, 12))
-    _write_out(render_simulation(simulate(plan, series, table), settings.format), args.out)
+                              MonthKey(window.from_year - 1, 12), MonthKey(window.to_year, 12))
+    ledger = simulate(Strategy(settings.strategy), window, settings.amount, series, table)
+    _write_out(render_simulation(ledger, settings.format), args.out)
     return EXIT_OK
 
 

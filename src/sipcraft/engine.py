@@ -22,7 +22,6 @@ from .timeseries import IndexSeries, read_table
 
 __all__ = [
     "MAX_CAGR",
-    "SipPlan",
     "Window",
     "WindowOutcome",
     "is_window_table",
@@ -42,29 +41,6 @@ MAX_CAGR = 1e100
 
 # the columns of a per-window CAGR table; all but years are required
 WINDOW_COLUMNS = ("from_year", "to_year", "years", "cagr_ftd", "cagr_exp")
-
-
-class _SipPlan(NamedTuple):
-    strategy: Strategy
-    start_year: int
-    years: int
-    monthly_amount: float
-
-
-class SipPlan(_SipPlan):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> SipPlan:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.years < 1:
-            raise ValueError(f"years must be >= 1, got {self.years}")
-        if not (math.isfinite(self.monthly_amount) and self.monthly_amount > 0):
-            raise ValueError(f"monthly_amount must be positive and finite, got {self.monthly_amount}")
-        return self
-
-    @property
-    def final_year(self) -> int:
-        return self.start_year + self.years - 1
 
 
 class _Window(NamedTuple):
@@ -236,29 +212,31 @@ def _cagr_of(strategy: Strategy, window: Window,
     return value
 
 
-def simulate(plan: SipPlan, series: IndexSeries, table: dict[MonthKey, MonthSchedule]) -> dict:
-    """Run the plan: 12N installments, then terminal valuation.
+def simulate(strategy: Strategy, window: Window, monthly_amount: float, series: IndexSeries,
+             table: dict[MonthKey, MonthSchedule]) -> dict:
+    """Invest ``monthly_amount`` in each of the window's 12N months, then
+    value the units at the terminal close.
 
     Returns the ledger as ``simulate --format json`` prints it. Its units,
     outlay and final value are for printing; its CAGR is the amount-free
     one that ``paired_run`` reports for the same window.
     """
-    window = Window(plan.start_year, plan.final_year)
-    installments, terminal_date, terminal_close = _installments(plan.strategy, window, series,
-                                                                table)
-    cagr_percent = _cagr_of(plan.strategy, window, installments, terminal_close)
+    if not (math.isfinite(monthly_amount) and monthly_amount > 0):
+        raise ValueError(f"monthly_amount must be positive and finite, got {monthly_amount}")
+    installments, terminal_date, terminal_close = _installments(strategy, window, series, table)
+    cagr_percent = _cagr_of(strategy, window, installments, terminal_close)
     executions = []
     units = 0.0
     for key, date, price in installments:
-        bought = plan.monthly_amount / price
+        bought = monthly_amount / price
         units += bought
         executions.append({"month": str(key), "date": date.isoformat(), "price": price,
                            "units": bought})
     final_value = terminal_close * units
-    invested = 12.0 * plan.monthly_amount * plan.years
+    invested = 12.0 * monthly_amount * window.years
     # an extreme amount over- or underflows the ledger, and a subnormal
     # installment keeps too few digits to print
-    where = _where(plan.strategy, window)
+    where = _where(strategy, window)
     if not (0.0 < final_value < math.inf and invested < math.inf):
         raise SimulationError(f"{where}: final value {final_value!r} on {invested!r} invested "
                               "is out of float range")
@@ -266,8 +244,8 @@ def simulate(plan: SipPlan, series: IndexSeries, table: dict[MonthKey, MonthSche
     if fewest < sys.float_info.min:
         raise SimulationError(f"{where}: {fewest!r} units in one installment is out of float range")
     return {
-        "plan": {"strategy": plan.strategy.value, "start_year": plan.start_year,
-                 "years": plan.years, "monthly_amount": plan.monthly_amount},
+        "plan": {"strategy": strategy.value, "start_year": window.from_year,
+                 "years": window.years, "monthly_amount": monthly_amount},
         "executions": executions,
         "units": units,
         "invested": invested,

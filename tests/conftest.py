@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from sipcraft.schedule import MonthKey, build_schedule
-from sipcraft.stats import PairedSample
+from sipcraft.stats.paired import PairedSample
 from sipcraft.synth import generate_series
 from sipcraft.timeseries import IndexSeries
 

@@ -19,19 +19,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sipcraft.engine import SipPlan, enumerate_windows, paired_run, simulate
+from sipcraft.engine import Window, enumerate_windows, paired_run, simulate
 from sipcraft.errors import SimulationError
 from sipcraft.schedule import MonthKey, Strategy, build_schedule, load_schedule_overrides
-from sipcraft.stats import (
-    BatteryConfig,
-    DominanceSide,
-    PairedSample,
-    bootstrap_bca,
-    check_fsd,
-    check_ssd,
-    run_battery,
-    wilcoxon_signed_rank,
-)
+from sipcraft.stats.battery import BatteryConfig, run_battery
+from sipcraft.stats.bootstrap import bootstrap_bca
+from sipcraft.stats.dominance import DominanceSide, check_fsd, check_ssd
+from sipcraft.stats.paired import PairedSample, wilcoxon_signed_rank
 from sipcraft.stats.special import normal_cdf, normal_ppf, student_t_sf
 from sipcraft.synth import generate_series
 from sipcraft.timeseries import parse_series
@@ -160,8 +154,9 @@ def test_criterion_4_amount_invariance_and_lemma():
             MonthKey(start_year + years - 1, 12))
         if anomalies:
             continue  # a hostile holiday draw can empty a month; not this suite's target
-        a = simulate(SipPlan(strategy, start_year, years, m1), series, table)["cagr_percent"]
-        b = simulate(SipPlan(strategy, start_year, years, m2), series, table)["cagr_percent"]
+        window = Window(start_year, start_year + years - 1)
+        a = simulate(strategy, window, m1, series, table)["cagr_percent"]
+        b = simulate(strategy, window, m2, series, table)["cagr_percent"]
         # the amount-free CAGR against a test-local ledger of m1 / price units
         prices, terminal_close = anchor_prices(series, table, strategy is Strategy.FTD,
                                                start_year, years)

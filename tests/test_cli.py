@@ -294,6 +294,24 @@ def test_compare_bad_window_table_exits_2(tmp_path, capsys, table, argv, message
     assert captured.err == f"sipcraft: error: {message}\n"
 
 
+# compare reads the header itself to tell a window table from a series, and
+# must then report an empty file as validate and simulate do
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: input is empty, expected a header row"),
+    ("\n", "line 1: input header lacks ['date', 'close'], got []"),
+], ids=["empty", "blank-first-line"])
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["simulate", "--strategy", "ftd", "--start-year", "2003", "--years", "1"],
+    ["compare"],
+], ids=["validate", "simulate", "compare"])
+def test_empty_data_file_exits_2_alike(tmp_path, capsys, argv, text, message):
+    (tmp_path / "empty.csv").write_text(text)
+    assert main([*argv, "--data", str(tmp_path / "empty.csv")]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sipcraft: error: {message}\n"
+
+
 @pytest.mark.parametrize("flag", ["--data", "--config"])
 def test_compare_unreadable_file_exits_2(tmp_path, monkeypatch, capsys, flag):
     monkeypatch.chdir(tmp_path)

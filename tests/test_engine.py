@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from sipcraft.engine import (
     SUPPORTED_DURATIONS,
-    SipPlan,
     Window,
     cagr,
     enumerate_windows,
@@ -34,8 +33,7 @@ def build_table(series, start_year, years):
 def test_flat_series_one_year(flat_year_series):
     table = build_table(flat_year_series, 2020, 1)
     for strategy in (Strategy.FTD, Strategy.EXP):
-        res = simulate(SipPlan(strategy, 2020, 1, monthly_amount=100.0),
-                       flat_year_series, table)
+        res = simulate(strategy, Window(2020, 2020), 100.0, flat_year_series, table)
         assert res["units"] == pytest.approx(12.0, abs=1e-12)
         assert res["invested"] == 1200.0
         assert res["final_value"] == pytest.approx(1200.0, abs=1e-9)
@@ -49,7 +47,7 @@ def test_two_level_series():
         return 200.0 if (d.year, d.month) >= (2020, 12) else 100.0
     series = weekday_series(datetime.date(2019, 12, 2), datetime.date(2020, 12, 31), price)
     table = build_table(series, 2020, 1)
-    res = simulate(SipPlan(Strategy.FTD, 2020, 1, monthly_amount=100.0), series, table)
+    res = simulate(Strategy.FTD, Window(2020, 2020), 100.0, series, table)
     assert res["units"] == pytest.approx(11.5, abs=1e-12)
     assert res["final_value"] == pytest.approx(2300.0, abs=1e-9)
     assert round(res["cagr_percent"], 2) == 91.67
@@ -75,26 +73,23 @@ def test_cagr_validation():
         cagr(100.0, 100.0, 0)
 
 
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        SipPlan(Strategy.FTD, 2020, 0, 10_000.0)
-    with pytest.raises(ValueError, match="^years must be >= 1, got 0$"):
-        SipPlan(strategy=Strategy.FTD, start_year=2020, years=0, monthly_amount=10_000.0)
-    for bad_amount in (0.0, math.inf):
-        with pytest.raises(ValueError):
-            SipPlan(Strategy.FTD, 2020, 1, monthly_amount=bad_amount)
-    with pytest.raises(TypeError, match="monthly_amount"):
-        SipPlan(Strategy.FTD, 2020, 1)  # no default amount
-    plan = SipPlan(Strategy.FTD, 2020, 2, 10_000.0)
-    assert plan.final_year == 2021
+def test_plan_validation(flat_year_series):
+    table = build_table(flat_year_series, 2020, 1)
+    for bad_amount, shown in ((0.0, "0.0"), (math.inf, "inf")):
+        with pytest.raises(ValueError,
+                           match=f"^monthly_amount must be positive and finite, got {shown}$"):
+            simulate(Strategy.FTD, Window(2020, 2020), bad_amount, flat_year_series, table)
+    # a plan of zero years is a window that ends before it starts
+    with pytest.raises(ValueError, match=r"^window ends before it starts: 2020\.\.2019$"):
+        Window(2020, 2019)
 
 
 def test_simulate_missing_anchor(flat_year_series):
     with pytest.raises(SimulationError) as ftd:
-        simulate(SipPlan(Strategy.FTD, 2020, 1, 10_000.0), flat_year_series, {})
+        simulate(Strategy.FTD, Window(2020, 2020), 10_000.0, flat_year_series, {})
     assert str(ftd.value) == "installment 2020-01 (ftd): schedule has no first trading day for 2020-01"
     with pytest.raises(SimulationError) as exp:
-        simulate(SipPlan(Strategy.EXP, 2020, 1, 10_000.0), flat_year_series, {})
+        simulate(Strategy.EXP, Window(2020, 2020), 10_000.0, flat_year_series, {})
     assert str(exp.value) == ("installment 2020-01 (exp): "
                               "schedule has no expiry for 2019-12 (needed by 2020-01)")
 
@@ -118,8 +113,7 @@ def test_window_grids():
 
 
 def test_invested_and_execution_counts(long_series, long_table):
-    plan = SipPlan(Strategy.EXP, 2005, 5, monthly_amount=2500.0)
-    res = simulate(plan, long_series, long_table)
+    res = simulate(Strategy.EXP, Window(2005, 2009), 2500.0, long_series, long_table)
     assert len(res["executions"]) == 60
     assert res["invested"] == 12 * 2500.0 * 5
     # every execution lands on a series date with the recorded price
@@ -128,28 +122,28 @@ def test_invested_and_execution_counts(long_series, long_table):
 
 
 def test_simulate_deterministic(long_series, long_table):
-    plan = SipPlan(Strategy.FTD, 2010, 3, 10_000.0)
-    assert simulate(plan, long_series, long_table) == simulate(plan, long_series, long_table)
+    plan = (Strategy.FTD, Window(2010, 2012), 10_000.0, long_series, long_table)
+    assert simulate(*plan) == simulate(*plan)
 
 
 def test_simulate_names_offending_month(flat_year_series):
     table = build_table(flat_year_series, 2020, 1)
     with pytest.raises(SimulationError, match=r"2021-01 \(ftd\)"):
-        simulate(SipPlan(Strategy.FTD, 2021, 1, 10_000.0), flat_year_series, table)
+        simulate(Strategy.FTD, Window(2021, 2021), 10_000.0, flat_year_series, table)
 
 
 def test_simulate_names_missing_terminal():
     # executions all resolve but the terminal December is not covered
     series = weekday_series(datetime.date(2019, 12, 2), datetime.date(2020, 12, 15), 100.0)
     table, _ = build_schedule(series, None, MonthKey(2019, 12), MonthKey(2020, 12))
-    plan = SipPlan(Strategy.FTD, 2020, 1, 10_000.0)
-    res = simulate(plan, series, table)  # Dec 15 still covers December
+    plan = (Strategy.FTD, Window(2020, 2020), 10_000.0)
+    res = simulate(*plan, series, table)  # Dec 15 still covers December
     assert res["terminal_date"] == "2020-12-15"
 
     short = weekday_series(datetime.date(2019, 12, 2), datetime.date(2020, 11, 30), 100.0)
     table_short, _ = build_schedule(short, None, MonthKey(2019, 12), MonthKey(2020, 11))
     with pytest.raises(SimulationError, match="2020-12"):
-        simulate(plan, short, table_short)
+        simulate(*plan, short, table_short)
 
 
 @pytest.mark.parametrize("amount", [1e308, 5e-324], ids=["overflow", "underflow"])
@@ -157,7 +151,7 @@ def test_simulate_rejects_ledger_out_of_float_range(flat_year_series, amount):
     table = build_table(flat_year_series, 2020, 1)
     with pytest.raises(SimulationError, match=r"^plan 2020\.\.2020 \(ftd\): final value .* "
                                               r"is out of float range$"):
-        simulate(SipPlan(Strategy.FTD, 2020, 1, amount), flat_year_series, table)
+        simulate(Strategy.FTD, Window(2020, 2020), amount, flat_year_series, table)
 
 
 def test_paired_run_flat_sample(flat_year_series):
@@ -207,8 +201,8 @@ def test_simulate_cagr_is_the_paired_run_cagr(long_series, long_table):
         _, outcomes = paired_run(duration, long_series, long_table)
         for o in outcomes:
             for strategy, want in ((Strategy.FTD, o.cagr_ftd), (Strategy.EXP, o.cagr_exp)):
-                plan = SipPlan(strategy, o.window.from_year, o.window.years, 7.3)
-                assert simulate(plan, long_series, long_table)["cagr_percent"] == want
+                ledger = simulate(strategy, o.window, 7.3, long_series, long_table)
+                assert ledger["cagr_percent"] == want
 
 
 plan_cases = st.tuples(
@@ -226,9 +220,9 @@ def test_amount_invariance(case, amount):
     kind, start_year, years, seed, strategy = case
     series = generate_series(kind, start_year, years, seed=seed)
     table = build_table(series, start_year, years)
-    base = simulate(SipPlan(strategy, start_year, years, 10_000.0), series, table)
-    scaled = simulate(SipPlan(strategy, start_year, years, monthly_amount=amount),
-                      series, table)
+    window = Window(start_year, start_year + years - 1)
+    base = simulate(strategy, window, 10_000.0, series, table)
+    scaled = simulate(strategy, window, amount, series, table)
     assert scaled["cagr_percent"] == base["cagr_percent"]
 
 
@@ -242,7 +236,8 @@ def test_lemma_identity(case):
                                            start_year, years)
     ledger = ledger_cagr(prices, terminal_close, years, 10_000.0)
     assert ledger == pytest.approx(
-        simulate(SipPlan(strategy, start_year, years, 10_000.0), series, table)["cagr_percent"],
+        simulate(strategy, Window(start_year, start_year + years - 1), 10_000.0, series,
+                 table)["cagr_percent"],
         rel=1e-9)
 
 
@@ -253,11 +248,11 @@ def test_uniform_price_scaling_preserves_cagr(case, factor):
     series = generate_series(kind, start_year, years, seed=seed)
     # every kind's closes are proportional to its base level
     scaled_series = generate_series(kind, start_year, years, seed=seed, base=1000.0 * factor)
-    plan = SipPlan(strategy, start_year, years, 10_000.0)
+    plan = (strategy, Window(start_year, start_year + years - 1), 10_000.0)
     base_table = build_table(series, start_year, years)
     scaled_table = build_table(scaled_series, start_year, years)
-    base = simulate(plan, series, base_table)["cagr_percent"]
-    scaled = simulate(plan, scaled_series, scaled_table)["cagr_percent"]
+    base = simulate(*plan, series, base_table)["cagr_percent"]
+    scaled = simulate(*plan, scaled_series, scaled_table)["cagr_percent"]
     assert scaled == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 

@@ -8,13 +8,12 @@ import pytest
 
 import sipcraft
 from sipcraft.cli import Settings
-from sipcraft.engine import SipPlan, Window, WindowOutcome
-from sipcraft.schedule import MonthKey, MonthSchedule, ScheduleAnomaly, Strategy
-from sipcraft.stats import PairedSample
+from sipcraft.engine import Window, WindowOutcome
+from sipcraft.schedule import MonthKey, MonthSchedule, ScheduleAnomaly
 from sipcraft.stats.battery import BatteryConfig, run_battery
 from sipcraft.stats.bootstrap import BootstrapCI
 from sipcraft.stats.dominance import KsResult
-from sipcraft.stats.paired import TestResult as PairedTestResult, WilcoxonResult
+from sipcraft.stats.paired import PairedSample, TestResult as PairedTestResult, WilcoxonResult
 
 DAY = datetime.date(2003, 1, 2)
 KEY = MonthKey(2003, 1)
@@ -24,7 +23,6 @@ EXAMPLES = [
     KEY,
     MonthSchedule(KEY, DAY, None, "computed", None),
     ScheduleAnomaly(KEY, "expiry_day", None, "no trading day"),
-    SipPlan(Strategy.FTD, 2003, 1, 100.0),
     Window(2003, 2005),
     WindowOutcome(Window(2003, 2003), 1.0, 2.0),
     PairedTestResult(1.0, 0.5, 21),

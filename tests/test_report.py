@@ -8,7 +8,7 @@ import json
 import jsonschema
 import pytest
 
-from sipcraft.engine import SipPlan, Window, WindowOutcome, simulate
+from sipcraft.engine import Window, WindowOutcome, simulate
 from sipcraft.errors import InsufficientDataError
 from sipcraft.report import (
     boxplot_summary,
@@ -19,7 +19,8 @@ from sipcraft.report import (
     window_row,
 )
 from sipcraft.schedule import MonthKey, Strategy, build_schedule
-from sipcraft.stats import BatteryConfig, PairedSample, run_battery
+from sipcraft.stats.battery import BatteryConfig, run_battery
+from sipcraft.stats.paired import PairedSample
 
 from conftest import ROOT, weekday_series
 
@@ -69,7 +70,7 @@ def ledger():
     series = weekday_series(datetime.date(2019, 12, 1), datetime.date(2020, 12, 31),
                             lambda d: 100.0 + d.toordinal() % 37 / 3)
     table, _ = build_schedule(series, None, MonthKey(2019, 12), MonthKey(2020, 12))
-    return simulate(SipPlan(Strategy.FTD, 2020, 1, 10_000.0), series, table)
+    return simulate(Strategy.FTD, Window(2020, 2020), 10_000.0, series, table)
 
 
 def test_window_row_rounding_agreement():

@@ -11,23 +11,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sipcraft.errors import DegenerateSampleError, InsufficientDataError
-from sipcraft.stats import (
-    BatteryConfig,
-    DominanceSide,
+from sipcraft.stats.battery import BatteryConfig, run_battery
+from sipcraft.stats.bootstrap import _accept_limit, _draw, bootstrap_bca
+from sipcraft.stats.dominance import DominanceSide, check_fsd, check_ssd, ks_two_sample
+from sipcraft.stats.paired import (
+    WILCOXON_EXACT_LIMIT,
     PairedSample,
-    bootstrap_bca,
-    check_fsd,
-    check_ssd,
     classify_effect,
     cohens_d,
     hedges_g,
-    ks_two_sample,
     paired_t_one_tailed,
-    run_battery,
     wilcoxon_signed_rank,
 )
-from sipcraft.stats.bootstrap import _accept_limit, _draw
-from sipcraft.stats.paired import WILCOXON_EXACT_LIMIT
 from sipcraft.stats.special import normal_ppf
 
 from conftest import load_reference_sample, stdlib_bootstrap_means, stdlib_bootstrap_picks
