@@ -70,7 +70,7 @@ class PairedSample:
 class _TestResult(NamedTuple):
     statistic: float
     p_value: float
-    df: float
+    df: int
 
 
 class TestResult(_TestResult):

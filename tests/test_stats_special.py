@@ -1,11 +1,13 @@
 """Accuracy of the hand-rolled distribution functions against frozen references.
 
 The fixture values were tabulated at 30 significant digits (see
-scripts/make_cdf_reference.py); the functions must agree to 1e-10.
+scripts/make_cdf_reference.py); the functions must agree to 1e-10. The
+Student t tail is also held to a relative error bound against mpmath.
 """
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -103,10 +105,46 @@ def test_student_t_sf_monotone_decreasing(t, step, df):
 
 
 def test_student_t_df_validation():
-    with pytest.raises(ValueError):
-        student_t_sf(1.0, 0)
-    with pytest.raises(ValueError):
-        student_t_sf(1.0, -3)
+    # only an int df >= 1 has the finite series; a bool is not a count
+    for df in (0, -3, 1.5, 2.0, True):
+        with pytest.raises(ValueError):
+            student_t_sf(1.0, df)
+
+
+@pytest.mark.parametrize("df", [1, 2, 9, 21])
+def test_student_t_sf_at_infinities_and_nan(df):
+    assert student_t_sf(math.inf, df) == 0.0
+    assert student_t_sf(-math.inf, df) == 1.0
+    assert student_t_sf(1e200, df) == 0.0
+    assert student_t_sf(-1e200, df) == 1.0
+    assert math.isnan(student_t_sf(math.nan, df))
+
+
+def _t_grid(seed, n, df_lo, df_hi, t_max):
+    rng = random.Random(seed)
+    return [(rng.uniform(-t_max, t_max), rng.randint(df_lo, df_hi)) for _ in range(n)]
+
+
+# each grid must reach p below `deepest`, where 1 minus the head sum cancels
+@pytest.mark.parametrize("grid, bound, deepest", [
+    (_t_grid(1, 1500, 1, 200, 40.0), 1e-13, 1e-50),
+    # large df, and df = 20000 near the switch to the remainder (|t| ~ 1.5),
+    # where a call sums the most terms
+    (_t_grid(2, 40, 201, 20000, 12.0)
+     + [(t, 20000) for t in (-12.0, -1.535, 0.3, 1.535, 1.6, 4.0, 12.0)], 1e-11, 1e-20),
+], ids=["df<=200", "df<=20000"])
+def test_student_t_sf_relative_error_against_mpmath(grid, bound, deepest):
+    mpmath = pytest.importorskip("mpmath")
+    worst, smallest = 0.0, 1.0
+    with mpmath.workdps(50):
+        for t, df in grid:
+            x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+            upper = mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, x, regularized=True) / 2
+            ref = upper if t >= 0 else 1 - upper
+            worst = max(worst, float(abs(student_t_sf(t, df) - ref) / ref))
+            smallest = min(smallest, float(ref))
+    assert worst < bound
+    assert smallest < deepest
 
 
 # a few distinct values per sample, repeated, so most neighbours tie; both
