@@ -8,6 +8,8 @@ Student t tail is also held to a relative error bound against mpmath.
 import json
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -118,6 +120,19 @@ def test_student_t_sf_at_infinities_and_nan(df):
     assert student_t_sf(1e200, df) == 0.0
     assert student_t_sf(-1e200, df) == 1.0
     assert math.isnan(student_t_sf(math.nan, df))
+
+
+def test_student_t_sf_ends_where_the_series_goes_subnormal():
+    # here the terms reach 2^-1074 while x times their ratio is above 1/2,
+    # so a term rounds back to itself and a sum that waited for it to shrink
+    # would run for about 2^54 passes; a fresh interpreter bounds the wait
+    points = [(50.0, 5000), (-50.0, 5000), (40.0, 20000), (-40.0, 20000)]
+    probe = ("from sipcraft.stats.special import student_t_sf\n"
+             f"print([student_t_sf(t, df) for t, df in {points!r}])\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0.0, 1.0, 0.0, 1.0]"
 
 
 def _t_grid(seed, n, df_lo, df_hi, t_max):
