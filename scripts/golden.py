@@ -68,9 +68,12 @@ CONFIG = {"data": "grid.csv", "durations": [1, 3], "format": "json",
 # an override row whose expiry, 2010-03-04, precedes its first trading day,
 # 2010-03-25; both are trading days of the grid series
 EXPIRY_FIRST = "year,month,ftd_dom,expiry_dom\n2010,3,25,4\n"
-# 65 one-year windows: more than bootstrap._LANE_MAX_N pairs
+# 65 one-year windows
 MANY_WINDOWS = "from_year,to_year,cagr_ftd,cagr_exp\n" + "".join(
     f"{y},{y},{y * 7 % 19 - 6}.5,{y * 11 % 17 - 5}.25\n" for y in range(1950, 2015))
+# 300 one-year windows: more than 256 pairs, so the bootstrap draws one index per word
+WINDOWS_300 = "from_year,to_year,cagr_ftd,cagr_exp\n" + "".join(
+    f"{y},{y},{y * 13 % 31 - 9}.5,{y * 11 % 29 - 8}.25\n" for y in range(1725, 2025))
 # three one-year windows whose differences all equal 0.5, and two
 # three-year windows whose differences are both zero
 EQUAL_DIFFS = "from_year,to_year,cagr_ftd,cagr_exp\n2003,2003,1.0,1.5\n2004,2004,2.0,2.5\n" \
@@ -133,6 +136,8 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "fixtures-growth": ("fixtures", "--kind", "growth"),
     "compare-windows-65": ("compare", "--data", "many-windows.csv", "--durations", "1",
                            "--resamples", "1000", "--format", "json"),
+    "compare-windows-300": ("compare", "--data", "windows-300.csv", "--durations", "1",
+                            "--resamples", "1000", "--format", "json"),
     "compare-windows-equal-diffs": ("compare", "--data", "equal-diffs.csv", "--durations",
                                     "1,3", "--format", "json"),
 }
@@ -172,8 +177,8 @@ def write_inputs(directory: Path) -> None:
     lie out of range, an override table whose year no date can hold, the
     inputs that break the shared CSV rules, a config file, an override
     table that puts an expiry before its month's first trading day, the
-    CAGR table with its two CAGR headers swapped, a 65-row one-year table
-    and a table whose differences are equal within each duration."""
+    CAGR table with its two CAGR headers swapped, a 65-row and a 300-row
+    one-year table, and a table whose differences are equal within each duration."""
     gen = _gen()
     (directory / "grid.csv").write_text(gen.grid_csv(1), encoding="utf-8")
     (directory / "long.csv").write_text(gen.long_csv(1, str(SCHEDULE)), encoding="utf-8")
@@ -192,6 +197,7 @@ def write_inputs(directory: Path) -> None:
     (directory / "swapped.csv").write_bytes(
         WINDOWS.read_bytes().replace(b"cagr_ftd,cagr_exp", b"cagr_exp,cagr_ftd"))
     (directory / "many-windows.csv").write_text(MANY_WINDOWS, encoding="utf-8")
+    (directory / "windows-300.csv").write_text(WINDOWS_300, encoding="utf-8")
     (directory / "equal-diffs.csv").write_text(EQUAL_DIFFS, encoding="utf-8")
 
 

@@ -174,8 +174,10 @@ def file_sha256(path: str) -> str:
 def tool_provenance() -> dict:
     return {"tool": "sipcraft", "version": VERSION,
             "quantile_convention": "linear interpolation (type 7)",
-            "bootstrap_stream": ("random.Random(seed) 32-bit words, diffs[w % n] for "
-                                 "w < 2**32 - 2**32 % n, row-major; fsum means")}
+            "bootstrap_stream": ("random.Random(seed) little-endian 32-bit words; n <= 256: "
+                                 "diffs[b % n] for each byte b < 256 - 256 % n, else "
+                                 "diffs[w % n] for each word w < 2**32 - 2**32 % n; "
+                                 "row-major; fsum means")}
 
 
 def _unknown(format: str) -> ValueError:

@@ -35,17 +35,20 @@ def stdlib_bootstrap_picks(diffs, count: int, seed: int) -> list:
     """The bootstrap's picks, rebuilt one 32-bit word at a time.
 
     getrandbits(32) returns the generator's next output, so this walks the
-    same stream as the package's bulk refills without sharing its code.
+    same stream as the package's block draws without sharing its code. For
+    n <= 256 the word's four little-endian bytes are four candidates, each
+    kept as b % n when b < 256 - 256 % n; above that the whole word is one,
+    kept as w % n when w < 2**32 - 2**32 % n.
     """
     n = len(diffs)
-    limit = 2 ** 32 - 2 ** 32 % n
     rng = random.Random(seed)
     picks = []
     while len(picks) < count:
         w = rng.getrandbits(32)
-        if w < limit:
-            picks.append(diffs[w % n])
-    return picks
+        candidates, limit = ((w.to_bytes(4, "little"), 256 - 256 % n) if n <= 256
+                             else ((w,), 2 ** 32 - 2 ** 32 % n))
+        picks += [diffs[c % n] for c in candidates if c < limit]
+    return picks[:count]
 
 
 def stdlib_bootstrap_means(diffs, resamples: int, seed: int) -> list[float]:

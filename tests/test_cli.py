@@ -279,13 +279,9 @@ _TABLE = "from_year,to_year,years,cagr_ftd,cagr_exp\n"
     (_TABLE + "2003,2003,1,1.0,2.0\n", ["--durations", "1", "--schedule",
                                           str(DATA / "schedule_overrides.csv")],
      "a schedule file does not apply to a per-window CAGR table"),
-    # one getrandbits call for 70 * 1000000 picks would take more than 2**31 - 1 bits
-    (_TABLE + "".join(f"{1950 + i},{1950 + i},1,{i},{i / 2}\n" for i in range(70)),
-     ["--durations", "1", "--resamples", "1000000"],
-     "n * resamples must be <= 67108863, got 70 * 1000000"),
 ], ids=["missing-column", "missing-year-column", "non-numeric", "non-finite",
         "beyond-float", "beyond-max", "below-total-loss", "fractional-years", "short-row", "years-mismatch", "reversed", "seven-years",
-        "duplicate", "missing-duration", "schedule", "too-many-picks"])
+        "duplicate", "missing-duration", "schedule"])
 def test_compare_bad_window_table_exits_2(tmp_path, capsys, table, argv, message):
     (tmp_path / "table.csv").write_text(table)
     assert main(["compare", "--data", str(tmp_path / "table.csv"), *argv]) == EXIT_ERROR

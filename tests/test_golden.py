@@ -60,7 +60,7 @@ REACHED = {
                     "anomalies.append(ScheduleAnomaly(key, field, None, missing))"),
     "stats/dominance.py": ("return DominanceSide.FTD",),
     "synth.py": ("close = base * math.exp(3e-4 * i)",),
-    "stats/bootstrap.py": ("picks += [diffs[w % n] for w in words if w < limit]",
+    "stats/bootstrap.py": ("for w in struct.unpack(",
                            "z0=0.0, acceleration=0.0, degenerate=True"),
     "stats/battery.py": ('na["t"] = str(exc)', 'na["cohens_d"] = na["hedges_g"] = str(exc)',
                          '"degenerate sample (all differences zero)"'),

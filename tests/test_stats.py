@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from sipcraft.errors import DegenerateSampleError, InsufficientDataError
 from sipcraft.stats.battery import BatteryConfig, run_battery
-from sipcraft.stats.bootstrap import _accept_limit, _draw, bootstrap_bca
+from sipcraft.stats import bootstrap
+from sipcraft.stats.bootstrap import _index_blocks, bootstrap_bca
 from sipcraft.stats.dominance import DominanceSide, check_fsd, check_ssd, ks_two_sample
 from sipcraft.stats.paired import (
     WILCOXON_EXACT_LIMIT,
@@ -317,9 +320,6 @@ def test_bootstrap_validation(three_year_sample):
         bootstrap_bca(three_year_sample, alpha=1.0)
     with pytest.raises(ValueError):
         bootstrap_bca(three_year_sample, seed=-1)
-    # checked before any draw, so the bound costs nothing to test
-    with pytest.raises(ValueError, match=r"^n \* resamples must be <= 67108863, got 7 \* 9586981$"):
-        bootstrap_bca(three_year_sample, resamples=9_586_981)  # 7 * 9586980 fits
     # at or below 2**-53, 1 - alpha/2 rounds to 1 and the upper z is infinite
     for alpha in (2.0 ** -53, 1e-16, 1e-310):
         with pytest.raises(ValueError, match=r"^alpha must be in \(2\*\*-53, 1\), got "):
@@ -356,29 +356,65 @@ def test_bootstrap_matches_scipy_bca(one_year_sample, three_year_sample):
         assert abs(ci.upper - ref.high) <= tol, (len(diffs), ci.upper, ref.high)
 
 
+def test_bootstrap_bounds_past_the_acceleration_pole():
+    # one window in 22 gains a point: the acceleration is about 0.155, so at
+    # alpha 1e-15 the upper z passes the pole 1 - a(z0 + z) = 0, where the
+    # adjusted level once wrapped round to 0 and gave [0, 0] around 0.045
+    diffs = [1.0] + [0.0] * 21
+    ci = bootstrap_bca(sample_from_diffs(diffs), alpha=1e-15)
+    assert ci.acceleration * (ci.z0 + normal_ppf(1.0 - 1e-15 / 2)) > 1.0
+    assert ci.lower == 0.0
+    assert ci.upper == max(stdlib_bootstrap_means(diffs, 10000, 42))
+    assert ci.lower < ci.point_estimate < ci.upper
+
+
+def test_bootstrap_bounds_stay_inside_the_sample():
+    # fsum(3 * [d]) / 3 rounds one ulp above this d, and at alpha 1e-3 the
+    # upper level reaches the resample of three equal maxima
+    diffs = [0.12548152073901495, 0.9553496923196699, 3.4387392693187744]
+    assert math.fsum(3 * [diffs[2]]) / 3 > diffs[2]
+    assert bootstrap_bca(sample_from_diffs(diffs), resamples=1000, alpha=1e-3).upper == diffs[2]
+    rng = random.Random(2024)
+    for seed in range(400):  # skewed samples, where the extreme resamples decide a bound
+        diffs = [rng.lognormvariate(0.0, 1.0) for _ in range(rng.randint(3, 6))]
+        ci = bootstrap_bca(sample_from_diffs(diffs), resamples=1000, seed=seed)
+        assert min(diffs) <= ci.lower <= ci.upper <= max(diffs), (seed, diffs)
+
+
+def picks_of(diffs, count, rng):
+    """The first ``count`` picks of the bootstrap's index stream."""
+    indices = itertools.chain.from_iterable(_index_blocks(len(diffs), rng))
+    return [diffs[i] for i in itertools.islice(indices, count)]
+
+
 def test_bootstrap_stream_known_answer():
     # the first picks at the default seed; a change to CPython's
-    # getrandbits or to the word order breaks every stored interval
-    picks = _draw(list(range(22)), 8, random.Random(42))
-    assert picks == [13, 15, 1, 3, 13, 2, 0, 3]
+    # getrandbits or to the byte or word order breaks every stored interval
+    assert picks_of(list(range(22)), 8, random.Random(42)) == [3, 11, 1, 9, 17, 5, 18, 6]
+    # above 256 a word is one candidate, so this stream is the word stream
+    # of the former per-word draw, which gave these picks
+    assert picks_of(list(range(300)), 8, random.Random(42)) == \
+        [213, 227, 269, 163, 43, 112, 146, 225]
 
 
-@pytest.mark.parametrize("n", [3, 4, 7, 22, 63, 64, 65, 100])
+@pytest.mark.parametrize("n", [3, 4, 7, 22, 63, 64, 65, 100, 255, 256, 257, 300])
 def test_draw_matches_word_at_a_time_rebuild(n):
-    # n <= 64 takes the byte-lane residues, larger n the word loop
+    # n <= 256 takes one candidate per byte, larger n one per word
     diffs = [math.sin(i) for i in range(n)]
     for seed in (0, 5, 42):
         for count in (1, n + 1, 250 * n + n // 2 + 1):  # never a multiple of n
-            assert _draw(diffs, count, random.Random(seed)) == \
+            assert picks_of(diffs, count, random.Random(seed)) == \
                 stdlib_bootstrap_picks(diffs, count, seed), (seed, count)
 
 
-def test_bootstrap_accept_limit_is_unbiased():
-    for n in range(3, 65):
-        limit = _accept_limit(n)
-        assert 2 ** 32 - n < limit <= 2 ** 32
-        for residue in range(n):
-            assert len(range(residue, limit, n)) == limit // n
+@pytest.mark.parametrize("n", [3, 22, 300])
+def test_block_size_does_not_change_the_stream(n, monkeypatch):
+    diffs = list(range(n))
+    count = 20 * n + 7
+    want = picks_of(diffs, count, random.Random(42))
+    for words in (1, 3):
+        monkeypatch.setattr(bootstrap, "BLOCK_WORDS", words)
+        assert picks_of(diffs, count, random.Random(42)) == want, words
 
 
 class WordStub:
@@ -394,31 +430,39 @@ class WordStub:
         return sum(w << (32 * i) for i, w in enumerate(chunk))
 
 
-def test_bootstrap_rejected_word_is_skipped_and_refilled():
-    assert _accept_limit(3) == 2 ** 32 - 1
-    rng = WordStub([2 ** 32 - 1, 5, 7, 4])
-    assert _draw([10.0, 20.0, 30.0], 3, rng) == [30.0, 20.0, 20.0]
-    assert rng.calls == [96, 32]
+def test_bootstrap_accept_limit_is_unbiased(monkeypatch):
+    # one block holds each byte once, from 255 down to 0: exactly the bytes
+    # below 256 - 256 % n are kept, and every residue gets as many of them
+    monkeypatch.setattr(bootstrap, "BLOCK_WORDS", 64)
+    block = bytes(range(255, -1, -1))
+    words = [int.from_bytes(block[i:i + 4], "little") for i in range(0, 256, 4)]
+    for n in range(3, 257):
+        keep = 256 - 256 % n
+        indices = next(_index_blocks(n, WordStub(words)))
+        assert list(indices) == [b % n for b in range(keep - 1, -1, -1)], n
+        assert Counter(indices) == dict.fromkeys(range(n), keep // n), n
 
 
-@pytest.mark.parametrize("n", [3, 7, 22, 63])
-def test_bootstrap_rejects_exactly_the_words_at_or_above_limit(n):
-    limit = _accept_limit(n)
-    batch = [
-        limit - 1, limit, 2 ** 32 - 1, 2 ** 32 - 1, 0xFFFFFF00,
-        # runs of three 0xff bytes that straddle two words, after a 0xfe byte
-        0xFFFFFE00, 0x000000FF,  # 00 fe ff ff | ff 00 00 00
-        0xFFFE0000, 0x0000FFFF,  # 00 00 fe ff | ff ff 00 00
-        0xFE000000, 0x00FFFFFF,  # 00 00 00 fe | ff ff ff 00
-    ]
-    extra = [11, 12, 13, 14]
-    rejected = sum(w >= limit for w in batch)
-    assert rejected == 3
-    rng = WordStub(batch + extra)
-    diffs = [float(i) for i in range(n)]
-    want = [diffs[w % n] for w in batch + extra if w < limit][:len(batch)]
-    assert _draw(diffs, len(batch), rng) == want
-    assert rng.calls == [32 * len(batch), 32 * rejected]
+def test_bootstrap_rejected_word_is_skipped_and_refilled(monkeypatch):
+    # above 256 a word at or above 2**32 - 2**32 % n is skipped
+    monkeypatch.setattr(bootstrap, "BLOCK_WORDS", 2)
+    limit = 2 ** 32 - 2 ** 32 % 300
+    rng = WordStub([limit, limit - 1, 2 ** 32 - 1, 5, 7, 4])
+    assert picks_of(list(range(300)), 3, rng) == [(limit - 1) % 300, 5, 7]
+    assert rng.calls == [64, 64, 64]
+
+
+def test_bootstrap_memory_is_bounded_by_the_resamples():
+    # the picks stream into the means: at n=22 and B=50000 the former draw
+    # held all 1.1 million picks at once, a peak of about 17 MB
+    s = sample_from_diffs([math.sin(i) for i in range(22)])
+    tracemalloc.start()
+    try:
+        bootstrap_bca(s, resamples=50000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 # ------------------------------------------------------------------------- ks
