@@ -32,7 +32,7 @@ STUDENT_POINTS = [
 
 PPF_POINTS = [
     0.0001, 0.001, 0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975,
-    0.99, 0.999, 0.9999,
+    0.99, 0.999, 0.9999, 0.9999999, 1 - 1e-10,
 ]
 
 def normal_cdf(x):

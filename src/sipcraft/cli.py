@@ -268,7 +268,7 @@ def cmd_validate(settings: Settings, args) -> int:
         "rows": len(series),
         "coverage": {"first": series.first_date.isoformat(), "last": series.last_date.isoformat()},
         "months_checked": len(table),
-        "anomalies": [a.to_json_dict() for a in anomalies],
+        "anomalies": anomalies,
     }
     _write_out(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_ANOMALIES if anomalies else EXIT_OK
@@ -336,7 +336,7 @@ def cmd_compare(settings: Settings, args) -> int:
     })
     bundle = {
         "provenance": provenance,
-        "anomalies": [a.to_json_dict() for a in anomalies],
+        "anomalies": anomalies,
         "windows": window_tables,
         "metrics": metrics,
         "boxplots": boxplots,

@@ -26,7 +26,6 @@ __all__ = [
     "WindowOutcome",
     "is_window_table",
     "load_windows",
-    "cagr",
     "simulate",
     "enumerate_windows",
     "paired_run",
@@ -137,17 +136,6 @@ def load_windows(
             for d, outcomes in selected.items()}
 
 
-def cagr(final_value: float, invested: float, years: int) -> float:
-    """Annualized total-value ratio in percent: ((F/invested)^(1/N) - 1) * 100."""
-    if invested <= 0:
-        raise ValueError(f"invested must be positive, got {invested}")
-    if final_value < 0:
-        raise ValueError(f"final_value must be non-negative, got {final_value}")
-    if years < 1:
-        raise ValueError(f"years must be >= 1, got {years}")
-    return ((final_value / invested) ** (1.0 / years) - 1.0) * 100.0
-
-
 def _installments(
     strategy: Strategy, window: Window, series: IndexSeries, table: dict[MonthKey, MonthSchedule],
 ) -> tuple[list[tuple[MonthKey, Date, float]], Date, float]:
@@ -206,7 +194,7 @@ def _cagr_of(strategy: Strategy, window: Window,
     if not 0.0 < ratio < math.inf:
         raise SimulationError(f"{_where(strategy, window)}: value ratio {ratio!r} is out of "
                               "float range")
-    value = cagr(ratio, 12.0 * window.years, window.years)
+    value = ((ratio / (12.0 * window.years)) ** (1.0 / window.years) - 1.0) * 100.0
     if not -100.0 <= value <= MAX_CAGR:
         raise SimulationError(f"{_where(strategy, window)}: CAGR {_outside(value)}")
     return value

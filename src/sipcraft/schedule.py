@@ -21,7 +21,6 @@ __all__ = [
     "Strategy",
     "MonthKey",
     "MonthSchedule",
-    "ScheduleAnomaly",
     "SOURCE_OVERRIDE",
     "SOURCE_COMPUTED",
     "last_thursday",
@@ -113,23 +112,6 @@ class MonthSchedule(_MonthSchedule):
         return self
 
 
-class ScheduleAnomaly(NamedTuple):
-    """One validation finding from build_schedule; reported, never auto-fixed."""
-
-    month: MonthKey
-    field: str
-    date: Date | None
-    reason: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "month": str(self.month),
-            "field": self.field,
-            "date": self.date.isoformat() if self.date is not None else None,
-            "reason": self.reason,
-        }
-
-
 def last_thursday(key: MonthKey) -> Date:
     """Calendar last Thursday of the month, before any holiday adjustment."""
     d = key.last_day()
@@ -138,20 +120,20 @@ def last_thursday(key: MonthKey) -> Date:
     return d
 
 
-def resolve_first_trading_day(series: IndexSeries, key: MonthKey) -> Date:
-    """Earliest series date within the month."""
+def resolve_first_trading_day(series: IndexSeries, key: MonthKey) -> Date | None:
+    """Earliest series date within the month, or None if the series has none."""
     day = series.on_or_after(Date(key.year, key.month, 1))
     if day is None or (day.year, day.month) != key:
-        raise ScheduleError(f"series has no trading days in {key}")
+        return None  # the series has no trading day in the month
     return day
 
 
-def compute_expiry(series: IndexSeries, key: MonthKey) -> Date:
-    """Latest trading day on or before the month's last Thursday, if it is
-    in the month."""
+def compute_expiry(series: IndexSeries, key: MonthKey) -> Date | None:
+    """Latest trading day on or before the month's last Thursday, or None if
+    that day is not in the month."""
     day = series.on_or_before(last_thursday(key))
     if day is None or (day.year, day.month) != key:
-        raise ScheduleError(f"no trading day at or before the last Thursday of {key}")
+        return None  # no trading day in the month up to its last Thursday
     return day
 
 
@@ -234,15 +216,22 @@ def build_schedule(
     overrides: dict[MonthKey, MonthSchedule] | None,
     start: MonthKey,
     end: MonthKey,
-) -> tuple[dict[MonthKey, MonthSchedule], list[ScheduleAnomaly]]:
+) -> tuple[dict[MonthKey, MonthSchedule], list[dict]]:
     """Resolve every month in ``start..end``: override wins, else computed rule.
 
     Every resulting date is validated against the series. Failures are
-    collected as anomalies and the offending value is kept as-is, so data
-    problems surface to the operator instead of being guessed around.
+    collected as anomalies, each the bundle's ``{month, field, date,
+    reason}`` dict, and the offending value is kept as-is, so data problems
+    surface to the operator instead of being guessed around.
     """
     table: dict[MonthKey, MonthSchedule] = {}
-    anomalies: list[ScheduleAnomaly] = []
+    anomalies: list[dict] = []
+
+    def _anomaly(key: MonthKey, field: str, date: Date | None, reason: str) -> None:
+        anomalies.append({"month": str(key), "field": field,
+                          "date": date.isoformat() if date is not None else None,
+                          "reason": reason})
+
     for key in _month_range(start, end):
         override = overrides.get(key) if overrides is not None else None
         days: list[Date | None] = []
@@ -251,21 +240,17 @@ def build_schedule(
             day, source = getattr(override, field, None), SOURCE_OVERRIDE  # None: no override row
             if day is not None:
                 if day not in series:
-                    anomalies.append(ScheduleAnomaly(
-                        key, field, day, "override date is not a trading day in the series"))
+                    _anomaly(key, field, day, "override date is not a trading day in the series")
             else:
-                try:
-                    day, source = compute(series, key), SOURCE_COMPUTED
-                except ScheduleError:
+                day, source = compute(series, key), SOURCE_COMPUTED
+                if day is None:
                     source = None
-                    anomalies.append(ScheduleAnomaly(key, field, None, missing))
+                    _anomaly(key, field, None, missing)
             days.append(day)
             sources.append(source)
         ftd, expiry = days
         if ftd is not None and expiry is not None and expiry < ftd:
-            anomalies.append(
-                ScheduleAnomaly(key, "expiry_day", expiry, "expiry precedes the first trading day")
-            )
+            _anomaly(key, "expiry_day", expiry, "expiry precedes the first trading day")
         table[key] = MonthSchedule(key, *days, *sources)
     return table, anomalies
 

@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from ..errors import DegenerateSampleError, InsufficientDataError
-from .bootstrap import bootstrap_bca, check_alpha
+from .bootstrap import MIN_RESAMPLES, bootstrap_bca, check_alpha
 from .dominance import check_fsd, check_ssd, ks_two_sample
 from .paired import (
     PairedSample,
@@ -52,8 +52,8 @@ class BatteryConfig(_BatteryConfig):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
             raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
-        if self.B < 1000:
-            raise ValueError(f"B must be >= 1000, got {self.B}")
+        if self.B < MIN_RESAMPLES:
+            raise ValueError(f"B must be >= {MIN_RESAMPLES}, got {self.B}")
         if self.B > MAX_RESAMPLES:
             raise ValueError(f"B must be <= {MAX_RESAMPLES}, got {self.B}")
         check_alpha(self.alpha)
@@ -148,7 +148,7 @@ def run_battery(s: PairedSample, config: BatteryConfig | None = None, label: str
         except InsufficientDataError as exc:
             na["bootstrap"] = str(exc)
 
-        kr = ks_two_sample(s.exp_values, s.ftd_values)
+        kr = ks_two_sample(s)
         ks = {"statistic": kr.statistic, "p": kr.p_value}
         fsd, ssd = check_fsd(s).value, check_ssd(s).value
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from ..errors import InsufficientDataError
 from .paired import PairedSample
@@ -36,21 +36,17 @@ class KsResult(NamedTuple):
     p_value: float
 
 
-def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
+def ks_two_sample(s: PairedSample) -> KsResult:
     """Two-sample KS distance with an asymptotic tail probability.
 
-    D is the two-sided supremum of |F_a - F_b| over the pooled support. The
-    p-value is the single-term asymptotic tail exp(-2 * lam^2) evaluated at
-    lam = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * D with effective size
-    ne = n_a*n_b/(n_a+n_b); the finite-size factor is Stephens'.
+    D is the largest integer gap n * |F_ftd - F_exp| over the pooled support
+    (the gaps the dominance checks read) over n, so it is k/n correctly
+    rounded. The p-value is the single-term asymptotic tail exp(-2 * lam^2)
+    at lam = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * D with effective size
+    ne = n*n/(n+n) = n/2; the finite-size factor is Stephens'.
     """
-    if len(a) == 0 or len(b) == 0:
-        raise InsufficientDataError("ks_two_sample needs two non-empty samples")
-    sa = sorted(float(v) for v in a)
-    sb = sorted(float(v) for v in b)
-    d = max(abs(bisect_right(sa, x) / len(sa) - bisect_right(sb, x) / len(sb))
-            for x in set(sa) | set(sb))
-    ne = len(a) * len(b) / (len(a) + len(b))
+    d = max(map(abs, _pooled_gaps(s)[1])) / s.n
+    ne = s.n / 2
     lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
     p = min(1.0, math.exp(-2.0 * lam * lam))
     return KsResult(statistic=d, p_value=p)

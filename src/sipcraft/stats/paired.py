@@ -7,11 +7,10 @@ positive location of the differences exp - ftd.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from ..errors import DegenerateSampleError, InsufficientDataError
-from .special import normal_sf, student_t_sf
+from .special import normal_cdf, student_t_sf
 
 __all__ = [
     "PairedSample",
@@ -113,15 +112,17 @@ def paired_t_one_tailed(s: PairedSample) -> TestResult:
     return TestResult(statistic=t, p_value=student_t_sf(t, s.n - 1), df=s.n - 1)
 
 
-def _doubled_signed_ranks(diffs: Sequence[float]) -> tuple[list[int], list[bool]]:
+def _doubled_signed_ranks(diffs: Sequence[float]) -> tuple[list[int], list[bool], int]:
     """Average ranks of |diffs| after dropping zeros, doubled to stay integer.
 
     Average ranks are half-integers at worst, so twice the rank is exact
-    integer arithmetic; returns (doubled ranks, is_positive flags).
+    integer arithmetic; returns (doubled ranks, is_positive flags, the sum
+    of t**3 - t over the groups of t tied |diffs|).
     """
     nonzero = [d for d in diffs if d != 0.0]
     order = sorted(range(len(nonzero)), key=lambda i: abs(nonzero[i]))
     doubled = [0] * len(nonzero)
+    ties = 0
     i = 0
     while i < len(nonzero):
         j = i
@@ -130,8 +131,9 @@ def _doubled_signed_ranks(diffs: Sequence[float]) -> tuple[list[int], list[bool]
         # ranks i+1 .. j+1 share the average; doubled average = (i+1) + (j+1)
         for k in range(i, j + 1):
             doubled[order[k]] = i + j + 2
+        ties += (j - i + 1) ** 3 - (j - i + 1)
         i = j + 1
-    return doubled, [d > 0.0 for d in nonzero]
+    return doubled, [d > 0.0 for d in nonzero], ties
 
 
 def _wilcoxon_exact_p(doubled_ranks: Sequence[int], doubled_w: int) -> float:
@@ -166,7 +168,7 @@ def wilcoxon_signed_rank(s: PairedSample) -> WilcoxonResult:
     WILCOXON_EXACT_LIMIT nonzero differences) and the continuity and tie
     corrected normal-approximation p.
     """
-    doubled, positive = _doubled_signed_ranks(s.diffs)
+    doubled, positive, ties = _doubled_signed_ranks(s.diffs)
     n = len(doubled)
     if n == 0:
         raise DegenerateSampleError("all differences are zero, signed-rank test is undefined")
@@ -175,12 +177,10 @@ def wilcoxon_signed_rank(s: PairedSample) -> WilcoxonResult:
     p_exact = _wilcoxon_exact_p(doubled, doubled_w) if n <= WILCOXON_EXACT_LIMIT else None
 
     mean_w = n * (n + 1) / 4.0
-    tie_sizes = Counter(abs(d) for d in s.diffs if d != 0.0)
-    tie_term = sum(t ** 3 - t for t in tie_sizes.values()) / 48.0
-    # sum(t**3 - t) <= n**3 - n, so var_w >= n(n+1)**2 / 16 > 0
-    var_w = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
+    # ties <= n**3 - n, so var_w >= n(n+1)**2 / 16 > 0
+    var_w = n * (n + 1) * (2 * n + 1) / 24.0 - ties / 48.0
     z = (w_plus - mean_w - 0.5) / math.sqrt(var_w)  # 0.5 = continuity correction
-    return WilcoxonResult(w_plus, p_exact, normal_sf(z))
+    return WilcoxonResult(w_plus, p_exact, normal_cdf(-z))
 
 
 def cohens_d(s: PairedSample) -> float:

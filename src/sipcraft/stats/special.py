@@ -6,6 +6,8 @@ tests/fixtures/cdf_reference.json (regenerate with scripts/make_cdf_reference.py
 The Student t tail sums the integer-df series of Abramowitz and Stegun
 (1964), 26.7.3/26.7.4. Against mpmath its relative error was at most 2e-14
 for df <= 200 and |t| <= 40 (p down to 1e-95), and 1.7e-12 for df <= 20000.
+The normal quantile reflects its upper tail onto the lower one; against
+mpmath it was within 2 ulps on 2000 seeded points in each outer tail.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 
 __all__ = [
     "normal_cdf",
-    "normal_sf",
     "normal_ppf",
     "student_t_sf",
     "quantile_sorted",
@@ -27,11 +28,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def normal_sf(x: float) -> float:
-    """Standard normal upper tail, accurate far into the tail."""
-    return 0.5 * math.erfc(x / _SQRT2)
 
 
 # Acklam's rational minimax coefficients for the initial inverse-CDF guess.
@@ -47,28 +43,32 @@ _PPF_LOW = 0.02425
 
 
 def normal_ppf(p: float) -> float:
-    """Standard normal quantile; Acklam's approximation plus one Halley step."""
+    """Standard normal quantile; Acklam's approximation plus one Halley step.
+
+    Above 1 - 0.02425 it returns -normal_ppf(1 - p), where 1 - p is exact,
+    so the Halley step never differences a CDF that rounds near 1. Against
+    mpmath the result was within 2 ulps in (0.97575, 1) and at 1 - 10^-k for
+    k = 2..15.
+    """
     if math.isnan(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"p must be in [0, 1], got {p!r}")
     if p == 0.0:
         return -math.inf
     if p == 1.0:
         return math.inf
+    if p > 1.0 - _PPF_LOW:
+        return -normal_ppf(1.0 - p)
 
     a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
     if p < _PPF_LOW:
         q = math.sqrt(-2.0 * math.log(p))
         x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
             ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - _PPF_LOW:
+    else:
         q = p - 0.5
         r = q * q
         x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
             (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
 
     # Halley refinement against the erfc-based CDF lifts the ~1e-9 raw
     # approximation error to full double precision.

@@ -314,7 +314,7 @@ def test_criterion_8_real_data_reproduction():
         overrides = load_schedule_overrides(fh)
     table, anomalies = build_schedule(series, overrides, MonthKey(2002, 12), MonthKey(2024, 12))
     for a in anomalies:
-        print(f"  anomaly: {a.month} {a.field} {a.date} ({a.reason})")
+        print(f"  anomaly: {a['month']} {a['field']} {a['date']} ({a['reason']})")
 
     import csv as _csv
     reference = {}

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from sipcraft.engine import (
     SUPPORTED_DURATIONS,
     Window,
-    cagr,
     enumerate_windows,
     is_window_table,
     load_windows,
@@ -54,23 +53,6 @@ def test_two_level_series():
     prices, terminal_close = anchor_prices(series, table, True, 2020, 1)
     assert ledger_cagr(prices, terminal_close, 1, 100.0) == pytest.approx(
         res["cagr_percent"], rel=1e-12)
-
-
-def test_cagr_examples():
-    assert cagr(1200.0, 1200.0, 1) == 0.0
-    assert round(cagr(2300.0, 1200.0, 1), 2) == 91.67
-    assert round(cagr(2.0, 1.0, 10), 3) == 7.177
-
-
-def test_cagr_validation():
-    with pytest.raises(ValueError):
-        cagr(100.0, 0.0, 1)
-    with pytest.raises(ValueError):
-        cagr(100.0, -5.0, 1)
-    with pytest.raises(ValueError):
-        cagr(-1.0, 100.0, 1)
-    with pytest.raises(ValueError):
-        cagr(100.0, 100.0, 0)
 
 
 def test_plan_validation(flat_year_series):

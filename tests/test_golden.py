@@ -54,10 +54,10 @@ REACHED = {
     "cli.py": ("cfg = json.load(fh)", 'battery["seed"] = int(env_seed)',
                'with open(out, "w", encoding="utf-8") as fh:', "fh.write(text)"),
     "report.py": ('lines += ["## Schedule anomalies", ""]', "{plan['monthly_amount']:g}/month"),
-    "schedule.py": ('ScheduleAnomaly(key, "expiry_day", expiry, "expiry precedes',
-                    'raise ScheduleError(f"series has no trading days in {key}")',
-                    'raise ScheduleError(f"no trading day at or before the last Thursday',
-                    "anomalies.append(ScheduleAnomaly(key, field, None, missing))"),
+    "schedule.py": ('_anomaly(key, "expiry_day", expiry, "expiry precedes',
+                    "return None  # the series has no trading day in the month",
+                    "return None  # no trading day in the month up to its last Thursday",
+                    "_anomaly(key, field, None, missing)"),
     "stats/dominance.py": ("return DominanceSide.FTD",),
     "synth.py": ("close = base * math.exp(3e-4 * i)",),
     "stats/bootstrap.py": ("for w in struct.unpack(",

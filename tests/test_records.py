@@ -9,7 +9,7 @@ import pytest
 import sipcraft
 from sipcraft.cli import Settings
 from sipcraft.engine import Window, WindowOutcome
-from sipcraft.schedule import MonthKey, MonthSchedule, ScheduleAnomaly
+from sipcraft.schedule import MonthKey, MonthSchedule
 from sipcraft.stats.battery import BatteryConfig, run_battery
 from sipcraft.stats.bootstrap import BootstrapCI
 from sipcraft.stats.dominance import KsResult
@@ -22,7 +22,6 @@ KEY = MonthKey(2003, 1)
 EXAMPLES = [
     KEY,
     MonthSchedule(KEY, DAY, None, "computed", None),
-    ScheduleAnomaly(KEY, "expiry_day", None, "no trading day"),
     Window(2003, 2005),
     WindowOutcome(Window(2003, 2003), 1.0, 2.0),
     PairedTestResult(1.0, 0.5, 21),

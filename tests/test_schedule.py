@@ -79,8 +79,7 @@ def test_last_thursday_known_months():
 def test_resolve_first_trading_day_min_date():
     series = IndexSeries({datetime.date(2020, 3, d): 10.0 for d in (5, 6, 7)})
     assert resolve_first_trading_day(series, MonthKey(2020, 3)) == datetime.date(2020, 3, 5)
-    with pytest.raises(ScheduleError):
-        resolve_first_trading_day(series, MonthKey(2020, 4))
+    assert resolve_first_trading_day(series, MonthKey(2020, 4)) is None
 
 
 def test_compute_expiry_unadjusted():
@@ -99,8 +98,7 @@ def test_compute_expiry_steps_back_over_holiday():
 
 def test_compute_expiry_exhausts_month():
     series = IndexSeries({datetime.date(2020, 9, 28): 10.0})
-    with pytest.raises(ScheduleError, match="no trading day at or before"):
-        compute_expiry(series, MonthKey(2020, 9))
+    assert compute_expiry(series, MonthKey(2020, 9)) is None
 
 
 def test_load_overrides_full_row():
@@ -209,10 +207,8 @@ def test_build_schedule_flags_unverifiable_override(flat_year_series):
                                       MonthKey(2020, 1), MonthKey(2020, 1))
     assert len(anomalies) == 1
     a = anomalies[0]
-    assert a.month == MonthKey(2020, 1)
-    assert a.field == "first_trading_day"
-    assert a.date == datetime.date(2020, 1, 5)
-    assert "not a trading day" in a.reason
+    assert a == {"month": "2020-01", "field": "first_trading_day", "date": "2020-01-05",
+                 "reason": "override date is not a trading day in the series"}
     # kept as-is, not silently fixed
     assert table.get(MonthKey(2020, 1)).first_trading_day == datetime.date(2020, 1, 5)
 
@@ -220,7 +216,7 @@ def test_build_schedule_flags_unverifiable_override(flat_year_series):
 def test_build_schedule_flags_uncovered_month(flat_year_series):
     _, anomalies = build_schedule(flat_year_series, None,
                                   MonthKey(2021, 1), MonthKey(2021, 1))
-    reasons = {a.reason for a in anomalies}
+    reasons = {a["reason"] for a in anomalies}
     assert "month has no trading days in the series" in reasons
 
 

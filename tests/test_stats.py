@@ -468,13 +468,13 @@ def test_bootstrap_memory_is_bounded_by_the_resamples():
 # ------------------------------------------------------------------------- ks
 
 def test_ks_identical_samples():
-    r = ks_two_sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    r = ks_two_sample(PairedSample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
     assert r.statistic == 0.0
     assert r.p_value == 1.0
 
 
 def test_ks_disjoint_supports():
-    r = ks_two_sample([0.0, 0.0], [1.0, 1.0])
+    r = ks_two_sample(PairedSample([0.0, 0.0], [1.0, 1.0]))
     assert r.statistic == 1.0
     assert r.p_value < 0.5
 
@@ -483,27 +483,26 @@ def test_ks_published_values(one_year_sample, three_year_sample, five_year_sampl
     for s, want in ((one_year_sample, 0.6391),
                     (three_year_sample, 0.8424),
                     (five_year_sample, 0.7227)):
-        r = ks_two_sample(s.exp_values, s.ftd_values)
+        r = ks_two_sample(s)
         assert r.p_value == pytest.approx(want, abs=0.02)
+        # D is k/n correctly rounded, for an integer k
+        assert r.statistic == round(r.statistic * s.n) / s.n
 
 
-def test_ks_empty_input():
-    with pytest.raises(InsufficientDataError):
-        ks_two_sample([], [1.0])
-
-
-tie_heavy = st.lists(st.sampled_from((-2.5, -1.0, 0.0, 0.5, 1.0, 3.0)), min_size=1, max_size=30)
+tie_heavy = st.lists(st.tuples(*[st.sampled_from((-2.5, -1.0, 0.0, 0.5, 1.0, 3.0))] * 2),
+                     min_size=1, max_size=30)
 
 
 @pytest.mark.skipif(importlib.util.find_spec("scipy") is None, reason="scipy is the oracle")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy's p-value at n=1; unused here
 @settings(max_examples=300, deadline=None)
-@given(tie_heavy, tie_heavy)
-def test_ks_statistic_matches_scipy(a, b):
+@given(tie_heavy)
+def test_ks_statistic_matches_scipy(pairs):
     from scipy.stats import ks_2samp
 
+    a, b = zip(*pairs)
     want = ks_2samp(a, b, method="asymp").statistic
-    assert ks_two_sample(a, b).statistic == pytest.approx(want, abs=1e-12)
+    assert ks_two_sample(PairedSample(a, b)).statistic == pytest.approx(want, abs=1e-12)
 
 
 # ------------------------------------------------------------------ dominance

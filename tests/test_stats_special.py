@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from sipcraft.stats.special import (
     normal_cdf,
     normal_ppf,
-    normal_sf,
     quantile_sorted,
     student_t_sf,
 )
@@ -62,7 +61,6 @@ def test_quantile_point_975():
 
 def test_normal_cdf_basics():
     assert normal_cdf(0.0) == 0.5
-    assert normal_sf(0.0) == 0.5
     assert normal_cdf(40.0) == 1.0
     assert normal_cdf(-40.0) == 0.0
 
@@ -70,7 +68,6 @@ def test_normal_cdf_basics():
 @given(st.floats(min_value=-8.0, max_value=8.0, allow_nan=False))
 def test_normal_cdf_symmetry(x):
     assert normal_cdf(-x) == pytest.approx(1.0 - normal_cdf(x), abs=1e-14)
-    assert normal_sf(x) == pytest.approx(normal_cdf(-x), abs=1e-14)
 
 
 @given(st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
