@@ -54,6 +54,10 @@ BEYOND_MAX = "from_year,to_year,cagr_ftd,cagr_exp\n" + "".join(
     f"{y},{y},2.0,{y - 2002}e200\n" for y in range(2003, 2009))
 # an override row whose year lies outside the years a date can hold
 YEAR_ZERO = "year,month,ftd_dom,expiry_dom\n0,1,2,\n"
+# an override row whose month is not a calendar month
+MONTH_13 = "year,month,ftd_dom,expiry_dom\n2010,13,2,\n"
+# a window table whose one window ends before it starts
+REVERSED = "from_year,to_year,cagr_ftd,cagr_exp\n2004,2003,1.0,2.0\n"
 # inputs that each break one rule of the CSV reader all three input files share
 READER_ERRORS = {
     "empty.csv": "",
@@ -140,6 +144,8 @@ COMMANDS: dict[str, tuple[str, ...]] = {
                             "--resamples", "1000", "--format", "json"),
     "compare-windows-equal-diffs": ("compare", "--data", "equal-diffs.csv", "--durations",
                                     "1,3", "--format", "json"),
+    "error-override-month": ("validate", "--data", "grid.csv", "--schedule", "month-13.csv"),
+    "error-windows-reversed": ("compare", "--data", "reversed.csv"),
 }
 # entry -> the environment variables it runs with
 ENV: dict[str, dict[str, str]] = {"compare-config-out": {"SIPCRAFT_SEED": "7"}}
@@ -178,7 +184,8 @@ def write_inputs(directory: Path) -> None:
     inputs that break the shared CSV rules, a config file, an override
     table that puts an expiry before its month's first trading day, the
     CAGR table with its two CAGR headers swapped, a 65-row and a 300-row
-    one-year table, and a table whose differences are equal within each duration."""
+    one-year table, a table whose differences are equal within each duration,
+    an override table with a month 13 and a table with a reversed window."""
     gen = _gen()
     (directory / "grid.csv").write_text(gen.grid_csv(1), encoding="utf-8")
     (directory / "long.csv").write_text(gen.long_csv(1, str(SCHEDULE)), encoding="utf-8")
@@ -199,6 +206,8 @@ def write_inputs(directory: Path) -> None:
     (directory / "many-windows.csv").write_text(MANY_WINDOWS, encoding="utf-8")
     (directory / "windows-300.csv").write_text(WINDOWS_300, encoding="utf-8")
     (directory / "equal-diffs.csv").write_text(EQUAL_DIFFS, encoding="utf-8")
+    (directory / "month-13.csv").write_text(MONTH_13, encoding="utf-8")
+    (directory / "reversed.csv").write_text(REVERSED, encoding="utf-8")
 
 
 def capture(name: str) -> dict:

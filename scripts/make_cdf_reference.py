@@ -33,6 +33,8 @@ STUDENT_POINTS = [
 PPF_POINTS = [
     0.0001, 0.001, 0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975,
     0.99, 0.999, 0.9999, 0.9999999, 1 - 1e-10,
+    # the smallest subnormal, a deeper subnormal, the smallest normal and 1 - 2^-53
+    5e-324, 1e-310, 2.2250738585072014e-308, 1 - 2**-53,
 ]
 
 def normal_cdf(x):
@@ -40,7 +42,9 @@ def normal_cdf(x):
 
 
 def normal_ppf(p):
-    return sqrt(2) * erfinv(2 * mpf(p) - 1)
+    # 2p - 1 keeps p's digits only with as many more digits as p has leading zeros
+    with mp.workdps(mp.dps + max(0, -int(mp.log10(p)))):
+        return sqrt(2) * erfinv(2 * mpf(p) - 1)
 
 
 def student_t_sf(t, df):

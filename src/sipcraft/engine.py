@@ -42,18 +42,9 @@ MAX_CAGR = 1e100
 WINDOW_COLUMNS = ("from_year", "to_year", "years", "cagr_ftd", "cagr_exp")
 
 
-class _Window(NamedTuple):
+class Window(NamedTuple):
     from_year: int
     to_year: int
-
-
-class Window(_Window):
-    __slots__ = ()
-
-    def __new__(cls, from_year: int, to_year: int) -> Window:
-        if to_year < from_year:
-            raise ValueError(f"window ends before it starts: {from_year}..{to_year}")
-        return tuple.__new__(cls, (from_year, to_year))
 
     @property
     def years(self) -> int:
@@ -112,11 +103,11 @@ def load_windows(
                 raise SeriesFormatError(f"{key} must be {what}, got {row[i].strip()!r}", line)
             if kind is float and not -100.0 <= cells[key] <= MAX_CAGR:
                 raise SeriesFormatError(f"{key} {_outside(cells[key])}", line)
-        try:
-            window = Window(cells["from_year"], cells["to_year"])
-        except ValueError as exc:
-            raise SeriesFormatError(str(exc), line) from None
-        where = f"window {window.from_year}..{window.to_year}"
+        from_year, to_year = cells["from_year"], cells["to_year"]
+        if to_year < from_year:
+            raise SeriesFormatError(f"window ends before it starts: {from_year}..{to_year}", line)
+        window = Window(from_year, to_year)
+        where = f"window {from_year}..{to_year}"
         if cells.get("years", window.years) != window.years:
             raise SeriesFormatError(f"years {cells['years']} does not match {where}", line)
         if window.years not in SUPPORTED_DURATIONS:

@@ -32,10 +32,6 @@ class NotTradingDayError(SipcraftError, LookupError):
         super().__init__(msg)
 
 
-class ScheduleError(SipcraftError, ValueError):
-    """Schedule construction or lookup failed."""
-
-
 class SimulationError(SipcraftError):
     """Simulation aborted; the message names the offending month."""
 

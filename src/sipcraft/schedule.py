@@ -14,7 +14,7 @@ from datetime import MAXYEAR, MINYEAR, date as Date, timedelta
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .errors import ScheduleError, SeriesFormatError
+from .errors import SeriesFormatError
 from .timeseries import IndexSeries, read_table
 
 __all__ = [
@@ -43,20 +43,11 @@ class Strategy(Enum):
     EXP = "exp"
 
 
-class _MonthKey(NamedTuple):
-    year: int
-    month: int
-
-
-class MonthKey(_MonthKey):
+class MonthKey(NamedTuple):
     """A calendar month; keys sort by (year, month)."""
 
-    __slots__ = ()
-
-    def __new__(cls, year: int, month: int) -> MonthKey:
-        if not 1 <= month <= 12:
-            raise ScheduleError(f"month must be in 1..12, got {month}")
-        return tuple.__new__(cls, (year, month))
+    year: int
+    month: int
 
     def prev(self) -> "MonthKey":
         if self.month == 1:
@@ -77,39 +68,18 @@ class MonthKey(_MonthKey):
         return f"{self.year:04d}-{self.month:02d}"
 
 
-def _check_in_month(key: MonthKey, date: Date, field: str) -> None:
-    if (date.year, date.month) != (key.year, key.month):
-        raise ScheduleError(f"{field} {date.isoformat()} falls outside month {key}")
-
-
-class _MonthSchedule(NamedTuple):
-    key: MonthKey
-    first_trading_day: Date | None = None
-    expiry_day: Date | None = None
-    ftd_source: str | None = None
-    expiry_source: str | None = None
-
-
-class MonthSchedule(_MonthSchedule):
+class MonthSchedule(NamedTuple):
     """Anchors for one month; either field may be absent.
 
     Sources are tracked per field because a month can mix an overridden
     anchor with a computed one (an override row may populate only one cell).
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> MonthSchedule:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.first_trading_day is not None:
-            _check_in_month(self.key, self.first_trading_day, "first trading day")
-        if self.expiry_day is not None:
-            _check_in_month(self.key, self.expiry_day, "expiry day")
-        if (self.first_trading_day is None) != (self.ftd_source is None):
-            raise ScheduleError(f"{self.key}: first_trading_day and ftd_source must be set together")
-        if (self.expiry_day is None) != (self.expiry_source is None):
-            raise ScheduleError(f"{self.key}: expiry_day and expiry_source must be set together")
-        return self
+    key: MonthKey
+    first_trading_day: Date | None = None
+    expiry_day: Date | None = None
+    ftd_source: str | None = None
+    expiry_source: str | None = None
 
 
 def last_thursday(key: MonthKey) -> Date:
@@ -155,10 +125,9 @@ def load_schedule_overrides(source: str | io.TextIOBase) -> dict[MonthKey, Month
             raise SeriesFormatError(f"malformed year/month in row {row!r}", line) from None
         if not MINYEAR <= year <= MAXYEAR:
             raise SeriesFormatError(f"year {year} is outside {MINYEAR}..{MAXYEAR}", line)
-        try:
-            key = MonthKey(year, month)
-        except ScheduleError as exc:
-            raise SeriesFormatError(str(exc), line) from None
+        if not 1 <= month <= 12:
+            raise SeriesFormatError(f"month must be in 1..12, got {month}", line)
+        key = MonthKey(year, month)
         if key in entries:
             raise SeriesFormatError(
                 f"duplicate override for {key} (first seen at line {first_lines[key]})", line
@@ -203,8 +172,6 @@ _ANCHOR_RULES = (
 
 
 def _month_range(start: MonthKey, end: MonthKey) -> Iterator[MonthKey]:
-    if end < start:
-        raise ScheduleError(f"month range end {end} precedes start {start}")
     key = start
     while key <= end:
         yield key

@@ -66,20 +66,10 @@ class PairedSample:
         return len(self._diffs)
 
 
-class _TestResult(NamedTuple):
+class TestResult(NamedTuple):
     statistic: float
     p_value: float
     df: int
-
-
-class TestResult(_TestResult):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> TestResult:
-        self = super().__new__(cls, *args, **kwargs)
-        if not (0.0 <= self.p_value <= 1.0 or math.isnan(self.p_value)):
-            raise ValueError(f"p_value must lie in [0, 1], got {self.p_value}")
-        return self
 
 
 def _mean_sd(diffs: Sequence[float]) -> tuple[float, float]:

@@ -61,9 +61,6 @@ def test_plan_validation(flat_year_series):
         with pytest.raises(ValueError,
                            match=f"^monthly_amount must be positive and finite, got {shown}$"):
             simulate(Strategy.FTD, Window(2020, 2020), bad_amount, flat_year_series, table)
-    # a plan of zero years is a window that ends before it starts
-    with pytest.raises(ValueError, match=r"^window ends before it starts: 2020\.\.2019$"):
-        Window(2020, 2019)
 
 
 def test_simulate_missing_anchor(flat_year_series):
@@ -89,9 +86,6 @@ def test_window_grids():
     with pytest.raises(ValueError,
                        match=r"^unsupported duration 2, expected one of \(1, 3, 5, 10, 20\)$"):
         enumerate_windows(2)
-    for make in (lambda: Window(2010, 2009), lambda: Window(from_year=2010, to_year=2009)):
-        with pytest.raises(ValueError, match=r"^window ends before it starts: 2010\.\.2009$"):
-            make()
 
 
 def test_invested_and_execution_counts(long_series, long_table):

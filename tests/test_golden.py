@@ -49,15 +49,18 @@ def test_golden_output(name, inputs, monkeypatch):
 # them run: a config file, SIPCRAFT_SEED and --out; a bundle with anomalies;
 # a simulate amount other than the default; a month without trading days and
 # one without an expiry; an ftd_dominates verdict; growth fixtures; the
-# bootstrap's word loop; and samples whose differences are all equal or all zero
+# bootstrap's word loop; samples whose differences are all equal or all zero;
+# and the parsers' checks of an override month and of a window's order
 REACHED = {
     "cli.py": ("cfg = json.load(fh)", 'battery["seed"] = int(env_seed)',
                'with open(out, "w", encoding="utf-8") as fh:', "fh.write(text)"),
+    "engine.py": ('raise SeriesFormatError(f"window ends before it starts',),
     "report.py": ('lines += ["## Schedule anomalies", ""]', "{plan['monthly_amount']:g}/month"),
     "schedule.py": ('_anomaly(key, "expiry_day", expiry, "expiry precedes',
                     "return None  # the series has no trading day in the month",
                     "return None  # no trading day in the month up to its last Thursday",
-                    "_anomaly(key, field, None, missing)"),
+                    "_anomaly(key, field, None, missing)",
+                    'raise SeriesFormatError(f"month must be in 1..12'),
     "stats/dominance.py": ("return DominanceSide.FTD",),
     "synth.py": ("close = base * math.exp(3e-4 * i)",),
     "stats/bootstrap.py": ("for w in struct.unpack(",

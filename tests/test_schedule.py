@@ -5,12 +5,11 @@ import datetime
 import pytest
 from hypothesis import given, strategies as st
 
-from sipcraft.errors import ScheduleError, SeriesFormatError
+from sipcraft.errors import SeriesFormatError
 from sipcraft.schedule import (
     SOURCE_COMPUTED,
     SOURCE_OVERRIDE,
     MonthKey,
-    MonthSchedule,
     build_schedule,
     compute_expiry,
     last_thursday,
@@ -27,12 +26,6 @@ month_keys = st.builds(MonthKey,
 
 
 def test_month_key_validation_and_order():
-    with pytest.raises(ScheduleError):
-        MonthKey(2020, 0)
-    with pytest.raises(ScheduleError):
-        MonthKey(2020, 13)
-    with pytest.raises(ScheduleError, match=r"^month must be in 1\.\.12, got 13$"):
-        MonthKey(year=2003, month=13)
     assert MonthKey(2020, 1) < MonthKey(2020, 2) < MonthKey(2021, 1)
     assert sorted([MonthKey(2021, 1), MonthKey(2020, 12), MonthKey(2020, 2)]) == [
         MonthKey(2020, 2), MonthKey(2020, 12), MonthKey(2021, 1)]
@@ -135,6 +128,13 @@ def test_load_overrides_names_an_out_of_range_year(year):
         load_schedule_overrides(f"year,month,ftd_dom,expiry_dom\n{year},1,2,\n")
 
 
+@pytest.mark.parametrize("month", [0, 13])
+def test_load_overrides_names_an_out_of_range_month(month):
+    with pytest.raises(SeriesFormatError,
+                       match=rf"^line 2: month must be in 1\.\.12, got {month}$"):
+        load_schedule_overrides(f"year,month,ftd_dom,expiry_dom\n2003,{month},2,\n")
+
+
 def test_load_overrides_duplicate_month():
     with pytest.raises(SeriesFormatError, match="duplicate"):
         load_schedule_overrides(
@@ -164,24 +164,16 @@ def test_bundled_override_table():
     assert dec24.first_trading_day == datetime.date(2024, 12, 2)
     assert dec24.expiry_day is None
 
-    # every dual-anchor month keeps its anchors ordered and in-month
+    # every dual-anchor month keeps its anchors ordered and in-month, and
+    # each source is set exactly when its day is
     for key, entry in table.items():
+        assert entry.key == key
+        for day, source in ((entry.first_trading_day, entry.ftd_source),
+                            (entry.expiry_day, entry.expiry_source)):
+            assert (source == SOURCE_OVERRIDE) == (day is not None), key
+            assert day is None or (day.year, day.month) == key, key
         if entry.first_trading_day and entry.expiry_day:
             assert entry.first_trading_day <= entry.expiry_day, key
-
-
-def test_month_schedule_rejects_out_of_month_dates():
-    with pytest.raises(ScheduleError, match="outside month"):
-        MonthSchedule(key=MonthKey(2020, 1),
-                      first_trading_day=datetime.date(2020, 2, 1),
-                      ftd_source=SOURCE_OVERRIDE)
-    # positional construction runs the same checks
-    with pytest.raises(ScheduleError,
-                       match="^expiry day 2020-02-27 falls outside month 2020-01$"):
-        MonthSchedule(MonthKey(2020, 1), None, datetime.date(2020, 2, 27), None, SOURCE_OVERRIDE)
-    with pytest.raises(ScheduleError,
-                       match="^2020-01: first_trading_day and ftd_source must be set together$"):
-        MonthSchedule(MonthKey(2020, 1), datetime.date(2020, 1, 2))
 
 
 def test_build_schedule_override_wins(flat_year_series):

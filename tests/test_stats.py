@@ -77,18 +77,6 @@ def test_t_errors():
         paired_t_one_tailed(sample_from_diffs([23.21, 23.21, 23.21]))
 
 
-def test_test_result_checks_p_value():
-    # imported here: pytest would try to collect a module-level Test* class
-    from sipcraft.stats.paired import TestResult
-
-    with pytest.raises(ValueError, match=r"^p_value must lie in \[0, 1\], got 2.0$"):
-        TestResult(statistic=1.0, p_value=2.0, df=3)
-    with pytest.raises(ValueError, match=r"^p_value must lie in \[0, 1\], got -0.5$"):
-        TestResult(1.0, -0.5, 3)
-    assert math.isnan(TestResult(1.0, math.nan, 3).p_value)
-    assert TestResult(1.0, 0.5, df=3) == (1.0, 0.5, 3)
-
-
 @given(diff_lists)
 def test_t_sign_matches_mean(diffs):
     s = sample_from_diffs(diffs)

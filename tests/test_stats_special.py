@@ -47,6 +47,14 @@ def test_normal_ppf_reference(row):
     assert normal_ppf(float(row["p"])) == pytest.approx(float(row["value"]), abs=1e-9)
 
 
+@pytest.mark.parametrize("row", REFERENCE["normal_ppf"], ids=lambda r: r["p"])
+def test_normal_ppf_within_its_stated_accuracy(row):
+    # the docstring's bounds: 2 ulps in the outer tails, 1.2e-15 absolute between
+    p, expected = float(row["p"]), float(row["value"])
+    bound = 1.2e-15 if 0.02425 <= p <= 0.97575 else 2 * math.ulp(expected)
+    assert abs(normal_ppf(p) - expected) <= bound
+
+
 def test_reference_has_twenty_points_per_cdf():
     assert len(REFERENCE["normal_cdf"]) == 20
     assert len(REFERENCE["student_t_sf"]) == 20
@@ -185,6 +193,53 @@ def test_quantile_sorted_matches_numpy(xs, q):
     # -0.0 and 0.0, so the sign is pinned where the sample has one kind of zero
     if len({math.copysign(1.0, x) for x in xs if x == 0.0}) <= 1:
         assert got.hex() == expected.hex()
+
+
+# float extremes: both zeros, subnormals, the smallest normal, ±max, ±inf,
+# NaN, the float just below 1 and a few ordinary values
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.0 ** -1022, -(2.0 ** -1022),
+             1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+             1 - 2.0 ** -53, 0.5, -1.0, 1.0, 2.0, 40.0, -40.0]
+
+
+def _in_range_or_value_error(call, *args, lo=0.0, hi=1.0, nan=False):
+    """The call's float result lies in [lo, hi], or is NaN where ``nan`` allows
+    it; or the call raises ValueError. Any other exception fails the test."""
+    try:
+        got = call(*args)
+    except ValueError:
+        return None
+    assert type(got) is float, (call.__name__, args, got)
+    assert lo <= got <= hi or (nan and math.isnan(got)), (call.__name__, args, got)
+    return got
+
+
+def test_special_functions_hold_their_domains_on_float_extremes():
+    rng = random.Random(31)
+    dfs = [1, 2, 3, 2000, 20000] + [rng.randint(1, 2000) for _ in range(20)]
+    for x in _EXTREMES:
+        # both are total on the floats
+        assert _in_range_or_value_error(normal_cdf, x, nan=math.isnan(x)) is not None
+        got = _in_range_or_value_error(normal_ppf, x, lo=-math.inf, hi=math.inf)
+        if 0.0 < x < 1.0:
+            assert math.isfinite(got), x
+        elif x in (0.0, 1.0):
+            assert got == math.copysign(math.inf, x - 0.5), x
+        else:
+            assert got is None, x
+        for df in dfs:
+            assert _in_range_or_value_error(student_t_sf, x, df, nan=math.isnan(x)) is not None
+    # a NaN sample is not ascending, so NaN goes in as q only
+    ordered = [x for x in _EXTREMES if not math.isnan(x)]
+    for _ in range(2000):
+        xs = sorted(rng.choices(ordered, k=rng.randint(1, 6)))
+        q = rng.choice(_EXTREMES)
+        if math.isfinite(xs[-1] - xs[0]):
+            got = _in_range_or_value_error(quantile_sorted, xs, q, lo=xs[0], hi=xs[-1])
+        else:
+            got = _in_range_or_value_error(quantile_sorted, xs, q, lo=-math.inf, hi=math.inf,
+                                           nan=True)
+        assert (got is None) == (not 0.0 <= q <= 1.0), (xs, q)
 
 
 def test_quantile_sorted_domain():
