@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import itertools
+import io
 import os
 import sys
 from typing import NamedTuple
@@ -225,32 +225,43 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read(path: str) -> tuple[bytes, io.TextIOWrapper]:
+    """An input file's bytes, read once, and its lines decoded from them:
+    the parser reads the lines and ``compare`` hashes the bytes, so a pipe's
+    provenance is what it carried. The lines decode as a file opened with
+    utf-8-sig and newline="" decodes itself, chunk by chunk, so a decode
+    error names the same position."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return raw, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+
+
 def _load_inputs(settings: Settings, durations: list[int] | None = None):
-    """The daily close series and the schedule overrides. Given durations,
-    as ``compare`` gives them, a data file whose header names both CAGR
-    columns is a per-window CAGR table instead: its runs by duration come
-    back in place of the series, and no overrides."""
+    """The daily close series, the schedule overrides and the bytes of both
+    files (None for no schedule). Given durations, as ``compare`` gives
+    them, a data file whose header names both CAGR columns is a per-window
+    CAGR table instead: its runs by duration come back in place of the
+    series, and no overrides."""
     if not settings.data:
         raise ValueError("no data file given (use --data or the config file)")
-    with open(settings.data, "r", encoding="utf-8-sig", newline="") as fh:
-        lines = fh
+    data, fh = _read(settings.data)
+    with fh:
         if durations is not None:
             from .engine import is_window_table, load_windows
 
             header = fh.readline()
-            # a pipe cannot seek back to the header; an empty file has none
-            # to put back, since csv reads "" as an empty header row
-            lines = itertools.chain([header], fh) if header else fh
+            fh.seek(0)
             if is_window_table(header):
                 if settings.schedule:
                     raise ValueError("a schedule file does not apply to a per-window CAGR table")
-                return load_windows(lines, durations), None
-        series = parse_series(lines)
-    overrides = None
+                return load_windows(fh, durations), None, (data, None)
+        series = parse_series(fh)
+    overrides = schedule = None
     if settings.schedule:
-        with open(settings.schedule, "r", encoding="utf-8-sig", newline="") as fh:
+        schedule, fh = _read(settings.schedule)
+        with fh:
             overrides = load_schedule_overrides(fh)
-    return series, overrides
+    return series, overrides, (data, schedule)
 
 
 def cmd_validate(settings: Settings, args) -> int:
@@ -258,7 +269,7 @@ def cmd_validate(settings: Settings, args) -> int:
 
     from .schedule import MonthKey
 
-    series, overrides = _load_inputs(settings)
+    series, overrides, _ = _load_inputs(settings)
     start = MonthKey(series.first_date.year, series.first_date.month)
     end = MonthKey(series.last_date.year, series.last_date.month)
     table, anomalies = build_schedule(series, overrides, start, end)
@@ -279,7 +290,7 @@ def cmd_simulate(settings: Settings, args) -> int:
     from .report import render_simulation
     from .schedule import MonthKey, Strategy
 
-    series, overrides = _load_inputs(settings)
+    series, overrides, _ = _load_inputs(settings)
     if settings.strategy is None or settings.start_year is None or settings.years is None:
         raise ValueError("simulate needs --strategy, --start-year and --years")
 
@@ -297,7 +308,7 @@ def cmd_compare(settings: Settings, args) -> int:
     from .schedule import MonthKey
     from .stats.battery import BatteryConfig
 
-    series, overrides = _load_inputs(settings, settings.durations)
+    series, overrides, (data, schedule) = _load_inputs(settings, settings.durations)
     battery_config = BatteryConfig.from_dict(settings.battery)
 
     runs = series if isinstance(series, dict) else None  # a window table's runs by duration
@@ -326,9 +337,9 @@ def cmd_compare(settings: Settings, args) -> int:
     provenance = tool_provenance()
     provenance.update({
         "data_path": settings.data,
-        "data_sha256": file_sha256(settings.data),
+        "data_sha256": file_sha256(data),
         "schedule_path": settings.schedule,
-        "schedule_sha256": file_sha256(settings.schedule) if settings.schedule else None,
+        "schedule_sha256": file_sha256(schedule) if schedule is not None else None,
         "schedule_source": source,
         "durations": settings.durations,
         "battery_config": battery_config._asdict(),

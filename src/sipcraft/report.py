@@ -161,14 +161,11 @@ def boxplot_summary(values) -> dict:
     }
 
 
-def file_sha256(path: str) -> str:
+def file_sha256(data: bytes) -> str:
+    """Hex SHA-256 of an input file's bytes, as the parser read them."""
     import hashlib  # only compare hashes its inputs, so simulate loads no OpenSSL
 
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def tool_provenance() -> dict:

@@ -16,6 +16,8 @@ from sipcraft.timeseries import IndexSeries
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+# an override table on weekdays, which a walk series without holidays trades on
+OVERRIDES = "year,month,ftd_dom,expiry_dom\n2010,1,4,27\n"
 
 
 def load_reference_sample(duration: int) -> PairedSample:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, config precedence, exit codes."""
 
 import datetime
+import hashlib
 import json
 import os
 import random
@@ -21,7 +22,7 @@ from sipcraft.cli import (
 )
 from sipcraft.timeseries import serialize_series
 
-from conftest import DATA, ROOT, weekday_series
+from conftest import DATA, OVERRIDES, ROOT, weekday_series
 
 
 @pytest.fixture(scope="module")
@@ -228,18 +229,47 @@ def test_compare_window_table_prints_every_horizon(tmp_path, capsys):
     assert "B=1000" in out
 
 
-@pytest.mark.parametrize("name", ["reference_windows.csv", "series"])
+@pytest.mark.parametrize("name", ["reference_windows.csv", "series", "schedule"])
 def test_compare_reads_data_from_a_pipe(series_csv, name):
-    # the header check reads ahead without seeking, which a pipe cannot
-    path = series_csv if name == "series" else DATA / name
-    argv = ["compare", "--data", "/dev/stdin", "--durations", "1", "--resamples", "1000",
-            "--format", "json"]
+    # the header check reads ahead without seeking, which a pipe cannot, and
+    # the provenance hashes the bytes the pipe carried: reopening /dev/stdin
+    # after the parse would hash nothing
+    if name == "schedule":
+        flag, piped = "--schedule", OVERRIDES.encode()
+    else:
+        flag, piped = "--data", (series_csv if name == "series" else DATA / name).read_bytes()
+    paths = {"--data": str(series_csv), flag: "/dev/stdin"}
+    argv = ["compare", *[a for item in paths.items() for a in item], "--durations", "1",
+            "--resamples", "1000", "--format", "json"]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    with open(path, "rb") as fh:
-        proc = subprocess.run([sys.executable, "-m", "sipcraft", *argv], stdin=fh,
-                              capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-m", "sipcraft", *argv], input=piped,
+                          capture_output=True, env=env)
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert len(json.loads(proc.stdout)["windows"]["1y"]) == 22
+    bundle = json.loads(proc.stdout)
+    assert len(bundle["windows"]["1y"]) == 22
+    key = "data_sha256" if flag == "--data" else "schedule_sha256"
+    assert bundle["provenance"][key] == hashlib.sha256(piped).hexdigest()
+
+
+@pytest.mark.parametrize("argv, position", [
+    (["validate", "--data", "{data}"], 930),
+    (["compare", "--data", "{data}"], 930),
+    (["validate", "--data", "{flat}", "--schedule", "{schedule}"], 39),
+], ids=["validate", "compare", "schedule"])
+def test_non_utf8_input_exits_2(flat_csv, tmp_path, capsys, argv, position):
+    # the data file's 0xff lies past the first 8192-byte decode chunk, and
+    # the position counts from that chunk, as decoding a file read does
+    start = datetime.date(2003, 1, 1)
+    rows = "".join(f"{start + datetime.timedelta(days=i)},1\n" for i in range(700))
+    data, schedule = tmp_path / "data.csv", tmp_path / "schedule.csv"
+    data.write_bytes(b"date,close\n" + rows.encode() + b"2010-01-04,\xff\n")
+    schedule.write_bytes(b"year,month,ftd_dom,expiry_dom\n2010,1,4,\xff\n")
+    paths = {"data": str(data), "flat": str(flat_csv), "schedule": str(schedule)}
+    assert main([a.format(**paths) for a in argv]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("sipcraft: error: 'utf-8' codec can't decode byte 0xff in "
+                            f"position {position}: invalid start byte\n")
 
 
 _TABLE = "from_year,to_year,years,cagr_ftd,cagr_exp\n"

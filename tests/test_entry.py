@@ -1,0 +1,119 @@
+"""The process entry: ``python -m sipcraft`` and the ``sipcraft`` console
+script run ``sipcraft.__main__.run``, which freezes the heap on the way
+out. ``cli.main`` never freezes, because tests, ``scripts/golden.py`` and
+the benchmark's tracer call it in-process many times."""
+
+import gc
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+from sipcraft import __main__ as entry
+from sipcraft._version import VERSION
+from sipcraft.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
+
+from conftest import DATA, OVERRIDES, ROOT
+
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
+def _sipcraft(*argv, python=()):
+    return subprocess.run([sys.executable, *python, "-m", "sipcraft", *argv],
+                          capture_output=True, text=True, env=ENV)
+
+
+@pytest.fixture(scope="module")
+def walk_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "walk.csv"
+    assert main(["fixtures", "--kind", "walk", "--start-year", "2003", "--years", "22",
+                 "--seed", "11", "--out", str(path)]) == EXIT_OK
+    return path
+
+
+def test_cli_main_leaves_the_heap_unfrozen(walk_csv, capsys):
+    frozen = gc.get_freeze_count()
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert main(["validate", "--data", str(walk_csv)]) == EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
+def _script_target() -> str:
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]["scripts"]["sipcraft"]
+
+
+def test_console_script_is_the_module_entry():
+    module, _, attr = _script_target().partition(":")
+    assert getattr(importlib.import_module(module), attr) is entry.run
+
+
+@pytest.mark.parametrize("route", ["module", "script"])
+def test_each_entry_freezes_and_keeps_atexit(route):
+    # runpy runs the package's __main__ as -m does; the script route calls
+    # the pyproject target as an installed console script does
+    if route == "module":
+        call = "import runpy; runpy.run_module('sipcraft', run_name='__main__', alter_sys=True)"
+    else:
+        module, _, attr = _script_target().partition(":")
+        call = f"import importlib; sys.exit(importlib.import_module({module!r}).{attr}())"
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+             f"{call}\n")
+    proc = subprocess.run([sys.executable, "-c", probe, "--version"], capture_output=True,
+                          text=True, env=ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_OK, f"sipcraft {VERSION}\n", "frozen True\n")
+
+
+def test_module_entry_exit_codes_and_streams(tmp_path):
+    proc = _sipcraft("--version")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, f"sipcraft {VERSION}\n", "")
+    proc = _sipcraft("validate", "--data", str(tmp_path / "missing.csv"))
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("sipcraft: error: ")
+
+
+def test_module_entry_reports_a_failed_flush():
+    # stdout is a pipe nobody reads, so the exit's flush fails; buffered
+    # output reaches that flush only after the freeze
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sipcraft", "--version"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert "BrokenPipeError" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["validate", "--data", "{walk}", "--schedule", "{overrides}", "--out", "{out}"], EXIT_OK),
+    (["validate", "--data", "{walk}", "--schedule", str(DATA / "schedule_overrides.csv")],
+     EXIT_ANOMALIES),
+    (["simulate", "--data", "{walk}", "--schedule", "{overrides}", "--strategy", "exp",
+      "--start-year", "2010", "--years", "3", "--out", "{out}"], EXIT_OK),
+    (["compare", "--data", "{walk}", "--schedule", "{overrides}", "--config", "{config}",
+      "--format", "json"], EXIT_OK),
+    (["compare", "--data", str(DATA / "reference_windows.csv"), "--resamples", "1000",
+      "--out", "{out}"], EXIT_OK),
+    (["fixtures", "--kind", "walk", "--holiday-rate", "0.05", "--out", "{out}"], EXIT_OK),
+], ids=["validate", "validate-anomalies", "simulate", "compare-series", "compare-windows",
+        "fixtures"])
+def test_dev_mode_run_closes_every_file(walk_csv, tmp_path, argv, rc):
+    # under -X dev a file left for the collector to close warns on stderr;
+    # the process entry skips the shutdown collections, so sipcraft must
+    # close each file it opens itself
+    (tmp_path / "overrides.csv").write_text(OVERRIDES)
+    (tmp_path / "config.json").write_text('{"stats": {"B": 1000}}')
+    paths = {"walk": walk_csv, "overrides": tmp_path / "overrides.csv",
+             "config": tmp_path / "config.json", "out": tmp_path / "out"}
+    proc = _sipcraft(*[a.format(**paths) for a in argv], python=("-X", "dev"))
+    assert (proc.returncode, proc.stderr) == (rc, "")

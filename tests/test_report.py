@@ -174,10 +174,8 @@ def test_tool_provenance_is_static():
     assert p == tool_provenance()  # no timestamps or other drift
 
 
-def test_file_sha256_known_value(tmp_path):
-    target = tmp_path / "blob.txt"
-    target.write_bytes(b"abc")
-    assert file_sha256(str(target)) == (
+def test_file_sha256_known_value():
+    assert file_sha256(b"abc") == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
 
 
