@@ -56,6 +56,8 @@ BEYOND_MAX = "from_year,to_year,cagr_ftd,cagr_exp\n" + "".join(
 YEAR_ZERO = "year,month,ftd_dom,expiry_dom\n0,1,2,\n"
 # an override row whose month is not a calendar month
 MONTH_13 = "year,month,ftd_dom,expiry_dom\n2010,13,2,\n"
+# an override row whose expiry, 2002-12-01, falls before the grid series' first day
+BEFORE_SERIES = "year,month,ftd_dom,expiry_dom\n2002,12,,1\n"
 # a window table whose one window ends before it starts
 REVERSED = "from_year,to_year,cagr_ftd,cagr_exp\n2004,2003,1.0,2.0\n"
 # inputs that each break one rule of the CSV reader all three input files share
@@ -146,6 +148,8 @@ COMMANDS: dict[str, tuple[str, ...]] = {
                                     "1,3", "--format", "json"),
     "error-override-month": ("validate", "--data", "grid.csv", "--schedule", "month-13.csv"),
     "error-windows-reversed": ("compare", "--data", "reversed.csv"),
+    "error-override-before-series": ("simulate", "--data", "grid.csv", "--schedule", "before.csv",
+                                     "--strategy", "exp", "--start-year", "2003", "--years", "1"),
 }
 # entry -> the environment variables it runs with
 ENV: dict[str, dict[str, str]] = {"compare-config-out": {"SIPCRAFT_SEED": "7"}}
@@ -185,7 +189,8 @@ def write_inputs(directory: Path) -> None:
     table that puts an expiry before its month's first trading day, the
     CAGR table with its two CAGR headers swapped, a 65-row and a 300-row
     one-year table, a table whose differences are equal within each duration,
-    an override table with a month 13 and a table with a reversed window."""
+    an override table with a month 13, a table with a reversed window and an
+    override table whose one expiry falls before the grid series starts."""
     gen = _gen()
     (directory / "grid.csv").write_text(gen.grid_csv(1), encoding="utf-8")
     (directory / "long.csv").write_text(gen.long_csv(1, str(SCHEDULE)), encoding="utf-8")
@@ -208,6 +213,7 @@ def write_inputs(directory: Path) -> None:
     (directory / "equal-diffs.csv").write_text(EQUAL_DIFFS, encoding="utf-8")
     (directory / "month-13.csv").write_text(MONTH_13, encoding="utf-8")
     (directory / "reversed.csv").write_text(REVERSED, encoding="utf-8")
+    (directory / "before.csv").write_text(BEFORE_SERIES, encoding="utf-8")
 
 
 def capture(name: str) -> dict:

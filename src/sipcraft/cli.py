@@ -65,8 +65,18 @@ DEFAULT_DURATIONS = (1, 3, 5, 10, 20)
 DEFAULT_AMOUNT = 10_000.0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose help, version and usage text raise the
+    ``OSError`` of a stream that cannot be written, where argparse drops it.
+    Subparsers are built from the same class."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sipcraft",
         description="Monthly SIP backtesting under first-trading-day vs expiry-day execution.",
     )
@@ -306,7 +316,7 @@ def cmd_compare(settings: Settings, args) -> int:
     from .engine import enumerate_windows
     from .report import tool_provenance, window_row
     from .schedule import MonthKey
-    from .stats.battery import BatteryConfig
+    from .stats.bootstrap import BatteryConfig
 
     series, overrides, (data, schedule) = _load_inputs(settings, settings.durations)
     battery_config = BatteryConfig.from_dict(settings.battery)
@@ -368,7 +378,11 @@ def cmd_fixtures(settings: Settings, args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except OSError as exc:  # --version or --help into a stdout that cannot be written
+        print(f"sipcraft: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     from .errors import SipcraftError
 
     try:

@@ -15,7 +15,7 @@ import sys
 from datetime import date as Date
 from typing import Iterable, NamedTuple
 
-from .errors import NotTradingDayError, SeriesFormatError, SimulationError
+from .errors import SeriesFormatError, SimulationError
 from .schedule import MonthKey, MonthSchedule, Strategy
 from .stats.paired import PairedSample
 from .timeseries import IndexSeries, read_table
@@ -145,15 +145,18 @@ def _installments(
             anchor = key if ftd else key.prev()
             entry = table.get(anchor)
             date = None if entry is None else entry.first_trading_day if ftd else entry.expiry_day
-            if date is None:
-                missing = (f"first trading day for {key}" if ftd
-                           else f"expiry for {anchor} (needed by {key})")
-                raise SimulationError(f"installment {key} ({strategy.value}): "
-                                      f"schedule has no {missing}")
-            try:
-                installments.append((key, date, series.close_on(date)))
-            except NotTradingDayError as exc:
-                raise SimulationError(f"installment {key} ({strategy.value}): {exc}") from exc
+            close = None if date is None else series.close_on(date)
+            if close is None:
+                if date is None:
+                    problem = "schedule has no " + (f"first trading day for {key}" if ftd
+                                                    else f"expiry for {anchor} (needed by {key})")
+                else:
+                    previous = series.on_or_before(date)
+                    hint = ("no earlier trading day in series" if previous is None
+                            else f"previous trading day: {previous.isoformat()}")
+                    problem = f"{date.isoformat()} is not a trading day ({hint})"
+                raise SimulationError(f"installment {key} ({strategy.value}): {problem}")
+            installments.append((key, date, close))
     # the last installment fell on a trading day of the final year, so the
     # terminal day lies in that year too
     terminal_date = series.on_or_before(Date(window.to_year, 12, 31))

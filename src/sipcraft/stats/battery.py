@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from ..errors import DegenerateSampleError, InsufficientDataError
-from .bootstrap import MIN_RESAMPLES, bootstrap_bca, check_alpha
+from .bootstrap import BatteryConfig, bootstrap_bca
 from .dominance import check_fsd, check_ssd, ks_two_sample
 from .paired import (
     PairedSample,
@@ -25,48 +25,10 @@ from .paired import (
     wilcoxon_signed_rank,
 )
 
-__all__ = ["BatteryConfig", "ComparisonReport", "run_battery"]
+__all__ = ["ComparisonReport", "run_battery"]
 
 # battery cells that can individually degrade to "not applicable"
 CELLS = ("t", "wilcoxon", "cohens_d", "hedges_g", "bootstrap", "ks", "fsd", "ssd")
-# 100 times the paper's B, bounded for run time: at this B, 70 one-year
-# windows take about 3.6 s on a 2-core machine
-MAX_RESAMPLES = 1_000_000
-
-
-class _BatteryConfig(NamedTuple):
-    B: int = 10000
-    alpha: float = 0.05
-    seed: int = 42
-
-
-class BatteryConfig(_BatteryConfig):
-    """Battery settings; the field names are the JSON keys, so ``_asdict()`` is the JSON form."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> BatteryConfig:
-        self = super().__new__(cls, *args, **kwargs)
-        for key, value in (("B", self.B), ("seed", self.seed)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
-            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
-        if self.B < MIN_RESAMPLES:
-            raise ValueError(f"B must be >= {MIN_RESAMPLES}, got {self.B}")
-        if self.B > MAX_RESAMPLES:
-            raise ValueError(f"B must be <= {MAX_RESAMPLES}, got {self.B}")
-        check_alpha(self.alpha)
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        return self
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BatteryConfig":
-        unknown = set(data) - set(cls._fields)
-        if unknown:
-            raise ValueError(f"unknown battery config keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 class ComparisonReport(NamedTuple):
@@ -92,14 +54,13 @@ class ComparisonReport(NamedTuple):
     not_applicable: dict
 
 
-def run_battery(s: PairedSample, config: BatteryConfig | None = None, label: str = "") -> ComparisonReport:
+def run_battery(s: PairedSample, config: BatteryConfig = BatteryConfig(), label: str = "") -> ComparisonReport:
     """Run every comparison metric on the sample under one configuration.
 
     Cells that are undefined for the sample (too few pairs, no variation)
     are reported as not applicable with a reason. The mean difference is
     descriptive and always present.
     """
-    config = config or BatteryConfig()
     mean_diff = math.fsum(s.diffs) / s.n
     t = dict.fromkeys(("statistic", "p", "df"))
     wilcoxon = dict.fromkeys(("statistic", "p", "method", "p_exact", "p_normal"))
@@ -141,7 +102,7 @@ def run_battery(s: PairedSample, config: BatteryConfig | None = None, label: str
                 na["hedges_g"] = str(exc)
 
         try:
-            ci = bootstrap_bca(s, resamples=config.B, alpha=config.alpha, seed=config.seed)
+            ci = bootstrap_bca(s, config)
             bootstrap = {"point": ci.point_estimate, "lower": ci.lower, "upper": ci.upper,
                          "B": ci.resamples, "seed": ci.seed, "alpha": ci.alpha, "z0": ci.z0,
                          "acceleration": ci.acceleration, "degenerate": ci.degenerate}

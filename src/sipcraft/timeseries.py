@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from datetime import date as Date
 from typing import Iterable, Iterator
 
-from .errors import NotTradingDayError, SeriesFormatError
+from .errors import SeriesFormatError
 
 __all__ = [
     "IndexSeries",
@@ -53,16 +53,9 @@ class IndexSeries:
     def __contains__(self, date: Date) -> bool:
         return date in self._lookup
 
-    def close_on(self, date: Date) -> float:
-        """Exact close for ``date``; no interpolation ever.
-
-        Raises :class:`NotTradingDayError` with the nearest preceding trading
-        date as a hint when the date is absent.
-        """
-        try:
-            return self._lookup[date]
-        except KeyError:
-            raise NotTradingDayError(date, self.on_or_before(date)) from None
+    def close_on(self, date: Date) -> float | None:
+        """Exact close for ``date``, or None if it is not a trading day; no interpolation ever."""
+        return self._lookup.get(date)
 
     def on_or_before(self, date: Date) -> Date | None:
         """Latest trading day no later than ``date``, or None if there is none."""

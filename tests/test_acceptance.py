@@ -15,6 +15,7 @@ import os
 import random
 import time
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ import pytest
 from sipcraft.engine import Window, enumerate_windows, paired_run, simulate
 from sipcraft.errors import SimulationError
 from sipcraft.schedule import MonthKey, Strategy, build_schedule, load_schedule_overrides
-from sipcraft.stats.battery import BatteryConfig, run_battery
-from sipcraft.stats.bootstrap import bootstrap_bca
+from sipcraft.stats.battery import run_battery
+from sipcraft.stats.bootstrap import BatteryConfig, bootstrap_bca
 from sipcraft.stats.dominance import DominanceSide, check_fsd, check_ssd
 from sipcraft.stats.paired import PairedSample, wilcoxon_signed_rank
 from sipcraft.stats.special import normal_cdf, normal_ppf, student_t_sf
@@ -220,13 +221,11 @@ def test_criterion_6_bootstrap_sanity():
     failures = []
     check = checker(failures)
 
-    from scipy.stats import norm
-
     # asymmetric and irregular: the resample means fall on no common lattice,
     # so both percentiles move with any change to the stream
     diffs = [-4.1, -1.3, -0.2, 0.7, 2.6, 9.4]
     n, B = len(diffs), 2000
-    ci = bootstrap_bca(PairedSample(diffs, [0.0] * n), resamples=B, seed=5)
+    ci = bootstrap_bca(PairedSample(diffs, [0.0] * n), BatteryConfig(B=B, seed=5))
     boot = stdlib_bootstrap_means(diffs, B, 5)
     # the BCa levels at the returned z0 and acceleration, then numpy's quantiles
     levels = [normal_cdf(ci.z0 + (ci.z0 + z) / (1.0 - ci.acceleration * (ci.z0 + z)))
@@ -241,14 +240,16 @@ def test_criterion_6_bootstrap_sanity():
     jack = (sum(diffs) - np.array(diffs)) / (n - 1)
     resid = jack.mean() - jack
     accel = (resid ** 3).sum() / (6.0 * (resid ** 2).sum() ** 1.5)
-    check(ci.z0 == pytest.approx(norm.ppf(share), rel=1e-12, abs=1e-15),
-          f"z0 {ci.z0!r} != norm.ppf({share!r}) = {norm.ppf(share)!r}")
+    # the stdlib's inverse normal CDF, independent of the package's normal_ppf
+    z0 = NormalDist().inv_cdf(share)
+    check(ci.z0 == pytest.approx(z0, rel=1e-12, abs=1e-15),
+          f"z0 {ci.z0!r} != NormalDist().inv_cdf({share!r}) = {z0!r}")
     check(ci.acceleration == pytest.approx(accel, rel=1e-9),
           f"acceleration {ci.acceleration!r} != jackknife {accel!r}")
 
     three = load_reference_sample(3)
-    a = bootstrap_bca(three, resamples=5000, seed=123)
-    b = bootstrap_bca(three, resamples=5000, seed=123)
+    a = bootstrap_bca(three, BatteryConfig(B=5000, seed=123))
+    b = bootstrap_bca(three, BatteryConfig(B=5000, seed=123))
     check((a.lower, a.upper) == (b.lower, b.upper), "same seed gave different intervals")
 
     report("criterion 6: bootstrap BCa interval/determinism", failures)

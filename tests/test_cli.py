@@ -483,7 +483,7 @@ def test_config_rejects_wrong_types(flat_csv, tmp_path, capsys, command, config,
 # and its value, the config entry, how to read the resolved value, the
 # flag's and the config's value as resolved, and the default
 def _battery(field):
-    from sipcraft.stats.battery import BatteryConfig
+    from sipcraft.stats.bootstrap import BatteryConfig
 
     return lambda s: getattr(BatteryConfig.from_dict(s.battery), field)
 

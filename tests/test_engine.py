@@ -16,7 +16,7 @@ from sipcraft.engine import (
     simulate,
 )
 from sipcraft.errors import SimulationError
-from sipcraft.schedule import MonthKey, Strategy, build_schedule
+from sipcraft.schedule import MonthKey, MonthSchedule, Strategy, build_schedule
 from sipcraft.synth import generate_series
 
 from conftest import DATA, anchor_prices, ledger_cagr, load_reference_sample, weekday_series
@@ -71,6 +71,14 @@ def test_simulate_missing_anchor(flat_year_series):
         simulate(Strategy.EXP, Window(2020, 2020), 10_000.0, flat_year_series, {})
     assert str(exp.value) == ("installment 2020-01 (exp): "
                               "schedule has no expiry for 2019-12 (needed by 2020-01)")
+    # an anchor off the calendar: Saturday 2020-01-04 follows Friday 2020-01-03,
+    # and the series starts on 2019-12-02
+    for day, hint in ((datetime.date(2020, 1, 4), "previous trading day: 2020-01-03"),
+                      (datetime.date(2019, 11, 29), "no earlier trading day in series")):
+        table = {MonthKey(2020, 1): MonthSchedule(MonthKey(2020, 1), day, None, "override")}
+        with pytest.raises(SimulationError) as exc:
+            simulate(Strategy.FTD, Window(2020, 2020), 10_000.0, flat_year_series, table)
+        assert str(exc.value) == f"installment 2020-01 (ftd): {day} is not a trading day ({hint})"
 
 
 def test_window_grids():

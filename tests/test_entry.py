@@ -41,15 +41,27 @@ def test_cli_main_leaves_the_heap_unfrozen(walk_csv, capsys):
     assert gc.get_freeze_count() == frozen
 
 
-def _script_target() -> str:
+def _pyproject() -> dict:
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"]["sipcraft"]
+        return tomllib.load(fh)
+
+
+def _script_target() -> str:
+    return _pyproject()["project"]["scripts"]["sipcraft"]
 
 
 def test_console_script_is_the_module_entry():
     module, _, attr = _script_target().partition(":")
     assert getattr(importlib.import_module(module), attr) is entry.run
+
+
+def test_project_version_is_the_package_version():
+    # one version string: the build reads it from the attribute --version prints
+    config = _pyproject()
+    assert "version" not in config["project"] and "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "sipcraft._version.VERSION"}
 
 
 @pytest.mark.parametrize("route", ["module", "script"])
@@ -92,6 +104,19 @@ def test_module_entry_reports_a_failed_flush():
         os.close(write_end)
     assert proc.returncode == 120
     assert "BrokenPipeError" in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["compare", "--help"]],
+                         ids=["version", "help", "compare-help"])
+def test_module_entry_reports_an_unwritable_stdout(argv):
+    # unbuffered, the write fails inside argparse, which on its own drops the error
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "sipcraft", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True,
+                              env={**ENV, "PYTHONUNBUFFERED": "1"})
+    assert (proc.returncode, proc.stderr) == (
+        EXIT_ERROR, "sipcraft: error: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("argv, rc", [

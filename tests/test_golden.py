@@ -50,11 +50,13 @@ def test_golden_output(name, inputs, monkeypatch):
 # a simulate amount other than the default; a month without trading days and
 # one without an expiry; an ftd_dominates verdict; growth fixtures; the
 # bootstrap's word loop; samples whose differences are all equal or all zero;
-# and the parsers' checks of an override month and of a window's order
+# the parsers' checks of an override month and of a window's order; and an
+# execution date before the series' first trading day
 REACHED = {
     "cli.py": ("cfg = json.load(fh)", 'battery["seed"] = int(env_seed)',
                'with open(out, "w", encoding="utf-8") as fh:', "fh.write(text)"),
-    "engine.py": ('raise SeriesFormatError(f"window ends before it starts',),
+    "engine.py": ('raise SeriesFormatError(f"window ends before it starts',
+                  '"no earlier trading day in series"'),
     "report.py": ('lines += ["## Schedule anomalies", ""]', "{plan['monthly_amount']:g}/month"),
     "schedule.py": ('_anomaly(key, "expiry_day", expiry, "expiry precedes',
                     "return None  # the series has no trading day in the month",

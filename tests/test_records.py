@@ -10,8 +10,8 @@ import sipcraft
 from sipcraft.cli import Settings
 from sipcraft.engine import Window, WindowOutcome
 from sipcraft.schedule import MonthKey, MonthSchedule
-from sipcraft.stats.battery import BatteryConfig, run_battery
-from sipcraft.stats.bootstrap import BootstrapCI
+from sipcraft.stats.battery import run_battery
+from sipcraft.stats.bootstrap import BatteryConfig, BootstrapCI
 from sipcraft.stats.dominance import KsResult
 from sipcraft.stats.paired import PairedSample, TestResult as PairedTestResult, WilcoxonResult
 

@@ -19,7 +19,8 @@ from sipcraft.report import (
     window_row,
 )
 from sipcraft.schedule import MonthKey, Strategy, build_schedule
-from sipcraft.stats.battery import BatteryConfig, run_battery
+from sipcraft.stats.battery import run_battery
+from sipcraft.stats.bootstrap import BatteryConfig
 from sipcraft.stats.paired import PairedSample
 
 from conftest import ROOT, weekday_series

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sipcraft.errors import DegenerateSampleError, InsufficientDataError
-from sipcraft.stats.battery import BatteryConfig, run_battery
+from sipcraft.stats.battery import run_battery
 from sipcraft.stats import bootstrap
-from sipcraft.stats.bootstrap import _index_blocks, bootstrap_bca
+from sipcraft.stats.bootstrap import BatteryConfig, _index_blocks, bootstrap_bca
 from sipcraft.stats.dominance import DominanceSide, check_fsd, check_ssd, ks_two_sample
 from sipcraft.stats.paired import (
     WILCOXON_EXACT_LIMIT,
@@ -278,10 +278,10 @@ def test_bootstrap_degenerate_sample():
 
 
 def test_bootstrap_seed_determinism(three_year_sample):
-    a = bootstrap_bca(three_year_sample, resamples=2000, seed=7)
-    b = bootstrap_bca(three_year_sample, resamples=2000, seed=7)
+    a = bootstrap_bca(three_year_sample, BatteryConfig(B=2000, seed=7))
+    b = bootstrap_bca(three_year_sample, BatteryConfig(B=2000, seed=7))
     assert (a.lower, a.upper) == (b.lower, b.upper)
-    c = bootstrap_bca(three_year_sample, resamples=2000, seed=8)
+    c = bootstrap_bca(three_year_sample, BatteryConfig(B=2000, seed=8))
     assert (a.lower, a.upper) != (c.lower, c.upper)
 
 
@@ -291,7 +291,7 @@ def test_bootstrap_z0_counts_permuted_resamples_as_ties():
     diffs = [0.1, 0.2, 0.3]
     theta = math.fsum(diffs) / 3
     assert sum(diffs) / 3 > theta
-    ci = bootstrap_bca(sample_from_diffs(diffs), resamples=1000, seed=3)
+    ci = bootstrap_bca(sample_from_diffs(diffs), BatteryConfig(B=1000, seed=3))
     below = sum(b < theta for b in stdlib_bootstrap_means(diffs, 1000, 3))
     assert ci.point_estimate == theta
     assert ci.z0 == normal_ppf(below / 1000)
@@ -300,19 +300,8 @@ def test_bootstrap_z0_counts_permuted_resamples_as_ties():
 def test_bootstrap_validation(three_year_sample):
     with pytest.raises(InsufficientDataError):
         bootstrap_bca(sample_from_diffs([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        bootstrap_bca(three_year_sample, resamples=10)
-    with pytest.raises(ValueError):
-        bootstrap_bca(three_year_sample, alpha=0.0)
-    with pytest.raises(ValueError):
-        bootstrap_bca(three_year_sample, alpha=1.0)
-    with pytest.raises(ValueError):
-        bootstrap_bca(three_year_sample, seed=-1)
-    # at or below 2**-53, 1 - alpha/2 rounds to 1 and the upper z is infinite
-    for alpha in (2.0 ** -53, 1e-16, 1e-310):
-        with pytest.raises(ValueError, match=r"^alpha must be in \(2\*\*-53, 1\), got "):
-            bootstrap_bca(three_year_sample, resamples=1000, alpha=alpha)
-    ci = bootstrap_bca(three_year_sample, resamples=1000, alpha=1.2e-16)
+    # an alpha just above 2**-53, the least the config takes, still gives finite bounds
+    ci = bootstrap_bca(three_year_sample, BatteryConfig(B=1000, alpha=1.2e-16))
     assert math.isfinite(ci.lower) and math.isfinite(ci.upper)
 
 
@@ -336,7 +325,7 @@ def test_bootstrap_matches_scipy_bca(one_year_sample, three_year_sample):
         samples.append(tuple(gen.normal(0.5, 1.0, size=n).tolist()))
 
     for diffs in samples:
-        ci = bootstrap_bca(sample_from_diffs(diffs), resamples=10000)
+        ci = bootstrap_bca(sample_from_diffs(diffs), BatteryConfig(B=10000))
         ref = stats.bootstrap((np.asarray(diffs),), np.mean, n_resamples=10000,
                               method="BCa", rng=np.random.default_rng(0)).confidence_interval
         tol = 0.03 * (max(diffs) - min(diffs))
@@ -349,7 +338,7 @@ def test_bootstrap_bounds_past_the_acceleration_pole():
     # alpha 1e-15 the upper z passes the pole 1 - a(z0 + z) = 0, where the
     # adjusted level once wrapped round to 0 and gave [0, 0] around 0.045
     diffs = [1.0] + [0.0] * 21
-    ci = bootstrap_bca(sample_from_diffs(diffs), alpha=1e-15)
+    ci = bootstrap_bca(sample_from_diffs(diffs), BatteryConfig(alpha=1e-15))
     assert ci.acceleration * (ci.z0 + normal_ppf(1.0 - 1e-15 / 2)) > 1.0
     assert ci.lower == 0.0
     assert ci.upper == max(stdlib_bootstrap_means(diffs, 10000, 42))
@@ -361,11 +350,12 @@ def test_bootstrap_bounds_stay_inside_the_sample():
     # upper level reaches the resample of three equal maxima
     diffs = [0.12548152073901495, 0.9553496923196699, 3.4387392693187744]
     assert math.fsum(3 * [diffs[2]]) / 3 > diffs[2]
-    assert bootstrap_bca(sample_from_diffs(diffs), resamples=1000, alpha=1e-3).upper == diffs[2]
+    ci = bootstrap_bca(sample_from_diffs(diffs), BatteryConfig(B=1000, alpha=1e-3))
+    assert ci.upper == diffs[2]
     rng = random.Random(2024)
     for seed in range(400):  # skewed samples, where the extreme resamples decide a bound
         diffs = [rng.lognormvariate(0.0, 1.0) for _ in range(rng.randint(3, 6))]
-        ci = bootstrap_bca(sample_from_diffs(diffs), resamples=1000, seed=seed)
+        ci = bootstrap_bca(sample_from_diffs(diffs), BatteryConfig(B=1000, seed=seed))
         assert min(diffs) <= ci.lower <= ci.upper <= max(diffs), (seed, diffs)
 
 
@@ -446,7 +436,7 @@ def test_bootstrap_memory_is_bounded_by_the_resamples():
     s = sample_from_diffs([math.sin(i) for i in range(22)])
     tracemalloc.start()
     try:
-        bootstrap_bca(s, resamples=50000)
+        bootstrap_bca(s, BatteryConfig(B=50000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -677,8 +667,12 @@ def test_battery_config_rejects_unknown_and_invalid():
     with pytest.raises(ValueError, match="^B must be <= 1000000, got 1000001$"):
         BatteryConfig(B=1_000_001)
     assert BatteryConfig(B=1_000_000).B == 1_000_000
-    with pytest.raises(ValueError, match=r"^alpha must be in \(2\*\*-53, 1\), got 1e-16$"):
-        BatteryConfig(alpha=1e-16)
+    # at or below 2**-53, 1 - alpha/2 rounds to 1 and the upper z is infinite
+    for alpha in (0.0, 2.0 ** -53, 1e-16, 1e-310, 1.0):
+        with pytest.raises(ValueError, match=rf"^alpha must be in \(2\*\*-53, 1\), got {alpha}$"):
+            BatteryConfig(alpha=alpha)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        BatteryConfig(seed=-1)
     with pytest.raises(ValueError, match="^B must be an integer, got 1000.0$"):
         BatteryConfig(1000.0)
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sipcraft.engine import load_windows
-from sipcraft.errors import NotTradingDayError, SeriesFormatError
+from sipcraft.errors import SeriesFormatError
 from sipcraft.schedule import load_schedule_overrides
 from sipcraft.timeseries import IndexSeries, parse_series, serialize_series
 
@@ -195,16 +195,14 @@ def test_parsed_series_matches_series_built_from_days():
 
 def test_close_on_absent_date_hints_preceding_day():
     s = parse_series("date,close\n2003-01-01,1100.15\n2003-01-02,1100.90\n")
-    with pytest.raises(NotTradingDayError) as exc:
-        s.close_on(datetime.date(2003, 1, 3))
-    assert "2003-01-03" in str(exc.value)
-    assert "2003-01-02" in str(exc.value)
+    assert s.close_on(datetime.date(2003, 1, 3)) is None
+    assert s.on_or_before(datetime.date(2003, 1, 3)) == datetime.date(2003, 1, 2)
 
 
 def test_close_on_before_series_start():
     s = parse_series("date,close\n2003-01-06,1100.15\n")
-    with pytest.raises(NotTradingDayError):
-        s.close_on(datetime.date(2003, 1, 3))
+    assert s.close_on(datetime.date(2003, 1, 3)) is None
+    assert s.on_or_before(datetime.date(2003, 1, 3)) is None
 
 
 def test_last_trading_day_of_year():
@@ -268,8 +266,7 @@ def test_close_on_succeeds_iff_date_present(rows, jitter):
     if probe in present:
         assert series.close_on(probe) == dict(rows)[probe]
     else:
-        with pytest.raises(NotTradingDayError):
-            series.close_on(probe)
+        assert series.close_on(probe) is None
 
 
 @given(series_rows())
