@@ -8,10 +8,10 @@ each command to its exit code and the SHA-256 of its stdout and stderr,
 and of its ``--out`` file if it writes one; an entry of ``ENV`` runs with
 those environment variables set, and its record lists them.
 
-    PYTHONPATH=src python3 scripts/golden.py                 # list moved entries, exit 1 if any
-    PYTHONPATH=src python3 scripts/golden.py --update        # rewrite the manifest
-    PYTHONPATH=src python3 scripts/golden.py --against REV   # diff every output against REV's
-    PYTHONPATH=src python3 scripts/golden.py --reach         # list package lines no entry runs
+    python3 scripts/golden.py                 # list moved entries, exit 1 if any
+    python3 scripts/golden.py --update        # rewrite the manifest
+    python3 scripts/golden.py --against REV   # diff every output against REV's
+    python3 scripts/golden.py --reach         # list package lines no entry runs
 
 A change that moves an entry on purpose regenerates the manifest and names
 every moved entry in CHANGES.md. ``--against`` runs the same corpus on the
@@ -42,6 +42,8 @@ from pathlib import Path
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
+if importlib.util.find_spec("sipcraft") is None:  # a PYTHONPATH or an install wins
+    sys.path.append(str(ROOT / "src"))
 MANIFEST = ROOT / "tests" / "golden" / "manifest.json"
 SCHEDULE = ROOT / "data" / "schedule_overrides.csv"
 WINDOWS = ROOT / "data" / "reference_windows.csv"

@@ -377,16 +377,9 @@ def cmd_fixtures(settings: Settings, args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except OSError as exc:  # --version or --help into a stdout that cannot be written
-        print(f"sipcraft: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    from .errors import SipcraftError
-
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(resolve_settings(args), args)
-    except (SipcraftError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every sipcraft error is a ValueError
         print(f"sipcraft: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

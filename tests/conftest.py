@@ -3,6 +3,7 @@
 import csv
 import datetime
 import math
+import os
 import random
 from pathlib import Path
 
@@ -18,6 +19,10 @@ DATA = ROOT / "data"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 # an override table on weekdays, which a walk series without holidays trades on
 OVERRIDES = "year,month,ftd_dom,expiry_dom\n2010,1,4,27\n"
+# pyproject's pythonpath puts src/ on the path of this process only; the
+# interpreters that tests start find the package through PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                                          os.environ.get("PYTHONPATH"))))
 
 
 def load_reference_sample(duration: int) -> PairedSample:

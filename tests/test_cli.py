@@ -241,9 +241,8 @@ def test_compare_reads_data_from_a_pipe(series_csv, name):
     paths = {"--data": str(series_csv), flag: "/dev/stdin"}
     argv = ["compare", *[a for item in paths.items() for a in item], "--durations", "1",
             "--resamples", "1000", "--format", "json"]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-m", "sipcraft", *argv], input=piped,
-                          capture_output=True, env=env)
+                          capture_output=True)
     assert proc.returncode == EXIT_OK, proc.stderr
     bundle = json.loads(proc.stdout)
     assert len(bundle["windows"]["1y"]) == 22

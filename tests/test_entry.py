@@ -11,18 +11,16 @@ import sys
 
 import pytest
 
-from sipcraft import __main__ as entry
+from sipcraft import __main__ as entry, errors
 from sipcraft._version import VERSION
 from sipcraft.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
 
 from conftest import DATA, OVERRIDES, ROOT
 
-ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-
 
 def _sipcraft(*argv, python=()):
     return subprocess.run([sys.executable, *python, "-m", "sipcraft", *argv],
-                          capture_output=True, text=True, env=ENV)
+                          capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +75,7 @@ def test_each_entry_freezes_and_keeps_atexit(route):
              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
              f"{call}\n")
     proc = subprocess.run([sys.executable, "-c", probe, "--version"], capture_output=True,
-                          text=True, env=ENV)
+                          text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         EXIT_OK, f"sipcraft {VERSION}\n", "frozen True\n")
 
@@ -96,7 +94,7 @@ def test_module_entry_reports_a_failed_flush():
     # output reaches that flush only after the freeze
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     try:
         proc = subprocess.run([sys.executable, "-m", "sipcraft", "--version"], stdout=write_end,
                               stderr=subprocess.PIPE, text=True, env=env)
@@ -114,9 +112,45 @@ def test_module_entry_reports_an_unwritable_stdout(argv):
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "sipcraft", *argv], stdout=full,
                               stderr=subprocess.PIPE, text=True,
-                              env={**ENV, "PYTHONUNBUFFERED": "1"})
+                              env={**os.environ, "PYTHONUNBUFFERED": "1"})
     assert (proc.returncode, proc.stderr) == (
         EXIT_ERROR, "sipcraft: error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--bogus"], ["validate", "--data", "{missing}"],
+                                  ["compare", "--data", "{missing}"]],
+                         ids=["usage", "validate-missing", "compare-missing"])
+def test_module_entry_exits_2_when_its_report_cannot_be_written(tmp_path, argv, unbuffered):
+    # the one-line report fails on stderr too; the exit code must still say
+    # "error", not 1 from a traceback or 120 from the exit's flush
+    argv = [a.format(missing=tmp_path / "missing.csv") for a in argv]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "sipcraft", *argv], stdout=subprocess.PIPE,
+                              stderr=full, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+
+
+def test_module_entry_version_loads_only_the_start_modules():
+    # -m runs sipcraft/__main__.py as __main__, so it is no sipcraft module
+    proc = _sipcraft("--version", python=("-X", "importtime"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert sorted(m for m in imported if m.split(".")[0] == "sipcraft") == [
+        "sipcraft", "sipcraft._version", "sipcraft.cli"]
+
+
+def test_every_sipcraft_error_is_a_value_error():
+    # cli.main reports OSError and ValueError, so no error of the package escapes it
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    assert errors.SimulationError in classes
+    for cls in classes:
+        assert issubclass(cls, errors.SipcraftError) and issubclass(cls, ValueError), cls
 
 
 @pytest.mark.parametrize("argv, rc", [

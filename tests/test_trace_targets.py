@@ -9,7 +9,6 @@ and keep the return values its span counts read in the shape it reads.
 import importlib
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 
@@ -56,7 +55,7 @@ def test_traced_compare_reads_every_count(tmp_path):
         [sys.executable, str(ROOT / "perfbench" / "trace_child.py"), "--out", str(out),
          "--seconds", "0", "--", "compare", "--data", str(data), "--resamples", "1000",
          "--format", "json"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
     assert (result["rc"], result["missing"], result["mismatches"]) == (0, [], 0)
