@@ -124,9 +124,8 @@ def _metrics_table(report_dicts: list[dict], first: str) -> tuple[list[str], lis
         f"{d['effect']['hedges_g']:.4f} / {d['effect']['hedges_g_paper']:.4f}")
 
     def ci(b):
-        pct = round((1.0 - b["alpha"]) * 100)
         tag = " (degenerate)" if b["degenerate"] else ""
-        return f"[{b['lower']:.4f}, {b['upper']:.4f}] ({pct}%, B={b['B']}){tag}"
+        return f"[{b['lower']:.4f}, {b['upper']:.4f}] ({(1.0 - b['alpha']) * 100:g}%, B={b['B']}){tag}"
 
     add("Bootstrap CI (mean diff)", lambda d: _na(d, "bootstrap") or ci(d["bootstrap"]))
     add("KS statistic (D)", lambda d: _na(d, "ks") or fmt(d["ks"]["statistic"]))
@@ -234,7 +233,7 @@ def render_simulation(ledger: dict, format: str = "markdown") -> str:
     plan = ledger["plan"]
     lines = [
         f"Plan: {plan['strategy']} {plan['start_year']}..{plan['start_year'] + plan['years'] - 1} "
-        f"({plan['years']}y, {plan['monthly_amount']:g}/month)",
+        f"({plan['years']}y, {plan['monthly_amount']:.15g}/month)",
         "",
         *_markdown(("Month", "Date", "Price", "Units"),
                    ((e["month"], e["date"], f"{e['price']:.4f}", f"{e['units']:.6f}")

@@ -73,9 +73,9 @@ class MonthSchedule(NamedTuple):
 
     Sources are tracked per field because a month can mix an overridden
     anchor with a computed one (an override row may populate only one cell).
+    The month is the key of the table that holds the record.
     """
 
-    key: MonthKey
     first_trading_day: Date | None = None
     expiry_day: Date | None = None
     ftd_source: str | None = None
@@ -153,7 +153,6 @@ def load_schedule_overrides(source: str | io.TextIOBase) -> dict[MonthKey, Month
         if ftd is None and expiry is None:
             raise SeriesFormatError(f"override row for {key} has neither anchor", line)
         entries[key] = MonthSchedule(
-            key=key,
             first_trading_day=ftd,
             expiry_day=expiry,
             ftd_source=SOURCE_OVERRIDE if ftd is not None else None,
@@ -218,6 +217,6 @@ def build_schedule(
         ftd, expiry = days
         if ftd is not None and expiry is not None and expiry < ftd:
             _anomaly(key, "expiry_day", expiry, "expiry precedes the first trading day")
-        table[key] = MonthSchedule(key, *days, *sources)
+        table[key] = MonthSchedule(*days, *sources)
     return table, anomalies
 

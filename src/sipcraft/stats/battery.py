@@ -15,9 +15,11 @@ from typing import NamedTuple
 
 from ..errors import DegenerateSampleError, InsufficientDataError
 from .bootstrap import BatteryConfig, bootstrap_bca
-from .dominance import check_fsd, check_ssd, ks_two_sample
+from .dominance import KsResult, check_fsd, check_ssd, ks_two_sample
 from .paired import (
     PairedSample,
+    TestResult,
+    WilcoxonResult,
     classify_effect,
     cohens_d,
     hedges_g,
@@ -44,11 +46,11 @@ class ComparisonReport(NamedTuple):
     label: str
     n: int
     mean_diff: float
-    t: dict  # statistic, p, df
-    wilcoxon: dict  # statistic, p, method, p_exact, p_normal
+    t: dict  # the TestResult under its field names
+    wilcoxon: dict  # the WilcoxonResult under its field names
     effect: dict  # cohens_d, label, hedges_g, hedges_g_paper
     bootstrap: dict | None  # the BootstrapCI under the bundle's keys
-    ks: dict  # statistic, p
+    ks: dict  # the KsResult under its field names
     fsd: str | None  # a DominanceSide value
     ssd: str | None
     not_applicable: dict
@@ -62,9 +64,9 @@ def run_battery(s: PairedSample, config: BatteryConfig = BatteryConfig(), label:
     descriptive and always present.
     """
     mean_diff = math.fsum(s.diffs) / s.n
-    t = dict.fromkeys(("statistic", "p", "df"))
-    wilcoxon = dict.fromkeys(("statistic", "p", "method", "p_exact", "p_normal"))
-    ks = dict.fromkeys(("statistic", "p"))
+    t = dict.fromkeys(TestResult._fields)
+    wilcoxon = dict.fromkeys(WilcoxonResult._fields)
+    ks = dict.fromkeys(KsResult._fields)
     d = effect_label = g = g_paper = bootstrap = fsd = ssd = None
     na: dict[str, str] = {}
 
@@ -74,21 +76,13 @@ def run_battery(s: PairedSample, config: BatteryConfig = BatteryConfig(), label:
         na = dict.fromkeys(CELLS, reason)
     else:
         try:
-            tr = paired_t_one_tailed(s)
-            t = {"statistic": tr.statistic, "p": tr.p_value, "df": tr.df}
+            t = paired_t_one_tailed(s)._asdict()
         except DegenerateSampleError as exc:
             na["t"] = str(exc)
 
         # n >= 2 pairs and a nonzero difference from here on, so the Wilcoxon,
         # KS and dominance cells are always defined
-        w = wilcoxon_signed_rank(s)
-        # exact up to WILCOXON_EXACT_LIMIT nonzero differences; both paths are
-        # informative at these sample sizes, so an exact p gets its normal
-        # approximation reported next to it
-        exact = w.p_exact is not None
-        wilcoxon = {"statistic": w.statistic, "p": w.p_exact if exact else w.p_normal,
-                    "method": "exact" if exact else "normal_approx",
-                    "p_exact": w.p_exact, "p_normal": w.p_normal}
+        wilcoxon = wilcoxon_signed_rank(s)._asdict()
 
         try:
             d = cohens_d(s)
@@ -109,8 +103,7 @@ def run_battery(s: PairedSample, config: BatteryConfig = BatteryConfig(), label:
         except InsufficientDataError as exc:
             na["bootstrap"] = str(exc)
 
-        kr = ks_two_sample(s)
-        ks = {"statistic": kr.statistic, "p": kr.p_value}
+        ks = ks_two_sample(s)._asdict()
         fsd, ssd = check_fsd(s).value, check_ssd(s).value
 
     effect = {"cohens_d": d, "label": effect_label, "hedges_g": g, "hedges_g_paper": g_paper}

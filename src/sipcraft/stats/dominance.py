@@ -33,7 +33,7 @@ class DominanceSide(Enum):
 
 class KsResult(NamedTuple):
     statistic: float
-    p_value: float
+    p: float
 
 
 def ks_two_sample(s: PairedSample) -> KsResult:
@@ -49,7 +49,7 @@ def ks_two_sample(s: PairedSample) -> KsResult:
     ne = s.n / 2
     lam = (math.sqrt(ne) + 0.12 + 0.11 / math.sqrt(ne)) * d
     p = min(1.0, math.exp(-2.0 * lam * lam))
-    return KsResult(statistic=d, p_value=p)
+    return KsResult(statistic=d, p=p)
 
 
 def _pooled_gaps(s: PairedSample) -> tuple[list[float], list[int]]:

@@ -68,7 +68,7 @@ class PairedSample:
 
 class TestResult(NamedTuple):
     statistic: float
-    p_value: float
+    p: float
     df: int
 
 
@@ -99,7 +99,7 @@ def paired_t_one_tailed(s: PairedSample) -> TestResult:
     if sd == 0.0:
         raise DegenerateSampleError("all differences are identical, t is undefined")
     t = mean / (sd / math.sqrt(s.n))
-    return TestResult(statistic=t, p_value=student_t_sf(t, s.n - 1), df=s.n - 1)
+    return TestResult(statistic=t, p=student_t_sf(t, s.n - 1), df=s.n - 1)
 
 
 def _doubled_signed_ranks(diffs: Sequence[float]) -> tuple[list[int], list[bool], int]:
@@ -146,6 +146,8 @@ def _wilcoxon_exact_p(doubled_ranks: Sequence[int], doubled_w: int) -> float:
 
 class WilcoxonResult(NamedTuple):
     statistic: float  # W+
+    p: float  # p_exact where there is one, else p_normal
+    method: str  # "exact" or "normal_approx", naming the path of p
     p_exact: float | None  # None above WILCOXON_EXACT_LIMIT nonzero differences
     p_normal: float
 
@@ -156,7 +158,9 @@ def wilcoxon_signed_rank(s: PairedSample) -> WilcoxonResult:
     Zero differences are dropped before ranking; ties get average ranks.
     One ranking gives W+, the exact p by full null enumeration (up to
     WILCOXON_EXACT_LIMIT nonzero differences) and the continuity and tie
-    corrected normal-approximation p.
+    corrected normal-approximation p. The headline p is the exact one where
+    there is one; both paths are informative at these sample sizes, so an
+    exact p keeps its normal approximation next to it.
     """
     doubled, positive, ties = _doubled_signed_ranks(s.diffs)
     n = len(doubled)
@@ -164,13 +168,16 @@ def wilcoxon_signed_rank(s: PairedSample) -> WilcoxonResult:
         raise DegenerateSampleError("all differences are zero, signed-rank test is undefined")
     doubled_w = sum(r for r, pos in zip(doubled, positive) if pos)
     w_plus = doubled_w / 2.0
-    p_exact = _wilcoxon_exact_p(doubled, doubled_w) if n <= WILCOXON_EXACT_LIMIT else None
 
     mean_w = n * (n + 1) / 4.0
     # ties <= n**3 - n, so var_w >= n(n+1)**2 / 16 > 0
     var_w = n * (n + 1) * (2 * n + 1) / 24.0 - ties / 48.0
     z = (w_plus - mean_w - 0.5) / math.sqrt(var_w)  # 0.5 = continuity correction
-    return WilcoxonResult(w_plus, p_exact, normal_cdf(-z))
+    p_normal = normal_cdf(-z)
+    if n <= WILCOXON_EXACT_LIMIT:
+        p_exact = _wilcoxon_exact_p(doubled, doubled_w)
+        return WilcoxonResult(w_plus, p_exact, "exact", p_exact, p_normal)
+    return WilcoxonResult(w_plus, p_normal, "normal_approx", None, p_normal)
 
 
 def cohens_d(s: PairedSample) -> float:

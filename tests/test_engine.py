@@ -75,7 +75,7 @@ def test_simulate_missing_anchor(flat_year_series):
     # and the series starts on 2019-12-02
     for day, hint in ((datetime.date(2020, 1, 4), "previous trading day: 2020-01-03"),
                       (datetime.date(2019, 11, 29), "no earlier trading day in series")):
-        table = {MonthKey(2020, 1): MonthSchedule(MonthKey(2020, 1), day, None, "override")}
+        table = {MonthKey(2020, 1): MonthSchedule(day, None, "override")}
         with pytest.raises(SimulationError) as exc:
             simulate(Strategy.FTD, Window(2020, 2020), 10_000.0, flat_year_series, table)
         assert str(exc.value) == f"installment 2020-01 (ftd): {day} is not a trading day ({hint})"

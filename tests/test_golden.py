@@ -57,7 +57,7 @@ REACHED = {
                'with open(out, "w", encoding="utf-8") as fh:', "fh.write(text)"),
     "engine.py": ('raise SeriesFormatError(f"window ends before it starts',
                   '"no earlier trading day in series"'),
-    "report.py": ('lines += ["## Schedule anomalies", ""]', "{plan['monthly_amount']:g}/month"),
+    "report.py": ('lines += ["## Schedule anomalies", ""]', "{plan['monthly_amount']:.15g}/month"),
     "schedule.py": ('_anomaly(key, "expiry_day", expiry, "expiry precedes',
                     "return None  # the series has no trading day in the month",
                     "return None  # no trading day in the month up to its last Thursday",

@@ -16,16 +16,15 @@ from sipcraft.stats.dominance import KsResult
 from sipcraft.stats.paired import PairedSample, TestResult as PairedTestResult, WilcoxonResult
 
 DAY = datetime.date(2003, 1, 2)
-KEY = MonthKey(2003, 1)
 
 # one instance of every record the package defines
 EXAMPLES = [
-    KEY,
-    MonthSchedule(KEY, DAY, None, "computed", None),
+    MonthKey(2003, 1),
+    MonthSchedule(DAY, None, "computed", None),
     Window(2003, 2005),
     WindowOutcome(Window(2003, 2003), 1.0, 2.0),
     PairedTestResult(1.0, 0.5, 21),
-    WilcoxonResult(10.0, 0.5, 0.4),
+    WilcoxonResult(10.0, 0.5, "exact", 0.5, 0.4),
     BootstrapCI(0.1, -0.2, 0.4, 1000, 42, 0.05, 0.0, 0.0),
     KsResult(0.25, 0.9),
     BatteryConfig(),

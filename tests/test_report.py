@@ -121,6 +121,13 @@ def test_simulation_csv_round_trips(ledger):
         (e["month"], e["date"], e["price"], e["units"]) for e in ledger["executions"]]
 
 
+@pytest.mark.parametrize("amount, shown", [(12345.67, "12345.67"), (1234567.0, "1234567"),
+                                           (2500.5, "2500.5"), (1.0, "1")])
+def test_simulation_plan_line_shows_the_whole_amount(ledger, amount, shown):
+    text = render_simulation(dict(ledger, plan=dict(ledger["plan"], monthly_amount=amount)))
+    assert text.splitlines()[0] == f"Plan: ftd 2020..2020 (1y, {shown}/month)"
+
+
 def test_metrics_markdown_header_names_each_horizon(three_year_sample):
     text = render_bundle(make_bundle(three_year_sample), "markdown")
     assert markdown_section(text, "Comparison metrics").splitlines()[1] == "| Metric | 3y |"
@@ -132,6 +139,15 @@ def test_metrics_table_shows_na_reasons():
     assert "not applicable: n too small for inference (n=1)" in markdown_section(
         text, "Comparison metrics")
     assert "not applicable" in csv_sections(render_bundle(bundle, "csv"))["metrics"]
+
+
+@pytest.mark.parametrize("alpha, level", [(0.05, "95"), (0.1, "90"), (0.025, "97.5"),
+                                          (0.005, "99.5")])
+def test_metrics_tables_show_the_interval_level_unrounded(three_year_sample, alpha, level):
+    bundle = make_bundle(three_year_sample, config=BatteryConfig(B=1000, alpha=alpha))
+    shown = f"({level}%, B=1000)"
+    assert shown in markdown_section(render_bundle(bundle, "markdown"), "Comparison metrics")
+    assert shown in csv_sections(render_bundle(bundle, "csv"))["metrics"]
 
 
 def test_metrics_rendering_deterministic(one_year_sample):
@@ -180,8 +196,8 @@ def test_file_sha256_known_value():
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
 
 
-def make_bundle(sample, rows=None, label="3y"):
-    report = run_battery(sample, BatteryConfig(), label=label)
+def make_bundle(sample, rows=None, label="3y", config=BatteryConfig()):
+    report = run_battery(sample, config, label=label)
     prov = tool_provenance()
     prov.update({
         "data_path": "series.csv",
@@ -190,7 +206,7 @@ def make_bundle(sample, rows=None, label="3y"):
         "schedule_sha256": None,
         "schedule_source": "computed",
         "durations": [3],
-        "battery_config": BatteryConfig()._asdict(),
+        "battery_config": config._asdict(),
         "anomaly_count": 0,
     })
     return {

@@ -167,7 +167,6 @@ def test_bundled_override_table():
     # every dual-anchor month keeps its anchors ordered and in-month, and
     # each source is set exactly when its day is
     for key, entry in table.items():
-        assert entry.key == key
         for day, source in ((entry.first_trading_day, entry.ftd_source),
                             (entry.expiry_day, entry.expiry_source)):
             assert (source == SOURCE_OVERRIDE) == (day is not None), key

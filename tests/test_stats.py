@@ -57,14 +57,14 @@ def test_paired_sample_validation():
 def test_t_symmetric_sample():
     r = paired_t_one_tailed(sample_from_diffs([1.0, -1.0]))
     assert r.statistic == 0.0
-    assert r.p_value == pytest.approx(0.5, abs=1e-12)
+    assert r.p == pytest.approx(0.5, abs=1e-12)
     assert r.df == 1
 
 
 def test_t_three_year_column(three_year_sample):
     r = paired_t_one_tailed(three_year_sample)
     assert round(r.statistic, 3) == pytest.approx(2.833, abs=0.005)
-    assert r.p_value == pytest.approx(0.0149, abs=0.0005)
+    assert r.p == pytest.approx(0.0149, abs=0.0005)
     assert r.df == 6
 
 
@@ -177,7 +177,7 @@ def test_t_matches_scipy_ttest_rel(diffs):
         return
     want = ttest_rel(s.exp_values, s.ftd_values, alternative="greater")
     assert got.statistic == pytest.approx(want.statistic, rel=1e-9)
-    assert got.p_value == pytest.approx(want.pvalue, rel=1e-9, abs=1e-15)
+    assert got.p == pytest.approx(want.pvalue, rel=1e-9, abs=1e-15)
 
 
 @needs_scipy
@@ -448,13 +448,13 @@ def test_bootstrap_memory_is_bounded_by_the_resamples():
 def test_ks_identical_samples():
     r = ks_two_sample(PairedSample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
     assert r.statistic == 0.0
-    assert r.p_value == 1.0
+    assert r.p == 1.0
 
 
 def test_ks_disjoint_supports():
     r = ks_two_sample(PairedSample([0.0, 0.0], [1.0, 1.0]))
     assert r.statistic == 1.0
-    assert r.p_value < 0.5
+    assert r.p < 0.5
 
 
 def test_ks_published_values(one_year_sample, three_year_sample, five_year_sample):
@@ -462,7 +462,7 @@ def test_ks_published_values(one_year_sample, three_year_sample, five_year_sampl
                     (three_year_sample, 0.8424),
                     (five_year_sample, 0.7227)):
         r = ks_two_sample(s)
-        assert r.p_value == pytest.approx(want, abs=0.02)
+        assert r.p == pytest.approx(want, abs=0.02)
         # D is k/n correctly rounded, for an integer k
         assert r.statistic == round(r.statistic * s.n) / s.n
 
@@ -619,11 +619,16 @@ def test_battery_reports_both_wilcoxon_p_values(three_year_sample):
 
 
 def test_battery_wilcoxon_beyond_the_exact_limit_has_no_exact_p():
-    diffs = [0.1 * (i + 1) * (-1) ** (i % 3 == 0) for i in range(WILCOXON_EXACT_LIMIT + 1)]
-    w = run_battery(sample_from_diffs(diffs), BatteryConfig(B=1000)).wilcoxon
-    assert w["method"] == "normal_approx"
-    assert w["p_exact"] is None
-    assert w["p"] == w["p_normal"]
+    # at the limit and below it the p is exact; the limit counts nonzero
+    # differences, so a zero difference does not cross it
+    for nonzero, zeros, method in ((WILCOXON_EXACT_LIMIT + 1, 0, "normal_approx"),
+                                   (WILCOXON_EXACT_LIMIT, 0, "exact"),
+                                   (WILCOXON_EXACT_LIMIT, 1, "exact")):
+        diffs = [0.1 * (i + 1) * (-1) ** (i % 3 == 0) for i in range(nonzero)] + [0.0] * zeros
+        w = run_battery(sample_from_diffs(diffs), BatteryConfig(B=1000)).wilcoxon
+        assert w["method"] == method, (nonzero, zeros)
+        assert (w["p_exact"] is None) == (method == "normal_approx"), (nonzero, zeros)
+        assert w["p"] == (w["p_exact"] if method == "exact" else w["p_normal"]), (nonzero, zeros)
 
 
 def test_battery_report_round_trips_json(one_year_sample):
