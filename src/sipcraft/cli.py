@@ -55,10 +55,11 @@ ENV_SEED = "SIPCRAFT_SEED"
 CONFIG_KEYS = ("data", "schedule", "format", "amount", "durations", "strategy",
                "start_year", "years", "stats")
 FORMATS = ("markdown", "csv", "json")
-# schedule.Strategy's values, synth.KINDS and engine.SUPPORTED_DURATIONS,
-# repeated here so that building the parser and resolving settings load none
-# of those modules; a test keeps them equal
+# schedule.Strategy's values and engine.SUPPORTED_DURATIONS, repeated here so
+# that building the parser and resolving settings load neither module; a test
+# keeps them equal
 STRATEGIES = ("ftd", "exp")
+# the series kinds synth.generate_series draws; --kind's choices are their only check
 KINDS = ("flat", "growth", "walk")
 DEFAULT_DURATIONS = (1, 3, 5, 10, 20)
 # the amount cancels out of every CAGR, so its default is arbitrary

@@ -96,9 +96,11 @@ def load_windows(
             kind = float if key.startswith("cagr") else int
             try:
                 cells[key] = kind(row[i])
+                # an int is always finite, and math.isfinite overflows on a huge one
+                finite = kind is int or math.isfinite(cells[key])
             except ValueError:
-                cells[key] = math.nan
-            if not math.isfinite(cells[key]):
+                finite = False
+            if not finite:
                 what = "a finite number" if kind is float else "an integer"
                 raise SeriesFormatError(f"{key} must be {what}, got {row[i].strip()!r}", line)
             if kind is float and not -100.0 <= cells[key] <= MAX_CAGR:
@@ -203,8 +205,6 @@ def simulate(strategy: Strategy, window: Window, monthly_amount: float, series: 
     outlay and final value are for printing; its CAGR is the amount-free
     one that ``paired_run`` reports for the same window.
     """
-    if not (math.isfinite(monthly_amount) and monthly_amount > 0):
-        raise ValueError(f"monthly_amount must be positive and finite, got {monthly_amount}")
     installments, terminal_date, terminal_close = _installments(strategy, window, series, table)
     cagr_percent = _cagr_of(strategy, window, installments, terminal_close)
     executions = []
@@ -241,8 +241,6 @@ def simulate(strategy: Strategy, window: Window, monthly_amount: float, series: 
 def enumerate_windows(duration: int) -> list[Window]:
     """The fixed window grid for a supported duration: non-overlapping windows
     packed back from December 2024, none starting before 2003, in start order."""
-    if duration not in SUPPORTED_DURATIONS:
-        raise ValueError(f"unsupported duration {duration}, expected one of {SUPPORTED_DURATIONS}")
     return [Window(y, y + duration - 1) for y in reversed(range(2025 - duration, 2002, -duration))]
 
 

@@ -17,7 +17,6 @@ import json
 
 from ._version import VERSION
 from .engine import WindowOutcome
-from .errors import InsufficientDataError
 from .stats.special import quantile_sorted
 
 __all__ = [
@@ -125,7 +124,7 @@ def _metrics_table(report_dicts: list[dict], first: str) -> tuple[list[str], lis
 
     def ci(b):
         tag = " (degenerate)" if b["degenerate"] else ""
-        return f"[{b['lower']:.4f}, {b['upper']:.4f}] ({(1.0 - b['alpha']) * 100:g}%, B={b['B']}){tag}"
+        return f"[{b['lower']:.4f}, {b['upper']:.4f}] ({(1.0 - b['alpha']) * 100:.15g}%, B={b['B']}){tag}"
 
     add("Bootstrap CI (mean diff)", lambda d: _na(d, "bootstrap") or ci(d["bootstrap"]))
     add("KS statistic (D)", lambda d: _na(d, "ks") or fmt(d["ks"]["statistic"]))
@@ -140,8 +139,6 @@ def boxplot_summary(values) -> dict:
     """Plot-ready five-number summary, as the bundle stores it. Quartiles
     by linear interpolation (type 7); whiskers at the most extreme data
     points within 1.5 IQR of the box."""
-    if len(values) == 0:
-        raise InsufficientDataError("boxplot summary needs a non-empty sample")
     xs = sorted(float(v) for v in values)
     q1, median, q3 = (quantile_sorted(xs, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
@@ -176,10 +173,6 @@ def tool_provenance() -> dict:
                                  "row-major; fsum means")}
 
 
-def _unknown(format: str) -> ValueError:
-    return ValueError(f"format must be markdown, csv or json, got {format!r}")
-
-
 def render_bundle(bundle: dict, format: str = "markdown") -> str:
     """Render a full comparison bundle (as assembled by the CLI)."""
     if format == "json":
@@ -192,8 +185,6 @@ def render_bundle(bundle: dict, format: str = "markdown") -> str:
             parts += [f"# windows {years}\n", _csv(WINDOW_FIELDS, map(_window_cells, rows))]
         parts += ["# metrics\n", _csv(*_metrics_table(bundle["metrics"], "metric"))]
         return "".join(parts)
-    if format != "markdown":
-        raise _unknown(format)
 
     prov = bundle["provenance"]
     lines = ["# SIP schedule comparison", "", "## Provenance", ""]
@@ -228,8 +219,6 @@ def render_simulation(ledger: dict, format: str = "markdown") -> str:
     executions = ledger["executions"]
     if format == "csv":
         return _csv(("month", "date", "price", "units"), (e.values() for e in executions))
-    if format != "markdown":
-        raise _unknown(format)
     plan = ledger["plan"]
     lines = [
         f"Plan: {plan['strategy']} {plan['start_year']}..{plan['start_year'] + plan['years'] - 1} "

@@ -13,7 +13,6 @@ from bisect import bisect_right
 from enum import Enum
 from typing import NamedTuple
 
-from ..errors import InsufficientDataError
 from .paired import PairedSample
 
 __all__ = [
@@ -65,11 +64,6 @@ def _pooled_gaps(s: PairedSample) -> tuple[list[float], list[int]]:
     return grid, gaps
 
 
-def _require_pairs(s: PairedSample, what: str) -> None:
-    if s.n < 2:
-        raise InsufficientDataError(f"{what} needs at least 2 pairs, got n={s.n}")
-
-
 def _side(values: list[int]) -> DominanceSide:
     """EXP if no value is negative and one is positive, FTD if the reverse,
     else (an empty list included) NONE."""
@@ -82,7 +76,6 @@ def _side(values: list[int]) -> DominanceSide:
 
 def check_fsd(s: PairedSample) -> DominanceSide:
     """First-order verdict: one ECDF never above the other, strictly below somewhere."""
-    _require_pairs(s, "check_fsd")
     # gap > 0 means F_exp < F_ftd at that point, i.e. EXP mass sits higher
     return _side(_pooled_gaps(s)[1])
 
@@ -99,7 +92,6 @@ def check_ssd(s: PairedSample) -> DominanceSide:
     keeps every term of a first-order-dominant sample non-negative, which
     makes the FSD => SSD implication structural.
     """
-    _require_pairs(s, "check_ssd")
     grid, gaps = _pooled_gaps(s)
     ratios = [x.as_integer_ratio() for x in grid]
     scale = max(den for _, den in ratios)

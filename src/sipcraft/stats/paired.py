@@ -1,7 +1,9 @@
 """Paired-sample container, location tests, and effect sizes.
 
 Every test is one-sided with the alternative "EXP outperforms FTD", i.e.
-positive location of the differences exp - ftd.
+positive location of the differences exp - ftd. Each statistic takes the
+samples ``run_battery`` lets through, n >= 2 with a nonzero difference; the
+raises left are each statistic's own domain on those.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ WILCOXON_EXACT_LIMIT = 25
 
 
 class PairedSample:
-    """Aligned per-window CAGR vectors for the two strategies.
+    """Aligned per-window CAGR vectors for the two strategies, of one
+    nonzero length, as the engine builds them.
 
     Differences are always exp - ftd, computed from the stored vectors so
     they can never drift out of sync with them.
@@ -41,10 +44,6 @@ class PairedSample:
     def __init__(self, exp_values: Iterable[float], ftd_values: Iterable[float]):
         exp = tuple(float(v) for v in exp_values)
         ftd = tuple(float(v) for v in ftd_values)
-        if len(exp) != len(ftd):
-            raise ValueError(f"vectors must be the same length, got {len(exp)} and {len(ftd)}")
-        if not exp:
-            raise ValueError("sample must contain at least one pair")
         self._exp = exp
         self._ftd = ftd
         self._diffs = tuple(e - f for e, f in zip(exp, ftd))
@@ -93,8 +92,6 @@ def _mean_sd(diffs: Sequence[float]) -> tuple[float, float]:
 
 def paired_t_one_tailed(s: PairedSample) -> TestResult:
     """One-tailed paired t-test; p is the upper tail at df = n - 1."""
-    if s.n < 2:
-        raise InsufficientDataError(f"paired t-test needs n >= 2, got n={s.n}")
     mean, sd = _mean_sd(s.diffs)
     if sd == 0.0:
         raise DegenerateSampleError("all differences are identical, t is undefined")
@@ -164,8 +161,6 @@ def wilcoxon_signed_rank(s: PairedSample) -> WilcoxonResult:
     """
     doubled, positive, ties = _doubled_signed_ranks(s.diffs)
     n = len(doubled)
-    if n == 0:
-        raise DegenerateSampleError("all differences are zero, signed-rank test is undefined")
     doubled_w = sum(r for r, pos in zip(doubled, positive) if pos)
     w_plus = doubled_w / 2.0
 
@@ -182,8 +177,6 @@ def wilcoxon_signed_rank(s: PairedSample) -> WilcoxonResult:
 
 def cohens_d(s: PairedSample) -> float:
     """Paired Cohen's d: mean of differences over their sample sd."""
-    if s.n < 2:
-        raise InsufficientDataError(f"effect size needs n >= 2, got n={s.n}")
     mean, sd = _mean_sd(s.diffs)
     if sd == 0.0:
         raise DegenerateSampleError("all differences are identical, d is undefined")

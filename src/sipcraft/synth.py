@@ -15,9 +15,7 @@ from datetime import date as Date, timedelta
 
 from .timeseries import IndexSeries
 
-__all__ = ["KINDS", "generate_series"]
-
-KINDS = ("flat", "growth", "walk")
+__all__ = ["generate_series"]
 
 MAX_HOLIDAY_RATE = 0.3
 
@@ -36,10 +34,6 @@ def generate_series(
     deterministic drift with a mild seasonal wiggle, "walk" draws seeded
     lognormal daily steps.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if years < 1:
-        raise ValueError(f"years must be >= 1, got {years}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if not 0.0 < base < math.inf:

@@ -299,6 +299,9 @@ _TABLE = "from_year,to_year,years,cagr_ftd,cagr_exp\n"
     (_TABLE + "2003,2004,1,1.0,2.0\n", [],
      "line 2: years 1 does not match window 2003..2004"),
     (_TABLE + "2004,2003,0,1.0,2.0\n", [], "line 2: window ends before it starts: 2004..2003"),
+    # math.isfinite on a year too large for a float raised OverflowError
+    (_TABLE + f"{10**400},2003,0,1.0,2.0\n", [],
+     f"line 2: window ends before it starts: {10**400}..2003"),
     (_TABLE + "2003,2009,7,1.0,2.0\n", [],
      "line 2: window 2003..2009 spans 7 years, expected one of (1, 3, 5, 10, 20)"),
     (_TABLE + "2003,2003,1,1.0,2.0\n\n2003,2003,1,1.5,2.5\n", [],
@@ -309,7 +312,8 @@ _TABLE = "from_year,to_year,years,cagr_ftd,cagr_exp\n"
                                           str(DATA / "schedule_overrides.csv")],
      "a schedule file does not apply to a per-window CAGR table"),
 ], ids=["missing-column", "missing-year-column", "non-numeric", "non-finite",
-        "beyond-float", "beyond-max", "below-total-loss", "fractional-years", "short-row", "years-mismatch", "reversed", "seven-years",
+        "beyond-float", "beyond-max", "below-total-loss", "fractional-years", "short-row",
+        "years-mismatch", "reversed", "huge-year", "seven-years",
         "duplicate", "missing-duration", "schedule"])
 def test_compare_bad_window_table_exits_2(tmp_path, capsys, table, argv, message):
     (tmp_path / "table.csv").write_text(table)
@@ -531,12 +535,11 @@ def test_settings_precedence(tmp_path, monkeypatch, command, flag, config, read,
 
 def test_settings_defaults_match_the_engine():
     # the CLI repeats these so that building the parser and resolving
-    # settings load no engine, schedule or synth
-    from sipcraft import cli, engine, schedule, synth
+    # settings load no engine or schedule
+    from sipcraft import cli, engine, schedule
 
     assert cli.DEFAULT_DURATIONS == engine.SUPPORTED_DURATIONS
     assert cli.STRATEGIES == tuple(s.value for s in schedule.Strategy)
-    assert cli.KINDS == synth.KINDS
 
 
 # each of these overflowed a C long or a float and ended in a traceback
@@ -627,6 +630,14 @@ def test_fixtures_takes_no_config_flag(tmp_path, capsys):
         main(["fixtures", "--config", str(tmp_path / "cfg.json")])
     assert exc.value.code == EXIT_ERROR
     assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def test_fixtures_rejects_an_unknown_kind(capsys):
+    # --kind's choices are the only check of the kind synth draws
+    with pytest.raises(SystemExit) as exc:
+        main(["fixtures", "--kind", "garch"])
+    assert exc.value.code == EXIT_ERROR
+    assert "argument --kind: invalid choice: 'garch'" in capsys.readouterr().err
 
 
 def test_simulate_rejects_infinite_amount(flat_csv, capsys):

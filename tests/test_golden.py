@@ -70,6 +70,9 @@ REACHED = {
     "stats/battery.py": ('na["t"] = str(exc)', 'na["cohens_d"] = na["hedges_g"] = str(exc)',
                          '"degenerate sample (all differences zero)"'),
 }
+# modules the corpus runs every line of: a check that no command can trip
+# there would be a second check of a value the CLI or a parser has checked
+FULLY_REACHED = ("report.py", "stats/paired.py", "stats/dominance.py", "stats/battery.py")
 
 
 def test_corpus_reaches_every_path_an_entry_was_added_for():
@@ -80,6 +83,8 @@ def test_corpus_reaches_every_path_an_entry_was_added_for():
         env={**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "scripts")])})
     assert proc.returncode == 0, proc.stderr
     unreached = {path: set(lines) for path, (_, lines) in json.loads(proc.stdout).items()}
+    assert {path: sorted(unreached[path]) for path in FULLY_REACHED} == dict.fromkeys(
+        FULLY_REACHED, [])
     for path, texts in REACHED.items():
         source = (ROOT / "src" / "sipcraft" / path).read_text(encoding="utf-8").splitlines()
         for text in texts:

