@@ -55,12 +55,11 @@ ENV_SEED = "SIPCRAFT_SEED"
 CONFIG_KEYS = ("data", "schedule", "format", "amount", "durations", "strategy",
                "start_year", "years", "stats")
 FORMATS = ("markdown", "csv", "json")
-# schedule.Strategy's values and engine.SUPPORTED_DURATIONS, repeated here so
-# that building the parser and resolving settings load neither module; a test
-# keeps them equal
-STRATEGIES = ("ftd", "exp")
+STRATEGIES = ("ftd", "exp")  # the names the engine takes and the ledger prints
 # the series kinds synth.generate_series draws; --kind's choices are their only check
 KINDS = ("flat", "growth", "walk")
+# engine.SUPPORTED_DURATIONS, repeated so that building the parser and resolving
+# settings load no engine; a test keeps them equal
 DEFAULT_DURATIONS = (1, 3, 5, 10, 20)
 # the amount cancels out of every CAGR, so its default is arbitrary
 DEFAULT_AMOUNT = 10_000.0
@@ -299,7 +298,7 @@ def cmd_validate(settings: Settings, args) -> int:
 def cmd_simulate(settings: Settings, args) -> int:
     from .engine import Window, simulate
     from .report import render_simulation
-    from .schedule import MonthKey, Strategy
+    from .schedule import MonthKey
 
     series, overrides, _ = _load_inputs(settings)
     if settings.strategy is None or settings.start_year is None or settings.years is None:
@@ -308,7 +307,7 @@ def cmd_simulate(settings: Settings, args) -> int:
     window = Window(settings.start_year, settings.start_year + settings.years - 1)
     table, _ = build_schedule(series, overrides,
                               MonthKey(window.from_year - 1, 12), MonthKey(window.to_year, 12))
-    ledger = simulate(Strategy(settings.strategy), window, settings.amount, series, table)
+    ledger = simulate(settings.strategy, window, settings.amount, series, table)
     _write_out(render_simulation(ledger, settings.format), args.out)
     return EXIT_OK
 

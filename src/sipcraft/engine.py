@@ -16,7 +16,7 @@ from datetime import date as Date
 from typing import Iterable, NamedTuple
 
 from .errors import SeriesFormatError, SimulationError
-from .schedule import MonthKey, MonthSchedule, Strategy
+from .schedule import MonthKey, MonthSchedule
 from .stats.paired import PairedSample
 from .timeseries import IndexSeries, read_table
 
@@ -130,16 +130,16 @@ def load_windows(
 
 
 def _installments(
-    strategy: Strategy, window: Window, series: IndexSeries, table: dict[MonthKey, MonthSchedule],
+    strategy: str, window: Window, series: IndexSeries, table: dict[MonthKey, MonthSchedule],
 ) -> tuple[list[tuple[MonthKey, Date, float]], Date, float]:
     """A plan's (month, date, price) installments and its terminal (date, close).
 
-    FTD executes on the month's own first trading day, EXP on the previous
-    month's expiry (a January installment executes on December's expiry).
-    Any missing execution date or price aborts with the offending month in
-    the message.
+    The strategy is "ftd" or "exp": FTD executes on the month's own first
+    trading day, EXP on the previous month's expiry (a January installment
+    executes on December's expiry). Any missing execution date or price
+    aborts with the offending month in the message.
     """
-    ftd = strategy is Strategy.FTD
+    ftd = strategy == "ftd"
     installments = []
     for year in range(window.from_year, window.to_year + 1):
         for month in range(1, 13):
@@ -157,7 +157,7 @@ def _installments(
                     hint = ("no earlier trading day in series" if previous is None
                             else f"previous trading day: {previous.isoformat()}")
                     problem = f"{date.isoformat()} is not a trading day ({hint})"
-                raise SimulationError(f"installment {key} ({strategy.value}): {problem}")
+                raise SimulationError(f"installment {key} ({strategy}): {problem}")
             installments.append((key, date, close))
     # the last installment fell on a trading day of the final year, so the
     # terminal day lies in that year too
@@ -169,11 +169,11 @@ def _outside(value: float) -> str:
     return f"{value!r} lies outside [-100, {MAX_CAGR:g}]"
 
 
-def _where(strategy: Strategy, window: Window) -> str:
-    return f"plan {window.from_year}..{window.to_year} ({strategy.value})"
+def _where(strategy: str, window: Window) -> str:
+    return f"plan {window.from_year}..{window.to_year} ({strategy})"
 
 
-def _cagr_of(strategy: Strategy, window: Window,
+def _cagr_of(strategy: str, window: Window,
              installments: list[tuple[MonthKey, Date, float]], terminal_close: float) -> float:
     """CAGR from the amount-free form ((I_L * sum(1/I_i)) / (12N))^(1/N) - 1.
 
@@ -196,7 +196,7 @@ def _cagr_of(strategy: Strategy, window: Window,
     return value
 
 
-def simulate(strategy: Strategy, window: Window, monthly_amount: float, series: IndexSeries,
+def simulate(strategy: str, window: Window, monthly_amount: float, series: IndexSeries,
              table: dict[MonthKey, MonthSchedule]) -> dict:
     """Invest ``monthly_amount`` in each of the window's 12N months, then
     value the units at the terminal close.
@@ -226,7 +226,7 @@ def simulate(strategy: Strategy, window: Window, monthly_amount: float, series: 
     if fewest < sys.float_info.min:
         raise SimulationError(f"{where}: {fewest!r} units in one installment is out of float range")
     return {
-        "plan": {"strategy": strategy.value, "start_year": window.from_year,
+        "plan": {"strategy": strategy, "start_year": window.from_year,
                  "years": window.years, "monthly_amount": monthly_amount},
         "executions": executions,
         "units": units,
@@ -252,10 +252,9 @@ def paired_run(
     Returns the aligned paired sample (ordered by window start year) plus
     the full-precision per-window outcomes for reporting.
     """
-    def plan_cagr(strategy: Strategy, window: Window) -> float:
+    def plan_cagr(strategy: str, window: Window) -> float:
         installments, _, terminal_close = _installments(strategy, window, series, table)
         return _cagr_of(strategy, window, installments, terminal_close)
 
-    return _paired([WindowOutcome(window, plan_cagr(Strategy.FTD, window),
-                                  plan_cagr(Strategy.EXP, window))
+    return _paired([WindowOutcome(window, plan_cagr("ftd", window), plan_cagr("exp", window))
                     for window in enumerate_windows(duration)])

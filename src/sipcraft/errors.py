@@ -16,9 +16,5 @@ class SimulationError(SipcraftError):
     """Simulation aborted; the message names the offending month."""
 
 
-class InsufficientDataError(SipcraftError):
-    """Sample too small for the requested statistic."""
-
-
 class DegenerateSampleError(SipcraftError):
-    """Sample has no variation, so the requested statistic is undefined."""
+    """A statistic is undefined for the sample: too few pairs, or no variation."""

@@ -17,7 +17,7 @@ import json
 
 from ._version import VERSION
 from .engine import WindowOutcome
-from .stats.special import quantile_sorted
+from .stats.special import QUANTILE_CONVENTION, quantile_sorted
 
 __all__ = [
     "window_row",
@@ -124,7 +124,8 @@ def _metrics_table(report_dicts: list[dict], first: str) -> tuple[list[str], lis
 
     def ci(b):
         tag = " (degenerate)" if b["degenerate"] else ""
-        return f"[{b['lower']:.4f}, {b['upper']:.4f}] ({(1.0 - b['alpha']) * 100:.15g}%, B={b['B']}){tag}"
+        level = round((1.0 - b["alpha"]) * 100, 13)  # drops the float error 1 - alpha carries
+        return f"[{b['lower']:.4f}, {b['upper']:.4f}] ({level:.15g}%, B={b['B']}){tag}"
 
     add("Bootstrap CI (mean diff)", lambda d: _na(d, "bootstrap") or ci(d["bootstrap"]))
     add("KS statistic (D)", lambda d: _na(d, "ks") or fmt(d["ks"]["statistic"]))
@@ -165,12 +166,10 @@ def file_sha256(data: bytes) -> str:
 
 
 def tool_provenance() -> dict:
-    return {"tool": "sipcraft", "version": VERSION,
-            "quantile_convention": "linear interpolation (type 7)",
-            "bootstrap_stream": ("random.Random(seed) little-endian 32-bit words; n <= 256: "
-                                 "diffs[b % n] for each byte b < 256 - 256 % n, else "
-                                 "diffs[w % n] for each word w < 2**32 - 2**32 % n; "
-                                 "row-major; fsum means")}
+    from .stats.bootstrap import STREAM_RULE  # here, so simulate loads no bootstrap
+
+    return {"tool": "sipcraft", "version": VERSION, "quantile_convention": QUANTILE_CONVENTION,
+            "bootstrap_stream": STREAM_RULE}
 
 
 def render_bundle(bundle: dict, format: str = "markdown") -> str:

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import io
 from datetime import MAXYEAR, MINYEAR, date as Date, timedelta
-from enum import Enum
 from typing import Iterator, NamedTuple
 
 from .errors import SeriesFormatError
 from .timeseries import IndexSeries, read_table
 
 __all__ = [
-    "Strategy",
     "MonthKey",
     "MonthSchedule",
     "SOURCE_OVERRIDE",
@@ -34,13 +32,6 @@ _THURSDAY = 3  # datetime.weekday() convention, Monday == 0
 
 SOURCE_OVERRIDE = "override"
 SOURCE_COMPUTED = "computed"
-
-
-class Strategy(Enum):
-    """Execution schedule: month's first trading day, or the previous month's expiry."""
-
-    FTD = "ftd"
-    EXP = "exp"
 
 
 class MonthKey(NamedTuple):

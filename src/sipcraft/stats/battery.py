@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ..errors import DegenerateSampleError, InsufficientDataError
+from ..errors import DegenerateSampleError
 from .bootstrap import BatteryConfig, bootstrap_bca
 from .dominance import KsResult, check_fsd, check_ssd, ks_two_sample
 from .paired import (
@@ -51,7 +51,7 @@ class ComparisonReport(NamedTuple):
     effect: dict  # cohens_d, label, hedges_g, hedges_g_paper
     bootstrap: dict | None  # the BootstrapCI under the bundle's keys
     ks: dict  # the KsResult under its field names
-    fsd: str | None  # a DominanceSide value
+    fsd: str | None  # a dominance_verdict of the bundle schema
     ssd: str | None
     not_applicable: dict
 
@@ -92,7 +92,7 @@ def run_battery(s: PairedSample, config: BatteryConfig = BatteryConfig(), label:
         if d is not None:
             try:
                 g, g_paper = hedges_g(d, s.n)
-            except InsufficientDataError as exc:
+            except DegenerateSampleError as exc:
                 na["hedges_g"] = str(exc)
 
         try:
@@ -100,11 +100,11 @@ def run_battery(s: PairedSample, config: BatteryConfig = BatteryConfig(), label:
             bootstrap = {"point": ci.point_estimate, "lower": ci.lower, "upper": ci.upper,
                          "B": ci.resamples, "seed": ci.seed, "alpha": ci.alpha, "z0": ci.z0,
                          "acceleration": ci.acceleration, "degenerate": ci.degenerate}
-        except InsufficientDataError as exc:
+        except DegenerateSampleError as exc:
             na["bootstrap"] = str(exc)
 
         ks = ks_two_sample(s)._asdict()
-        fsd, ssd = check_fsd(s).value, check_ssd(s).value
+        fsd, ssd = check_fsd(s), check_ssd(s)
 
     effect = {"cohens_d": d, "label": effect_label, "hedges_g": g, "hedges_g_paper": g_paper}
     return ComparisonReport(label, s.n, mean_diff, t, wilcoxon, effect, bootstrap, ks, fsd, ssd,

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
-from ..errors import InsufficientDataError
+from ..errors import DegenerateSampleError
 from .paired import PairedSample
 from .special import normal_cdf, normal_ppf, quantile_sorted
 
@@ -32,6 +32,10 @@ MAX_RESAMPLES = 1_000_000
 MIN_ALPHA = 2.0 ** -53
 # 32-bit words per getrandbits call; whole words, so the size cannot change the stream
 BLOCK_WORDS = 4096
+# the docstring's stream rule, as bundle provenance records it; _index_blocks draws it
+STREAM_RULE = ("random.Random(seed) little-endian 32-bit words; n <= 256: diffs[b % n] for each "
+               "byte b < 256 - 256 % n, else diffs[w % n] for each word w < 2**32 - 2**32 % n; "
+               "row-major; fsum means")
 
 
 class _BatteryConfig(NamedTuple):
@@ -114,7 +118,7 @@ def bootstrap_bca(s: PairedSample, config: BatteryConfig = BatteryConfig()) -> B
     the acceleration from jackknife-mean skewness.
     """
     if s.n < 3:
-        raise InsufficientDataError(f"BCa bootstrap needs n >= 3, got n={s.n}")
+        raise DegenerateSampleError(f"BCa bootstrap needs n >= 3, got n={s.n}")
     resamples, alpha, seed = config
 
     diffs = s.diffs

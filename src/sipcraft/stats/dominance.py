@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from enum import Enum
 from typing import NamedTuple
 
 from .paired import PairedSample
@@ -18,16 +17,9 @@ from .paired import PairedSample
 __all__ = [
     "KsResult",
     "ks_two_sample",
-    "DominanceSide",
     "check_fsd",
     "check_ssd",
 ]
-
-
-class DominanceSide(Enum):
-    EXP = "exp_dominates"
-    FTD = "ftd_dominates"
-    NONE = "none"
 
 
 class KsResult(NamedTuple):
@@ -64,23 +56,23 @@ def _pooled_gaps(s: PairedSample) -> tuple[list[float], list[int]]:
     return grid, gaps
 
 
-def _side(values: list[int]) -> DominanceSide:
-    """EXP if no value is negative and one is positive, FTD if the reverse,
-    else (an empty list included) NONE."""
+def _side(values: list[int]) -> str:
+    """Verdict "exp_dominates" if no value is negative and one is positive,
+    "ftd_dominates" if the reverse, else (an empty list included) "none"."""
     if all(v >= 0 for v in values) and any(v > 0 for v in values):
-        return DominanceSide.EXP
+        return "exp_dominates"
     if all(v <= 0 for v in values) and any(v < 0 for v in values):
-        return DominanceSide.FTD
-    return DominanceSide.NONE
+        return "ftd_dominates"
+    return "none"
 
 
-def check_fsd(s: PairedSample) -> DominanceSide:
+def check_fsd(s: PairedSample) -> str:
     """First-order verdict: one ECDF never above the other, strictly below somewhere."""
     # gap > 0 means F_exp < F_ftd at that point, i.e. EXP mass sits higher
     return _side(_pooled_gaps(s)[1])
 
 
-def check_ssd(s: PairedSample) -> DominanceSide:
+def check_ssd(s: PairedSample) -> str:
     """Second-order verdict via exact step-function integration.
 
     Integrates the ECDF gap over the pooled support. The integrand is
@@ -101,5 +93,5 @@ def check_ssd(s: PairedSample) -> DominanceSide:
     for i in range(1, len(grid)):
         running += gaps[i - 1] * (ticks[i] - ticks[i - 1])
         integrals.append(running)
-    # a single pooled point (identical constant samples) leaves no integral: NONE
+    # a single pooled point (identical constant samples) leaves no integral: "none"
     return _side(integrals)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from ..errors import DegenerateSampleError, InsufficientDataError
+from ..errors import DegenerateSampleError
 from .special import normal_cdf, student_t_sf
 
 __all__ = [
@@ -190,7 +190,7 @@ def hedges_g(d: float, n: int) -> tuple[float, float]:
     paper:    g = d * (1 - 3 / (4n - 9))
     """
     if n < 3:  # both denominators are positive from n = 3 on
-        raise InsufficientDataError(f"Hedges' g needs n >= 3, got n={n}")
+        raise DegenerateSampleError(f"Hedges' g needs n >= 3, got n={n}")
     return d * (1.0 - 3.0 / (4 * (n - 1) - 1)), d * (1.0 - 3.0 / (4 * n - 9))
 
 

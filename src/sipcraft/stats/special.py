@@ -17,6 +17,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# quantile_sorted's convention, as bundle provenance records it
+QUANTILE_CONVENTION = "linear interpolation (type 7)"
 
 
 def normal_cdf(x: float) -> float:

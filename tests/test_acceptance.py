@@ -22,10 +22,10 @@ import pytest
 
 from sipcraft.engine import Window, enumerate_windows, paired_run, simulate
 from sipcraft.errors import SimulationError
-from sipcraft.schedule import MonthKey, Strategy, build_schedule, load_schedule_overrides
+from sipcraft.schedule import MonthKey, build_schedule, load_schedule_overrides
 from sipcraft.stats.battery import run_battery
 from sipcraft.stats.bootstrap import BatteryConfig, bootstrap_bca
-from sipcraft.stats.dominance import DominanceSide, check_fsd, check_ssd
+from sipcraft.stats.dominance import check_fsd, check_ssd
 from sipcraft.stats.paired import PairedSample, wilcoxon_signed_rank
 from sipcraft.stats.special import normal_cdf, normal_ppf, student_t_sf
 from sipcraft.synth import generate_series
@@ -79,8 +79,8 @@ def test_criterion_1_one_year_battery_golden():
           f"wilcoxon normal p={w['p_normal']:.6f} outside 0.0035 +/- 0.0005")
     check(abs(w['p_exact'] - 0.00257468) <= 1e-6,
           f"wilcoxon exact p={w['p_exact']:.8f} moved off 0.00257468")
-    check(r.ssd == DominanceSide.EXP.value, f"SSD verdict {r.ssd} is not exp_dominates")
-    check(r.fsd == DominanceSide.NONE.value, f"FSD verdict {r.fsd} is not none")
+    check(r.ssd == "exp_dominates", f"SSD verdict {r.ssd} is not exp_dominates")
+    check(r.fsd == "none", f"FSD verdict {r.fsd} is not none")
     check(elapsed < 5.0, f"battery took {elapsed:.2f}s, limit is 5s")
 
     report("criterion 1: one-year battery golden values", failures)
@@ -104,7 +104,7 @@ def test_criterion_2_three_year_column():
     check(w['p_exact'] == 3.0 / 128.0, f"exact wilcoxon p={w['p_exact']!r} != 3/128")
     check(abs(ci['lower'] - 0.099) <= 0.05, f"CI lower {ci['lower']:.4f} not within 0.05 of 0.099")
     check(abs(ci['upper'] - 0.443) <= 0.05, f"CI upper {ci['upper']:.4f} not within 0.05 of 0.443")
-    check(r.ssd == DominanceSide.EXP.value, f"SSD verdict {r.ssd} is not exp_dominates")
+    check(r.ssd == "exp_dominates", f"SSD verdict {r.ssd} is not exp_dominates")
 
     report("criterion 2: three-year battery column", failures)
 
@@ -120,7 +120,7 @@ def test_criterion_3_five_year_column():
     r = run_battery(sample, BatteryConfig(), label="5y")
     t, w, eff = r.t, r.wilcoxon, r.effect
     check(w['p_exact'] == 1.0 / 16.0, f"exact wilcoxon p={w['p_exact']!r} != 1/16")
-    check(r.ssd == DominanceSide.EXP.value, f"SSD verdict {r.ssd} is not exp_dominates")
+    check(r.ssd == "exp_dominates", f"SSD verdict {r.ssd} is not exp_dominates")
     check(eff['cohens_d'] > 0.8, f"d={eff['cohens_d']:.4f} not above 0.8")
     check(eff['label'] == "large", f"effect label {eff['label']!r} is not large")
     # the full-precision source data implies d 4.069 and t 8.138; those are
@@ -144,7 +144,7 @@ def test_criterion_4_amount_invariance_and_lemma():
         start_year = rng.randint(1996, 2028)
         years = rng.choice((1, 1, 1, 2, 2, 3))
         seed = rng.getrandbits(48)
-        strategy = rng.choice((Strategy.FTD, Strategy.EXP))
+        strategy = rng.choice(("ftd", "exp"))
         m1 = rng.uniform(0.01, 1e6)
         m2 = rng.uniform(0.01, 1e6)
 
@@ -159,7 +159,7 @@ def test_criterion_4_amount_invariance_and_lemma():
         a = simulate(strategy, window, m1, series, table)["cagr_percent"]
         b = simulate(strategy, window, m2, series, table)["cagr_percent"]
         # the amount-free CAGR against a test-local ledger of m1 / price units
-        prices, terminal_close = anchor_prices(series, table, strategy is Strategy.FTD,
+        prices, terminal_close = anchor_prices(series, table, strategy == "ftd",
                                                start_year, years)
         ledger = ledger_cagr(prices, terminal_close, years, m1)
         scale = max(abs(a), 1.0)  # CAGR is in percent; flat series sit at 0 +/- fp noise
@@ -271,7 +271,7 @@ def test_criterion_7_dominance_logic():
             ftd_vals = [rng.uniform(-30, 30) for _ in range(n)]
         s = PairedSample(exp_vals, ftd_vals)
         fsd, ssd = check_fsd(s), check_ssd(s)
-        if fsd is not DominanceSide.NONE and ssd is not fsd:
+        if fsd != "none" and ssd != fsd:
             implication_breaks += 1
     check(implication_breaks == 0,
           f"first-order dominance failed to imply second-order in {implication_breaks} samples")
@@ -281,13 +281,13 @@ def test_criterion_7_dominance_logic():
         base = [rng.uniform(-10, 10) for _ in range(n)]
         c = rng.uniform(1e-6, 5.0)
         shifted = PairedSample([x + c for x in base], base)
-        if check_fsd(shifted) is not DominanceSide.EXP or check_ssd(shifted) is not DominanceSide.EXP:
+        if check_fsd(shifted) != "exp_dominates" or check_ssd(shifted) != "exp_dominates":
             failures.append(f"shift dominance missed for c={c}")
             break
 
     same = PairedSample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    check(check_fsd(same) is DominanceSide.NONE, "identical samples produced a first-order verdict")
-    check(check_ssd(same) is DominanceSide.NONE, "identical samples produced a second-order verdict")
+    check(check_fsd(same) == "none", "identical samples produced a first-order verdict")
+    check(check_ssd(same) == "none", "identical samples produced a second-order verdict")
 
     report("criterion 7: dominance implication, shift dominance, identity", failures)
 
@@ -387,12 +387,12 @@ def test_criterion_10_abstract_reading(tmp_path):
     check([(w["cagr_ftd"], w["cagr_exp"]) for w in twenty] == [(6.65, 6.68)],
           f"20y CAGRs {twenty} are not 6.65 (FTD) and 6.68 (EXP)")
     for label in ("1y", "3y", "5y", "10y"):
-        check(metrics[label]["ssd"] == DominanceSide.EXP.value,
+        check(metrics[label]["ssd"] == "exp_dominates",
               f"{label} SSD verdict {metrics[label]['ssd']} is not exp_dominates")
-    for label, fsd in (("1y", DominanceSide.NONE), ("3y", DominanceSide.NONE),
-                       ("5y", DominanceSide.EXP), ("10y", DominanceSide.EXP)):
-        check(metrics[label]["fsd"] == fsd.value,
-              f"{label} FSD verdict {metrics[label]['fsd']} is not {fsd.value}")
+    for label, fsd in (("1y", "none"), ("3y", "none"),
+                       ("5y", "exp_dominates"), ("10y", "exp_dominates")):
+        check(metrics[label]["fsd"] == fsd,
+              f"{label} FSD verdict {metrics[label]['fsd']} is not {fsd}")
     means = [metrics[label]["mean_diff"] for label in ("1y", "3y", "5y", "10y", "20y")]
     check([round(m, 2) for m in means] == [0.77, 0.27, 0.13, 0.06, 0.03],
           f"mean gaps {means} do not round to 0.77, 0.27, 0.13, 0.06, 0.03")

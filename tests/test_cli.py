@@ -535,11 +535,10 @@ def test_settings_precedence(tmp_path, monkeypatch, command, flag, config, read,
 
 def test_settings_defaults_match_the_engine():
     # the CLI repeats these so that building the parser and resolving
-    # settings load no engine or schedule
-    from sipcraft import cli, engine, schedule
+    # settings load no engine
+    from sipcraft import cli, engine
 
     assert cli.DEFAULT_DURATIONS == engine.SUPPORTED_DURATIONS
-    assert cli.STRATEGIES == tuple(s.value for s in schedule.Strategy)
 
 
 # each of these overflowed a C long or a float and ended in a traceback

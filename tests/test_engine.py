@@ -16,7 +16,7 @@ from sipcraft.engine import (
     simulate,
 )
 from sipcraft.errors import SimulationError
-from sipcraft.schedule import MonthKey, MonthSchedule, Strategy, build_schedule
+from sipcraft.schedule import MonthKey, MonthSchedule, build_schedule
 from sipcraft.synth import generate_series
 
 from conftest import DATA, anchor_prices, ledger_cagr, load_reference_sample, weekday_series
@@ -31,7 +31,7 @@ def build_table(series, start_year, years):
 
 def test_flat_series_one_year(flat_year_series):
     table = build_table(flat_year_series, 2020, 1)
-    for strategy in (Strategy.FTD, Strategy.EXP):
+    for strategy in ("ftd", "exp"):
         res = simulate(strategy, Window(2020, 2020), 100.0, flat_year_series, table)
         assert res["units"] == pytest.approx(12.0, abs=1e-12)
         assert res["invested"] == 1200.0
@@ -46,7 +46,7 @@ def test_two_level_series():
         return 200.0 if (d.year, d.month) >= (2020, 12) else 100.0
     series = weekday_series(datetime.date(2019, 12, 2), datetime.date(2020, 12, 31), price)
     table = build_table(series, 2020, 1)
-    res = simulate(Strategy.FTD, Window(2020, 2020), 100.0, series, table)
+    res = simulate("ftd", Window(2020, 2020), 100.0, series, table)
     assert res["units"] == pytest.approx(11.5, abs=1e-12)
     assert res["final_value"] == pytest.approx(2300.0, abs=1e-9)
     assert round(res["cagr_percent"], 2) == 91.67
@@ -57,10 +57,10 @@ def test_two_level_series():
 
 def test_simulate_missing_anchor(flat_year_series):
     with pytest.raises(SimulationError) as ftd:
-        simulate(Strategy.FTD, Window(2020, 2020), 10_000.0, flat_year_series, {})
+        simulate("ftd", Window(2020, 2020), 10_000.0, flat_year_series, {})
     assert str(ftd.value) == "installment 2020-01 (ftd): schedule has no first trading day for 2020-01"
     with pytest.raises(SimulationError) as exp:
-        simulate(Strategy.EXP, Window(2020, 2020), 10_000.0, flat_year_series, {})
+        simulate("exp", Window(2020, 2020), 10_000.0, flat_year_series, {})
     assert str(exp.value) == ("installment 2020-01 (exp): "
                               "schedule has no expiry for 2019-12 (needed by 2020-01)")
     # an anchor off the calendar: Saturday 2020-01-04 follows Friday 2020-01-03,
@@ -69,7 +69,7 @@ def test_simulate_missing_anchor(flat_year_series):
                       (datetime.date(2019, 11, 29), "no earlier trading day in series")):
         table = {MonthKey(2020, 1): MonthSchedule(day, None, "override")}
         with pytest.raises(SimulationError) as exc:
-            simulate(Strategy.FTD, Window(2020, 2020), 10_000.0, flat_year_series, table)
+            simulate("ftd", Window(2020, 2020), 10_000.0, flat_year_series, table)
         assert str(exc.value) == f"installment 2020-01 (ftd): {day} is not a trading day ({hint})"
 
 
@@ -86,7 +86,7 @@ def test_window_grids():
 
 
 def test_invested_and_execution_counts(long_series, long_table):
-    res = simulate(Strategy.EXP, Window(2005, 2009), 2500.0, long_series, long_table)
+    res = simulate("exp", Window(2005, 2009), 2500.0, long_series, long_table)
     assert len(res["executions"]) == 60
     assert res["invested"] == 12 * 2500.0 * 5
     # every execution lands on a series date with the recorded price
@@ -95,21 +95,21 @@ def test_invested_and_execution_counts(long_series, long_table):
 
 
 def test_simulate_deterministic(long_series, long_table):
-    plan = (Strategy.FTD, Window(2010, 2012), 10_000.0, long_series, long_table)
+    plan = ("ftd", Window(2010, 2012), 10_000.0, long_series, long_table)
     assert simulate(*plan) == simulate(*plan)
 
 
 def test_simulate_names_offending_month(flat_year_series):
     table = build_table(flat_year_series, 2020, 1)
     with pytest.raises(SimulationError, match=r"2021-01 \(ftd\)"):
-        simulate(Strategy.FTD, Window(2021, 2021), 10_000.0, flat_year_series, table)
+        simulate("ftd", Window(2021, 2021), 10_000.0, flat_year_series, table)
 
 
 def test_simulate_names_missing_terminal():
     # executions all resolve but the terminal December is not covered
     series = weekday_series(datetime.date(2019, 12, 2), datetime.date(2020, 12, 15), 100.0)
     table, _ = build_schedule(series, None, MonthKey(2019, 12), MonthKey(2020, 12))
-    plan = (Strategy.FTD, Window(2020, 2020), 10_000.0)
+    plan = ("ftd", Window(2020, 2020), 10_000.0)
     res = simulate(*plan, series, table)  # Dec 15 still covers December
     assert res["terminal_date"] == "2020-12-15"
 
@@ -124,7 +124,7 @@ def test_simulate_rejects_ledger_out_of_float_range(flat_year_series, amount):
     table = build_table(flat_year_series, 2020, 1)
     with pytest.raises(SimulationError, match=r"^plan 2020\.\.2020 \(ftd\): final value .* "
                                               r"is out of float range$"):
-        simulate(Strategy.FTD, Window(2020, 2020), amount, flat_year_series, table)
+        simulate("ftd", Window(2020, 2020), amount, flat_year_series, table)
 
 
 def test_paired_run_flat_sample(flat_year_series):
@@ -173,7 +173,7 @@ def test_simulate_cagr_is_the_paired_run_cagr(long_series, long_table):
     for duration in SUPPORTED_DURATIONS:
         _, outcomes = paired_run(duration, long_series, long_table)
         for o in outcomes:
-            for strategy, want in ((Strategy.FTD, o.cagr_ftd), (Strategy.EXP, o.cagr_exp)):
+            for strategy, want in (("ftd", o.cagr_ftd), ("exp", o.cagr_exp)):
                 ledger = simulate(strategy, o.window, 7.3, long_series, long_table)
                 assert ledger["cagr_percent"] == want
 
@@ -183,7 +183,7 @@ plan_cases = st.tuples(
     st.integers(min_value=1995, max_value=2030),  # start year
     st.integers(min_value=1, max_value=3),        # plan years
     st.integers(min_value=0, max_value=2 ** 31),  # series seed
-    st.sampled_from((Strategy.FTD, Strategy.EXP)),
+    st.sampled_from(("ftd", "exp")),
 )
 
 
@@ -205,7 +205,7 @@ def test_lemma_identity(case):
     kind, start_year, years, seed, strategy = case
     series = generate_series(kind, start_year, years, seed=seed)
     table = build_table(series, start_year, years)
-    prices, terminal_close = anchor_prices(series, table, strategy is Strategy.FTD,
+    prices, terminal_close = anchor_prices(series, table, strategy == "ftd",
                                            start_year, years)
     ledger = ledger_cagr(prices, terminal_close, years, 10_000.0)
     assert ledger == pytest.approx(

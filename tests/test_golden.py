@@ -63,7 +63,7 @@ REACHED = {
                     "return None  # no trading day in the month up to its last Thursday",
                     "_anomaly(key, field, None, missing)",
                     'raise SeriesFormatError(f"month must be in 1..12'),
-    "stats/dominance.py": ("return DominanceSide.FTD",),
+    "stats/dominance.py": ('return "ftd_dominates"',),
     "synth.py": ("close = base * math.exp(3e-4 * i)",),
     "stats/bootstrap.py": ("for w in struct.unpack(",
                            "z0=0.0, acceleration=0.0, degenerate=True"),

@@ -17,7 +17,7 @@ from sipcraft.report import (
     tool_provenance,
     window_row,
 )
-from sipcraft.schedule import MonthKey, Strategy, build_schedule
+from sipcraft.schedule import MonthKey, build_schedule
 from sipcraft.stats.battery import run_battery
 from sipcraft.stats.bootstrap import BatteryConfig
 from sipcraft.stats.paired import PairedSample
@@ -70,7 +70,7 @@ def ledger():
     series = weekday_series(datetime.date(2019, 12, 1), datetime.date(2020, 12, 31),
                             lambda d: 100.0 + d.toordinal() % 37 / 3)
     table, _ = build_schedule(series, None, MonthKey(2019, 12), MonthKey(2020, 12))
-    return simulate(Strategy.FTD, Window(2020, 2020), 10_000.0, series, table)
+    return simulate("ftd", Window(2020, 2020), 10_000.0, series, table)
 
 
 def test_window_row_rounding_agreement():
@@ -136,7 +136,8 @@ def test_metrics_table_shows_na_reasons():
 
 
 @pytest.mark.parametrize("alpha, level", [(0.05, "95"), (0.1, "90"), (0.025, "97.5"),
-                                          (0.005, "99.5"), (1e-7, "99.99999")])
+                                          (0.005, "99.5"), (1e-7, "99.99999"),
+                                          (0.9999, "0.01"), (0.999999, "0.0001")])
 def test_metrics_tables_show_the_interval_level_unrounded(three_year_sample, alpha, level):
     bundle = make_bundle(three_year_sample, config=BatteryConfig(B=1000, alpha=alpha))
     shown = f"({level}%, B=1000)"

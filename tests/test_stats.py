@@ -12,11 +12,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sipcraft.errors import DegenerateSampleError, InsufficientDataError
+from sipcraft.errors import DegenerateSampleError
 from sipcraft.stats.battery import run_battery
 from sipcraft.stats import bootstrap
 from sipcraft.stats.bootstrap import BatteryConfig, _index_blocks, bootstrap_bca
-from sipcraft.stats.dominance import DominanceSide, check_fsd, check_ssd, ks_two_sample
+from sipcraft.stats.dominance import check_fsd, check_ssd, ks_two_sample
 from sipcraft.stats.paired import (
     WILCOXON_EXACT_LIMIT,
     PairedSample,
@@ -28,7 +28,7 @@ from sipcraft.stats.paired import (
 )
 from sipcraft.stats.special import normal_ppf
 
-from conftest import load_reference_sample, stdlib_bootstrap_means, stdlib_bootstrap_picks
+from conftest import ROOT, load_reference_sample, stdlib_bootstrap_means, stdlib_bootstrap_picks
 
 diff_lists = st.lists(
     st.floats(min_value=-100.0, max_value=100.0,
@@ -232,7 +232,7 @@ def test_hedges_g_variants():
 
 def test_hedges_g_validation():
     # one reason for both corrections, since the battery's cell holds both
-    with pytest.raises(InsufficientDataError, match="^Hedges' g needs n >= 3, got n=2$"):
+    with pytest.raises(DegenerateSampleError, match="^Hedges' g needs n >= 3, got n=2$"):
         hedges_g(1.0, 2)
 
 
@@ -285,7 +285,7 @@ def test_bootstrap_z0_counts_permuted_resamples_as_ties():
 
 
 def test_bootstrap_validation(three_year_sample):
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DegenerateSampleError):
         bootstrap_bca(sample_from_diffs([1.0, 2.0]))
     # an alpha just above 2**-53, the least the config takes, still gives finite bounds
     ci = bootstrap_bca(three_year_sample, BatteryConfig(B=1000, alpha=1.2e-16))
@@ -476,28 +476,40 @@ def test_fsd_shift_dominance():
     a = [1.0, 2.0, 5.0]
     b = [x + 1.0 for x in a]
     s = PairedSample(b, a)  # exp shifted up
-    assert check_fsd(s) is DominanceSide.EXP
-    assert check_ssd(s) is DominanceSide.EXP
+    assert check_fsd(s) == "exp_dominates"
+    assert check_ssd(s) == "exp_dominates"
     flipped = PairedSample(a, b)
-    assert check_fsd(flipped) is DominanceSide.FTD
+    assert check_fsd(flipped) == "ftd_dominates"
 
 
 def test_fsd_crossing_none():
     s = PairedSample([0.0, 3.0], [1.0, 2.0])
-    assert check_fsd(s) is DominanceSide.NONE
+    assert check_fsd(s) == "none"
 
 
 def test_identical_samples_no_dominance():
     s = PairedSample([1.0, 2.0], [1.0, 2.0])
-    assert check_fsd(s) is DominanceSide.NONE
-    assert check_ssd(s) is DominanceSide.NONE
+    assert check_fsd(s) == "none"
+    assert check_ssd(s) == "none"
+
+
+def test_dominance_verdicts_are_the_schema_strings():
+    # the bundle schema is the one list of verdicts: an EXP-dominant sample,
+    # its flipped FTD-dominant twin and a crossing sample give each of them
+    a = [1.0, 2.0, 5.0]
+    b = [x + 1.0 for x in a]
+    samples = (PairedSample(b, a), PairedSample(a, b), PairedSample([0.0, 3.0], [1.0, 2.0]))
+    verdicts = {check(s) for s in samples for check in (check_fsd, check_ssd)}
+    with open(ROOT / "docs" / "report_schema.json", encoding="utf-8") as fh:
+        one_of = json.load(fh)["$defs"]["dominance_verdict"]["oneOf"]
+    assert verdicts == {v for branch in one_of for v in branch.get("enum", ())}
 
 
 def test_ssd_published_verdicts(one_year_sample, three_year_sample, five_year_sample):
     for s in (one_year_sample, three_year_sample, five_year_sample):
-        assert check_ssd(s) is DominanceSide.EXP
-    assert check_fsd(one_year_sample) is DominanceSide.NONE
-    assert check_fsd(three_year_sample) is DominanceSide.NONE
+        assert check_ssd(s) == "exp_dominates"
+    assert check_fsd(one_year_sample) == "none"
+    assert check_fsd(three_year_sample) == "none"
 
 
 @settings(max_examples=300)
@@ -510,8 +522,8 @@ def test_fsd_implies_ssd(exp_values, ftd_values):
     n = min(len(exp_values), len(ftd_values))
     s = PairedSample(exp_values[:n], ftd_values[:n])
     fsd, ssd = check_fsd(s), check_ssd(s)
-    if fsd is not DominanceSide.NONE:
-        assert ssd is fsd
+    if fsd != "none":
+        assert ssd == fsd
 
 
 def fraction_ssd(exp_values, ftd_values):
@@ -525,10 +537,10 @@ def fraction_ssd(exp_values, ftd_values):
         area += Fraction(below_ftd - below_exp, n) * (Fraction(hi) - Fraction(lo))
         areas.append(area)
     if areas and min(areas) >= 0 and max(areas) > 0:
-        return DominanceSide.EXP
+        return "exp_dominates"
     if areas and max(areas) <= 0 and min(areas) < 0:
-        return DominanceSide.FTD
-    return DominanceSide.NONE
+        return "ftd_dominates"
+    return "none"
 
 
 extreme_atoms = st.sampled_from((-1e16, -2.0, -1e-300, 0.0, 1e-300, 0.5, 1.0, 2.0, 1e16))
@@ -541,7 +553,7 @@ extreme_atoms = st.sampled_from((-1e16, -2.0, -1e-300, 0.0, 1e-300, 0.5, 1.0, 2.
 def test_ssd_matches_fraction_reference(pairs):
     exp_values = [e for e, _ in pairs]
     ftd_values = [f for _, f in pairs]
-    assert check_ssd(PairedSample(exp_values, ftd_values)) is fraction_ssd(exp_values, ftd_values)
+    assert check_ssd(PairedSample(exp_values, ftd_values)) == fraction_ssd(exp_values, ftd_values)
 
 
 # -------------------------------------------------------------------- battery
