@@ -155,7 +155,7 @@ def _durations(raw) -> list[int]:
 def resolve_settings(args) -> Settings:
     """Resolve and check every setting: flag > config file > SIPCRAFT_SEED
     (seed only) > default. A config key given as null counts as given.
-    BatteryConfig checks the stats keys when ``compare`` builds it.
+    ``BatteryConfig.from_dict`` checks the stats keys when ``compare`` builds it.
     """
     from datetime import MAXYEAR, MINYEAR
 

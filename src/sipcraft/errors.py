@@ -1,4 +1,5 @@
-"""Exception types shared across the package; each is bad input, so a ``ValueError``."""
+"""Exception types shared across the package; each is bad input, so a ``ValueError``.
+A statistic undefined for a sample is no error but a not-applicable battery cell."""
 
 
 class SipcraftError(ValueError):
@@ -14,7 +15,3 @@ class SeriesFormatError(SipcraftError):
 
 class SimulationError(SipcraftError):
     """Simulation aborted; the message names the offending month."""
-
-
-class DegenerateSampleError(SipcraftError):
-    """A statistic is undefined for the sample: too few pairs, or no variation."""

@@ -123,9 +123,11 @@ def _metrics_table(report_dicts: list[dict], first: str) -> tuple[list[str], lis
         f"{d['effect']['hedges_g']:.4f} / {d['effect']['hedges_g_paper']:.4f}")
 
     def ci(b):
+        from decimal import Context, Decimal  # loaded only where a table prints a level
         tag = " (degenerate)" if b["degenerate"] else ""
-        level = round((1.0 - b["alpha"]) * 100, 13)  # drops the float error 1 - alpha carries
-        return f"[{b['lower']:.4f}, {b['upper']:.4f}] ({level:.15g}%, B={b['B']}){tag}"
+        # 100 - 100 * alpha exactly: repr(alpha) has <= 17 digits, none below 1e-32
+        level = Context(prec=40).subtract(100, Decimal(repr(b["alpha"])).scaleb(2))
+        return f"[{b['lower']:.4f}, {b['upper']:.4f}] ({level:g}%, B={b['B']}){tag}"
 
     add("Bootstrap CI (mean diff)", lambda d: _na(d, "bootstrap") or ci(d["bootstrap"]))
     add("KS statistic (D)", lambda d: _na(d, "ks") or fmt(d["ks"]["statistic"]))

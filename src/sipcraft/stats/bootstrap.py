@@ -18,7 +18,6 @@ from bisect import bisect_left
 from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
-from ..errors import DegenerateSampleError
 from .paired import PairedSample
 from .special import normal_cdf, normal_ppf, quantile_sorted
 
@@ -38,20 +37,21 @@ STREAM_RULE = ("random.Random(seed) little-endian 32-bit words; n <= 256: diffs[
                "row-major; fsum means")
 
 
-class _BatteryConfig(NamedTuple):
+class BatteryConfig(NamedTuple):
+    """Battery settings, all three the bootstrap's; the field names are the
+    JSON keys, so ``_asdict()`` is the JSON form. ``from_dict``, where
+    config-file and flag values enter, checks them once."""
+
     B: int = 10000
     alpha: float = 0.05
     seed: int = 42
 
-
-class BatteryConfig(_BatteryConfig):
-    """Battery settings, all three the bootstrap's, checked here once; the
-    field names are the JSON keys, so ``_asdict()`` is the JSON form."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> BatteryConfig:
-        self = super().__new__(cls, *args, **kwargs)
+    @classmethod
+    def from_dict(cls, data: dict) -> BatteryConfig:
+        unknown = set(data) - set(cls._fields)
+        if unknown:
+            raise ValueError(f"unknown battery config keys: {sorted(unknown)}")
+        self = cls(**data)
         for key, value in (("B", self.B), ("seed", self.seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
@@ -66,13 +66,6 @@ class BatteryConfig(_BatteryConfig):
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         return self
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BatteryConfig":
-        unknown = set(data) - set(cls._fields)
-        if unknown:
-            raise ValueError(f"unknown battery config keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 class BootstrapCI(NamedTuple):
@@ -110,15 +103,13 @@ def _bca_level(z: float, z0: float, accel: float) -> float:
 
 
 def bootstrap_bca(s: PairedSample, config: BatteryConfig = BatteryConfig()) -> BootstrapCI:
-    """BCa interval for the mean of the paired differences, drawn with the
-    config's B resamples, alpha and seed.
+    """BCa interval for the mean of n >= 3 paired differences, drawn with
+    the config's B resamples, alpha and seed.
 
     z0 comes from the fraction of bootstrap means strictly below the
     observed mean (clamped away from 0 and 1 by half a resample weight),
     the acceleration from jackknife-mean skewness.
     """
-    if s.n < 3:
-        raise DegenerateSampleError(f"BCa bootstrap needs n >= 3, got n={s.n}")
     resamples, alpha, seed = config
 
     diffs = s.diffs

@@ -1,9 +1,10 @@
 """Paired-sample container, location tests, and effect sizes.
 
 Every test is one-sided with the alternative "EXP outperforms FTD", i.e.
-positive location of the differences exp - ftd. Each statistic takes the
-samples ``run_battery`` lets through, n >= 2 with a nonzero difference; the
-raises left are each statistic's own domain on those.
+positive location of the differences exp - ftd. No function here checks
+its sample: each takes what ``battery._not_applicable`` lets through.
+Every statistic needs n >= 2 and a nonzero difference; the t-test and
+Cohen's d also need two distinct differences, and Hedges' g needs n >= 3.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from ..errors import DegenerateSampleError
 from .special import normal_cdf, student_t_sf
 
 __all__ = [
@@ -83,8 +83,6 @@ def _mean_sd(diffs: Sequence[float]) -> tuple[float, float]:
     shift = -math.frexp(max(map(abs, diffs)))[1]
     diffs = [math.ldexp(d, shift) for d in diffs]
     mean = math.fsum(diffs) / n
-    if all(d == diffs[0] for d in diffs):
-        mean = diffs[0]  # fsum / n can miss the common value by an ulp, faking a spread
     ss = math.fsum((d - mean) ** 2 for d in diffs)
     sd = math.sqrt(ss / (n - 1))  # sample standard deviation, n-1 denominator
     return mean, sd
@@ -93,8 +91,6 @@ def _mean_sd(diffs: Sequence[float]) -> tuple[float, float]:
 def paired_t_one_tailed(s: PairedSample) -> TestResult:
     """One-tailed paired t-test; p is the upper tail at df = n - 1."""
     mean, sd = _mean_sd(s.diffs)
-    if sd == 0.0:
-        raise DegenerateSampleError("all differences are identical, t is undefined")
     t = mean / (sd / math.sqrt(s.n))
     return TestResult(statistic=t, p=student_t_sf(t, s.n - 1), df=s.n - 1)
 
@@ -178,19 +174,16 @@ def wilcoxon_signed_rank(s: PairedSample) -> WilcoxonResult:
 def cohens_d(s: PairedSample) -> float:
     """Paired Cohen's d: mean of differences over their sample sd."""
     mean, sd = _mean_sd(s.diffs)
-    if sd == 0.0:
-        raise DegenerateSampleError("all differences are identical, d is undefined")
     return mean / sd
 
 
 def hedges_g(d: float, n: int) -> tuple[float, float]:
-    """Small-sample corrected effect sizes, the standard and the paper's:
+    """Small-sample corrected effect sizes for n >= 3, where both
+    denominators are positive; the standard and the paper's:
 
     standard: g = d * (1 - 3 / (4(n-1) - 1))
     paper:    g = d * (1 - 3 / (4n - 9))
     """
-    if n < 3:  # both denominators are positive from n = 3 on
-        raise DegenerateSampleError(f"Hedges' g needs n >= 3, got n={n}")
     return d * (1.0 - 3.0 / (4 * (n - 1) - 1)), d * (1.0 - 3.0 / (4 * n - 9))
 
 

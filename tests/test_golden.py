@@ -67,7 +67,8 @@ REACHED = {
     "synth.py": ("close = base * math.exp(3e-4 * i)",),
     "stats/bootstrap.py": ("for w in struct.unpack(",
                            "z0=0.0, acceleration=0.0, degenerate=True"),
-    "stats/battery.py": ('na["t"] = str(exc)', 'na["cohens_d"] = na["hedges_g"] = str(exc)',
+    "stats/battery.py": ('na["t"] = "all differences are identical, t is undefined"',
+                         'na["cohens_d"] = na["hedges_g"] = "all differences are identical, d is',
                          '"degenerate sample (all differences zero)"'),
 }
 # modules the corpus runs every line of: a check that no command can trip

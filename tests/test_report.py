@@ -137,7 +137,10 @@ def test_metrics_table_shows_na_reasons():
 
 @pytest.mark.parametrize("alpha, level", [(0.05, "95"), (0.1, "90"), (0.025, "97.5"),
                                           (0.005, "99.5"), (1e-7, "99.99999"),
-                                          (0.9999, "0.01"), (0.999999, "0.0001")])
+                                          (0.9999, "0.01"), (0.999999, "0.0001"),
+                                          (0.9999999999999998, "2e-14"),
+                                          (0.9999999999999994, "6e-14"),
+                                          (4e-16, "99.99999999999996")])
 def test_metrics_tables_show_the_interval_level_unrounded(three_year_sample, alpha, level):
     bundle = make_bundle(three_year_sample, config=BatteryConfig(B=1000, alpha=alpha))
     shown = f"({level}%, B=1000)"

@@ -12,8 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sipcraft.errors import DegenerateSampleError
-from sipcraft.stats.battery import run_battery
+from sipcraft.stats.battery import CELLS, run_battery
 from sipcraft.stats import bootstrap
 from sipcraft.stats.bootstrap import BatteryConfig, _index_blocks, bootstrap_bca
 from sipcraft.stats.dominance import check_fsd, check_ssd, ks_two_sample
@@ -64,20 +63,11 @@ def test_t_three_year_column(three_year_sample):
     assert r.df == 6
 
 
-def test_t_errors():
-    with pytest.raises(DegenerateSampleError):
-        paired_t_one_tailed(sample_from_diffs([2.0, 2.0, 2.0]))
-    with pytest.raises(DegenerateSampleError):  # fsum([23.21] * 3) / 3 != 23.21
-        paired_t_one_tailed(sample_from_diffs([23.21, 23.21, 23.21]))
-
-
 @given(diff_lists)
 def test_t_sign_matches_mean(diffs):
-    s = sample_from_diffs(diffs)
-    try:
-        r = paired_t_one_tailed(s)
-    except DegenerateSampleError:
-        return
+    if len(set(diffs)) == 1:
+        return  # no spread: the battery never runs t on it
+    r = paired_t_one_tailed(sample_from_diffs(diffs))
     mean = sum(diffs) / len(diffs)
     assert math.copysign(1.0, r.statistic) == math.copysign(1.0, mean) or mean == 0.0
 
@@ -159,11 +149,10 @@ needs_scipy = pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
 def test_t_matches_scipy_ttest_rel(diffs):
     from scipy.stats import ttest_rel
 
+    if len(set(diffs)) == 1:
+        return  # no spread: the battery never runs t on it
     s = sample_from_diffs(diffs)  # exact diffs: distinct values differ by >= 0.01
-    try:
-        got = paired_t_one_tailed(s)
-    except DegenerateSampleError:
-        return
+    got = paired_t_one_tailed(s)
     want = ttest_rel(s.exp_values, s.ftd_values, alternative="greater")
     assert got.statistic == pytest.approx(want.statistic, rel=1e-9)
     assert got.p == pytest.approx(want.pvalue, rel=1e-9, abs=1e-15)
@@ -213,13 +202,6 @@ def test_cohens_d_examples(one_year_sample, three_year_sample):
     assert cohens_d(sample_from_diffs([-1.0, 1.0])) == 0.0
 
 
-def test_cohens_d_errors():
-    with pytest.raises(DegenerateSampleError):
-        cohens_d(sample_from_diffs([1.0, 1.0]))
-    with pytest.raises(DegenerateSampleError):
-        cohens_d(sample_from_diffs([0.7, 0.7, 0.7]))
-
-
 def test_hedges_g_variants():
     # (standard, paper's): the paper's correction uses 4n - 9 in the denominator
     assert hedges_g(1.071, 7)[1] == pytest.approx(1.071 * (1 - 3 / 19), abs=1e-12)
@@ -228,12 +210,6 @@ def test_hedges_g_variants():
     assert hedges_g(0.0, 10) == (0.0, 0.0)
     # the standard correction uses 4(n-1) - 1
     assert hedges_g(1.0, 7)[0] == pytest.approx(1 - 3 / 23, abs=1e-12)
-
-
-def test_hedges_g_validation():
-    # one reason for both corrections, since the battery's cell holds both
-    with pytest.raises(DegenerateSampleError, match="^Hedges' g needs n >= 3, got n=2$"):
-        hedges_g(1.0, 2)
 
 
 def test_classify_effect_boundaries():
@@ -285,8 +261,6 @@ def test_bootstrap_z0_counts_permuted_resamples_as_ties():
 
 
 def test_bootstrap_validation(three_year_sample):
-    with pytest.raises(DegenerateSampleError):
-        bootstrap_bca(sample_from_diffs([1.0, 2.0]))
     # an alpha just above 2**-53, the least the config takes, still gives finite bounds
     ci = bootstrap_bca(three_year_sample, BatteryConfig(B=1000, alpha=1.2e-16))
     assert math.isfinite(ci.lower) and math.isfinite(ci.upper)
@@ -592,9 +566,52 @@ def test_battery_single_pair_all_na():
 def test_battery_hedges_na_at_n2():
     report = run_battery(PairedSample([2.0, 4.0], [1.0, 1.0]))
     assert report.effect["cohens_d"] is not None
-    assert "hedges_g" in report.not_applicable
-    assert "bootstrap" in report.not_applicable
+    # one reason for both corrections, since the battery's cell holds both
+    assert report.not_applicable == {"bootstrap": "BCa bootstrap needs n >= 3, got n=2",
+                                     "hedges_g": "Hedges' g needs n >= 3, got n=2"}
+    assert report.effect["hedges_g"] is report.effect["hedges_g_paper"] is report.bootstrap is None
     assert report.ks["statistic"] is not None
+
+
+T_UNDEFINED = "all differences are identical, t is undefined"
+D_UNDEFINED = "all differences are identical, d is undefined"
+
+
+@pytest.mark.parametrize("diffs, na", [
+    ([2.0] * 3, {}),
+    ([23.21] * 3, {}),  # fsum([23.21] * 3) / 3 != 23.21, so t would see a spread
+    ([0.7] * 3, {}),
+    ([1.0, 1.0], {"bootstrap": "BCa bootstrap needs n >= 3, got n=2"}),
+], ids=["2.0x3", "23.21x3", "0.7x3", "1.0x2"])
+def test_battery_t_and_d_need_two_distinct_differences(diffs, na):
+    report = run_battery(sample_from_diffs(diffs), BatteryConfig(B=1000))
+    na = {**na, "cohens_d": D_UNDEFINED, "hedges_g": D_UNDEFINED, "t": T_UNDEFINED}
+    assert report.not_applicable == dict(sorted(na.items()))
+    assert report.t["statistic"] is report.effect["cohens_d"] is report.effect["hedges_g"] is None
+    assert report.wilcoxon["p"] is not None
+    assert report.bootstrap is None or report.bootstrap["degenerate"]
+
+
+tied_atoms = extreme_atoms | st.sampled_from((23.21, 0.7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.lists(tied_atoms, min_size=n, max_size=n)
+                                  | tied_atoms.map(lambda atom: [atom] * n)))
+def test_battery_gate_is_every_statistics_precondition(diffs):
+    # zeros, constants and extreme atoms: the battery calls a statistic only
+    # on what the gate lets through, and that statistic takes it without
+    # raising; every cell is either filled or keyed, never both
+    report = run_battery(sample_from_diffs(diffs), BatteryConfig(B=1000))
+    values = {"t": report.t["statistic"], "wilcoxon": report.wilcoxon["p"],
+              "cohens_d": report.effect["cohens_d"], "hedges_g": report.effect["hedges_g"],
+              "bootstrap": report.bootstrap, "ks": report.ks["statistic"],
+              "fsd": report.fsd, "ssd": report.ssd}
+    assert set(values) == set(CELLS)
+    for cell, value in values.items():
+        assert (value is None) == (cell in report.not_applicable), (cell, diffs)
+    assert set(report.not_applicable) <= set(CELLS)
+    assert list(report.not_applicable) == sorted(report.not_applicable)
 
 
 def test_battery_respects_config(three_year_sample):
@@ -666,21 +683,21 @@ def test_battery_config_rejects_unknown_and_invalid():
     with pytest.raises(ValueError, match=r"^unknown battery config keys: \['wilcoxon_mode'\]$"):
         BatteryConfig.from_dict({"wilcoxon_mode": "exact"})
     with pytest.raises(ValueError, match="^B must be >= 1000, got 10$"):
-        BatteryConfig(B=10)
+        BatteryConfig.from_dict({"B": 10})
     # a larger draw would outgrow what one getrandbits call takes
     with pytest.raises(ValueError, match="^B must be <= 1000000, got 1000001$"):
-        BatteryConfig(B=1_000_001)
-    assert BatteryConfig(B=1_000_000).B == 1_000_000
+        BatteryConfig.from_dict({"B": 1_000_001})
+    assert BatteryConfig.from_dict({"B": 1_000_000}).B == 1_000_000
     # at or below 2**-53, 1 - alpha/2 rounds to 1 and the upper z is infinite
     for alpha in (0.0, 2.0 ** -53, 1e-16, 1e-310, 1.0):
         with pytest.raises(ValueError, match=rf"^alpha must be in \(2\*\*-53, 1\), got {alpha}$"):
-            BatteryConfig(alpha=alpha)
+            BatteryConfig.from_dict({"alpha": alpha})
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
-        BatteryConfig(seed=-1)
+        BatteryConfig.from_dict({"seed": -1})
     with pytest.raises(ValueError, match="^B must be an integer, got 1000.0$"):
-        BatteryConfig(1000.0)
-    with pytest.raises(ValueError):
-        BatteryConfig(alpha=1.5)
+        BatteryConfig.from_dict({"B": 1000.0})
+    with pytest.raises(ValueError, match=r"^alpha must be in \(2\*\*-53, 1\), got 1.5$"):
+        BatteryConfig.from_dict({"alpha": 1.5})
 
 
 def test_battery_config_json_round_trip():
