@@ -212,6 +212,19 @@ def test_hedges_g_variants():
     assert hedges_g(1.0, 7)[0] == pytest.approx(1 - 3 / 23, abs=1e-12)
 
 
+def test_hedges_g_validation():
+    # hedges_g does not check n itself: the battery's gate keys its cell
+    # below n = 3, with one reason for both corrections
+    short = run_battery(sample_from_diffs([1.0, 3.0]))
+    assert short.not_applicable["hedges_g"] == "Hedges' g needs n >= 3, got n=2"
+    assert short.effect["hedges_g"] is short.effect["hedges_g_paper"] is None
+    # at n = 3 both denominators are positive and the cell is filled
+    full = run_battery(sample_from_diffs([1.0, 3.0, 4.0]))
+    assert "hedges_g" not in full.not_applicable
+    assert (full.effect["hedges_g"], full.effect["hedges_g_paper"]) == hedges_g(full.effect["cohens_d"], 3)
+    assert all(math.isfinite(g) for g in hedges_g(full.effect["cohens_d"], 3))
+
+
 def test_classify_effect_boundaries():
     assert classify_effect(0.19) == "negligible"
     assert classify_effect(0.2) == "meaningful"
