@@ -3,7 +3,7 @@
 
 The fixture freezes high-precision values for the hand-rolled special
 functions so the test suite can assert 1e-10 agreement without a runtime
-mpmath dependency. Needs the dev extra: pip install -e ".[dev]".
+mpmath dependency. Needs the test extra: pip install -e ".[test]".
 """
 
 from __future__ import annotations

@@ -15,10 +15,9 @@ import sys
 from datetime import date as Date
 from typing import Iterable, NamedTuple
 
-from .errors import SeriesFormatError, SimulationError
 from .schedule import MonthKey, MonthSchedule
 from .stats.paired import PairedSample
-from .timeseries import IndexSeries, read_table
+from .timeseries import IndexSeries, SeriesFormatError, read_table
 
 __all__ = [
     "MAX_CAGR",
@@ -157,7 +156,7 @@ def _installments(
                     hint = ("no earlier trading day in series" if previous is None
                             else f"previous trading day: {previous.isoformat()}")
                     problem = f"{date.isoformat()} is not a trading day ({hint})"
-                raise SimulationError(f"installment {key} ({strategy}): {problem}")
+                raise ValueError(f"installment {key} ({strategy}): {problem}")
             installments.append((key, date, close))
     # the last installment fell on a trading day of the final year, so the
     # terminal day lies in that year too
@@ -184,15 +183,14 @@ def _cagr_of(strategy: str, window: Window,
     # a subnormal term keeps too few digits, and the ratio must stay a float
     smallest = min(inverses)
     if smallest < sys.float_info.min:
-        raise SimulationError(f"{_where(strategy, window)}: 1/price {smallest!r} in one "
-                              "installment is out of float range")
+        raise ValueError(f"{_where(strategy, window)}: 1/price {smallest!r} in one "
+                         "installment is out of float range")
     ratio = terminal_close * math.fsum(inverses)
     if not 0.0 < ratio < math.inf:
-        raise SimulationError(f"{_where(strategy, window)}: value ratio {ratio!r} is out of "
-                              "float range")
+        raise ValueError(f"{_where(strategy, window)}: value ratio {ratio!r} is out of float range")
     value = ((ratio / (12.0 * window.years)) ** (1.0 / window.years) - 1.0) * 100.0
     if not -100.0 <= value <= MAX_CAGR:
-        raise SimulationError(f"{_where(strategy, window)}: CAGR {_outside(value)}")
+        raise ValueError(f"{_where(strategy, window)}: CAGR {_outside(value)}")
     return value
 
 
@@ -220,11 +218,11 @@ def simulate(strategy: str, window: Window, monthly_amount: float, series: Index
     # installment keeps too few digits to print
     where = _where(strategy, window)
     if not (0.0 < final_value < math.inf and invested < math.inf):
-        raise SimulationError(f"{where}: final value {final_value!r} on {invested!r} invested "
-                              "is out of float range")
+        raise ValueError(f"{where}: final value {final_value!r} on {invested!r} invested "
+                         "is out of float range")
     fewest = min(e["units"] for e in executions)
     if fewest < sys.float_info.min:
-        raise SimulationError(f"{where}: {fewest!r} units in one installment is out of float range")
+        raise ValueError(f"{where}: {fewest!r} units in one installment is out of float range")
     return {
         "plan": {"strategy": strategy, "start_year": window.from_year,
                  "years": window.years, "monthly_amount": monthly_amount},

@@ -13,8 +13,7 @@ import io
 from datetime import MAXYEAR, MINYEAR, date as Date, timedelta
 from typing import Iterator, NamedTuple
 
-from .errors import SeriesFormatError
-from .timeseries import IndexSeries, read_table
+from .timeseries import IndexSeries, SeriesFormatError, read_table
 
 __all__ = [
     "MonthKey",

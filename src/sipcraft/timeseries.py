@@ -15,10 +15,9 @@ from bisect import bisect_left, bisect_right
 from datetime import date as Date
 from typing import Iterable, Iterator
 
-from .errors import SeriesFormatError
-
 __all__ = [
     "IndexSeries",
+    "SeriesFormatError",
     "parse_series",
     "read_table",
     "serialize_series",
@@ -66,6 +65,13 @@ class IndexSeries:
         """Earliest trading day no earlier than ``date``, or None if there is none."""
         idx = bisect_left(self._dates, date)
         return self._dates[idx] if idx < len(self._dates) else None
+
+
+class SeriesFormatError(ValueError):
+    """Malformed input file; the message names the offending 1-based line."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 def read_table(

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from sipcraft.engine import Window, enumerate_windows, paired_run, simulate
-from sipcraft.errors import SimulationError
 from sipcraft.schedule import MonthKey, build_schedule, load_schedule_overrides
 from sipcraft.stats.battery import run_battery
 from sipcraft.stats.bootstrap import BatteryConfig, bootstrap_bca
@@ -328,7 +327,7 @@ def test_criterion_8_real_data_reproduction():
     for duration in (1, 3, 5, 10, 20):
         try:
             _, outcomes = paired_run(duration, series, table)
-        except SimulationError as exc:
+        except ValueError as exc:
             failures.append(f"{duration}y simulation failed: {exc}")
             continue
         for out in outcomes:

@@ -764,7 +764,7 @@ def test_cli_import_leaves_numpy_unloaded():
 # the sipcraft modules every command loads: argparse needs nothing else
 START = ("sipcraft", "sipcraft._version", "sipcraft.cli")
 # the input layers that validate, simulate and compare read through
-INPUTS = ("sipcraft.errors", "sipcraft.schedule", "sipcraft.timeseries")
+INPUTS = ("sipcraft.schedule", "sipcraft.timeseries")
 # the engine and the one statistics module it builds its sample with
 ENGINE = ("sipcraft.engine", "sipcraft.stats", "sipcraft.stats.paired", "sipcraft.stats.special")
 # the battery layers only compare runs; simulate renders through report too
@@ -780,7 +780,7 @@ UNUSED_AT_START = ("json", "csv", "datetime", "hashlib")
     (["validate", "--data", "{data}", "--schedule", "{schedule}"], EXIT_ANOMALIES, INPUTS),
     (["validate", "--data", "{data}"], EXIT_OK, INPUTS),
     (["fixtures", "--kind", "walk", "--out", "{out}"], EXIT_OK,
-     ("sipcraft.errors", "sipcraft.synth", "sipcraft.timeseries")),
+     ("sipcraft.synth", "sipcraft.timeseries")),
     (["simulate", "--data", "{data}", "--strategy", "exp", "--start-year", "2010",
       "--years", "3", "--out", "{out}"], EXIT_OK, INPUTS + ENGINE + ("sipcraft.report",)),
     (["compare", "--data", "{data}", "--resamples", "1000", "--out", "{out}"], EXIT_OK,

@@ -15,7 +15,6 @@ from sipcraft.engine import (
     paired_run,
     simulate,
 )
-from sipcraft.errors import SimulationError
 from sipcraft.schedule import MonthKey, MonthSchedule, build_schedule
 from sipcraft.synth import generate_series
 
@@ -56,10 +55,10 @@ def test_two_level_series():
 
 
 def test_simulate_missing_anchor(flat_year_series):
-    with pytest.raises(SimulationError) as ftd:
+    with pytest.raises(ValueError) as ftd:
         simulate("ftd", Window(2020, 2020), 10_000.0, flat_year_series, {})
     assert str(ftd.value) == "installment 2020-01 (ftd): schedule has no first trading day for 2020-01"
-    with pytest.raises(SimulationError) as exp:
+    with pytest.raises(ValueError) as exp:
         simulate("exp", Window(2020, 2020), 10_000.0, flat_year_series, {})
     assert str(exp.value) == ("installment 2020-01 (exp): "
                               "schedule has no expiry for 2019-12 (needed by 2020-01)")
@@ -68,7 +67,7 @@ def test_simulate_missing_anchor(flat_year_series):
     for day, hint in ((datetime.date(2020, 1, 4), "previous trading day: 2020-01-03"),
                       (datetime.date(2019, 11, 29), "no earlier trading day in series")):
         table = {MonthKey(2020, 1): MonthSchedule(day, None, "override")}
-        with pytest.raises(SimulationError) as exc:
+        with pytest.raises(ValueError) as exc:
             simulate("ftd", Window(2020, 2020), 10_000.0, flat_year_series, table)
         assert str(exc.value) == f"installment 2020-01 (ftd): {day} is not a trading day ({hint})"
 
@@ -101,7 +100,7 @@ def test_simulate_deterministic(long_series, long_table):
 
 def test_simulate_names_offending_month(flat_year_series):
     table = build_table(flat_year_series, 2020, 1)
-    with pytest.raises(SimulationError, match=r"2021-01 \(ftd\)"):
+    with pytest.raises(ValueError, match=r"2021-01 \(ftd\)"):
         simulate("ftd", Window(2021, 2021), 10_000.0, flat_year_series, table)
 
 
@@ -115,15 +114,15 @@ def test_simulate_names_missing_terminal():
 
     short = weekday_series(datetime.date(2019, 12, 2), datetime.date(2020, 11, 30), 100.0)
     table_short, _ = build_schedule(short, None, MonthKey(2019, 12), MonthKey(2020, 11))
-    with pytest.raises(SimulationError, match="2020-12"):
+    with pytest.raises(ValueError, match="2020-12"):
         simulate(*plan, short, table_short)
 
 
 @pytest.mark.parametrize("amount", [1e308, 5e-324], ids=["overflow", "underflow"])
 def test_simulate_rejects_ledger_out_of_float_range(flat_year_series, amount):
     table = build_table(flat_year_series, 2020, 1)
-    with pytest.raises(SimulationError, match=r"^plan 2020\.\.2020 \(ftd\): final value .* "
-                                              r"is out of float range$"):
+    with pytest.raises(ValueError, match=r"^plan 2020\.\.2020 \(ftd\): final value .* "
+                                         r"is out of float range$"):
         simulate("ftd", Window(2020, 2020), amount, flat_year_series, table)
 
 

@@ -6,12 +6,14 @@ the benchmark's tracer call it in-process many times."""
 import gc
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
-from sipcraft import __main__ as entry, errors
+import sipcraft
+from sipcraft import __main__ as entry, timeseries
 from sipcraft._version import VERSION
 from sipcraft.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
 
@@ -145,12 +147,15 @@ def test_module_entry_version_loads_only_the_start_modules():
 
 
 def test_every_sipcraft_error_is_a_value_error():
-    # cli.main reports OSError and ValueError, so no error of the package escapes it
-    classes = [c for c in vars(errors).values()
-               if isinstance(c, type) and c.__module__ == errors.__name__]
-    assert errors.SimulationError in classes
-    for cls in classes:
-        assert issubclass(cls, errors.SipcraftError) and issubclass(cls, ValueError), cls
+    # cli.main reports OSError and ValueError, so no error of the package
+    # escapes it; the one class of its own is the one that adds behaviour
+    modules = [sipcraft, *(importlib.import_module(m.name)
+                           for m in pkgutil.walk_packages(sipcraft.__path__, "sipcraft."))]
+    classes = {obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__ == module.__name__}
+    assert all(issubclass(cls, ValueError) for cls in classes), classes
+    assert classes == {timeseries.SeriesFormatError}
 
 
 @pytest.mark.parametrize("argv, rc", [

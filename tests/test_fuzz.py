@@ -9,9 +9,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sipcraft.cli import CONFIG_KEYS, EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
 from sipcraft.engine import load_windows
-from sipcraft.errors import SipcraftError
 from sipcraft.schedule import load_schedule_overrides
-from sipcraft.timeseries import parse_series
+from sipcraft.timeseries import SeriesFormatError, parse_series
 
 from conftest import DATA
 
@@ -44,7 +43,7 @@ def test_csv_parsers_return_or_raise_sipcraft_error(header, body):
     for parse in (parse_series, load_schedule_overrides, window_table):
         try:
             parse(header + body)
-        except SipcraftError:
+        except SeriesFormatError:
             pass
 
 

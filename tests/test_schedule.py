@@ -5,7 +5,6 @@ import datetime
 import pytest
 from hypothesis import given, strategies as st
 
-from sipcraft.errors import SeriesFormatError
 from sipcraft.schedule import (
     SOURCE_COMPUTED,
     SOURCE_OVERRIDE,
@@ -16,7 +15,7 @@ from sipcraft.schedule import (
     load_schedule_overrides,
     resolve_first_trading_day,
 )
-from sipcraft.timeseries import IndexSeries
+from sipcraft.timeseries import IndexSeries, SeriesFormatError
 
 from conftest import DATA, weekday_series
 

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sipcraft.engine import load_windows
-from sipcraft.errors import SeriesFormatError
 from sipcraft.schedule import load_schedule_overrides
-from sipcraft.timeseries import IndexSeries, parse_series, serialize_series
+from sipcraft.timeseries import IndexSeries, SeriesFormatError, parse_series, serialize_series
 
 from conftest import weekday_series
 
