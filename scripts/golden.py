@@ -152,6 +152,8 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "error-windows-reversed": ("compare", "--data", "reversed.csv"),
     "error-override-before-series": ("simulate", "--data", "grid.csv", "--schedule", "before.csv",
                                      "--strategy", "exp", "--start-year", "2003", "--years", "1"),
+    "compare-anomaly-no-date": ("compare", "--data", "no-dec-expiry.csv", "--durations", "1",
+                                "--resamples", "1000"),
 }
 # entry -> the environment variables it runs with
 ENV: dict[str, dict[str, str]] = {"compare-config-out": {"SIPCRAFT_SEED": "7"}}
@@ -191,10 +193,15 @@ def write_inputs(directory: Path) -> None:
     table that puts an expiry before its month's first trading day, the
     CAGR table with its two CAGR headers swapped, a 65-row and a 300-row
     one-year table, a table whose differences are equal within each duration,
-    an override table with a month 13, a table with a reversed window and an
-    override table whose one expiry falls before the grid series starts."""
+    an override table with a month 13, a table with a reversed window, an
+    override table whose one expiry falls before the grid series starts and
+    the grid series without 2024-12-01..26, so December 2024 has no expiry."""
     gen = _gen()
-    (directory / "grid.csv").write_text(gen.grid_csv(1), encoding="utf-8")
+    grid = gen.grid_csv(1)
+    (directory / "grid.csv").write_text(grid, encoding="utf-8")
+    (directory / "no-dec-expiry.csv").write_text(
+        "".join(row for row in grid.splitlines(keepends=True)
+                if not "2024-12-01" <= row[:10] <= "2024-12-26"), encoding="utf-8")
     (directory / "long.csv").write_text(gen.long_csv(1, str(SCHEDULE)), encoding="utf-8")
     (directory / "schedule.csv").write_bytes(SCHEDULE.read_bytes())
     (directory / "bad.csv").write_text(UNVERIFIABLE, encoding="utf-8")

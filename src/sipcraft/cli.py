@@ -2,8 +2,9 @@
 statistics, and reporting into reproducible runs.
 
 Subcommands: validate, simulate, compare, fixtures. Settings resolve as
-flags > config file > SIPCRAFT_SEED environment fallback (seed only) >
-defaults, and every effective value is echoed in output provenance.
+flags > config file > SIPCRAFT_SEED environment fallback (compare's seed
+only) > defaults, and compare echoes every effective value in its bundle's
+provenance.
 Exit codes: 0 success, 1 validation anomalies, 2 I/O or config errors.
 """
 
@@ -14,7 +15,6 @@ import importlib
 import io
 import os
 import sys
-from typing import NamedTuple
 
 from ._version import VERSION
 
@@ -116,20 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class Settings(NamedTuple):
-    """One run's settings, built by ``resolve_settings``."""
-
-    data: str | None
-    schedule: str | None
-    format: str
-    amount: float
-    durations: list[int]
-    strategy: str | None
-    start_year: int | None
-    years: int | None
-    battery: dict  # BatteryConfig.from_dict input: stats, flags and SIPCRAFT_SEED merged
-
-
 def _bad(key: str, what: str, value) -> ValueError:
     return ValueError(f"{key} must be {what}, got {value!r}")
 
@@ -152,10 +138,12 @@ def _durations(raw) -> list[int]:
     return sorted(set(raw))
 
 
-def resolve_settings(args) -> Settings:
+def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
     """Resolve and check every setting: flag > config file > SIPCRAFT_SEED
-    (seed only) > default. A config key given as null counts as given.
-    ``BatteryConfig.from_dict`` checks the stats keys when ``compare`` builds it.
+    (compare's seed only) > default. A config key given as null counts as
+    given. The resolved values replace the flags on ``args``, which comes
+    back; ``battery`` is ``BatteryConfig.from_dict``'s input (stats, flags
+    and SIPCRAFT_SEED merged), which checks it when ``compare`` builds it.
     """
     from datetime import MAXYEAR, MINYEAR
 
@@ -212,8 +200,8 @@ def resolve_settings(args) -> Settings:
     battery = cfg.get("stats", {})
     if not isinstance(battery, dict):
         raise _bad("stats", "a JSON object", battery)
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None and "seed" not in battery and getattr(args, "seed", None) is None:
+    env_seed = os.environ.get(ENV_SEED) if args.command == "compare" else None
+    if env_seed is not None and "seed" not in battery and args.seed is None:
         try:
             battery["seed"] = int(env_seed)
             if battery["seed"] < 0:
@@ -223,8 +211,10 @@ def resolve_settings(args) -> Settings:
     for key, flag in (("B", "resamples"), ("alpha", "alpha"), ("seed", "seed")):
         if getattr(args, flag, None) is not None:
             battery[key] = getattr(args, flag)
-    return Settings(data, schedule, fmt, amount, _durations(pick("durations")),
-                    strategy, start_year, years, battery)
+    vars(args).update(data=data, schedule=schedule, format=fmt, amount=amount,
+                      durations=_durations(pick("durations")), strategy=strategy,
+                      start_year=start_year, years=years, battery=battery)
+    return args
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -246,46 +236,45 @@ def _read(path: str) -> tuple[bytes, io.TextIOWrapper]:
     return raw, io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
 
 
-def _load_inputs(settings: Settings, durations: list[int] | None = None):
+def _load_inputs(args: argparse.Namespace):
     """The daily close series, the schedule overrides and the bytes of both
-    files (None for no schedule). Given durations, as ``compare`` gives
-    them, a data file whose header names both CAGR columns is a per-window
-    CAGR table instead: its runs by duration come back in place of the
-    series, and no overrides."""
-    if not settings.data:
+    files (None for no schedule). For ``compare``, a data file whose header
+    names both CAGR columns is a per-window CAGR table instead: its runs by
+    duration come back in place of the series, and no overrides."""
+    if not args.data:
         raise ValueError("no data file given (use --data or the config file)")
-    data, fh = _read(settings.data)
+    data, fh = _read(args.data)
     with fh:
-        if durations is not None:
+        if args.command == "compare":
             from .engine import is_window_table, load_windows
 
             header = fh.readline()
             fh.seek(0)
             if is_window_table(header):
-                if settings.schedule:
+                if args.schedule:
                     raise ValueError("a schedule file does not apply to a per-window CAGR table")
-                return load_windows(fh, durations), None, (data, None)
+                return load_windows(fh, args.durations), None, (data, None)
         series = parse_series(fh)
     overrides = schedule = None
-    if settings.schedule:
-        schedule, fh = _read(settings.schedule)
+    if args.schedule:
+        schedule, fh = _read(args.schedule)
         with fh:
             overrides = load_schedule_overrides(fh)
     return series, overrides, (data, schedule)
 
 
-def cmd_validate(settings: Settings, args) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     import json
 
     from .schedule import MonthKey
 
-    series, overrides, _ = _load_inputs(settings)
+    series, overrides, _ = _load_inputs(args)
     start = MonthKey(series.first_date.year, series.first_date.month)
     end = MonthKey(series.last_date.year, series.last_date.month)
     table, anomalies = build_schedule(series, overrides, start, end)
     payload = {
-        "data": settings.data,
-        "schedule": settings.schedule,
+        "data": args.data,
+        "schedule": args.schedule,
         "rows": len(series),
         "coverage": {"first": series.first_date.isoformat(), "last": series.last_date.isoformat()},
         "months_checked": len(table),
@@ -295,38 +284,39 @@ def cmd_validate(settings: Settings, args) -> int:
     return EXIT_ANOMALIES if anomalies else EXIT_OK
 
 
-def cmd_simulate(settings: Settings, args) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     from .engine import Window, simulate
     from .report import render_simulation
     from .schedule import MonthKey
 
-    series, overrides, _ = _load_inputs(settings)
-    if settings.strategy is None or settings.start_year is None or settings.years is None:
+    series, overrides, _ = _load_inputs(args)
+    if args.strategy is None or args.start_year is None or args.years is None:
         raise ValueError("simulate needs --strategy, --start-year and --years")
 
-    window = Window(settings.start_year, settings.start_year + settings.years - 1)
+    window = Window(args.start_year, args.start_year + args.years - 1)
     table, _ = build_schedule(series, overrides,
                               MonthKey(window.from_year - 1, 12), MonthKey(window.to_year, 12))
-    ledger = simulate(settings.strategy, window, settings.amount, series, table)
-    _write_out(render_simulation(ledger, settings.format), args.out)
+    ledger = simulate(args.strategy, window, args.amount, series, table)
+    _write_out(render_simulation(ledger, args.format), args.out)
     return EXIT_OK
 
 
-def cmd_compare(settings: Settings, args) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
     from .engine import enumerate_windows
-    from .report import tool_provenance, window_row
+    from .report import window_row
     from .schedule import MonthKey
-    from .stats.bootstrap import BatteryConfig
+    from .stats.bootstrap import STREAM_RULE, BatteryConfig
+    from .stats.special import QUANTILE_CONVENTION
 
-    series, overrides, (data, schedule) = _load_inputs(settings, settings.durations)
-    battery_config = BatteryConfig.from_dict(settings.battery)
+    series, overrides, (data, schedule) = _load_inputs(args)
+    battery_config = BatteryConfig.from_dict(args.battery)
 
     runs = series if isinstance(series, dict) else None  # a window table's runs by duration
     if runs:
         source, anomalies = "windows", []
     else:
-        source = "overrides+computed" if settings.schedule else "computed"
-        windows = [w for d in settings.durations for w in enumerate_windows(d)]
+        source = "overrides+computed" if args.schedule else "computed"
+        windows = [w for d in args.durations for w in enumerate_windows(d)]
         first_year = min(w.from_year for w in windows)
         last_year = max(w.to_year for w in windows)
         table, anomalies = build_schedule(series, overrides,
@@ -335,7 +325,7 @@ def cmd_compare(settings: Settings, args) -> int:
     window_tables: dict[str, list[dict]] = {}
     metrics: list[dict] = []
     boxplots: dict[str, dict] = {}
-    for duration in settings.durations:
+    for duration in args.durations:
         sample, outcomes = runs[duration] if runs else paired_run(duration, series, table)
         window_tables[f"{duration}y"] = [window_row(o) for o in outcomes]
         # the 20-year horizon has a single window, so the battery reduces to
@@ -344,17 +334,18 @@ def cmd_compare(settings: Settings, args) -> int:
         boxplots[f"{duration}y"] = {"ftd": boxplot_summary(sample.ftd_values),
                                     "exp": boxplot_summary(sample.exp_values)}
 
-    provenance = tool_provenance()
-    provenance.update({
-        "data_path": settings.data,
+    provenance = {
+        "tool": "sipcraft", "version": VERSION, "quantile_convention": QUANTILE_CONVENTION,
+        "bootstrap_stream": STREAM_RULE,
+        "data_path": args.data,
         "data_sha256": file_sha256(data),
-        "schedule_path": settings.schedule,
+        "schedule_path": args.schedule,
         "schedule_sha256": file_sha256(schedule) if schedule is not None else None,
         "schedule_source": source,
-        "durations": settings.durations,
+        "durations": args.durations,
         "battery_config": battery_config._asdict(),
         "anomaly_count": len(anomalies),
-    })
+    }
     bundle = {
         "provenance": provenance,
         "anomalies": anomalies,
@@ -362,15 +353,15 @@ def cmd_compare(settings: Settings, args) -> int:
         "metrics": metrics,
         "boxplots": boxplots,
     }
-    _write_out(render_bundle(bundle, settings.format), args.out)
+    _write_out(render_bundle(bundle, args.format), args.out)
     return EXIT_OK
 
 
-def cmd_fixtures(settings: Settings, args) -> int:
+def cmd_fixtures(args: argparse.Namespace) -> int:
     from .synth import generate_series
     from .timeseries import serialize_series
 
-    series = generate_series(kind=args.kind, start_year=settings.start_year, years=settings.years,
+    series = generate_series(kind=args.kind, start_year=args.start_year, years=args.years,
                              seed=args.seed, base=args.base, holiday_rate=args.holiday_rate)
     _write_out(serialize_series(series), args.out)
     return EXIT_OK
@@ -379,7 +370,7 @@ def cmd_fixtures(settings: Settings, args) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(resolve_settings(args), args)
+        return args.handler(resolve_settings(args))
     except (OSError, ValueError) as exc:  # every sipcraft error is a ValueError
         print(f"sipcraft: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

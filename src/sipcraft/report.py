@@ -15,9 +15,8 @@ import csv
 import io
 import json
 
-from ._version import VERSION
 from .engine import WindowOutcome
-from .stats.special import QUANTILE_CONVENTION, quantile_sorted
+from .stats.special import quantile_sorted
 
 __all__ = [
     "window_row",
@@ -167,13 +166,6 @@ def file_sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def tool_provenance() -> dict:
-    from .stats.bootstrap import STREAM_RULE  # here, so simulate loads no bootstrap
-
-    return {"tool": "sipcraft", "version": VERSION, "quantile_convention": QUANTILE_CONVENTION,
-            "bootstrap_stream": STREAM_RULE}
-
-
 def render_bundle(bundle: dict, format: str = "markdown") -> str:
     """Render a full comparison bundle (as assembled by the CLI)."""
     if format == "json":
@@ -193,8 +185,9 @@ def render_bundle(bundle: dict, format: str = "markdown") -> str:
     lines.append("")
     if bundle.get("anomalies"):
         lines += ["## Schedule anomalies", ""]
-        lines += [f"- {a['month']} {a['field']} {a['date']}: {a['reason']}"
-                  for a in bundle["anomalies"]]
+        for a in bundle["anomalies"]:
+            date = "" if a["date"] is None else f" {a['date']}"  # a missed anchor has none
+            lines.append(f"- {a['month']} {a['field']}{date}: {a['reason']}")
         lines.append("")
     for years, rows in bundle["windows"].items():
         lines += [f"## Windows: {years}", "", *_window_markdown(rows), ""]

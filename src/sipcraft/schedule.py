@@ -66,10 +66,10 @@ class MonthSchedule(NamedTuple):
     The month is the key of the table that holds the record.
     """
 
-    first_trading_day: Date | None = None
-    expiry_day: Date | None = None
-    ftd_source: str | None = None
-    expiry_source: str | None = None
+    first_trading_day: Date | None
+    expiry_day: Date | None
+    ftd_source: str | None
+    expiry_source: str | None
 
 
 def last_thursday(key: MonthKey) -> Date:
@@ -97,15 +97,18 @@ def compute_expiry(series: IndexSeries, key: MonthKey) -> Date | None:
     return day
 
 
-def load_schedule_overrides(source: str | io.TextIOBase) -> dict[MonthKey, MonthSchedule]:
-    """Load an override CSV with columns ``year,month,ftd_dom,expiry_dom``.
+def load_schedule_overrides(
+    source: str | io.TextIOBase,
+) -> dict[MonthKey, tuple[Date | None, Date | None]]:
+    """Load an override CSV with columns ``year,month,ftd_dom,expiry_dom``
+    as ``{month: (ftd, expiry)}``.
 
     The header and row rules are :func:`~sipcraft.timeseries.read_table`'s.
-    Day-of-month cells may be empty (an expiry-only or first-day-only row);
-    populated cells get source "override".
+    Day-of-month cells may be empty (an expiry-only or first-day-only row),
+    and an empty cell's date is None.
     """
     columns, rows = read_table(source, ("year", "month", "ftd_dom", "expiry_dom"), "override file")
-    entries: dict[MonthKey, MonthSchedule] = {}
+    entries: dict[MonthKey, tuple[Date | None, Date | None]] = {}
     first_lines: dict[MonthKey, int] = {}
     for line, row in rows:
         try:
@@ -142,18 +145,14 @@ def load_schedule_overrides(source: str | io.TextIOBase) -> dict[MonthKey, Month
         expiry = _dom("expiry_dom")
         if ftd is None and expiry is None:
             raise SeriesFormatError(f"override row for {key} has neither anchor", line)
-        entries[key] = MonthSchedule(
-            first_trading_day=ftd,
-            expiry_day=expiry,
-            ftd_source=SOURCE_OVERRIDE if ftd is not None else None,
-            expiry_source=SOURCE_OVERRIDE if expiry is not None else None,
-        )
+        entries[key] = (ftd, expiry)
         first_lines[key] = line
     return entries
 
 
-# each anchor in MonthSchedule field order: its field, the rule that computes
-# it where no override applies, and the anomaly when the rule finds no day
+# each anchor in MonthSchedule field order, and so in an override pair's:
+# its field, the rule that computes it where no override applies, and the
+# anomaly when the rule finds no day
 _ANCHOR_RULES = (
     ("first_trading_day", resolve_first_trading_day, "month has no trading days in the series"),
     ("expiry_day", compute_expiry, "no trading day at or before the last Thursday"),
@@ -169,7 +168,7 @@ def _month_range(start: MonthKey, end: MonthKey) -> Iterator[MonthKey]:
 
 def build_schedule(
     series: IndexSeries,
-    overrides: dict[MonthKey, MonthSchedule] | None,
+    overrides: dict[MonthKey, tuple[Date | None, Date | None]] | None,
     start: MonthKey,
     end: MonthKey,
 ) -> tuple[dict[MonthKey, MonthSchedule], list[dict]]:
@@ -188,12 +187,12 @@ def build_schedule(
                           "date": date.isoformat() if date is not None else None,
                           "reason": reason})
 
+    overrides = overrides or {}
     for key in _month_range(start, end):
-        override = overrides.get(key) if overrides is not None else None
         days: list[Date | None] = []
         sources: list[str | None] = []
-        for field, compute, missing in _ANCHOR_RULES:
-            day, source = getattr(override, field, None), SOURCE_OVERRIDE  # None: no override row
+        for (field, compute, missing), day in zip(_ANCHOR_RULES, overrides.get(key, (None, None))):
+            source = SOURCE_OVERRIDE
             if day is not None:
                 if day not in series:
                     _anomaly(key, field, day, "override date is not a trading day in the series")

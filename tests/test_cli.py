@@ -387,6 +387,19 @@ def test_compare_rejects_bad_env_seed(series_csv, monkeypatch, capsys, value):
                             f"integer, got {value!r}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["simulate", "--strategy", "ftd", "--start-year", "2003", "--years", "1"],
+], ids=["validate", "simulate"])
+def test_env_seed_is_read_by_compare_only(series_csv, monkeypatch, capsys, argv):
+    # neither command draws a bootstrap, so a malformed seed must not stop it
+    argv = argv[:1] + ["--data", str(series_csv)] + argv[1:]
+    monkeypatch.delenv("SIPCRAFT_SEED", raising=False)
+    expected = main(argv), capsys.readouterr().out
+    assert expected[0] == EXIT_OK
+    monkeypatch.setenv("SIPCRAFT_SEED", "x")
+    assert (main(argv), capsys.readouterr().out) == expected
+
+
 def test_compare_config_supplies_data_path(series_csv, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -7,7 +7,6 @@ import pkgutil
 import pytest
 
 import sipcraft
-from sipcraft.cli import Settings
 from sipcraft.engine import Window, WindowOutcome
 from sipcraft.schedule import MonthKey, MonthSchedule
 from sipcraft.stats.battery import run_battery
@@ -29,7 +28,6 @@ EXAMPLES = [
     KsResult(0.25, 0.9),
     BatteryConfig(),
     run_battery(PairedSample([5.0], [4.0]), label="20y"),
-    Settings("series.csv", None, "json", 10_000.0, [1], "ftd", 2003, 1, {"B": 1000}),
 ]
 
 

@@ -8,19 +8,20 @@ import json
 import jsonschema
 import pytest
 
+from sipcraft._version import VERSION
 from sipcraft.engine import Window, WindowOutcome, simulate
 from sipcraft.report import (
     boxplot_summary,
     file_sha256,
     render_bundle,
     render_simulation,
-    tool_provenance,
     window_row,
 )
 from sipcraft.schedule import MonthKey, build_schedule
 from sipcraft.stats.battery import run_battery
-from sipcraft.stats.bootstrap import BatteryConfig
+from sipcraft.stats.bootstrap import STREAM_RULE, BatteryConfig
 from sipcraft.stats.paired import PairedSample
+from sipcraft.stats.special import QUANTILE_CONVENTION
 
 from conftest import ROOT, weekday_series
 
@@ -180,13 +181,6 @@ def test_boxplot_singleton_and_empty():
                  "whisker_low": 7.0, "whisker_high": 7.0, "outliers": []}
 
 
-def test_tool_provenance_is_static():
-    p = tool_provenance()
-    assert p["tool"] == "sipcraft"
-    assert "version" in p
-    assert p == tool_provenance()  # no timestamps or other drift
-
-
 def test_file_sha256_known_value():
     assert file_sha256(b"abc") == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
@@ -194,8 +188,11 @@ def test_file_sha256_known_value():
 
 def make_bundle(sample, rows=None, label="3y", config=BatteryConfig()):
     report = run_battery(sample, config, label=label)
-    prov = tool_provenance()
-    prov.update({
+    prov = {
+        "tool": "sipcraft",
+        "version": VERSION,
+        "quantile_convention": QUANTILE_CONVENTION,
+        "bootstrap_stream": STREAM_RULE,
         "data_path": "series.csv",
         "data_sha256": "0" * 64,
         "schedule_path": None,
@@ -204,7 +201,7 @@ def make_bundle(sample, rows=None, label="3y", config=BatteryConfig()):
         "durations": [3],
         "battery_config": config._asdict(),
         "anomaly_count": 0,
-    })
+    }
     return {
         "provenance": prov,
         "anomalies": [],

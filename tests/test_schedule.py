@@ -95,18 +95,12 @@ def test_compute_expiry_exhausts_month():
 
 def test_load_overrides_full_row():
     table = load_schedule_overrides("year,month,ftd_dom,expiry_dom\n2003,1,1,30\n")
-    entry = table.get(MonthKey(2003, 1))
-    assert entry.first_trading_day == datetime.date(2003, 1, 1)
-    assert entry.expiry_day == datetime.date(2003, 1, 30)
-    assert entry.ftd_source == SOURCE_OVERRIDE
-    assert entry.expiry_source == SOURCE_OVERRIDE
+    assert table == {MonthKey(2003, 1): (datetime.date(2003, 1, 1), datetime.date(2003, 1, 30))}
 
 
 def test_load_overrides_expiry_only_row():
     table = load_schedule_overrides("year,month,ftd_dom,expiry_dom\n2002,12,,26\n")
-    entry = table.get(MonthKey(2002, 12))
-    assert entry.first_trading_day is None
-    assert entry.expiry_day == datetime.date(2002, 12, 26)
+    assert table == {MonthKey(2002, 12): (None, datetime.date(2002, 12, 26))}
 
 
 def test_load_overrides_invalid_day_of_month():
@@ -151,27 +145,16 @@ def test_bundled_override_table():
     assert len(table) == 265  # Dec 2002 + 22 full years
     assert (min(table), max(table)) == (MonthKey(2002, 12), MonthKey(2024, 12))
 
-    dec02 = table.get(MonthKey(2002, 12))
-    assert dec02.first_trading_day is None
-    assert dec02.expiry_day == datetime.date(2002, 12, 26)
+    assert table[MonthKey(2002, 12)] == (None, datetime.date(2002, 12, 26))
+    assert table[MonthKey(2003, 2)] == (datetime.date(2003, 2, 3), datetime.date(2003, 2, 27))
+    assert table[MonthKey(2024, 12)] == (datetime.date(2024, 12, 2), None)
 
-    feb03 = table.get(MonthKey(2003, 2))
-    assert feb03.first_trading_day == datetime.date(2003, 2, 3)
-    assert feb03.expiry_day == datetime.date(2003, 2, 27)
-
-    dec24 = table.get(MonthKey(2024, 12))
-    assert dec24.first_trading_day == datetime.date(2024, 12, 2)
-    assert dec24.expiry_day is None
-
-    # every dual-anchor month keeps its anchors ordered and in-month, and
-    # each source is set exactly when its day is
-    for key, entry in table.items():
-        for day, source in ((entry.first_trading_day, entry.ftd_source),
-                            (entry.expiry_day, entry.expiry_source)):
-            assert (source == SOURCE_OVERRIDE) == (day is not None), key
+    # every dual-anchor month keeps its anchors ordered and in-month
+    for key, (ftd, expiry) in table.items():
+        for day in (ftd, expiry):
             assert day is None or (day.year, day.month) == key, key
-        if entry.first_trading_day and entry.expiry_day:
-            assert entry.first_trading_day <= entry.expiry_day, key
+        if ftd and expiry:
+            assert ftd <= expiry, key
 
 
 def test_build_schedule_override_wins(flat_year_series):
