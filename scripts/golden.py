@@ -70,9 +70,8 @@ READER_ERRORS = {
     "short-override.csv": "year,month,ftd_dom,expiry_dom\n2010,1,4\n",
     "no-to-year.csv": "from_year,years,cagr_ftd,cagr_exp\n2003,1,1.0,2.0\n",
 }
-# a config file with a stats block and no seed, so SIPCRAFT_SEED supplies it
-CONFIG = {"data": "grid.csv", "durations": [1, 3], "format": "json",
-          "stats": {"B": 1000, "alpha": 0.1}}
+# an args file, one argument per line, with no seed, so SIPCRAFT_SEED supplies it
+ARGS = "--data=grid.csv\n--durations=1,3\n--format=json\n--resamples=1000\n--alpha=0.1\n"
 # an override row whose expiry, 2010-03-04, precedes its first trading day,
 # 2010-03-25; both are trading days of the grid series
 EXPIRY_FIRST = "year,month,ftd_dom,expiry_dom\n2010,3,25,4\n"
@@ -136,7 +135,7 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "error-override-short-row": ("validate", "--data", "grid.csv", "--schedule",
                                  "short-override.csv"),
     "error-windows-no-to-year": ("compare", "--data", "no-to-year.csv"),
-    "compare-config-out": ("compare", "--config", "config.json", "--out", "bundle.json"),
+    "compare-argfile-out": ("compare", "@args.txt", "--out", "bundle.json"),
     "compare-anomalies-markdown": ("compare", "--data", "grid.csv", "--schedule",
                                    "expiry-first.csv", "--resamples", "1000"),
     "compare-windows-ftd-dominates": ("compare", "--data", "swapped.csv", "--resamples",
@@ -154,9 +153,19 @@ COMMANDS: dict[str, tuple[str, ...]] = {
                                      "--strategy", "exp", "--start-year", "2003", "--years", "1"),
     "compare-anomaly-no-date": ("compare", "--data", "no-dec-expiry.csv", "--durations", "1",
                                 "--resamples", "1000"),
+    "error-durations-not-integers": ("compare", "--data", "windows.csv", "--durations", "1,x"),
+    "error-durations-empty": ("compare", "--data", "windows.csv", "--durations", ","),
+    "error-durations-unsupported": ("compare", "--data", "windows.csv", "--durations", "1,2"),
+    "error-amount-inf": (*_SIM, "--strategy", "ftd", "--amount", "inf"),
+    "error-start-year": ("simulate", "--data", "grid.csv", "--strategy", "ftd",
+                         "--start-year", "10000", "--years", "1"),
+    "error-years": ("fixtures", "--start-year", "9999", "--years", "2"),
+    "error-env-seed": ("compare", "--data", "windows.csv"),
+    "error-double-dash-value": ("validate", "--data=--"),
 }
 # entry -> the environment variables it runs with
-ENV: dict[str, dict[str, str]] = {"compare-config-out": {"SIPCRAFT_SEED": "7"}}
+ENV: dict[str, dict[str, str]] = {"compare-argfile-out": {"SIPCRAFT_SEED": "7"},
+                                  "error-env-seed": {"SIPCRAFT_SEED": "-1"}}
 
 
 def _gen():
@@ -189,7 +198,7 @@ def write_inputs(directory: Path) -> None:
     override table, an override table no series can verify, the frozen
     per-window CAGR table, the series with gaps, the inputs whose CAGRs
     lie out of range, an override table whose year no date can hold, the
-    inputs that break the shared CSV rules, a config file, an override
+    inputs that break the shared CSV rules, an args file, an override
     table that puts an expiry before its month's first trading day, the
     CAGR table with its two CAGR headers swapped, a 65-row and a 300-row
     one-year table, a table whose differences are equal within each duration,
@@ -213,7 +222,7 @@ def write_inputs(directory: Path) -> None:
     (directory / "year-zero.csv").write_text(YEAR_ZERO, encoding="utf-8")
     for name, text in READER_ERRORS.items():
         (directory / name).write_text(text, encoding="utf-8")
-    (directory / "config.json").write_text(json.dumps(CONFIG), encoding="utf-8")
+    (directory / "args.txt").write_text(ARGS, encoding="utf-8")
     (directory / "expiry-first.csv").write_text(EXPIRY_FIRST, encoding="utf-8")
     (directory / "swapped.csv").write_bytes(
         WINDOWS.read_bytes().replace(b"cagr_ftd,cagr_exp", b"cagr_exp,cagr_ftd"))

@@ -1,11 +1,12 @@
 """Command-line interface binding ingestion, scheduling, simulation,
 statistics, and reporting into reproducible runs.
 
-Subcommands: validate, simulate, compare, fixtures. Settings resolve as
-flags > config file > SIPCRAFT_SEED environment fallback (compare's seed
-only) > defaults, and compare echoes every effective value in its bundle's
+Subcommands: validate, simulate, compare, fixtures. Every setting is a
+flag, and ``@FILE`` reads more flags from FILE, one argument per line.
+compare's seed resolves as --seed > the SIPCRAFT_SEED environment variable
+> default, and compare echoes every effective value in its bundle's
 provenance.
-Exit codes: 0 success, 1 validation anomalies, 2 I/O or config errors.
+Exit codes: 0 success, 1 validation anomalies, 2 I/O, usage or input errors.
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ EXIT_ERROR = 2
 
 ENV_SEED = "SIPCRAFT_SEED"
 
-CONFIG_KEYS = ("data", "schedule", "format", "amount", "durations", "strategy",
-               "start_year", "years", "stats")
 FORMATS = ("markdown", "csv", "json")
-STRATEGIES = ("ftd", "exp")  # the names the engine takes and the ledger prints
+# the names the engine takes and the ledger prints; --strategy's choices check them
+STRATEGIES = ("ftd", "exp")
 # the series kinds synth.generate_series draws; --kind's choices are their only check
 KINDS = ("flat", "growth", "walk")
 # engine.SUPPORTED_DURATIONS, repeated so that building the parser and resolving
@@ -74,11 +74,22 @@ class _Parser(argparse.ArgumentParser):
         if message:
             (file or sys.stderr).write(message)
 
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]):
+        # before Python 3.13 argparse drops the "--" of --years=--, and the
+        # empty list left in its place skips type= and choices=
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sipcraft",
         description="Monthly SIP backtesting under first-trading-day vs expiry-day execution.",
+        # @FILE stands for the arguments FILE holds, one per line
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=f"sipcraft {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -87,25 +98,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="simulate the window grid and run the full battery")
     p_fix = sub.add_parser("fixtures", help="generate a synthetic daily series CSV")
     for p in (p_val, p_sim, p_cmp):
-        p.add_argument("--data", help="daily close CSV (date,close; extra columns ignored)"
+        p.add_argument("--data", required=True,
+                       help="daily close CSV (date,close; extra columns ignored)"
                        + (", or a per-window CAGR table" if p is p_cmp else ""))
         p.add_argument("--schedule", help="schedule override CSV (year,month,ftd_dom,expiry_dom)")
-        p.add_argument("--config", help="JSON config file; command-line flags win")
     for p, handler in ((p_val, cmd_validate), (p_sim, cmd_simulate), (p_cmp, cmd_compare),
                        (p_fix, cmd_fixtures)):
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.set_defaults(handler=handler)
 
-    p_sim.add_argument("--strategy", choices=STRATEGIES)
-    p_sim.add_argument("--start-year", type=int)
-    p_sim.add_argument("--years", type=int)
-    p_sim.add_argument("--amount", type=float)
-    p_sim.add_argument("--format", choices=FORMATS)
+    p_sim.add_argument("--strategy", choices=STRATEGIES, required=True)
+    p_sim.add_argument("--start-year", type=int, required=True)
+    p_sim.add_argument("--years", type=int, required=True)
+    p_sim.add_argument("--amount", type=float, default=DEFAULT_AMOUNT)
+    p_sim.add_argument("--format", choices=FORMATS, default="markdown")
     p_cmp.add_argument("--durations", help="comma-separated subset of 1,3,5,10,20")
     p_cmp.add_argument("--seed", type=int)
     p_cmp.add_argument("--resamples", type=int)
     p_cmp.add_argument("--alpha", type=float)
-    p_cmp.add_argument("--format", choices=FORMATS)
+    p_cmp.add_argument("--format", choices=FORMATS, default="markdown")
 
     p_fix.add_argument("--kind", choices=KINDS, default="flat")
     p_fix.add_argument("--start-year", type=int, default=2003)
@@ -116,104 +127,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bad(key: str, what: str, value) -> ValueError:
-    return ValueError(f"{key} must be {what}, got {value!r}")
-
-
-def _durations(raw) -> list[int]:
+def _durations(raw: str | None) -> list[int]:
     if raw is None:
         return list(DEFAULT_DURATIONS)
-    if isinstance(raw, str):
-        try:
-            raw = [int(part) for part in raw.split(",") if part.strip()]
-        except ValueError:
-            raise _bad("durations", "comma-separated integers", raw) from None
-    if not isinstance(raw, list) or any(type(v) is not int for v in raw):
-        raise _bad("durations", "integers", raw)
-    if not raw:
+    try:
+        durations = [int(part) for part in raw.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"durations must be comma-separated integers, got {raw!r}") from None
+    if not durations:
         raise ValueError("durations list is empty")
-    bad = [v for v in raw if v not in DEFAULT_DURATIONS]
+    bad = [v for v in durations if v not in DEFAULT_DURATIONS]
     if bad:
         raise ValueError(f"unsupported durations {bad}, expected a subset of {list(DEFAULT_DURATIONS)}")
-    return sorted(set(raw))
+    return sorted(set(durations))
 
 
 def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
-    """Resolve and check every setting: flag > config file > SIPCRAFT_SEED
-    (compare's seed only) > default. A config key given as null counts as
-    given. The resolved values replace the flags on ``args``, which comes
-    back; ``battery`` is ``BatteryConfig.from_dict``'s input (stats, flags
-    and SIPCRAFT_SEED merged), which checks it when ``compare`` builds it.
+    """Check what argparse cannot: the amount's range, the year ranges and
+    the durations. For ``compare``, the checked durations replace the flag
+    on ``args``, and ``battery`` holds ``BatteryConfig.from_dict``'s input,
+    which checks it when ``compare`` builds it: the battery flags given, and
+    the seed from --seed, else SIPCRAFT_SEED, else the default. ``args``
+    comes back.
     """
     from datetime import MAXYEAR, MINYEAR
 
-    cfg = {}
-    if getattr(args, "config", None):
-        import json
-
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                cfg = json.load(fh)
-            except RecursionError:
-                raise ValueError("config file nests too deeply") from None
-        if not isinstance(cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(cfg) - set(CONFIG_KEYS))
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-
-    def pick(key: str, default=None):
-        flag = getattr(args, key, None)
-        return cfg.get(key, default) if flag is None else flag
-
-    data, schedule = pick("data"), pick("schedule")
-    for key, path in (("data", data), ("schedule", schedule)):
-        # open() would take a config number as a file descriptor
-        if path is not None and not isinstance(path, str):
-            raise _bad(key, "a path string", path)
-    fmt = pick("format", "markdown")
-    if fmt not in FORMATS:
-        raise _bad("format", f"one of {FORMATS}", fmt)
-    strategy = pick("strategy")
-    if strategy is not None and strategy not in STRATEGIES:
-        raise _bad("strategy", f"one of {STRATEGIES}", strategy)
-    amount = pick("amount", DEFAULT_AMOUNT)
-    if type(amount) not in (int, float):
-        raise _bad("amount", "a number", amount)
-    try:
-        amount = float(amount)
-    except OverflowError:
-        raise _bad("amount", "a number in float range", amount) from None
-    # compare never uses the amount, but one config serves every command
-    if not 0.0 < amount < float("inf"):
-        raise _bad("amount", "positive and finite", amount)
-
+    if "amount" in args and not 0.0 < args.amount < float("inf"):
+        raise ValueError(f"amount must be positive and finite, got {args.amount!r}")
     # a plan or a fixture spans December of start_year - 1 through December
     # of its last year, and every one of those dates must be a datetime.date
-    start_year, years = pick("start_year"), pick("years")
-    if start_year is not None and not (type(start_year) is int and MINYEAR < start_year <= MAXYEAR):
-        raise _bad("start_year", f"an integer in {MINYEAR + 1}..{MAXYEAR}", start_year)
-    most = MAXYEAR + 1 - (start_year or MINYEAR + 1)
-    if years is not None and not (type(years) is int and 1 <= years <= most):
-        raise _bad("years", f"an integer in 1..{most}", years)
+    if "years" in args:
+        if not MINYEAR < args.start_year <= MAXYEAR:
+            raise ValueError(f"start_year must be an integer in {MINYEAR + 1}..{MAXYEAR}, "
+                             f"got {args.start_year!r}")
+        most = MAXYEAR + 1 - args.start_year
+        if not 1 <= args.years <= most:
+            raise ValueError(f"years must be an integer in 1..{most}, got {args.years!r}")
 
-    battery = cfg.get("stats", {})
-    if not isinstance(battery, dict):
-        raise _bad("stats", "a JSON object", battery)
-    env_seed = os.environ.get(ENV_SEED) if args.command == "compare" else None
-    if env_seed is not None and "seed" not in battery and args.seed is None:
-        try:
-            battery["seed"] = int(env_seed)
-            if battery["seed"] < 0:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"{ENV_SEED} must be a non-negative integer, got {env_seed!r}") from None
-    for key, flag in (("B", "resamples"), ("alpha", "alpha"), ("seed", "seed")):
-        if getattr(args, flag, None) is not None:
-            battery[key] = getattr(args, flag)
-    vars(args).update(data=data, schedule=schedule, format=fmt, amount=amount,
-                      durations=_durations(pick("durations")), strategy=strategy,
-                      start_year=start_year, years=years, battery=battery)
+    if args.command == "compare":
+        battery = {key: value for key, value in
+                   (("B", args.resamples), ("alpha", args.alpha), ("seed", args.seed))
+                   if value is not None}
+        env_seed = os.environ.get(ENV_SEED)
+        if env_seed is not None and args.seed is None:
+            try:
+                battery["seed"] = int(env_seed)
+                if battery["seed"] < 0:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{ENV_SEED} must be a non-negative integer, got {env_seed!r}") from None
+        vars(args).update(durations=_durations(args.durations), battery=battery)
     return args
 
 
@@ -241,8 +204,6 @@ def _load_inputs(args: argparse.Namespace):
     files (None for no schedule). For ``compare``, a data file whose header
     names both CAGR columns is a per-window CAGR table instead: its runs by
     duration come back in place of the series, and no overrides."""
-    if not args.data:
-        raise ValueError("no data file given (use --data or the config file)")
     data, fh = _read(args.data)
     with fh:
         if args.command == "compare":
@@ -290,9 +251,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .schedule import MonthKey
 
     series, overrides, _ = _load_inputs(args)
-    if args.strategy is None or args.start_year is None or args.years is None:
-        raise ValueError("simulate needs --strategy, --start-year and --years")
-
     window = Window(args.start_year, args.start_year + args.years - 1)
     table, _ = build_schedule(series, overrides,
                               MonthKey(window.from_year - 1, 12), MonthKey(window.to_year, 12))

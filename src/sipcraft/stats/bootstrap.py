@@ -40,7 +40,7 @@ STREAM_RULE = ("random.Random(seed) little-endian 32-bit words; n <= 256: diffs[
 class BatteryConfig(NamedTuple):
     """Battery settings, all three the bootstrap's; the field names are the
     JSON keys, so ``_asdict()`` is the JSON form. ``from_dict``, where
-    config-file and flag values enter, checks them once."""
+    the flag values and SIPCRAFT_SEED enter, checks them once."""
 
     B: int = 10000
     alpha: float = 0.05

@@ -1,4 +1,5 @@
-"""End-to-end CLI behavior: subcommands, config precedence, exit codes."""
+"""End-to-end CLI behavior: subcommands, flags and @file arguments, settings
+precedence, exit codes."""
 
 import datetime
 import hashlib
@@ -158,9 +159,11 @@ def test_simulate_markdown_ledger(flat_csv, capsys):
 
 
 def test_simulate_requires_plan_flags(flat_csv, capsys):
-    rc = main(["simulate", "--data", str(flat_csv)])
-    assert rc == EXIT_ERROR
-    assert "simulate needs" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--data", str(flat_csv)])
+    assert exc.value.code == EXIT_ERROR
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: --strategy, --start-year, --years\n")
 
 
 def test_compare_json_bundle_validates(series_csv, tmp_path):
@@ -218,12 +221,9 @@ def test_compare_window_table_header_is_normalized(tmp_path, capsys):
         "difference_of_rounded\n2003,2003,1,1.00,2.00,1.00,\n2004,2004,1,2.50,3.00,0.50,\n")
 
 
-def test_compare_window_table_prints_every_horizon(tmp_path, capsys):
-    # the compare config holds battery settings under "stats"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"stats": {"B": 1000}}))
+def test_compare_window_table_prints_every_horizon(capsys):
     assert main(["compare", "--data", str(DATA / "reference_windows.csv"),
-                 "--config", str(cfg)]) == EXIT_OK
+                 "--resamples", "1000"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "| Metric | 1y | 3y | 5y | 10y | 20y |\n" in out
     assert "B=1000" in out
@@ -341,12 +341,12 @@ def test_empty_data_file_exits_2_alike(tmp_path, capsys, argv, text, message):
     assert captured.err == f"sipcraft: error: {message}\n"
 
 
-@pytest.mark.parametrize("flag", ["--data", "--config"])
-def test_compare_unreadable_file_exits_2(tmp_path, monkeypatch, capsys, flag):
+@pytest.mark.parametrize("flag", ["--data", "--schedule"])
+def test_compare_unreadable_file_exits_2(flat_csv, tmp_path, monkeypatch, capsys, flag):
     monkeypatch.chdir(tmp_path)
     argv = ["compare", flag, "absent"]
-    if flag == "--config":
-        argv += ["--data", str(DATA / "reference_windows.csv")]
+    if flag == "--schedule":
+        argv += ["--data", str(flat_csv)]
     assert main(argv) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -368,11 +368,11 @@ def test_compare_seed_precedence(series_csv, tmp_path, monkeypatch):
     monkeypatch.setenv("SIPCRAFT_SEED", "7")
     assert bundle_seed(base) == 7  # env beats default
 
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"stats": {"seed": 13}}')
-    assert bundle_seed(base + ["--config", str(cfg)]) == 13  # config beats env
+    args = tmp_path / "args.txt"
+    args.write_text("--seed=13\n")
+    assert bundle_seed(base + [f"@{args}"]) == 13  # a flag from a file beats env
 
-    assert bundle_seed(base + ["--config", str(cfg), "--seed", "99"]) == 99  # flag wins
+    assert bundle_seed(base + [f"@{args}", "--seed", "99"]) == 99  # a later flag wins
 
 
 @pytest.mark.parametrize("value", ["x", "1.5", "-1"])
@@ -400,150 +400,122 @@ def test_env_seed_is_read_by_compare_only(series_csv, monkeypatch, capsys, argv)
     assert (main(argv), capsys.readouterr().out) == expected
 
 
-def test_compare_config_supplies_data_path(series_csv, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "data": str(series_csv),
-        "durations": [1],
-        "stats": {"B": 1000},
-    }))
-    out = tmp_path / "from_config.json"
-    rc = main(["compare", "--config", str(cfg), "--format", "json", "--out", str(out)])
-    assert rc == EXIT_OK
-    payload = read_json(out)
-    assert payload["provenance"]["battery_config"]["B"] == 1000
-    assert payload["provenance"]["durations"] == [1]
-
-
 def test_compare_rejects_bad_durations(series_csv, capsys):
     rc = main(["compare", "--data", str(series_csv), "--durations", "1,2"])
     assert rc == EXIT_ERROR
     assert "unsupported durations" in capsys.readouterr().err
 
 
-def test_compare_rejects_bad_config_json(series_csv, tmp_path, capsys):
-    cfg = tmp_path / "broken.json"
-    cfg.write_text("{not json")
-    rc = main(["compare", "--data", str(series_csv), "--config", str(cfg)])
-    assert rc == EXIT_ERROR
-
-
-# ids name the config key that is broken
-@pytest.mark.parametrize("config, fragment", [
-    pytest.param({"stats": {"seed": 1.5}}, "must be an integer", id="stats0"),
-    pytest.param({"stats": {"B": "x"}}, "must be an integer", id="stats1"),
-    pytest.param({"stats": {"B": 1e4}}, "must be an integer", id="stats2"),
-    pytest.param({"stats": {"seed": True}}, "must be an integer", id="stats3"),
-    pytest.param({"stats": {"alpha": "x"}}, "alpha must be a real number", id="stats4"),
-    pytest.param({"stats": None}, "must be a JSON object", id="stats5"),
-    pytest.param({"stats": [1]}, "must be a JSON object", id="stats6"),
-    pytest.param({"amount": None}, "amount must be a number", id="amount0"),
-    pytest.param({"amount": 1e400}, "must be positive and finite", id="amount1"),
-    pytest.param({"durations": [1.5]}, "durations must be integers", id="durations0"),
-    pytest.param({"durations": [True]}, "durations must be integers", id="durations1"),
-])
-def test_compare_rejects_non_integer_battery_config(series_csv, tmp_path, capsys, config, fragment):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"durations": [1], **config}))
-    rc = main(["compare", "--data", str(series_csv), "--config", str(cfg)])
-    assert rc == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("sipcraft: error: ")
-    assert err.count("\n") == 1 and fragment in err
-
-
-# ids name the config key that is broken; fd 9999 is not open, so at worst
-# open() fails on it instead of reading some other file; a string config is
-# the file's whole text
-@pytest.mark.parametrize("command, config, fragment", [
-    pytest.param("simulate", {"years": [1]}, "years must be an integer", id="years0"),
-    pytest.param("simulate", {"years": 1.9}, "years must be an integer", id="years1"),
-    pytest.param("simulate", {"years": True}, "years must be an integer", id="years2"),
-    pytest.param("simulate", {"start_year": "2020"}, "start_year must be an integer",
-                 id="start_year0"),
-    pytest.param("simulate", {"format": "xml"}, "format must be one of", id="format0"),
-    pytest.param("validate", {"schedule": 0}, "schedule must be a path string", id="schedule0"),
-    pytest.param("validate", {"schedule": 9999}, "schedule must be a path string", id="schedule1"),
-    pytest.param("simulate", {"data": 9999}, "data must be a path string", id="data0"),
-    pytest.param("validate", "[" * 100000 + "]" * 100000, "config file nests too deeply",
-                 id="nesting0"),
-    pytest.param("compare", "[" * 100000 + "]" * 100000, "config file nests too deeply",
-                 id="nesting1"),
-    pytest.param("compare", "[1, 2]", "config file must hold a JSON object", id="object0"),
-    pytest.param("compare", "{", "Expecting property name enclosed in double quotes: line 1 "
-                 "column 2 (char 1)", id="malformed0"),
-    pytest.param("compare", {"stats": {"bee": 1}}, "unknown battery config keys: ['bee']",
-                 id="stats0"),
-    # the battery reports every method's value, so no key selects one
-    pytest.param("compare", {"stats": {"wilcoxon_mode": "auto"}},
-                 "unknown battery config keys: ['wilcoxon_mode']", id="stats1"),
-    pytest.param("compare", {"stats": {"hedges_variant": "standard"}},
-                 "unknown battery config keys: ['hedges_variant']", id="stats2"),
-])
-def test_config_rejects_wrong_types(flat_csv, tmp_path, capsys, command, config, fragment):
-    cfg = tmp_path / "cfg.json"
-    if isinstance(config, str):
-        cfg.write_text(config)
-    else:
-        cfg.write_text(json.dumps({"data": str(flat_csv), "strategy": "ftd",
-                                   "start_year": 2020, "years": 1, **config}))
-    rc = main([command, "--config", str(cfg)])
-    assert rc == EXIT_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("sipcraft: error: ")
-    assert captured.err.count("\n") == 1 and fragment in captured.err
-
-
-# every setting with both a flag and a config key: the command, the flag
-# and its value, the config entry, how to read the resolved value, the
-# flag's and the config's value as resolved, and the default
+# every setting: the command, the flag and its value, the line of an @file
+# that sets it, how to read the resolved value, the flag's and the file's
+# value as resolved, and the default (REQUIRED where argparse asks for the flag)
 def _battery(field):
     from sipcraft.stats.bootstrap import BatteryConfig
 
     return lambda s: getattr(BatteryConfig.from_dict(s.battery), field)
 
 
-@pytest.mark.parametrize("command, flag, config, read, from_flag, from_config, default", [
-    ("validate", ["--data", "a.csv"], {"data": "b.csv"}, lambda s: s.data, "a.csv", "b.csv", None),
-    ("validate", ["--schedule", "a.csv"], {"schedule": "b.csv"}, lambda s: s.schedule,
+REQUIRED = object()
+# the flags each command requires; a case leaves out the one it sets
+REQUIRED_FLAGS = {"validate": {"--data": "d.csv"}, "compare": {"--data": "d.csv"},
+                  "simulate": {"--data": "d.csv", "--strategy": "ftd", "--start-year": "2010",
+                               "--years": "3"}}
+
+
+@pytest.mark.parametrize("command, flag, line, read, from_flag, from_file, default", [
+    ("validate", ["--data", "a.csv"], "--data=b.csv", lambda s: s.data, "a.csv", "b.csv",
+     REQUIRED),
+    ("validate", ["--schedule", "a.csv"], "--schedule=b.csv", lambda s: s.schedule,
      "a.csv", "b.csv", None),
-    ("simulate", ["--format", "csv"], {"format": "json"}, lambda s: s.format,
+    ("simulate", ["--format", "csv"], "--format=json", lambda s: s.format,
      "csv", "json", "markdown"),
-    ("simulate", ["--amount", "5"], {"amount": 7}, lambda s: s.amount, 5.0, 7.0, 10_000.0),
-    ("compare", ["--durations", "3,1"], {"durations": [5]}, lambda s: s.durations,
+    ("simulate", ["--amount", "5"], "--amount=7", lambda s: s.amount, 5.0, 7.0, 10_000.0),
+    ("compare", ["--durations", "3,1"], "--durations=5", lambda s: s.durations,
      [1, 3], [5], [1, 3, 5, 10, 20]),
-    ("simulate", ["--strategy", "exp"], {"strategy": "ftd"}, lambda s: s.strategy,
-     "exp", "ftd", None),
-    ("simulate", ["--start-year", "2010"], {"start_year": 2012}, lambda s: s.start_year,
-     2010, 2012, None),
-    ("simulate", ["--years", "3"], {"years": 4}, lambda s: s.years, 3, 4, None),
-    ("compare", ["--seed", "5"], {"stats": {"seed": 6}}, _battery("seed"), 5, 6, 42),
-    ("compare", ["--resamples", "2000"], {"stats": {"B": 3000}}, _battery("B"),
-     2000, 3000, 10000),
-    ("compare", ["--alpha", "0.1"], {"stats": {"alpha": 0.2}}, _battery("alpha"), 0.1, 0.2, 0.05),
+    ("simulate", ["--strategy", "exp"], "--strategy=ftd", lambda s: s.strategy,
+     "exp", "ftd", REQUIRED),
+    ("simulate", ["--start-year", "2012"], "--start-year=2011", lambda s: s.start_year,
+     2012, 2011, REQUIRED),
+    ("simulate", ["--years", "3"], "--years=4", lambda s: s.years, 3, 4, REQUIRED),
+    ("compare", ["--seed", "5"], "--seed=6", _battery("seed"), 5, 6, 42),
+    ("compare", ["--resamples", "2000"], "--resamples=3000", _battery("B"), 2000, 3000, 10000),
+    ("compare", ["--alpha", "0.1"], "--alpha=0.2", _battery("alpha"), 0.1, 0.2, 0.05),
 ], ids=["data", "schedule", "format", "amount", "durations", "strategy", "start_year", "years",
         "seed", "resamples", "alpha"])
-def test_settings_precedence(tmp_path, monkeypatch, command, flag, config, read,
-                             from_flag, from_config, default):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+def test_settings_precedence(tmp_path, monkeypatch, command, flag, line, read,
+                             from_flag, from_file, default):
+    args = tmp_path / "args.txt"
+    args.write_text(line + "\n")
+    base = [a for item in REQUIRED_FLAGS[command].items() if item[0] != flag[0] for a in item]
 
     def resolve(argv, env_seed=None):
         if env_seed is None:
             monkeypatch.delenv(ENV_SEED, raising=False)
         else:
             monkeypatch.setenv(ENV_SEED, env_seed)
-        return read(resolve_settings(build_parser().parse_args([command] + argv)))
+        return read(resolve_settings(build_parser().parse_args([command, *base, *argv])))
 
-    assert resolve([]) == default
-    assert resolve(["--config", str(cfg)]) == from_config
-    assert resolve(["--config", str(cfg)] + flag) == from_flag
+    if default is REQUIRED:
+        with pytest.raises(SystemExit):
+            resolve([])
+    else:
+        assert resolve([]) == default
+    assert resolve([f"@{args}"]) == from_file
+    assert resolve([f"@{args}", *flag]) == from_flag
     if flag[0] == "--seed":
-        # the environment sits between the config file and the default
+        # the environment sits between the flags and the default
         assert resolve([], env_seed="9") == 9
-        assert resolve(["--config", str(cfg)], env_seed="9") == from_config
-        assert resolve(["--config", str(cfg)] + flag, env_seed="9") == from_flag
+        assert resolve([f"@{args}"], env_seed="9") == from_file
+        assert resolve(flag, env_seed="9") == from_flag
+
+
+def test_argfile_flags_resolve_in_command_line_order(tmp_path):
+    # an @file stands for its lines where it appears, so the later value wins
+    (tmp_path / "args.txt").write_text("--seed=5\n--resamples=1000\n")
+    args = f"@{tmp_path / 'args.txt'}"
+
+    def battery(*argv):
+        return resolve_settings(build_parser().parse_args(["compare", "--data", "d.csv", *argv])
+                                ).battery
+
+    assert battery(args) == {"B": 1000, "seed": 5}
+    assert battery(args, "--seed", "6") == {"B": 1000, "seed": 6}
+    assert battery("--seed", "6", args) == {"B": 1000, "seed": 5}
+
+
+@pytest.mark.parametrize("line", ["--seed 5", ""], ids=["spaced", "blank"])
+def test_argfile_takes_one_argument_per_line(tmp_path, capsys, line):
+    (tmp_path / "args.txt").write_text(f"--resamples=1000\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--data", "d.csv", f"@{tmp_path / 'args.txt'}"])
+    assert exc.value.code == EXIT_ERROR
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {line}\n")
+
+
+def test_missing_argfile_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "@missing.txt"])
+    assert exc.value.code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sipcraft ") and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "sipcraft: error: [Errno 2] No such file or directory: 'missing.txt'")
+
+
+def test_data_path_starting_with_at(tmp_path, monkeypatch, capsys):
+    # only an argument that starts with @ names an args file, so a path that
+    # starts with one is given in the flag's own argument
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "@w.csv").write_bytes((DATA / "reference_windows.csv").read_bytes())
+    assert main(["compare", "--data=@w.csv", "--durations", "1", "--resamples", "1000",
+                 "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["provenance"]["data_path"] == "@w.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--data", "@w.csv"])
+    assert exc.value.code == EXIT_ERROR
+    assert capsys.readouterr().err.endswith(
+        "sipcraft: error: [Errno 2] No such file or directory: 'w.csv'\n")
 
 
 def test_settings_defaults_match_the_engine():
@@ -555,26 +527,19 @@ def test_settings_defaults_match_the_engine():
 
 
 # each of these overflowed a C long or a float and ended in a traceback
-@pytest.mark.parametrize("argv, config, message", [
+@pytest.mark.parametrize("argv, message", [
     (["simulate", "--data", "{data}", "--strategy", "ftd", "--start-year", str(10**20),
-      "--years", "1"], None, f"start_year must be an integer in 2..9999, got {10**20}"),
-    (["fixtures", "--years", str(10**20)], None,
-     f"years must be an integer in 1..7997, got {10**20}"),
-    (["fixtures", "--start-year", str(10**20)], None,
+      "--years", "1"], f"start_year must be an integer in 2..9999, got {10**20}"),
+    (["fixtures", "--years", str(10**20)], f"years must be an integer in 1..7997, got {10**20}"),
+    (["fixtures", "--start-year", str(10**20)],
      f"start_year must be an integer in 2..9999, got {10**20}"),
-    (["compare", "--data", "{data}", "--durations", "1", "--resamples", "1000"],
-     {"amount": 10**400}, f"amount must be a number in float range, got {10**400}"),
-    (["fixtures", "--base", "inf"], None, "base must be positive and finite, got inf"),
-    (["fixtures", "--kind", "walk", "--base", "1.7e308", "--seed", "3"], None,
+    (["fixtures", "--base", "inf"], "base must be positive and finite, got inf"),
+    (["fixtures", "--kind", "walk", "--base", "1.7e308", "--seed", "3"],
      "level on 2002-12-31 is not a finite positive float, got inf"),
-], ids=["simulate-start_year", "fixtures-years", "fixtures-start_year", "compare-amount",
-        "fixtures-base", "fixtures-overflow"])
-def test_out_of_range_numbers_exit_2(flat_csv, tmp_path, capsys, argv, config, message):
+], ids=["simulate-start_year", "fixtures-years", "fixtures-start_year", "fixtures-base",
+        "fixtures-overflow"])
+def test_out_of_range_numbers_exit_2(flat_csv, capsys, argv, message):
     argv = [a.format(data=flat_csv) for a in argv]
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        argv += ["--config", str(cfg)]
     assert main(argv) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -589,18 +554,18 @@ def test_out_of_range_numbers_exit_2(flat_csv, tmp_path, capsys, argv, config, m
     ("B", "--resamples", "3000000000", "B must be <= 1000000, got 3000000000"),
     ("B", "--resamples", "10", "B must be >= 1000, got 10"),
 ], ids=["alpha-1e-16", "alpha-subnormal", "B", "B-small"])
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["flag", "argfile"])
 def test_unusable_battery_numbers_exit_2(series_csv, tmp_path, capsys, key, flag, value,
                                          message, source):
+    # a flag read from an @file meets the same checks
     argv = ["compare", "--data", str(series_csv), "--durations", "1"]
     if key == "alpha":
         argv += ["--resamples", "1000"]
     if source == "flag":
         argv += [flag, value]
     else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"stats": {key: json.loads(value)}}))
-        argv += ["--config", str(cfg)]
+        (tmp_path / "args.txt").write_text(f"{flag}={value}\n")
+        argv += [f"@{tmp_path / 'args.txt'}"]
     assert main(argv) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -615,33 +580,35 @@ def test_smallest_usable_alpha_runs(series_csv, capsys):
     assert ci["lower"] <= ci["point"] <= ci["upper"]
 
 
-def test_config_rejects_unknown_key(series_csv, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"durration": [1], "amount": 5}))
-    rc = main(["compare", "--data", str(series_csv), "--config", str(cfg)])
-    assert rc == EXIT_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "sipcraft: error: unknown config keys: ['durration']\n"
-
-
-def test_one_config_serves_every_command(series_csv, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "data": str(series_csv), "schedule": None, "format": "json", "amount": 500,
-        "durations": [1], "strategy": "exp", "start_year": 2010, "years": 2,
-        "stats": {"B": 1000}}))
-    for command in ("validate", "simulate", "compare"):
-        assert main([command, "--config", str(cfg)]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)
-
-
-def test_fixtures_takes_no_config_flag(tmp_path, capsys):
-    # fixtures never read a config file; its output depends on its flags only
+@pytest.mark.parametrize("argv", [
+    ["validate", "--data", "d.csv"],
+    ["simulate", "--data", "d.csv", "--strategy", "ftd", "--start-year", "2010", "--years", "1"],
+    ["compare", "--data", "d.csv"], ["fixtures"],
+], ids=["validate", "simulate", "compare", "fixtures"])
+def test_no_command_takes_a_config_flag(capsys, argv):
+    # every setting is a flag; settings kept in a file are passed as @FILE
     with pytest.raises(SystemExit) as exc:
-        main(["fixtures", "--config", str(tmp_path / "cfg.json")])
+        main([*argv, "--config", "cfg.json"])
     assert exc.value.code == EXIT_ERROR
-    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --config cfg.json\n")
+
+
+# before Python 3.13 argparse drops the "--" of --flag=--, and the empty list
+# left in its place skipped type= and choices=: fixtures --kind=-- drew a
+# series, and --seed=--, --years=-- and --amount=-- ended in a traceback
+@pytest.mark.parametrize("argv, message", [
+    (["fixtures", "--kind=--"], "argument --kind: invalid choice: '--'"),
+    (["fixtures", "--seed=--"], "argument --seed: invalid int value: '--'"),
+    (["simulate", "--data", "d.csv", "--strategy", "ftd", "--start-year", "2010", "--years=--"],
+     "argument --years: invalid int value: '--'"),
+    (["simulate", "--data", "d.csv", "--strategy", "ftd", "--start-year", "2010", "--years", "1",
+      "--amount=--"], "argument --amount: invalid float value: '--'"),
+], ids=["kind", "seed", "years", "amount"])
+def test_double_dash_value_meets_the_flags_check(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    assert message in capsys.readouterr().err
 
 
 def test_fixtures_rejects_an_unknown_kind(capsys):
@@ -685,22 +652,12 @@ def test_tiny_normal_amount_keeps_the_cagr(series_csv, capsys):
     assert cagr("--amount", "1e-300") == cagr()
 
 
-def test_compare_takes_no_amount(series_csv, tmp_path, capsys):
+def test_compare_takes_no_amount(series_csv, capsys):
     # the amount cancels out of every CAGR, so compare has no flag for it
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--data", str(series_csv), "--amount", "5"])
     assert exc.value.code == EXIT_ERROR
     assert "unrecognized arguments: --amount" in capsys.readouterr().err
-
-    # and a config amount, which simulate would use, changes no byte
-    argv = ["compare", "--data", str(series_csv), "--format", "json", "--resamples", "1000"]
-    assert main(argv) == EXIT_OK
-    plain = capsys.readouterr().out
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"amount": 7.3}))
-    assert main(argv + ["--config", str(cfg)]) == EXIT_OK
-    assert capsys.readouterr().out == plain
-    assert "amount" not in json.loads(plain)["provenance"]
 
 
 @pytest.mark.parametrize("close, terminal_close, message", [

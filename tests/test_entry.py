@@ -164,8 +164,8 @@ def test_every_sipcraft_error_is_a_value_error():
      EXIT_ANOMALIES),
     (["simulate", "--data", "{walk}", "--schedule", "{overrides}", "--strategy", "exp",
       "--start-year", "2010", "--years", "3", "--out", "{out}"], EXIT_OK),
-    (["compare", "--data", "{walk}", "--schedule", "{overrides}", "--config", "{config}",
-      "--format", "json"], EXIT_OK),
+    (["compare", "--data", "{walk}", "--schedule", "{overrides}", "@{args}", "--format", "json"],
+     EXIT_OK),
     (["compare", "--data", str(DATA / "reference_windows.csv"), "--resamples", "1000",
       "--out", "{out}"], EXIT_OK),
     (["fixtures", "--kind", "walk", "--holiday-rate", "0.05", "--out", "{out}"], EXIT_OK),
@@ -174,10 +174,10 @@ def test_every_sipcraft_error_is_a_value_error():
 def test_dev_mode_run_closes_every_file(walk_csv, tmp_path, argv, rc):
     # under -X dev a file left for the collector to close warns on stderr;
     # the process entry skips the shutdown collections, so sipcraft must
-    # close each file it opens itself
+    # close each file it opens itself, the @file argparse reads included
     (tmp_path / "overrides.csv").write_text(OVERRIDES)
-    (tmp_path / "config.json").write_text('{"stats": {"B": 1000}}')
+    (tmp_path / "args.txt").write_text("--resamples=1000\n")
     paths = {"walk": walk_csv, "overrides": tmp_path / "overrides.csv",
-             "config": tmp_path / "config.json", "out": tmp_path / "out"}
+             "args": tmp_path / "args.txt", "out": tmp_path / "out"}
     proc = _sipcraft(*[a.format(**paths) for a in argv], python=("-X", "dev"))
     assert (proc.returncode, proc.stderr) == (rc, "")

@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from sipcraft.cli import CONFIG_KEYS, EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
+from sipcraft.cli import EXIT_ANOMALIES, EXIT_ERROR, EXIT_OK, main
 from sipcraft.engine import load_windows
 from sipcraft.schedule import load_schedule_overrides
 from sipcraft.timeseries import SeriesFormatError, parse_series
@@ -47,16 +47,6 @@ def test_csv_parsers_return_or_raise_sipcraft_error(header, body):
             pass
 
 
-# integers past float range too; scalars as often as containers
-scalars = (st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400)
-           | st.floats() | st.text(max_size=20))
-json_values = scalars | st.recursive(
-    scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
-                                                               max_size=4),
-    max_leaves=8)
-
-
 @pytest.fixture(scope="module")
 def walk_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "walk.csv"
@@ -68,7 +58,10 @@ def walk_csv(tmp_path_factory):
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            rc = exc
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -82,23 +75,45 @@ def check_outcome(command, rc, out, err):
         assert command == "validate" and json.loads(out)["anomalies"]
 
 
-@given(key=st.sampled_from(CONFIG_KEYS), value=json_values, overrides=st.booleans())
+# each value flag of the commands that read a series, and the commands that take it
+FLAGS = {"--schedule": ("validate", "simulate", "compare"), "--format": ("simulate", "compare"),
+         "--amount": ("simulate",), "--strategy": ("simulate",), "--start-year": ("simulate",),
+         "--years": ("simulate",), "--durations": ("compare",), "--resamples": ("compare",),
+         "--alpha": ("compare",), "--seed": ("compare",)}
+# the flags every run gives before the fuzzed one; B=1000 and one duration
+# keep a compare short
+BASE = {"validate": [], "simulate": ["--strategy", "exp", "--start-year", "2010", "--years", "2"],
+        "compare": ["--durations", "3", "--resamples", "1000"]}
+# short text that often starts as an option or an @file does; with no path
+# separator, an @file names an entry of the empty working directory
+flag_values = st.tuples(st.sampled_from(["", "-", "@"]),
+                        st.text(st.characters(blacklist_characters="/\\"), max_size=8)).map(
+                            "".join)
+
+
+@given(command_flag=st.sampled_from([(c, f) for f, commands in FLAGS.items() for c in commands]),
+       value=flag_values, joined=st.booleans(), overrides=st.booleans())
+# argparse before Python 3.13 passed on --years=-- as an unchecked empty list
+@example(command_flag=("simulate", "--years"), value="--", joined=True, overrides=False)
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_main_survives_any_config_value(walk_csv, tmp_path, key, value, overrides):
-    # a config every command runs with, one key replaced by an arbitrary
-    # value; B=1000 and one duration keep a compare short; the override
-    # table names dates the walk does not trade on, so validate finds
-    # anomalies with it
-    config = {"data": walk_csv, "strategy": "exp", "start_year": 2010, "years": 2,
-              "durations": [3], "stats": {"B": 1000}}
+def test_main_survives_any_flag_value(walk_csv, tmp_path, monkeypatch, command_flag, value,
+                                      joined, overrides):
+    # the override table names dates the walk does not trade on, so validate
+    # finds anomalies with it
+    command, flag = command_flag
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--data", walk_csv, *BASE[command]]
     if overrides:
-        config["schedule"] = str(DATA / "schedule_overrides.csv")
-    config[key] = value
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    for command in ("validate", "simulate", "compare"):
-        check_outcome(command, *run_main([command, "--config", str(path)]))
+        argv += ["--schedule", str(DATA / "schedule_overrides.csv")]
+    argv += [f"{flag}={value}"] if joined else [flag, value]
+    rc, out, err = run_main(argv)
+    if isinstance(rc, SystemExit):  # argparse's usage line, then its one error line
+        last = err.splitlines()[-1]
+        assert (rc.code, out) == (EXIT_ERROR, ""), err
+        assert last.startswith("sipcraft") and "error:" in last, err
+    else:
+        check_outcome(command, rc, out, err)
 
 
 @given(start_year=st.integers(), years=st.integers())

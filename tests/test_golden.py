@@ -46,14 +46,15 @@ def test_golden_output(name, inputs, monkeypatch):
 
 
 # package lines, by their source text, that only the corpus entries added for
-# them run: a config file, SIPCRAFT_SEED and --out; a bundle with anomalies;
-# a simulate amount other than the default; a month without trading days and
-# one without an expiry; an ftd_dominates verdict; growth fixtures; the
+# them run: an args file, SIPCRAFT_SEED and --out; malformed durations; a
+# bundle with anomalies; a simulate amount other than the default; a month
+# without trading days and one without an expiry; an ftd_dominates verdict; growth fixtures; the
 # bootstrap's word loop; samples whose differences are all equal or all zero;
 # the parsers' checks of an override month and of a window's order; and an
 # execution date before the series' first trading day
 REACHED = {
-    "cli.py": ("cfg = json.load(fh)", 'battery["seed"] = int(env_seed)',
+    "cli.py": ('raise ValueError(f"durations must be comma-separated integers',
+               'battery["seed"] = int(env_seed)',
                'with open(out, "w", encoding="utf-8") as fh:', "fh.write(text)"),
     "engine.py": ('raise SeriesFormatError(f"window ends before it starts',
                   '"no earlier trading day in series"'),
@@ -73,7 +74,8 @@ REACHED = {
 }
 # modules the corpus runs every line of: a check that no command can trip
 # there would be a second check of a value the CLI or a parser has checked
-FULLY_REACHED = ("report.py", "stats/paired.py", "stats/dominance.py", "stats/battery.py")
+FULLY_REACHED = ("cli.py", "report.py", "stats/paired.py", "stats/dominance.py",
+                 "stats/battery.py")
 
 
 def test_corpus_reaches_every_path_an_entry_was_added_for():
