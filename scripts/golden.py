@@ -54,10 +54,33 @@ UNVERIFIABLE = "year,month,ftd_dom,expiry_dom\n2010,1,2,\n2009,12,,5\n"
 BEYOND_FLOAT = "from_year,to_year,cagr_ftd,cagr_exp\n2003,2003,1e308,-1e308\n"
 BEYOND_MAX = "from_year,to_year,cagr_ftd,cagr_exp\n" + "".join(
     f"{y},{y},2.0,{y - 2002}e200\n" for y in range(2003, 2009))
-# an override row whose year lies outside the years a date can hold
-YEAR_ZERO = "year,month,ftd_dom,expiry_dom\n0,1,2,\n"
-# an override row whose month is not a calendar month
-MONTH_13 = "year,month,ftd_dom,expiry_dom\n2010,13,2,\n"
+_OVERRIDE = "year,month,ftd_dom,expiry_dom\n"
+# override tables that each break one rule of load_schedule_overrides: a
+# year that is not an integer, one outside the years a date can hold, a
+# month that is not a calendar month, a month given twice, a day that is not
+# an integer, a day its month lacks, and a row with neither anchor
+OVERRIDE_ERRORS = {
+    "year-text.csv": _OVERRIDE + "x,1,2,\n",
+    "year-zero.csv": _OVERRIDE + "0,1,2,\n",
+    "month-13.csv": _OVERRIDE + "2010,13,2,\n",
+    "repeated-month.csv": _OVERRIDE + "2010,1,4,\n2010,1,,28\n",
+    "day-text.csv": _OVERRIDE + "2010,1,x,\n",
+    "february-30.csv": _OVERRIDE + "2010,2,30,\n",
+    "no-anchor.csv": _OVERRIDE + "2010,1,,\n",
+}
+# series that each break one rule of parse_series: a date that is not
+# YYYY-MM-DD, a close that is not a number, a zero and an infinite close, a
+# date given twice and no data row; and one with a blank and a
+# whitespace-only row, which it skips
+SERIES = {
+    "compact-date.csv": "date,close\n20030102,100\n",
+    "text-close.csv": "date,close\n2003-01-02,abc\n",
+    "zero-close.csv": "date,close\n2003-01-02,0\n",
+    "inf-close.csv": "date,close\n2003-01-02,inf\n",
+    "duplicate-date.csv": "date,close\n2003-01-02,100\n2003-01-03,101\n2003-01-02,102\n",
+    "header-only.csv": "date,close\n",
+    "blank-rows.csv": "date,close\n2003-01-02,100\n\n   \n2003-01-03,101\n",
+}
 # an override row whose expiry, 2002-12-01, falls before the grid series' first day
 BEFORE_SERIES = "year,month,ftd_dom,expiry_dom\n2002,12,,1\n"
 # a window table whose one window ends before it starts
@@ -69,6 +92,9 @@ READER_ERRORS = {
     "short-series.csv": "date,close\n2003-01-02,100\n2003-01-03\n",
     "short-override.csv": "year,month,ftd_dom,expiry_dom\n2010,1,4\n",
     "no-to-year.csv": "from_year,years,cagr_ftd,cagr_exp\n2003,1,1.0,2.0\n",
+    # a header and a data field one character past the csv module's field limit
+    "long-header.csv": f"date,{'c' * 131073}\n",
+    "long-field.csv": f"date,close\n2003-01-02,{'1' * 131073}\n",
 }
 # an args file, one argument per line, with no seed, so SIPCRAFT_SEED supplies it
 ARGS = "--data=grid.csv\n--durations=1,3\n--format=json\n--resamples=1000\n--alpha=0.1\n"
@@ -162,6 +188,29 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "error-years": ("fixtures", "--start-year", "9999", "--years", "2"),
     "error-env-seed": ("compare", "--data", "windows.csv"),
     "error-double-dash-value": ("validate", "--data=--"),
+    "error-resamples-small": ("compare", "--data", "windows.csv", "--resamples", "999"),
+    "error-resamples-large": ("compare", "--data", "windows.csv", "--resamples", "1000001"),
+    "error-alpha": ("compare", "--data", "windows.csv", "--alpha", "1"),
+    "error-seed-negative": ("compare", "--data", "windows.csv", "--seed", "-1"),
+    "error-fixtures-seed": ("fixtures", "--seed", "-1"),
+    "error-base": ("fixtures", "--base", "0"),
+    "error-holiday-rate": ("fixtures", "--holiday-rate", "0.31"),
+    "error-series-long-header": ("validate", "--data", "long-header.csv"),
+    "error-series-long-field": ("validate", "--data", "long-field.csv"),
+    "error-series-date": ("validate", "--data", "compact-date.csv"),
+    "error-series-close-text": ("validate", "--data", "text-close.csv"),
+    "error-series-close-zero": ("validate", "--data", "zero-close.csv"),
+    "error-series-close-inf": ("validate", "--data", "inf-close.csv"),
+    "error-series-duplicate-date": ("validate", "--data", "duplicate-date.csv"),
+    "error-series-header-only": ("validate", "--data", "header-only.csv"),
+    "validate-blank-rows": ("validate", "--data", "blank-rows.csv"),
+    "error-override-year-text": ("validate", "--data", "grid.csv", "--schedule", "year-text.csv"),
+    "error-override-repeated-month": ("validate", "--data", "grid.csv", "--schedule",
+                                      "repeated-month.csv"),
+    "error-override-day-text": ("validate", "--data", "grid.csv", "--schedule", "day-text.csv"),
+    "error-override-day-invalid": ("validate", "--data", "grid.csv", "--schedule",
+                                   "february-30.csv"),
+    "error-override-no-anchor": ("validate", "--data", "grid.csv", "--schedule", "no-anchor.csv"),
 }
 # entry -> the environment variables it runs with
 ENV: dict[str, dict[str, str]] = {"compare-argfile-out": {"SIPCRAFT_SEED": "7"},
@@ -197,14 +246,14 @@ def write_inputs(directory: Path) -> None:
     """The corpus inputs: the benchmark's seed-1 grid and long series, the
     override table, an override table no series can verify, the frozen
     per-window CAGR table, the series with gaps, the inputs whose CAGRs
-    lie out of range, an override table whose year no date can hold, the
-    inputs that break the shared CSV rules, an args file, an override
-    table that puts an expiry before its month's first trading day, the
-    CAGR table with its two CAGR headers swapped, a 65-row and a 300-row
-    one-year table, a table whose differences are equal within each duration,
-    an override table with a month 13, a table with a reversed window, an
-    override table whose one expiry falls before the grid series starts and
-    the grid series without 2024-12-01..26, so December 2024 has no expiry."""
+    lie out of range, the inputs that break the shared CSV rules, the
+    override tables and series of ``OVERRIDE_ERRORS`` and ``SERIES``, an
+    args file, an override table that puts an expiry before its month's
+    first trading day, the CAGR table with its two CAGR headers swapped, a
+    65-row and a 300-row one-year table, a table whose differences are equal
+    within each duration, a table with a reversed window, an override table
+    whose one expiry falls before the grid series starts and the grid series
+    without 2024-12-01..26, so December 2024 has no expiry."""
     gen = _gen()
     grid = gen.grid_csv(1)
     (directory / "grid.csv").write_text(grid, encoding="utf-8")
@@ -219,8 +268,7 @@ def write_inputs(directory: Path) -> None:
     (directory / "jump.csv").write_text(jump_csv(), encoding="utf-8")
     (directory / "beyond-float.csv").write_text(BEYOND_FLOAT, encoding="utf-8")
     (directory / "beyond-max.csv").write_text(BEYOND_MAX, encoding="utf-8")
-    (directory / "year-zero.csv").write_text(YEAR_ZERO, encoding="utf-8")
-    for name, text in READER_ERRORS.items():
+    for name, text in {**READER_ERRORS, **OVERRIDE_ERRORS, **SERIES}.items():
         (directory / name).write_text(text, encoding="utf-8")
     (directory / "args.txt").write_text(ARGS, encoding="utf-8")
     (directory / "expiry-first.csv").write_text(EXPIRY_FIRST, encoding="utf-8")
@@ -229,7 +277,6 @@ def write_inputs(directory: Path) -> None:
     (directory / "many-windows.csv").write_text(MANY_WINDOWS, encoding="utf-8")
     (directory / "windows-300.csv").write_text(WINDOWS_300, encoding="utf-8")
     (directory / "equal-diffs.csv").write_text(EQUAL_DIFFS, encoding="utf-8")
-    (directory / "month-13.csv").write_text(MONTH_13, encoding="utf-8")
     (directory / "reversed.csv").write_text(REVERSED, encoding="utf-8")
     (directory / "before.csv").write_text(BEFORE_SERIES, encoding="utf-8")
 

@@ -58,9 +58,7 @@ FORMATS = ("markdown", "csv", "json")
 STRATEGIES = ("ftd", "exp")
 # the series kinds synth.generate_series draws; --kind's choices are their only check
 KINDS = ("flat", "growth", "walk")
-# engine.SUPPORTED_DURATIONS, repeated so that building the parser and resolving
-# settings load no engine; a test keeps them equal
-DEFAULT_DURATIONS = (1, 3, 5, 10, 20)
+MAX_HOLIDAY_RATE = 0.3
 # the amount cancels out of every CAGR, so its default is arbitrary
 DEFAULT_AMOUNT = 10_000.0
 
@@ -128,27 +126,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _durations(raw: str | None) -> list[int]:
+    from .engine import SUPPORTED_DURATIONS
+
     if raw is None:
-        return list(DEFAULT_DURATIONS)
+        return list(SUPPORTED_DURATIONS)
     try:
         durations = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"durations must be comma-separated integers, got {raw!r}") from None
     if not durations:
         raise ValueError("durations list is empty")
-    bad = [v for v in durations if v not in DEFAULT_DURATIONS]
+    bad = [v for v in durations if v not in SUPPORTED_DURATIONS]
     if bad:
-        raise ValueError(f"unsupported durations {bad}, expected a subset of {list(DEFAULT_DURATIONS)}")
+        raise ValueError(f"unsupported durations {bad}, expected a subset of {list(SUPPORTED_DURATIONS)}")
     return sorted(set(durations))
 
 
 def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
-    """Check what argparse cannot: the amount's range, the year ranges and
-    the durations. For ``compare``, the checked durations replace the flag
-    on ``args``, and ``battery`` holds ``BatteryConfig.from_dict``'s input,
-    which checks it when ``compare`` builds it: the battery flags given, and
-    the seed from --seed, else SIPCRAFT_SEED, else the default. ``args``
-    comes back.
+    """Check every value argparse cannot: the amount, the years, fixtures'
+    base and holiday rate, compare's durations and battery, and the seed.
+    No layer checks these again. For ``compare``, the checked durations
+    replace the flag on ``args``, and ``battery`` is the ``BatteryConfig``
+    of the battery flags given, with the seed from --seed, else
+    SIPCRAFT_SEED, else the default. ``args`` comes back.
     """
     from datetime import MAXYEAR, MINYEAR
 
@@ -164,19 +164,34 @@ def resolve_settings(args: argparse.Namespace) -> argparse.Namespace:
         if not 1 <= args.years <= most:
             raise ValueError(f"years must be an integer in 1..{most}, got {args.years!r}")
 
-    if args.command == "compare":
-        battery = {key: value for key, value in
-                   (("B", args.resamples), ("alpha", args.alpha), ("seed", args.seed))
-                   if value is not None}
+    if args.command == "fixtures":
+        if not 0.0 < args.base < float("inf"):
+            raise ValueError(f"base must be positive and finite, got {args.base}")
+        if not 0.0 <= args.holiday_rate <= MAX_HOLIDAY_RATE:
+            raise ValueError(f"holiday_rate must be in [0, {MAX_HOLIDAY_RATE}], got {args.holiday_rate}")
+    elif args.command == "compare":
+        from .stats.bootstrap import MAX_RESAMPLES, MIN_ALPHA, MIN_RESAMPLES, BatteryConfig
+
         env_seed = os.environ.get(ENV_SEED)
         if env_seed is not None and args.seed is None:
             try:
-                battery["seed"] = int(env_seed)
-                if battery["seed"] < 0:
+                args.seed = int(env_seed)
+                if args.seed < 0:
                     raise ValueError
             except ValueError:
                 raise ValueError(f"{ENV_SEED} must be a non-negative integer, got {env_seed!r}") from None
-        vars(args).update(durations=_durations(args.durations), battery=battery)
+        args.durations = _durations(args.durations)
+        B, alpha, _ = args.battery = BatteryConfig(**{key: value for key, value in (
+            ("B", args.resamples), ("alpha", args.alpha), ("seed", args.seed)) if value is not None})
+        if B < MIN_RESAMPLES:
+            raise ValueError(f"B must be >= {MIN_RESAMPLES}, got {B}")
+        if B > MAX_RESAMPLES:
+            raise ValueError(f"B must be <= {MAX_RESAMPLES}, got {B}")
+        if not MIN_ALPHA < alpha < 1.0:
+            raise ValueError(f"alpha must be in (2**-53, 1), got {alpha}")
+    # random.Random seeds with abs(seed), so -4 would repeat seed 4
+    if "seed" in args and args.seed is not None and args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     return args
 
 
@@ -263,11 +278,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .engine import enumerate_windows
     from .report import window_row
     from .schedule import MonthKey
-    from .stats.bootstrap import STREAM_RULE, BatteryConfig
+    from .stats.bootstrap import STREAM_RULE
     from .stats.special import QUANTILE_CONVENTION
 
     series, overrides, (data, schedule) = _load_inputs(args)
-    battery_config = BatteryConfig.from_dict(args.battery)
 
     runs = series if isinstance(series, dict) else None  # a window table's runs by duration
     if runs:
@@ -288,7 +302,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         window_tables[f"{duration}y"] = [window_row(o) for o in outcomes]
         # the 20-year horizon has a single window, so the battery reduces to
         # descriptive cells by construction (n=1 keeps every test cell n/a)
-        metrics.append(run_battery(sample, battery_config, label=f"{duration}y")._asdict())
+        metrics.append(run_battery(sample, args.battery, label=f"{duration}y")._asdict())
         boxplots[f"{duration}y"] = {"ftd": boxplot_summary(sample.ftd_values),
                                     "exp": boxplot_summary(sample.exp_values)}
 
@@ -301,7 +315,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "schedule_sha256": file_sha256(schedule) if schedule is not None else None,
         "schedule_source": source,
         "durations": args.durations,
-        "battery_config": battery_config._asdict(),
+        "battery_config": args.battery._asdict(),
         "anomaly_count": len(anomalies),
     }
     bundle = {

@@ -39,33 +39,14 @@ STREAM_RULE = ("random.Random(seed) little-endian 32-bit words; n <= 256: diffs[
 
 class BatteryConfig(NamedTuple):
     """Battery settings, all three the bootstrap's; the field names are the
-    JSON keys, so ``_asdict()`` is the JSON form. ``from_dict``, where
-    the flag values and SIPCRAFT_SEED enter, checks them once."""
+    JSON keys, so ``_asdict()`` is the JSON form. Nothing here checks them:
+    ``cli.resolve_settings``, where the flags and SIPCRAFT_SEED enter, keeps
+    B in MIN_RESAMPLES..MAX_RESAMPLES, alpha in (MIN_ALPHA, 1) and the seed
+    non-negative."""
 
     B: int = 10000
     alpha: float = 0.05
     seed: int = 42
-
-    @classmethod
-    def from_dict(cls, data: dict) -> BatteryConfig:
-        unknown = set(data) - set(cls._fields)
-        if unknown:
-            raise ValueError(f"unknown battery config keys: {sorted(unknown)}")
-        self = cls(**data)
-        for key, value in (("B", self.B), ("seed", self.seed)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
-            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
-        if self.B < MIN_RESAMPLES:
-            raise ValueError(f"B must be >= {MIN_RESAMPLES}, got {self.B}")
-        if self.B > MAX_RESAMPLES:
-            raise ValueError(f"B must be <= {MAX_RESAMPLES}, got {self.B}")
-        if not MIN_ALPHA < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (2**-53, 1), got {self.alpha}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        return self
 
 
 class BootstrapCI(NamedTuple):

@@ -17,8 +17,6 @@ from .timeseries import IndexSeries
 
 __all__ = ["generate_series"]
 
-MAX_HOLIDAY_RATE = 0.3
-
 
 def generate_series(
     kind: str = "flat",
@@ -32,15 +30,10 @@ def generate_series(
 
     kind "flat" holds the level constant, "growth" follows a smooth
     deterministic drift with a mild seasonal wiggle, "walk" draws seeded
-    lognormal daily steps.
+    lognormal daily steps. The arguments go unchecked, as
+    ``cli.resolve_settings`` checks the flags they come from; only a level
+    that over- or underflows on the way raises ValueError.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if not 0.0 < base < math.inf:
-        raise ValueError(f"base must be positive and finite, got {base}")
-    if not 0.0 <= holiday_rate <= MAX_HOLIDAY_RATE:
-        raise ValueError(f"holiday_rate must be in [0, {MAX_HOLIDAY_RATE}], got {holiday_rate}")
-
     first = Date(start_year - 1, 12, 1)
     last = Date(start_year + years - 1, 12, 31)
 

@@ -21,6 +21,7 @@ from sipcraft.cli import (
     main,
     resolve_settings,
 )
+from sipcraft.stats.bootstrap import BatteryConfig
 from sipcraft.timeseries import serialize_series
 
 from conftest import DATA, OVERRIDES, ROOT, weekday_series
@@ -410,9 +411,7 @@ def test_compare_rejects_bad_durations(series_csv, capsys):
 # that sets it, how to read the resolved value, the flag's and the file's
 # value as resolved, and the default (REQUIRED where argparse asks for the flag)
 def _battery(field):
-    from sipcraft.stats.bootstrap import BatteryConfig
-
-    return lambda s: getattr(BatteryConfig.from_dict(s.battery), field)
+    return lambda s: getattr(s.battery, field)
 
 
 REQUIRED = object()
@@ -478,9 +477,9 @@ def test_argfile_flags_resolve_in_command_line_order(tmp_path):
         return resolve_settings(build_parser().parse_args(["compare", "--data", "d.csv", *argv])
                                 ).battery
 
-    assert battery(args) == {"B": 1000, "seed": 5}
-    assert battery(args, "--seed", "6") == {"B": 1000, "seed": 6}
-    assert battery("--seed", "6", args) == {"B": 1000, "seed": 5}
+    assert battery(args) == BatteryConfig(B=1000, seed=5)
+    assert battery(args, "--seed", "6") == BatteryConfig(B=1000, seed=6)
+    assert battery("--seed", "6", args) == BatteryConfig(B=1000, seed=5)
 
 
 @pytest.mark.parametrize("line", ["--seed 5", ""], ids=["spaced", "blank"])
@@ -518,15 +517,8 @@ def test_data_path_starting_with_at(tmp_path, monkeypatch, capsys):
         "sipcraft: error: [Errno 2] No such file or directory: 'w.csv'\n")
 
 
-def test_settings_defaults_match_the_engine():
-    # the CLI repeats these so that building the parser and resolving
-    # settings load no engine
-    from sipcraft import cli, engine
-
-    assert cli.DEFAULT_DURATIONS == engine.SUPPORTED_DURATIONS
-
-
-# each of these overflowed a C long or a float and ended in a traceback
+# numbers outside their flag's range; the first five each overflowed a C
+# long or a float and ended in a traceback
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--data", "{data}", "--strategy", "ftd", "--start-year", str(10**20),
       "--years", "1"], f"start_year must be an integer in 2..9999, got {10**20}"),
@@ -536,8 +528,14 @@ def test_settings_defaults_match_the_engine():
     (["fixtures", "--base", "inf"], "base must be positive and finite, got inf"),
     (["fixtures", "--kind", "walk", "--base", "1.7e308", "--seed", "3"],
      "level on 2002-12-31 is not a finite positive float, got inf"),
+    (["fixtures", "--base", "0"], "base must be positive and finite, got 0.0"),
+    (["fixtures", "--base", "nan"], "base must be positive and finite, got nan"),
+    (["fixtures", "--holiday-rate", "0.31"], "holiday_rate must be in [0, 0.3], got 0.31"),
+    (["fixtures", "--holiday-rate", "-0.1"], "holiday_rate must be in [0, 0.3], got -0.1"),
+    (["fixtures", "--holiday-rate", "nan"], "holiday_rate must be in [0, 0.3], got nan"),
 ], ids=["simulate-start_year", "fixtures-years", "fixtures-start_year", "fixtures-base",
-        "fixtures-overflow"])
+        "fixtures-overflow", "fixtures-base-zero", "fixtures-base-nan",
+        "fixtures-holiday_rate", "fixtures-holiday_rate-negative", "fixtures-holiday_rate-nan"])
 def test_out_of_range_numbers_exit_2(flat_csv, capsys, argv, message):
     argv = [a.format(data=flat_csv) for a in argv]
     assert main(argv) == EXIT_ERROR
@@ -553,7 +551,14 @@ def test_out_of_range_numbers_exit_2(flat_csv, capsys, argv, message):
     ("alpha", "--alpha", "1e-310", "alpha must be in (2**-53, 1), got 1e-310"),
     ("B", "--resamples", "3000000000", "B must be <= 1000000, got 3000000000"),
     ("B", "--resamples", "10", "B must be >= 1000, got 10"),
-], ids=["alpha-1e-16", "alpha-subnormal", "B", "B-small"])
+    ("alpha", "--alpha", "0", "alpha must be in (2**-53, 1), got 0.0"),
+    ("alpha", "--alpha", "1", "alpha must be in (2**-53, 1), got 1.0"),
+    ("alpha", "--alpha", "nan", "alpha must be in (2**-53, 1), got nan"),
+    ("alpha", "--alpha", "1.1102230246251565e-16",
+     "alpha must be in (2**-53, 1), got 1.1102230246251565e-16"),
+    ("seed", "--seed", "-1", "seed must be non-negative, got -1"),
+], ids=["alpha-1e-16", "alpha-subnormal", "B", "B-small", "alpha-0", "alpha-1", "alpha-nan",
+        "alpha-2-53", "seed"])
 @pytest.mark.parametrize("source", ["flag", "argfile"])
 def test_unusable_battery_numbers_exit_2(series_csv, tmp_path, capsys, key, flag, value,
                                          message, source):
@@ -570,6 +575,12 @@ def test_unusable_battery_numbers_exit_2(series_csv, tmp_path, capsys, key, flag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sipcraft: error: {message}\n"
+
+
+def test_largest_usable_resamples_resolve():
+    # resolving draws nothing, so the bound itself is cheap to check
+    args = build_parser().parse_args(["compare", "--data", "d.csv", "--resamples", "1000000"])
+    assert resolve_settings(args).battery.B == 1_000_000
 
 
 def test_smallest_usable_alpha_runs(series_csv, capsys):

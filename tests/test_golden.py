@@ -54,7 +54,7 @@ def test_golden_output(name, inputs, monkeypatch):
 # execution date before the series' first trading day
 REACHED = {
     "cli.py": ('raise ValueError(f"durations must be comma-separated integers',
-               'battery["seed"] = int(env_seed)',
+               "args.seed = int(env_seed)",
                'with open(out, "w", encoding="utf-8") as fh:', "fh.write(text)"),
     "engine.py": ('raise SeriesFormatError(f"window ends before it starts',
                   '"no earlier trading day in series"'),
@@ -74,8 +74,8 @@ REACHED = {
 }
 # modules the corpus runs every line of: a check that no command can trip
 # there would be a second check of a value the CLI or a parser has checked
-FULLY_REACHED = ("cli.py", "report.py", "stats/paired.py", "stats/dominance.py",
-                 "stats/battery.py")
+FULLY_REACHED = ("cli.py", "report.py", "schedule.py", "timeseries.py", "stats/paired.py",
+                 "stats/dominance.py", "stats/battery.py")
 
 
 def test_corpus_reaches_every_path_an_entry_was_added_for():

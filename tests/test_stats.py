@@ -678,41 +678,3 @@ def test_battery_config_defaults():
     cfg = BatteryConfig()
     assert BatteryConfig._fields == ("B", "alpha", "seed")
     assert (cfg.B, cfg.alpha, cfg.seed) == (10000, 0.05, 42)
-
-
-def test_battery_config_from_dict():
-    cfg = BatteryConfig.from_dict({"B": 5000, "alpha": 0.1, "seed": 3})
-    assert cfg == BatteryConfig(5000, 0.1, 3)
-    # partial configs keep defaults for the rest
-    assert BatteryConfig.from_dict({"B": 2000}).alpha == 0.05
-
-
-def test_battery_config_rejects_unknown_and_invalid():
-    with pytest.raises(ValueError, match=r"^unknown battery config keys: \['bee'\]$"):
-        BatteryConfig.from_dict({"bee": 1})
-    # the method settings are gone: every bundle reports both methods' values
-    with pytest.raises(ValueError, match=r"^unknown battery config keys: \['hedges_variant'\]$"):
-        BatteryConfig.from_dict({"hedges_variant": "paper_compat"})
-    with pytest.raises(ValueError, match=r"^unknown battery config keys: \['wilcoxon_mode'\]$"):
-        BatteryConfig.from_dict({"wilcoxon_mode": "exact"})
-    with pytest.raises(ValueError, match="^B must be >= 1000, got 10$"):
-        BatteryConfig.from_dict({"B": 10})
-    # a larger draw would outgrow what one getrandbits call takes
-    with pytest.raises(ValueError, match="^B must be <= 1000000, got 1000001$"):
-        BatteryConfig.from_dict({"B": 1_000_001})
-    assert BatteryConfig.from_dict({"B": 1_000_000}).B == 1_000_000
-    # at or below 2**-53, 1 - alpha/2 rounds to 1 and the upper z is infinite
-    for alpha in (0.0, 2.0 ** -53, 1e-16, 1e-310, 1.0):
-        with pytest.raises(ValueError, match=rf"^alpha must be in \(2\*\*-53, 1\), got {alpha}$"):
-            BatteryConfig.from_dict({"alpha": alpha})
-    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
-        BatteryConfig.from_dict({"seed": -1})
-    with pytest.raises(ValueError, match="^B must be an integer, got 1000.0$"):
-        BatteryConfig.from_dict({"B": 1000.0})
-    with pytest.raises(ValueError, match=r"^alpha must be in \(2\*\*-53, 1\), got 1.5$"):
-        BatteryConfig.from_dict({"alpha": 1.5})
-
-
-def test_battery_config_json_round_trip():
-    cfg = BatteryConfig(B=2000, seed=1)
-    assert BatteryConfig.from_dict(cfg._asdict()) == cfg
