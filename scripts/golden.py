@@ -11,7 +11,8 @@ those environment variables set, and its record lists them.
     python3 scripts/golden.py                 # list moved entries, exit 1 if any
     python3 scripts/golden.py --update        # rewrite the manifest
     python3 scripts/golden.py --against REV   # diff every output against REV's
-    python3 scripts/golden.py --reach         # list package lines no entry runs
+    python3 scripts/golden.py --reach         # list package lines no entry runs, exit 1
+                                              # if a module outside EXEMPT has one
 
 A change that moves an entry on purpose regenerates the manifest and names
 every moved entry in CHANGES.md. ``--against`` runs the same corpus on the
@@ -20,7 +21,8 @@ whose ``src/`` a subprocess imports), prints the name and a unified diff
 of every entry whose exit code, stdout or stderr differs, and exits 1 if
 any does. ``--reach`` runs the corpus under ``sys.settrace`` and prints,
 for each module of the package, the executable lines (those of its code
-objects' ``co_lines()``) that no entry runs, then their total.
+objects' ``co_lines()``) that no entry runs, then their total; it exits 1
+if any module outside ``EXEMPT`` has such a line.
 """
 
 from __future__ import annotations
@@ -83,8 +85,19 @@ SERIES = {
 }
 # an override row whose expiry, 2002-12-01, falls before the grid series' first day
 BEFORE_SERIES = "year,month,ftd_dom,expiry_dom\n2002,12,,1\n"
-# a window table whose one window ends before it starts
-REVERSED = "from_year,to_year,cagr_ftd,cagr_exp\n2004,2003,1.0,2.0\n"
+_WINDOWS = "from_year,to_year,cagr_ftd,cagr_exp\n"
+# window tables that each break one rule of load_windows: a window that ends
+# before it starts, a CAGR that is not a number, a years column that
+# disagrees with the window, a window of no supported duration, a window
+# given twice, and one one-year row, so the default durations have no rows
+WINDOW_ERRORS = {
+    "reversed.csv": _WINDOWS + "2004,2003,1.0,2.0\n",
+    "cagr-text.csv": _WINDOWS + "2003,2003,abc,1.0\n",
+    "years-mismatch.csv": "from_year,to_year,years,cagr_ftd,cagr_exp\n2003,2003,2,1.0,2.0\n",
+    "two-years.csv": _WINDOWS + "2003,2004,1.0,2.0\n",
+    "duplicate-window.csv": _WINDOWS + "2003,2003,1.0,2.0\n2003,2003,1.0,2.0\n",
+    "one-year.csv": _WINDOWS + "2003,2003,1.0,2.0\n",
+}
 # inputs that each break one rule of the CSV reader all three input files share
 READER_ERRORS = {
     "empty.csv": "",
@@ -111,6 +124,10 @@ WINDOWS_300 = "from_year,to_year,cagr_ftd,cagr_exp\n" + "".join(
 # three-year windows whose differences are both zero
 EQUAL_DIFFS = "from_year,to_year,cagr_ftd,cagr_exp\n2003,2003,1.0,1.5\n2004,2004,2.0,2.5\n" \
     "2005,2005,3.0,3.5\n2006,2008,5.0,5.0\n2009,2011,-6.0,-6.0\n"
+# 22 one-year windows whose differences are zero but for 2010's: the
+# acceleration is about 0.155, so at alpha 1e-15 the upper z passes the BCa pole
+POLE = _WINDOWS + "".join(f"{y},{y},5.0,{6.0 if y == 2010 else 5.0}\n"
+                          for y in range(2003, 2025))
 
 _SIM = ("simulate", "--data", "grid.csv", "--start-year", "2010", "--years", "3")
 _LONG = ("--data", "long.csv", "--schedule", "schedule.csv")
@@ -211,10 +228,31 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "error-override-day-invalid": ("validate", "--data", "grid.csv", "--schedule",
                                    "february-30.csv"),
     "error-override-no-anchor": ("validate", "--data", "grid.csv", "--schedule", "no-anchor.csv"),
+    "error-windows-cagr-text": ("compare", "--data", "cagr-text.csv"),
+    "error-windows-years-mismatch": ("compare", "--data", "years-mismatch.csv"),
+    "error-windows-unsupported-span": ("compare", "--data", "two-years.csv"),
+    "error-windows-duplicate": ("compare", "--data", "duplicate-window.csv"),
+    "error-windows-no-rows": ("compare", "--data", "one-year.csv"),
+    "error-inverse-price": ("simulate", "--data", "huge.csv", "--strategy", "ftd",
+                            "--start-year", "2011", "--years", "1"),
+    "error-value-ratio": ("simulate", "--data", "jump-max.csv", "--strategy", "ftd",
+                          "--start-year", "2011", "--years", "1"),
+    "error-amount-huge": (*_SIM, "--strategy", "ftd", "--amount", "1e308"),
+    "error-amount-tiny": (*_SIM, "--strategy", "ftd", "--amount", "1e-310"),
+    "error-fixtures-level": ("fixtures", "--kind", "growth", "--base", "1.7e308"),
+    "compare-windows-pole": ("compare", "--data", "pole.csv", "--durations", "1", "--alpha",
+                             "1e-15", "--resamples", "1000", "--format", "json"),
 }
 # entry -> the environment variables it runs with
 ENV: dict[str, dict[str, str]] = {"compare-argfile-out": {"SIPCRAFT_SEED": "7"},
                                   "error-env-seed": {"SIPCRAFT_SEED": "-1"}}
+# the modules --reach lets keep unreached lines: __main__.py is the process
+# entry, which tests/test_entry.py and `python -m sipcraft` run and the
+# corpus's in-process cli.main calls never do; stats/special.py guards
+# p = 0, p = 1 and subnormal p, a NaN or infinite t, a non-int df and q
+# outside [0, 1], which no command passes and tests/test_stats_special.py
+# checks against mpmath and numpy
+EXEMPT = ("__main__.py", "stats/special.py")
 
 
 def _gen():
@@ -224,11 +262,11 @@ def _gen():
     return module
 
 
-def jump_csv() -> str:
-    """Weekday closes at 1.0 through 2011-12-19 and at 1e307 after: a one-year
-    plan's CAGR overflows while an amount of 1 keeps its ledger finite."""
+def jump_csv(before: float, after: float) -> str:
+    """Weekday closes from 2010-12-01 to 2011-12-31: ``before`` through
+    2011-12-19 and ``after`` from then on."""
     days = (date(2010, 12, 1) + timedelta(i) for i in range(396))
-    return "date,close\n" + "".join(f"{d},{1.0 if d < date(2011, 12, 20) else 1e307}\n"
+    return "date,close\n" + "".join(f"{d},{before if d < date(2011, 12, 20) else after}\n"
                                      for d in days if d.weekday() < 5)
 
 
@@ -245,15 +283,16 @@ def gaps_csv() -> str:
 def write_inputs(directory: Path) -> None:
     """The corpus inputs: the benchmark's seed-1 grid and long series, the
     override table, an override table no series can verify, the frozen
-    per-window CAGR table, the series with gaps, the inputs whose CAGRs
-    lie out of range, the inputs that break the shared CSV rules, the
-    override tables and series of ``OVERRIDE_ERRORS`` and ``SERIES``, an
-    args file, an override table that puts an expiry before its month's
-    first trading day, the CAGR table with its two CAGR headers swapped, a
-    65-row and a 300-row one-year table, a table whose differences are equal
-    within each duration, a table with a reversed window, an override table
-    whose one expiry falls before the grid series starts and the grid series
-    without 2024-12-01..26, so December 2024 has no expiry."""
+    per-window CAGR table, the series with gaps, the inputs whose CAGRs,
+    prices or values lie out of range, the inputs that break the shared CSV
+    rules, the override tables, series and window tables of
+    ``OVERRIDE_ERRORS``, ``SERIES`` and ``WINDOW_ERRORS``, an args file, an
+    override table that puts an expiry before its month's first trading
+    day, the CAGR table with its two CAGR headers swapped, a 65-row and a
+    300-row one-year table, a table whose differences are equal within each
+    duration, the ``POLE`` table, an override table whose one expiry falls
+    before the grid series starts and the grid series without
+    2024-12-01..26, so December 2024 has no expiry."""
     gen = _gen()
     grid = gen.grid_csv(1)
     (directory / "grid.csv").write_text(grid, encoding="utf-8")
@@ -265,10 +304,15 @@ def write_inputs(directory: Path) -> None:
     (directory / "bad.csv").write_text(UNVERIFIABLE, encoding="utf-8")
     (directory / "windows.csv").write_bytes(WINDOWS.read_bytes())
     (directory / "gaps.csv").write_text(gaps_csv(), encoding="utf-8")
-    (directory / "jump.csv").write_text(jump_csv(), encoding="utf-8")
+    # 2011's ftd plan on these: a CAGR that overflows while an amount of 1
+    # keeps the ledger finite, a value ratio that overflows, and inverse
+    # prices below the smallest normal float
+    (directory / "jump.csv").write_text(jump_csv(1.0, 1e307), encoding="utf-8")
+    (directory / "jump-max.csv").write_text(jump_csv(1.0, 1.7e308), encoding="utf-8")
+    (directory / "huge.csv").write_text(jump_csv(1e308, 1e308), encoding="utf-8")
     (directory / "beyond-float.csv").write_text(BEYOND_FLOAT, encoding="utf-8")
     (directory / "beyond-max.csv").write_text(BEYOND_MAX, encoding="utf-8")
-    for name, text in {**READER_ERRORS, **OVERRIDE_ERRORS, **SERIES}.items():
+    for name, text in {**READER_ERRORS, **OVERRIDE_ERRORS, **SERIES, **WINDOW_ERRORS}.items():
         (directory / name).write_text(text, encoding="utf-8")
     (directory / "args.txt").write_text(ARGS, encoding="utf-8")
     (directory / "expiry-first.csv").write_text(EXPIRY_FIRST, encoding="utf-8")
@@ -277,7 +321,7 @@ def write_inputs(directory: Path) -> None:
     (directory / "many-windows.csv").write_text(MANY_WINDOWS, encoding="utf-8")
     (directory / "windows-300.csv").write_text(WINDOWS_300, encoding="utf-8")
     (directory / "equal-diffs.csv").write_text(EQUAL_DIFFS, encoding="utf-8")
-    (directory / "reversed.csv").write_text(REVERSED, encoding="utf-8")
+    (directory / "pole.csv").write_text(POLE, encoding="utf-8")
     (directory / "before.csv").write_text(BEFORE_SERIES, encoding="utf-8")
 
 
@@ -433,7 +477,8 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--against", metavar="REV",
                       help="diff every entry's output against that of git revision REV")
     mode.add_argument("--reach", action="store_true",
-                      help="list each module's executable lines that no entry runs")
+                      help="list each module's executable lines that no entry runs; "
+                           "exit 1 if any module outside EXEMPT has one")
     args = parser.parse_args(argv)
 
     if args.reach:
@@ -442,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{path}: {len(lines)} of {executable}" + (f": {_ranges(lines)}" if lines else ""))
         print(f"total: {sum(len(lines) for _, lines in counts.values())} of "
               f"{sum(executable for executable, _ in counts.values())} executable lines unreached")
-        return 0
+        return 1 if any(lines for path, (_, lines) in counts.items() if path not in EXEMPT) else 0
 
     if args.against:
         try:

@@ -19,17 +19,6 @@ from .schedule import MonthKey, MonthSchedule
 from .stats.paired import PairedSample
 from .timeseries import IndexSeries, SeriesFormatError, read_table
 
-__all__ = [
-    "MAX_CAGR",
-    "Window",
-    "WindowOutcome",
-    "is_window_table",
-    "load_windows",
-    "simulate",
-    "enumerate_windows",
-    "paired_run",
-]
-
 SUPPORTED_DURATIONS = (1, 3, 5, 10, 20)
 
 # the largest CAGR, in percent, that a plan or a window table may give; the

@@ -18,14 +18,6 @@ import json
 from .engine import WindowOutcome
 from .stats.special import quantile_sorted
 
-__all__ = [
-    "window_row",
-    "boxplot_summary",
-    "file_sha256",
-    "render_bundle",
-    "render_simulation",
-]
-
 WINDOW_FIELDS = ("from_year", "to_year", "years", "cagr_ftd", "cagr_exp",
                  "difference", "difference_of_rounded")
 WINDOW_HEADER = ("From", "To", "Years", "CAGR (F)", "CAGR (E)", "Difference")

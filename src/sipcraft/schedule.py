@@ -15,22 +15,7 @@ from typing import Iterator, NamedTuple
 
 from .timeseries import IndexSeries, SeriesFormatError, read_table
 
-__all__ = [
-    "MonthKey",
-    "MonthSchedule",
-    "SOURCE_OVERRIDE",
-    "SOURCE_COMPUTED",
-    "last_thursday",
-    "resolve_first_trading_day",
-    "compute_expiry",
-    "load_schedule_overrides",
-    "build_schedule",
-]
-
 _THURSDAY = 3  # datetime.weekday() convention, Monday == 0
-
-SOURCE_OVERRIDE = "override"
-SOURCE_COMPUTED = "computed"
 
 
 class MonthKey(NamedTuple):
@@ -192,12 +177,12 @@ def build_schedule(
         days: list[Date | None] = []
         sources: list[str | None] = []
         for (field, compute, missing), day in zip(_ANCHOR_RULES, overrides.get(key, (None, None))):
-            source = SOURCE_OVERRIDE
+            source = "override"
             if day is not None:
                 if day not in series:
                     _anomaly(key, field, day, "override date is not a trading day in the series")
             else:
-                day, source = compute(series, key), SOURCE_COMPUTED
+                day, source = compute(series, key), "computed"
                 if day is None:
                     source = None
                     _anomaly(key, field, None, missing)

@@ -27,8 +27,6 @@ from .paired import (
     wilcoxon_signed_rank,
 )
 
-__all__ = ["ComparisonReport", "run_battery"]
-
 # battery cells that can individually degrade to "not applicable"
 CELLS = ("t", "wilcoxon", "cohens_d", "hedges_g", "bootstrap", "ks", "fsd", "ssd")
 

@@ -21,8 +21,6 @@ from typing import Iterator, NamedTuple
 from .paired import PairedSample
 from .special import normal_cdf, normal_ppf, quantile_sorted
 
-__all__ = ["BatteryConfig", "BootstrapCI", "bootstrap_bca"]
-
 MIN_RESAMPLES = 1000
 # 100 times the paper's B, bounded for run time: at this B, 70 one-year
 # windows take about 3.6 s on a 2-core machine

@@ -14,13 +14,6 @@ from typing import NamedTuple
 
 from .paired import PairedSample
 
-__all__ = [
-    "KsResult",
-    "ks_two_sample",
-    "check_fsd",
-    "check_ssd",
-]
-
 
 class KsResult(NamedTuple):
     statistic: float

@@ -14,18 +14,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .special import normal_cdf, student_t_sf
 
-__all__ = [
-    "PairedSample",
-    "TestResult",
-    "WilcoxonResult",
-    "paired_t_one_tailed",
-    "wilcoxon_signed_rank",
-    "cohens_d",
-    "hedges_g",
-    "classify_effect",
-    "WILCOXON_EXACT_LIMIT",
-]
-
 # beyond this many nonzero differences the exact null distribution is
 # replaced by the tie-corrected normal approximation
 WILCOXON_EXACT_LIMIT = 25

@@ -8,13 +8,6 @@ from __future__ import annotations
 
 import math
 
-__all__ = [
-    "normal_cdf",
-    "normal_ppf",
-    "student_t_sf",
-    "quantile_sorted",
-]
-
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # quantile_sorted's convention, as bundle provenance records it

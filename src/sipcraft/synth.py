@@ -15,8 +15,6 @@ from datetime import date as Date, timedelta
 
 from .timeseries import IndexSeries
 
-__all__ = ["generate_series"]
-
 
 def generate_series(
     kind: str = "flat",

@@ -15,14 +15,6 @@ from bisect import bisect_left, bisect_right
 from datetime import date as Date
 from typing import Iterable, Iterator
 
-__all__ = [
-    "IndexSeries",
-    "SeriesFormatError",
-    "parse_series",
-    "read_table",
-    "serialize_series",
-]
-
 
 class IndexSeries:
     """Immutable, strictly ascending sequence of trading days.

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sipcraft.schedule import (
-    SOURCE_COMPUTED,
-    SOURCE_OVERRIDE,
     MonthKey,
     build_schedule,
     compute_expiry,
@@ -165,9 +163,9 @@ def test_build_schedule_override_wins(flat_year_series):
     assert not anomalies
     jan = table.get(MonthKey(2020, 1))
     assert jan.first_trading_day == datetime.date(2020, 1, 2)
-    assert jan.ftd_source == SOURCE_OVERRIDE
+    assert jan.ftd_source == "override"
     feb = table.get(MonthKey(2020, 2))
-    assert feb.ftd_source == SOURCE_COMPUTED
+    assert feb.ftd_source == "computed"
     assert feb.first_trading_day == datetime.date(2020, 2, 3)
     assert feb.expiry_day == datetime.date(2020, 2, 27)
 
