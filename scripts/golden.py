@@ -46,6 +46,7 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parent.parent
 if importlib.util.find_spec("sipcraft") is None:  # a PYTHONPATH or an install wins
     sys.path.append(str(ROOT / "src"))
+sys.path.append(str(ROOT / "perfbench"))  # gen, the benchmark's input generator
 MANIFEST = ROOT / "tests" / "golden" / "manifest.json"
 SCHEDULE = ROOT / "data" / "schedule_overrides.csv"
 WINDOWS = ROOT / "data" / "reference_windows.csv"
@@ -255,13 +256,6 @@ ENV: dict[str, dict[str, str]] = {"compare-argfile-out": {"SIPCRAFT_SEED": "7"},
 EXEMPT = ("__main__.py", "stats/special.py")
 
 
-def _gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def jump_csv(before: float, after: float) -> str:
     """Weekday closes from 2010-12-01 to 2011-12-31: ``before`` through
     2011-12-19 and ``after`` from then on."""
@@ -293,7 +287,8 @@ def write_inputs(directory: Path) -> None:
     duration, the ``POLE`` table, an override table whose one expiry falls
     before the grid series starts and the grid series without
     2024-12-01..26, so December 2024 has no expiry."""
-    gen = _gen()
+    import gen
+
     grid = gen.grid_csv(1)
     (directory / "grid.csv").write_text(grid, encoding="utf-8")
     (directory / "no-dec-expiry.csv").write_text(
@@ -346,14 +341,15 @@ def capture(name: str) -> dict:
     return result
 
 
-def record(name: str) -> dict:
+def record(name: str, result: dict | None = None) -> dict:
     """Manifest record of corpus command ``name``: its argv and any ``ENV``,
-    then its exit code and the digest of each output."""
-    result = capture(name)
+    then its exit code and the digest of each output of ``result``, its
+    ``capture``, which runs here when not given."""
+    result = capture(name) if result is None else result
     head = {"argv": list(COMMANDS[name]), **({"env": ENV[name]} if name in ENV else {}),
-            "exit": result.pop("exit")}
+            "exit": result["exit"]}
     return {**head, **{f"{stream}_sha256": hashlib.sha256(text.encode()).hexdigest()
-                       for stream, text in result.items()}}
+                       for stream, text in result.items() if stream != "exit"}}
 
 
 def outputs(record=capture) -> dict[str, dict]:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from sipcraft.cli import main
 from sipcraft.schedule import MonthKey, build_schedule
 from sipcraft.stats.paired import PairedSample
 from sipcraft.synth import generate_series
@@ -19,8 +20,9 @@ DATA = ROOT / "data"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 # an override table on weekdays, which a walk series without holidays trades on
 OVERRIDES = "year,month,ftd_dom,expiry_dom\n2010,1,4,27\n"
-# pyproject's pythonpath puts src/ on the path of this process only; the
-# interpreters that tests start find the package through PYTHONPATH
+# pyproject's pythonpath puts src/, scripts/ and perfbench/ on the path of
+# this process only; the interpreters that tests start find the package
+# through PYTHONPATH
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                                           os.environ.get("PYTHONPATH"))))
 
@@ -126,6 +128,15 @@ def flat_year_series() -> IndexSeries:
 def long_series() -> IndexSeries:
     """Random-walk series covering the full window grid, Dec 2002 - Dec 2024."""
     return generate_series("walk", 2003, 22, seed=11)
+
+
+@pytest.fixture(scope="session")
+def walk_csv(tmp_path_factory) -> Path:
+    """The file `fixtures --kind walk --start-year 2003 --years 22 --seed 11` writes."""
+    path = tmp_path_factory.mktemp("data") / "walk.csv"
+    assert main(["fixtures", "--kind", "walk", "--start-year", "2003", "--years", "22",
+                 "--seed", "11", "--out", str(path)]) == 0
+    return path
 
 
 @pytest.fixture(scope="session")

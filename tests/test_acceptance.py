@@ -20,7 +20,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from sipcraft.engine import Window, enumerate_windows, paired_run, simulate
+from sipcraft.engine import Window, paired_run, simulate
 from sipcraft.schedule import MonthKey, build_schedule, load_schedule_overrides
 from sipcraft.stats.battery import run_battery
 from sipcraft.stats.bootstrap import BatteryConfig, bootstrap_bca

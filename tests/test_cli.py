@@ -1,5 +1,11 @@
-"""End-to-end CLI behavior: subcommands, flags and @file arguments, settings
-precedence, exit codes."""
+"""The CLI behaviour that the golden corpus cannot see.
+
+``tests/test_golden.py`` pins every corpus command's exit code and output
+bytes, and holds each exit-2 entry to one error line and no output. This
+file keeps what a corpus entry cannot hold: a bundle checked against the
+JSON schema, input from a pipe, the modules a command imports in a fresh
+interpreter, settings resolution and ``@file`` arguments, and the error
+branches and overflow values that no entry runs."""
 
 import datetime
 import hashlib
@@ -28,15 +34,6 @@ from conftest import DATA, OVERRIDES, ROOT, weekday_series
 
 
 @pytest.fixture(scope="module")
-def series_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data") / "series.csv"
-    rc = main(["fixtures", "--kind", "walk", "--start-year", "2003",
-               "--years", "22", "--seed", "11", "--out", str(path)])
-    assert rc == EXIT_OK
-    return path
-
-
-@pytest.fixture(scope="module")
 def flat_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "flat.csv"
     rc = main(["fixtures", "--kind", "flat", "--start-year", "2020",
@@ -60,28 +57,13 @@ def test_fixtures_deterministic(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
-def test_fixtures_rejects_negative_seed(capsys):
-    # random.Random would seed with abs(seed), so -4 would repeat seed 4
-    assert main(["fixtures", "--kind", "walk", "--seed", "-4"]) == EXIT_ERROR
-    assert capsys.readouterr().err == "sipcraft: error: seed must be non-negative, got -4\n"
-
-
-def test_fixtures_output_is_parseable(series_csv):
+def test_fixtures_output_is_parseable(walk_csv):
     from sipcraft.timeseries import parse_series
 
-    with open(series_csv) as fh:
+    with open(walk_csv) as fh:
         series = parse_series(fh)
     assert series.first_date.year == 2002  # prior December included
     assert series.last_date.year == 2024
-
-
-def test_validate_clean_series(series_csv, tmp_path, capsys):
-    out = tmp_path / "report.json"
-    rc = main(["validate", "--data", str(series_csv), "--out", str(out)])
-    assert rc == EXIT_OK
-    payload = read_json(out)
-    assert payload["anomalies"] == []
-    assert payload["rows"] > 5000
 
 
 def test_validate_and_simulate_december_9999(tmp_path, capsys):
@@ -97,47 +79,6 @@ def test_validate_and_simulate_december_9999(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_validate_malformed_series_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("date,close\n2003-01-01,-4\n")
-    rc = main(["validate", "--data", str(bad)])
-    assert rc == EXIT_ERROR
-    assert "line 2" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag", ["--data", "--schedule"])
-def test_validate_oversized_csv_field_exits_2(flat_csv, tmp_path, capsys, flag):
-    # one quoted field longer than the csv module's field limit (131072)
-    big = tmp_path / "big.csv"
-    header = "date,close" if flag == "--data" else "year,month,ftd_dom,expiry_dom"
-    big.write_text(f'{header}\n"{"x" * 140000}",1\n')
-    argv = ["validate", "--data", str(big)] if flag == "--data" else [
-        "validate", "--data", str(flat_csv), "--schedule", str(big)]
-    assert main(argv) == EXIT_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("sipcraft: error: line 2: field larger than field limit "
-                            "(131072)\n")
-
-
-def test_validate_missing_file_exits_2(capsys):
-    rc = main(["validate", "--data", "/nonexistent/series.csv"])
-    assert rc == EXIT_ERROR
-
-
-def test_validate_anomalous_override_exits_1(flat_csv, tmp_path, capsys):
-    # 2020-01-05 is a Sunday, so the override cannot be verified in the series
-    overrides = tmp_path / "overrides.csv"
-    overrides.write_text("year,month,ftd_dom,expiry_dom\n2020,1,5,30\n")
-    out = tmp_path / "report.json"
-    rc = main(["validate", "--data", str(flat_csv),
-               "--schedule", str(overrides), "--out", str(out)])
-    assert rc == EXIT_ANOMALIES
-    payload = read_json(out)
-    assert len(payload["anomalies"]) == 1
-    assert payload["anomalies"][0]["month"] == "2020-01"
-
-
 def test_simulate_flat_series_zero_cagr(flat_csv, tmp_path):
     out = tmp_path / "sim.json"
     rc = main(["simulate", "--data", str(flat_csv), "--strategy", "ftd",
@@ -150,15 +91,6 @@ def test_simulate_flat_series_zero_cagr(flat_csv, tmp_path):
     assert len(payload["executions"]) == 12
 
 
-def test_simulate_markdown_ledger(flat_csv, capsys):
-    rc = main(["simulate", "--data", str(flat_csv), "--strategy", "exp",
-               "--start-year", "2020", "--years", "1"])
-    assert rc == EXIT_OK
-    text = capsys.readouterr().out
-    assert "| Month | Date | Price | Units |" in text
-    assert "CAGR: 0.00%" in text
-
-
 def test_simulate_requires_plan_flags(flat_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--data", str(flat_csv)])
@@ -167,9 +99,9 @@ def test_simulate_requires_plan_flags(flat_csv, capsys):
         "error: the following arguments are required: --strategy, --start-year, --years\n")
 
 
-def test_compare_json_bundle_validates(series_csv, tmp_path):
+def test_compare_json_bundle_validates(walk_csv, tmp_path):
     out = tmp_path / "bundle.json"
-    rc = main(["compare", "--data", str(series_csv), "--durations", "1,3,20",
+    rc = main(["compare", "--data", str(walk_csv), "--durations", "1,3,20",
                "--resamples", "2000", "--format", "json", "--out", str(out)])
     assert rc == EXIT_OK
     bundle = read_json(out)
@@ -222,24 +154,16 @@ def test_compare_window_table_header_is_normalized(tmp_path, capsys):
         "difference_of_rounded\n2003,2003,1,1.00,2.00,1.00,\n2004,2004,1,2.50,3.00,0.50,\n")
 
 
-def test_compare_window_table_prints_every_horizon(capsys):
-    assert main(["compare", "--data", str(DATA / "reference_windows.csv"),
-                 "--resamples", "1000"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "| Metric | 1y | 3y | 5y | 10y | 20y |\n" in out
-    assert "B=1000" in out
-
-
 @pytest.mark.parametrize("name", ["reference_windows.csv", "series", "schedule"])
-def test_compare_reads_data_from_a_pipe(series_csv, name):
+def test_compare_reads_data_from_a_pipe(walk_csv, name):
     # the header check reads ahead without seeking, which a pipe cannot, and
     # the provenance hashes the bytes the pipe carried: reopening /dev/stdin
     # after the parse would hash nothing
     if name == "schedule":
         flag, piped = "--schedule", OVERRIDES.encode()
     else:
-        flag, piped = "--data", (series_csv if name == "series" else DATA / name).read_bytes()
-    paths = {"--data": str(series_csv), flag: "/dev/stdin"}
+        flag, piped = "--data", (walk_csv if name == "series" else DATA / name).read_bytes()
+    paths = {"--data": str(walk_csv), flag: "/dev/stdin"}
     argv = ["compare", *[a for item in paths.items() for a in item], "--durations", "1",
             "--resamples", "1000", "--format", "json"]
     proc = subprocess.run([sys.executable, "-m", "sipcraft", *argv], input=piped,
@@ -275,47 +199,25 @@ def test_non_utf8_input_exits_2(flat_csv, tmp_path, capsys, argv, position):
 _TABLE = "from_year,to_year,years,cagr_ftd,cagr_exp\n"
 
 
-# each case the removed battery script rejected, as compare exits it, and
-# the rules a window table adds; a missing CAGR column makes a daily close
-# series of the file, whose header then lacks date and close
+# window tables that no error-windows-* entry of the golden corpus matches:
+# each takes a branch, a value or a layout of its own; a missing CAGR column
+# makes a daily close series of the file, whose header then lacks date and close
 @pytest.mark.parametrize("table, argv, message", [
     ("from_year,to_year,years,cagr_ftd\n2003,2003,1,1.0\n", [],
      "line 1: input header lacks ['date', 'close'], got "
      "['from_year', 'to_year', 'years', 'cagr_ftd']"),
-    ("from_year,years,cagr_ftd,cagr_exp\n2003,1,1.0,2.0\n", [],
-     "line 1: window table header lacks ['to_year'], got "
-     "['from_year', 'years', 'cagr_ftd', 'cagr_exp']"),
-    (_TABLE + "2003,2003,1,1.0,x\n", [], "line 2: cagr_exp must be a finite number, got 'x'"),
     (_TABLE + "2003,2003,1,nan,2.0\n", [], "line 2: cagr_ftd must be a finite number, got 'nan'"),
-    # a CAGR beyond MAX_CAGR overflowed the bootstrap or printed as -Infinity
-    ("from_year,to_year,cagr_ftd,cagr_exp\n2003,2003,1e308,-1e308\n", ["--durations", "1"],
-     "line 2: cagr_ftd 1e+308 lies outside [-100, 1e+100]"),
-    (_TABLE + "".join(f"{y},{y},1,2.0,{y - 2002}e200\n" for y in range(2003, 2009)),
-     ["--durations", "1"],
-     "line 2: cagr_exp 1e+200 lies outside [-100, 1e+100]"),
     (_TABLE + "2003,2003,1,-100.5,2.0\n", ["--durations", "1"],
      "line 2: cagr_ftd -100.5 lies outside [-100, 1e+100]"),
     (_TABLE + "2003,2003,1.5,1.0,2.0\n", [], "line 2: years must be an integer, got '1.5'"),
     (_TABLE + "2003,2003,1,1.0\n", [], "line 2: row has 4 columns, expected at least 5"),
-    (_TABLE + "2003,2004,1,1.0,2.0\n", [],
-     "line 2: years 1 does not match window 2003..2004"),
-    (_TABLE + "2004,2003,0,1.0,2.0\n", [], "line 2: window ends before it starts: 2004..2003"),
     # math.isfinite on a year too large for a float raised OverflowError
     (_TABLE + f"{10**400},2003,0,1.0,2.0\n", [],
      f"line 2: window ends before it starts: {10**400}..2003"),
-    (_TABLE + "2003,2009,7,1.0,2.0\n", [],
-     "line 2: window 2003..2009 spans 7 years, expected one of (1, 3, 5, 10, 20)"),
     (_TABLE + "2003,2003,1,1.0,2.0\n\n2003,2003,1,1.5,2.5\n", [],
      "line 4: duplicate window 2003..2003 (first seen at line 2)"),
-    (_TABLE + "2003,2003,1,1.0,2.0\n", ["--durations", "1,5"],
-     "line 2: window table ends with no rows for durations [5]"),
-    (_TABLE + "2003,2003,1,1.0,2.0\n", ["--durations", "1", "--schedule",
-                                          str(DATA / "schedule_overrides.csv")],
-     "a schedule file does not apply to a per-window CAGR table"),
-], ids=["missing-column", "missing-year-column", "non-numeric", "non-finite",
-        "beyond-float", "beyond-max", "below-total-loss", "fractional-years", "short-row",
-        "years-mismatch", "reversed", "huge-year", "seven-years",
-        "duplicate", "missing-duration", "schedule"])
+], ids=["missing-column", "non-finite", "below-total-loss", "fractional-years", "short-row",
+        "huge-year", "duplicate"])
 def test_compare_bad_window_table_exits_2(tmp_path, capsys, table, argv, message):
     (tmp_path / "table.csv").write_text(table)
     assert main(["compare", "--data", str(tmp_path / "table.csv"), *argv]) == EXIT_ERROR
@@ -354,14 +256,14 @@ def test_compare_unreadable_file_exits_2(flat_csv, tmp_path, monkeypatch, capsys
     assert captured.err == "sipcraft: error: [Errno 2] No such file or directory: 'absent'\n"
 
 
-def test_compare_seed_precedence(series_csv, tmp_path, monkeypatch):
+def test_compare_seed_precedence(walk_csv, tmp_path, monkeypatch):
     def bundle_seed(argv):
         out = tmp_path / "p.json"
         rc = main(argv + ["--format", "json", "--out", str(out)])
         assert rc == EXIT_OK
         return read_json(out)["provenance"]["battery_config"]["seed"]
 
-    base = ["compare", "--data", str(series_csv), "--durations", "1",
+    base = ["compare", "--data", str(walk_csv), "--durations", "1",
             "--resamples", "1000"]
 
     assert bundle_seed(base) == 42  # default
@@ -376,10 +278,10 @@ def test_compare_seed_precedence(series_csv, tmp_path, monkeypatch):
     assert bundle_seed(base + [f"@{args}", "--seed", "99"]) == 99  # a later flag wins
 
 
-@pytest.mark.parametrize("value", ["x", "1.5", "-1"])
-def test_compare_rejects_bad_env_seed(series_csv, monkeypatch, capsys, value):
+@pytest.mark.parametrize("value", ["x", "1.5"])
+def test_compare_rejects_bad_env_seed(walk_csv, monkeypatch, capsys, value):
     monkeypatch.setenv("SIPCRAFT_SEED", value)
-    rc = main(["compare", "--data", str(series_csv), "--durations", "1",
+    rc = main(["compare", "--data", str(walk_csv), "--durations", "1",
                "--resamples", "1000"])
     assert rc == EXIT_ERROR
     captured = capsys.readouterr()
@@ -391,20 +293,14 @@ def test_compare_rejects_bad_env_seed(series_csv, monkeypatch, capsys, value):
 @pytest.mark.parametrize("argv", [
     ["validate"], ["simulate", "--strategy", "ftd", "--start-year", "2003", "--years", "1"],
 ], ids=["validate", "simulate"])
-def test_env_seed_is_read_by_compare_only(series_csv, monkeypatch, capsys, argv):
+def test_env_seed_is_read_by_compare_only(walk_csv, monkeypatch, capsys, argv):
     # neither command draws a bootstrap, so a malformed seed must not stop it
-    argv = argv[:1] + ["--data", str(series_csv)] + argv[1:]
+    argv = argv[:1] + ["--data", str(walk_csv)] + argv[1:]
     monkeypatch.delenv("SIPCRAFT_SEED", raising=False)
     expected = main(argv), capsys.readouterr().out
     assert expected[0] == EXIT_OK
     monkeypatch.setenv("SIPCRAFT_SEED", "x")
     assert (main(argv), capsys.readouterr().out) == expected
-
-
-def test_compare_rejects_bad_durations(series_csv, capsys):
-    rc = main(["compare", "--data", str(series_csv), "--durations", "1,2"])
-    assert rc == EXIT_ERROR
-    assert "unsupported durations" in capsys.readouterr().err
 
 
 # every setting: the command, the flag and its value, the line of an @file
@@ -528,14 +424,12 @@ def test_data_path_starting_with_at(tmp_path, monkeypatch, capsys):
     (["fixtures", "--base", "inf"], "base must be positive and finite, got inf"),
     (["fixtures", "--kind", "walk", "--base", "1.7e308", "--seed", "3"],
      "level on 2002-12-31 is not a finite positive float, got inf"),
-    (["fixtures", "--base", "0"], "base must be positive and finite, got 0.0"),
     (["fixtures", "--base", "nan"], "base must be positive and finite, got nan"),
-    (["fixtures", "--holiday-rate", "0.31"], "holiday_rate must be in [0, 0.3], got 0.31"),
     (["fixtures", "--holiday-rate", "-0.1"], "holiday_rate must be in [0, 0.3], got -0.1"),
     (["fixtures", "--holiday-rate", "nan"], "holiday_rate must be in [0, 0.3], got nan"),
 ], ids=["simulate-start_year", "fixtures-years", "fixtures-start_year", "fixtures-base",
-        "fixtures-overflow", "fixtures-base-zero", "fixtures-base-nan",
-        "fixtures-holiday_rate", "fixtures-holiday_rate-negative", "fixtures-holiday_rate-nan"])
+        "fixtures-overflow", "fixtures-base-nan", "fixtures-holiday_rate-negative",
+        "fixtures-holiday_rate-nan"])
 def test_out_of_range_numbers_exit_2(flat_csv, capsys, argv, message):
     argv = [a.format(data=flat_csv) for a in argv]
     assert main(argv) == EXIT_ERROR
@@ -560,10 +454,10 @@ def test_out_of_range_numbers_exit_2(flat_csv, capsys, argv, message):
 ], ids=["alpha-1e-16", "alpha-subnormal", "B", "B-small", "alpha-0", "alpha-1", "alpha-nan",
         "alpha-2-53", "seed"])
 @pytest.mark.parametrize("source", ["flag", "argfile"])
-def test_unusable_battery_numbers_exit_2(series_csv, tmp_path, capsys, key, flag, value,
+def test_unusable_battery_numbers_exit_2(walk_csv, tmp_path, capsys, key, flag, value,
                                          message, source):
     # a flag read from an @file meets the same checks
-    argv = ["compare", "--data", str(series_csv), "--durations", "1"]
+    argv = ["compare", "--data", str(walk_csv), "--durations", "1"]
     if key == "alpha":
         argv += ["--resamples", "1000"]
     if source == "flag":
@@ -583,8 +477,8 @@ def test_largest_usable_resamples_resolve():
     assert resolve_settings(args).battery.B == 1_000_000
 
 
-def test_smallest_usable_alpha_runs(series_csv, capsys):
-    assert main(["compare", "--data", str(series_csv), "--durations", "1", "--resamples", "1000",
+def test_smallest_usable_alpha_runs(walk_csv, capsys):
+    assert main(["compare", "--data", str(walk_csv), "--durations", "1", "--resamples", "1000",
                  "--alpha", "1.2e-16", "--format", "json"]) == EXIT_OK
     ci = json.loads(capsys.readouterr().out)["metrics"][0]["bootstrap"]
     assert ci["alpha"] == 1.2e-16
@@ -630,43 +524,22 @@ def test_fixtures_rejects_an_unknown_kind(capsys):
     assert "argument --kind: invalid choice: 'garch'" in capsys.readouterr().err
 
 
-def test_simulate_rejects_infinite_amount(flat_csv, capsys):
-    rc = main(["simulate", "--data", str(flat_csv), "--strategy", "ftd",
-               "--start-year", "2020", "--years", "1", "--amount", "inf",
-               "--format", "json"])
-    assert rc == EXIT_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must be positive and finite" in captured.err
-
-
 SIMULATE_2010 = ["simulate", "--strategy", "ftd", "--start-year", "2010", "--years", "3",
                  "--format", "json"]
 
 
-@pytest.mark.parametrize("argv", [SIMULATE_2010], ids=["simulate"])
-def test_subnormal_amount_exits_2(series_csv, capsys, argv):
-    # 1e-310 buys subnormal units, whose few digits moved the CAGR silently
-    assert main(argv + ["--data", str(series_csv), "--amount", "1e-310"]) == EXIT_ERROR
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("sipcraft: error: plan ")
-    assert captured.err.endswith("units in one installment is out of float range\n")
-
-
-def test_tiny_normal_amount_keeps_the_cagr(series_csv, capsys):
+def test_tiny_normal_amount_keeps_the_cagr(walk_csv, capsys):
     def cagr(*amount):
-        assert main(SIMULATE_2010 + ["--data", str(series_csv), *amount]) == EXIT_OK
+        assert main(SIMULATE_2010 + ["--data", str(walk_csv), *amount]) == EXIT_OK
         return json.loads(capsys.readouterr().out)["cagr_percent"]
 
     assert cagr("--amount", "1e-300") == cagr()
 
 
-def test_compare_takes_no_amount(series_csv, capsys):
+def test_compare_takes_no_amount(walk_csv, capsys):
     # the amount cancels out of every CAGR, so compare has no flag for it
     with pytest.raises(SystemExit) as exc:
-        main(["compare", "--data", str(series_csv), "--amount", "5"])
+        main(["compare", "--data", str(walk_csv), "--amount", "5"])
     assert exc.value.code == EXIT_ERROR
     assert "unrecognized arguments: --amount" in capsys.readouterr().err
 
@@ -692,16 +565,11 @@ def test_compare_rejects_prices_out_of_float_range(tmp_path, capsys, close, term
 
 
 @pytest.mark.parametrize("argv, start, close, message", [
-    # with an amount of 1 the ledger stays finite while the CAGR overflows
-    (["simulate", "--strategy", "ftd", "--start-year", "2011", "--years", "1", "--amount", "1",
-      "--format", "json"], 2010,
-     lambda d: 1.0 if d < datetime.date(2011, 12, 20) else 1e307,
-     "plan 2011..2011 (ftd): CAGR inf lies outside [-100, 1e+100]"),
     # a finite CAGR above MAX_CAGR overflowed the bootstrap's jackknife
     (["compare", "--durations", "1", "--resamples", "1000"], 2002,
      lambda d: 10.0 ** random.Random(d.toordinal()).randint(0, 150),
      "plan 2004..2004 (ftd): CAGR 8.333333333333333e+113 lies outside [-100, 1e+100]"),
-], ids=["simulate-overflow", "compare-beyond-max"])
+], ids=["compare-beyond-max"])
 def test_cagr_beyond_max_exits_2(tmp_path, capsys, argv, start, close, message):
     data = tmp_path / "extreme.csv"
     data.write_text(serialize_series(
@@ -710,36 +578,6 @@ def test_cagr_beyond_max_exits_2(tmp_path, capsys, argv, start, close, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sipcraft: error: {message}\n"
-
-
-def test_compare_markdown_to_stdout(series_csv, capsys):
-    rc = main(["compare", "--data", str(series_csv), "--durations", "5",
-               "--resamples", "1000"])
-    assert rc == EXIT_OK
-    text = capsys.readouterr().out
-    assert "## Windows: 5y" in text
-    assert "## Comparison metrics" in text
-
-
-def test_module_entry_point(flat_csv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "sipcraft", "simulate", "--data", str(flat_csv),
-         "--strategy", "ftd", "--start-year", "2020", "--years", "1",
-         "--format", "json"],
-        capture_output=True, text=True)
-    assert proc.returncode == EXIT_OK
-    assert json.loads(proc.stdout)["cagr_percent"] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_cli_import_leaves_numpy_unloaded():
-    # validate, simulate and --version never touch numpy, so importing the
-    # CLI must not pay for it
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sipcraft.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
 
 
 # the sipcraft modules every command loads: argparse needs nothing else
@@ -760,22 +598,23 @@ UNUSED_AT_START = ("json", "csv", "datetime", "hashlib")
     # override dates the walk series does not trade on are anomalies
     (["validate", "--data", "{data}", "--schedule", "{schedule}"], EXIT_ANOMALIES, INPUTS),
     (["validate", "--data", "{data}"], EXIT_OK, INPUTS),
-    (["fixtures", "--kind", "walk", "--out", "{out}"], EXIT_OK,
+    (["fixtures", "--kind", "walk", "--holiday-rate", "0.05", "--out", "{out}"], EXIT_OK,
      ("sipcraft.synth", "sipcraft.timeseries")),
     (["simulate", "--data", "{data}", "--strategy", "exp", "--start-year", "2010",
       "--years", "3", "--out", "{out}"], EXIT_OK, INPUTS + ENGINE + ("sipcraft.report",)),
     (["compare", "--data", "{data}", "--resamples", "1000", "--out", "{out}"], EXIT_OK,
      INPUTS + ENGINE + BATTERY),
 ], ids=["version", "validate-overrides", "validate", "fixtures", "simulate", "compare"])
-def test_each_command_imports_only_its_layers(series_csv, tmp_path, argv, rc, layers):
-    paths = {"data": str(series_csv), "schedule": str(DATA / "schedule_overrides.csv"),
+def test_each_command_imports_only_its_layers(walk_csv, tmp_path, argv, rc, layers):
+    paths = {"data": str(walk_csv), "schedule": str(DATA / "schedule_overrides.csv"),
              "out": str(tmp_path / "out")}
     argv = [a.format(**paths) for a in argv]
     # a fresh interpreter per command; sipcraft's own modules are pinned
     # exactly, while of the stdlib only what the probe loads after its first
     # line counts, since the interpreter's site hooks and Python version load
     # their own; the records are NamedTuples, so no command needs dataclasses
-    # (which loads inspect and ast)
+    # (which loads inspect and ast); the runtime needs the stdlib only, and
+    # numpy is a test-suite oracle
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -794,6 +633,7 @@ def test_each_command_imports_only_its_layers(series_csv, tmp_path, argv, rc, la
     got_rc, modules, loaded, dataclasses_loaded = json.loads(proc.stdout.splitlines()[-1])
     assert got_rc == rc, proc.stderr
     assert not dataclasses_loaded
+    assert "numpy" not in loaded
     assert modules == sorted(START + layers)
     if argv == ["--version"]:
         assert not set(UNUSED_AT_START) & set(loaded)
@@ -801,24 +641,8 @@ def test_each_command_imports_only_its_layers(series_csv, tmp_path, argv, rc, la
         assert "hashlib" not in loaded
 
 
-def test_compare_and_fixtures_never_load_numpy(series_csv, tmp_path):
-    # the runtime needs the stdlib only; numpy is a test-suite oracle
-    runs = [["compare", "--data", str(series_csv), "--resamples", "1000",
-             "--out", str(tmp_path / "bundle.md")],
-            ["fixtures", "--kind", "walk", "--holiday-rate", "0.05",
-             "--out", str(tmp_path / "walk.csv")]]
-    probe = (
-        "import sys\n"
-        "from sipcraft.cli import main\n"
-        f"print([main(argv) for argv in {runs!r}], 'numpy' in sys.modules)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"{[EXIT_OK, EXIT_OK]} False"
-
-
 @pytest.mark.parametrize("preset, runs", [(None, 1), ("2", 2)])
-def test_compare_pays_only_for_the_numpy_it_uses(series_csv, tmp_path, preset, runs):
+def test_compare_pays_only_for_the_numpy_it_uses(walk_csv, tmp_path, preset, runs):
     # compare uses no numpy, so it starts no OpenBLAS pool and leaves the
     # caller's OPENBLAS_NUM_THREADS as it was, set or unset, however often
     # it runs in one interpreter
@@ -826,7 +650,7 @@ def test_compare_pays_only_for_the_numpy_it_uses(series_csv, tmp_path, preset, r
     env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    argv = ["compare", "--data", str(series_csv), "--resamples", "1000",
+    argv = ["compare", "--data", str(walk_csv), "--resamples", "1000",
             "--out", str(tmp_path / "bundle.md")]
     probe = (
         "import json, os, sys\n"
@@ -847,9 +671,3 @@ def test_compare_pays_only_for_the_numpy_it_uses(series_csv, tmp_path, preset, r
     if got["threads"] is None:
         pytest.skip("/proc/self/task is absent, so threads cannot be counted")
     assert got["threads"] == 1
-
-
-def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0

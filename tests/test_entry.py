@@ -25,14 +25,6 @@ def _sipcraft(*argv, python=()):
                           capture_output=True, text=True)
 
 
-@pytest.fixture(scope="module")
-def walk_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data") / "walk.csv"
-    assert main(["fixtures", "--kind", "walk", "--start-year", "2003", "--years", "22",
-                 "--seed", "11", "--out", str(path)]) == EXIT_OK
-    return path
-
-
 def test_cli_main_leaves_the_heap_unfrozen(walk_csv, capsys):
     frozen = gc.get_freeze_count()
     with pytest.raises(SystemExit):

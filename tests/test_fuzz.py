@@ -47,14 +47,6 @@ def test_csv_parsers_return_or_raise_sipcraft_error(header, body):
             pass
 
 
-@pytest.fixture(scope="module")
-def walk_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "walk.csv"
-    assert main(["fixtures", "--kind", "walk", "--start-year", "2003", "--years", "22",
-                 "--seed", "11", "--out", str(path)]) == EXIT_OK
-    return str(path)
-
-
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -103,7 +95,7 @@ def test_main_survives_any_flag_value(walk_csv, tmp_path, monkeypatch, command_f
     # finds anomalies with it
     command, flag = command_flag
     monkeypatch.chdir(tmp_path)
-    argv = [command, "--data", walk_csv, *BASE[command]]
+    argv = [command, "--data", str(walk_csv), *BASE[command]]
     if overrides:
         argv += ["--schedule", str(DATA / "schedule_overrides.csv")]
     argv += [f"{flag}={value}"] if joined else [flag, value]

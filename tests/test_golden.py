@@ -5,24 +5,16 @@ The manifest, ``tests/golden/manifest.json``, is written by
 byte, which only a declared contract change may bring.
 """
 
-import importlib.util
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import golden
 from conftest import ROOT
 
-
-def _golden():
-    spec = importlib.util.spec_from_file_location("golden", ROOT / "scripts" / "golden.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-golden = _golden()
 MANIFEST = golden.load_manifest()
 
 
@@ -41,7 +33,14 @@ def test_manifest_names_every_command():
 def test_golden_output(name, inputs, monkeypatch):
     monkeypatch.chdir(inputs)
     monkeypatch.delenv("SIPCRAFT_SEED", raising=False)
-    assert golden.record(name) == MANIFEST[name]
+    result = golden.capture(name)
+    assert golden.record(name, result) == MANIFEST[name]
+    # bad input ends in one error line and no output, never a traceback
+    if result["exit"] == 2:
+        assert result["stdout"] == ""
+        assert re.fullmatch(r"sipcraft: error: .+\n", result["stderr"]), result["stderr"]
+    else:
+        assert result["stderr"] == ""
 
 
 def test_corpus_reaches_every_path_an_entry_was_added_for():

@@ -2,59 +2,38 @@
 
 ``perfbench/trace_child.py`` times each layer by wrapping the attributes in
 its ``WRAPPED`` table, and reports a missing one only as a line of benchmark
-output. These checks keep that table and the CLI's deferred imports in step,
-and keep the return values its span counts read in the shape it reads.
+output. These checks keep that table in step with the modules it wraps, and
+keep the return values its span counts read in the shape it reads. That the
+CLI's deferred imports load no layer before a command needs it is
+``test_cli.py::test_each_command_imports_only_its_layers``'s to check.
 """
 
 import csv
 import importlib
-import importlib.util
 import json
 import subprocess
 import sys
 
+import gen
+import trace_child
+
 from conftest import ROOT
 
 
-def _perfbench(name: str):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_wrapped_attribute_resolves():
-    missing = [f"{module}.{attr}" for module, attr in _perfbench("trace_child").WRAPPED
+    missing = [f"{module}.{attr}" for module, attr in trace_child.WRAPPED
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
 
 
-def test_cli_import_loads_no_layer():
-    # the wrapped cli attributes are stand-ins, so importing the CLI loads
-    # none of the layers they stand for
-    layers = ("timeseries", "schedule", "engine", "stats", "report")
-    probe = (
-        "import json, sys\n"
-        "import sipcraft.cli\n"
-        f"print(json.dumps([m for m in {layers!r} if 'sipcraft.' + m in sys.modules]))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
-
-
-def test_traced_compare_reads_every_count(tmp_path):
+def test_traced_compare_reads_every_count(walk_csv, tmp_path):
     # trace_child._counts reads the layers' return values (the schedule
     # table's sources, the outcomes' windows, BootstrapCI and the battery
     # report's not_applicable), so a record change there breaks this run
-    from sipcraft.cli import main
-
-    data, out = tmp_path / "walk.csv", tmp_path / "trace.json"
-    assert main(["fixtures", "--kind", "walk", "--start-year", "2003", "--years", "22",
-                 "--seed", "11", "--out", str(data)]) == 0
+    out = tmp_path / "trace.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "trace_child.py"), "--out", str(out),
-         "--seconds", "0", "--", "compare", "--data", str(data), "--resamples", "1000",
+         "--seconds", "0", "--", "compare", "--data", str(walk_csv), "--resamples", "1000",
          "--format", "json"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -74,7 +53,7 @@ def test_traced_validate_counts_override_anchors(tmp_path):
     # override and computed ones from the table it returns
     overrides = ROOT / "data" / "schedule_overrides.csv"
     data, out = tmp_path / "long.csv", tmp_path / "trace.json"
-    text = _perfbench("gen").long_csv(1, str(overrides))
+    text = gen.long_csv(1, str(overrides))
     data.write_text(text, encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "trace_child.py"), "--out", str(out),
