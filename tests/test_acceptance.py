@@ -337,7 +337,7 @@ def test_criterion_8_real_data_reproduction():
     report("criterion 8: full window-table reproduction from raw data", failures)
 
 
-def test_criterion_9_cdf_accuracy_against_mpmath():
+def test_criterion_9_cdf_reference_accuracy():
     failures = []
     check = checker(failures)
     ref = mpmath_reference()
